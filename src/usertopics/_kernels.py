@@ -1,19 +1,16 @@
-"""Hot numeric kernels, each in a numba-compiled and a pure-numpy variant.
+"""Hot numeric kernels of the weighting, factorization and clustering stages.
 
-Every kernel exists twice: ``<name>_np`` (vectorized numpy, always available)
-and ``<name>_nb`` (numba ``@njit``, defined whenever numba imports). The
-public, unsuffixed names bind to one variant at import time:
+Each kernel has one implementation. The sparse-times-dense products run in
+``scipy.sparse``; the others are vectorized numpy. ``scipy.sparse`` is
+imported inside the product functions, not at module level: only the
+randomized SVD calls them, and the import costs a few tenths of a second
+that every other command would otherwise pay at start-up.
 
-* ``USERTOPICS_NUMBA=0`` (also ``false`` / ``off`` / ``no``) forces the numpy
-  fallbacks;
-* otherwise the numba variants are used whenever numba is importable.
-
-``benchmarks/bench_kernels.py`` times the two variants against each other.
-
-Determinism: parallel loops only write disjoint per-row slots and every
-floating-point reduction runs in a fixed serial order, so results do not
-depend on thread count. ``fastmath`` is deliberately not used; seeded runs
-must reproduce bit for bit.
+Determinism: every floating-point reduction runs in a fixed serial order,
+so results do not depend on the BLAS thread count. The sparse products
+accumulate each output row over the stored entries in CSR order, which is
+the order the reference loop ``out[i] += data[p] * dense[indices[p]]`` over
+``p`` uses; seeded runs reproduce bit for bit.
 
 Sparse arguments are raw CSR arrays (``indptr``/``indices`` int64,
 ``data`` float64); dense arguments must be C-contiguous float64.
@@ -21,33 +18,19 @@ Sparse arguments are raw CSR arrays (``indptr``/``indices`` int64,
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - environment without numba
-    HAVE_NUMBA = False
-
-_DISABLED = os.environ.get("USERTOPICS_NUMBA", "").strip().lower() in {
-    "0",
-    "false",
-    "off",
-    "no",
-}
-USING_NUMBA = HAVE_NUMBA and not _DISABLED
-BACKEND = "numba" if USING_NUMBA else "numpy"
+# recorded in every manifest: the sparse products run in scipy.sparse
+BACKEND = "scipy"
 
 
-# --------------------------------------------------------------------------
-# numpy variants
-# --------------------------------------------------------------------------
+def _csr(indptr, indices, data, n_cols):
+    from scipy.sparse import csr_array
+
+    return csr_array((data, indices, indptr), shape=(indptr.size - 1, n_cols))
 
 
-def tf_values_np(indptr, data, log_scale):
+def tf_values(indptr, data, log_scale):
     """1 + log(value / row_sum) * log_scale for every stored entry."""
     n_rows = indptr.size - 1
     rows = np.repeat(np.arange(n_rows), np.diff(indptr))
@@ -55,7 +38,7 @@ def tf_values_np(indptr, data, log_scale):
     return 1.0 + np.log(data / sums[rows]) * log_scale
 
 
-def share_values_np(indptr, data):
+def share_values(indptr, data):
     """value / row_sum for every stored entry."""
     n_rows = indptr.size - 1
     rows = np.repeat(np.arange(n_rows), np.diff(indptr))
@@ -63,25 +46,17 @@ def share_values_np(indptr, data):
     return data / sums[rows]
 
 
-def csr_matmat_np(indptr, indices, data, dense):
+def csr_matmat(indptr, indices, data, dense):
     """CSR @ dense block."""
-    n_rows = indptr.size - 1
-    rows = np.repeat(np.arange(n_rows), np.diff(indptr))
-    out = np.zeros((n_rows, dense.shape[1]))
-    np.add.at(out, rows, data[:, None] * dense[indices])
-    return out
+    return _csr(indptr, indices, data, dense.shape[0]) @ dense
 
 
-def csr_tmatmat_np(indptr, indices, data, n_cols, dense):
+def csr_tmatmat(indptr, indices, data, n_cols, dense):
     """CSR.T @ dense block."""
-    n_rows = indptr.size - 1
-    rows = np.repeat(np.arange(n_rows), np.diff(indptr))
-    out = np.zeros((n_cols, dense.shape[1]))
-    np.add.at(out, indices, data[:, None] * dense[rows])
-    return out
+    return _csr(indptr, indices, data, n_cols).T @ dense
 
 
-def kmeans_assign_np(points, centroids):
+def kmeans_assign(points, centroids):
     """Nearest centroid per point (ties to the lowest index).
 
     Returns (labels int64, squared distance to the assigned centroid).
@@ -98,7 +73,7 @@ def kmeans_assign_np(points, centroids):
     return labels, best
 
 
-def kmeans_update_np(points, labels, k):
+def kmeans_update(points, labels, k):
     """Per-cluster coordinate sums and member counts."""
     sums = np.zeros((k, points.shape[1]))
     np.add.at(sums, labels, points)
@@ -106,145 +81,8 @@ def kmeans_update_np(points, labels, k):
     return sums, counts
 
 
-def dsq_update_np(points, centroid, dsq):
+def dsq_update(points, centroid, dsq):
     """In place: dsq[i] = min(dsq[i], ||points[i] - centroid||^2)."""
     diff = points - centroid
     d = np.einsum("ij,ij->i", diff, diff)
     np.minimum(dsq, d, out=dsq)
-
-
-# --------------------------------------------------------------------------
-# numba variants
-# --------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def tf_values_nb(indptr, data, log_scale):
-        out = np.empty_like(data)
-        for i in range(indptr.size - 1):
-            s = 0.0
-            for p in range(indptr[i], indptr[i + 1]):
-                s += data[p]
-            for p in range(indptr[i], indptr[i + 1]):
-                out[p] = 1.0 + np.log(data[p] / s) * log_scale
-        return out
-
-    @njit(cache=True)
-    def share_values_nb(indptr, data):
-        out = np.empty_like(data)
-        for i in range(indptr.size - 1):
-            s = 0.0
-            for p in range(indptr[i], indptr[i + 1]):
-                s += data[p]
-            for p in range(indptr[i], indptr[i + 1]):
-                out[p] = data[p] / s
-        return out
-
-    @njit(cache=True, parallel=True)
-    def csr_matmat_nb(indptr, indices, data, dense):
-        n_rows = indptr.size - 1
-        width = dense.shape[1]
-        out = np.zeros((n_rows, width))
-        for i in prange(n_rows):
-            for p in range(indptr[i], indptr[i + 1]):
-                v = data[p]
-                j = indices[p]
-                for c in range(width):
-                    out[i, c] += v * dense[j, c]
-        return out
-
-    @njit(cache=True)
-    def csr_tmatmat_nb(indptr, indices, data, n_cols, dense):
-        width = dense.shape[1]
-        out = np.zeros((n_cols, width))
-        for i in range(indptr.size - 1):
-            for p in range(indptr[i], indptr[i + 1]):
-                v = data[p]
-                j = indices[p]
-                for c in range(width):
-                    out[j, c] += v * dense[i, c]
-        return out
-
-    @njit(cache=True, parallel=True)
-    def kmeans_assign_nb(points, centroids):
-        n, dim = points.shape
-        k = centroids.shape[0]
-        labels = np.zeros(n, dtype=np.int64)
-        best = np.empty(n)
-        for i in prange(n):
-            b = np.inf
-            bj = 0
-            for j in range(k):
-                d = 0.0
-                for c in range(dim):
-                    t = points[i, c] - centroids[j, c]
-                    d += t * t
-                if d < b:
-                    b = d
-                    bj = j
-            labels[i] = bj
-            best[i] = b
-        return labels, best
-
-    @njit(cache=True)
-    def kmeans_update_nb(points, labels, k):
-        n, dim = points.shape
-        sums = np.zeros((k, dim))
-        counts = np.zeros(k, dtype=np.int64)
-        for i in range(n):
-            lab = labels[i]
-            counts[lab] += 1
-            for c in range(dim):
-                sums[lab, c] += points[i, c]
-        return sums, counts
-
-    @njit(cache=True, parallel=True)
-    def dsq_update_nb(points, centroid, dsq):
-        n, dim = points.shape
-        for i in prange(n):
-            d = 0.0
-            for c in range(dim):
-                t = points[i, c] - centroid[c]
-                d += t * t
-            if d < dsq[i]:
-                dsq[i] = d
-
-
-# --------------------------------------------------------------------------
-# active bindings
-# --------------------------------------------------------------------------
-
-if USING_NUMBA:
-    tf_values = tf_values_nb
-    share_values = share_values_nb
-    csr_matmat = csr_matmat_nb
-    csr_tmatmat = csr_tmatmat_nb
-    kmeans_assign = kmeans_assign_nb
-    kmeans_update = kmeans_update_nb
-    dsq_update = dsq_update_nb
-else:
-    tf_values = tf_values_np
-    share_values = share_values_np
-    csr_matmat = csr_matmat_np
-    csr_tmatmat = csr_tmatmat_np
-    kmeans_assign = kmeans_assign_np
-    kmeans_update = kmeans_update_np
-    dsq_update = dsq_update_np
-
-
-def warmup():
-    """Trigger JIT compilation of every active kernel on tiny inputs."""
-    indptr = np.array([0, 2, 3], dtype=np.int64)
-    indices = np.array([0, 1, 1], dtype=np.int64)
-    data = np.array([1.0, 2.0, 3.0])
-    block = np.ones((2, 2))
-    pts = np.array([[0.0, 0.0], [1.0, 1.0], [4.0, 4.0]])
-    cen = np.array([[0.0, 0.0], [4.0, 4.0]])
-    tf_values(indptr, data, 1.0)
-    share_values(indptr, data)
-    csr_matmat(indptr, indices, data, block)
-    csr_tmatmat(indptr, indices, data, 2, block)
-    labels, _ = kmeans_assign(pts, cen)
-    kmeans_update(pts, labels, 2)
-    dsq_update(pts, cen[0], np.full(3, np.inf))

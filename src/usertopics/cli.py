@@ -254,11 +254,15 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _load_profile(workspace: Path):
+def _load_profile(workspace: Path, watch: _Stopwatch):
     prefix = workspace / PROFILE_PREFIX
     if not prefix.with_name(prefix.name + ".triplets.txt").is_file():
         raise DataError(f"no ingested profile matrix under {workspace}")
-    return read_matrix(prefix)
+    try:
+        with watch.stage("load"):
+            return read_matrix(prefix)
+    except (ValueError, OSError) as exc:
+        raise DataError(f"corrupt profile matrix under {workspace}: {exc}") from exc
 
 
 def _weight(profile, mode: str, base: float):
@@ -308,11 +312,11 @@ def _write_reports(out_dir: Path, feature, clustering, demo, tx, top_n: int):
 def cmd_cluster(args) -> int:
     workspace = Path(args.workspace)
     out_dir = Path(args.out_dir) if args.out_dir else workspace
-    profile = _load_profile(workspace)
+    watch = _Stopwatch()
+    profile = _load_profile(workspace, watch)
     if not 1 <= args.k <= profile.n_users:
         raise UsageError(f"K={args.k} outside [1, {profile.n_users}]")
     with _workspace_lock(out_dir):
-        watch = _Stopwatch()
         try:
             demo, tx = _parse_reports(args)
         except ingest.ParseError as exc:
@@ -384,13 +388,13 @@ def cmd_cluster(args) -> int:
 def cmd_sweep_k(args) -> int:
     workspace = Path(args.workspace)
     out_dir = Path(args.out_dir) if args.out_dir else workspace
-    profile = _load_profile(workspace)
+    watch = _Stopwatch()
+    profile = _load_profile(workspace, watch)
     if args.k_min < 1 or args.k_max < args.k_min:
         raise UsageError(f"bad K range [{args.k_min}, {args.k_max}]")
     if args.k_max > profile.n_users:
         raise UsageError(f"K_max={args.k_max} exceeds {profile.n_users} users")
     with _workspace_lock(out_dir):
-        watch = _Stopwatch()
         with watch.stage("weighting"):
             feature = _weight(profile, args.weighting, args.log_base)
         _check_rank(args.m, feature)
@@ -443,7 +447,8 @@ def cmd_sweep_k(args) -> int:
 def cmd_bench_m(args) -> int:
     workspace = Path(args.workspace)
     out_dir = Path(args.out_dir) if args.out_dir else workspace
-    profile = _load_profile(workspace)
+    watch = _Stopwatch()
+    profile = _load_profile(workspace, watch)
     try:
         m_list = [int(tok) for tok in args.m_list.split(",") if tok.strip()]
     except ValueError as exc:
@@ -518,7 +523,11 @@ def cmd_bench_m(args) -> int:
                 "method": args.method,
             },
             results={"rows": rows},
-            timings={"note": "benchmark results are themselves timings"},
+            timings={
+                "stages_s": watch.stages,
+                "total_s": watch.total(),
+                "note": "benchmark results are themselves timings",
+            },
         )
     for row in rows:
         print(

@@ -7,10 +7,12 @@ Two methods are provided behind one interface:
   500; oracle-grade accuracy at desk scale.
 * ``randomized``: Gaussian range sketch of width ``m + oversample`` with
   ``power_iters`` subspace iterations, orthonormalization, projection, and
-  a small dense SVD. The sparse matrix is never densified on this path;
-  only matrix-block products against it are used. Deterministic given
-  (matrix, m, oversample, power_iters, seed); the seed feeds a PCG64
-  generator whose stream is stable across platforms.
+  a small dense SVD (Halko, Martinsson and Tropp, SIAM Review 2011). The
+  sparse matrix is never densified on this path; only matrix-block
+  products against it are used. They run in ``scipy.sparse`` (see
+  :mod:`usertopics._kernels`), which only this path imports.
+  Deterministic given (matrix, m, oversample, power_iters, seed); the seed
+  feeds a PCG64 generator whose stream is stable across platforms.
 
 The left factor is the per-user topic embedding used for clustering; the
 right factor relates domains to topics. Unscaled left vectors weight all

@@ -2,8 +2,10 @@
 
 Storage is compressed sparse row (CSR): ``indptr``/``indices``/``data``
 numpy arrays plus user and domain index maps. Only what the weighting and
-factorization stages need is implemented: row scaling, column counts, and
-matrix-block products (the latter live in :mod:`usertopics._kernels`).
+factorization stages need is implemented: row scaling and column counts.
+Matrix-block products run in ``scipy.sparse`` over the same three arrays
+(see :mod:`usertopics._kernels`); this module does not import scipy, so
+commands that never multiply do not pay for loading it.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 GENDERS = frozenset({"male", "female", "unknown"})
@@ -31,6 +32,8 @@ class SessionRecord:
     bytes: int
 
     def __post_init__(self):
+        if not math.isfinite(self.duration):
+            raise ValueError(f"non-finite duration: {self.duration}")
         if self.duration < 0:
             raise ValueError(f"negative duration: {self.duration}")
         if self.bytes < 0:
@@ -64,6 +67,8 @@ class TransactionRecord:
     amount: float  # non-negative, RMB
 
     def __post_init__(self):
+        if not math.isfinite(self.amount):
+            raise ValueError(f"non-finite amount: {self.amount}")
         if self.amount < 0:
             raise ValueError(f"negative amount: {self.amount}")
 

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from usertopics import _kernels
-
 settings.register_profile(
     "default",
     deadline=None,
@@ -11,12 +9,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT compilation must not land inside timed acceptance sections
-    _kernels.warmup()
 
 
 @pytest.fixture()

@@ -148,6 +148,22 @@ class TestClusterCommand:
         assert manifest["params"]["weighting"] == "row_normalized"
         assert "portal.example" in manifest["results"]["labels"]
 
+    def test_manifest_times_profile_load(self, ingested_ws):
+        assert run(["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4]) == 0
+        manifest = json.loads((ingested_ws / "manifest.json").read_text())
+        stages = manifest["timings"]["stages_s"]
+        assert "load" in stages
+        assert sum(stages.values()) <= manifest["timings"]["total_s"]
+
+    def test_truncated_profile_exits_2(self, ingested_ws, capsys):
+        path = ingested_ws / "profile.triplets.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[: len(lines) // 2]))
+        assert run(["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: corrupt profile matrix")
+        assert err.count("\n") == 1
+
     def test_m_out_of_range_exits_1(self, ingested_ws):
         assert run(["cluster", "--workspace", ingested_ws, "-M", 10_000, "-K", 4]) == 1
 
@@ -199,6 +215,8 @@ class TestSweepCommand:
             "--k-min", 3, "--k-max", 3, "--restarts", 2,
         ]) == 0
         assert len((ingested_ws / "sweep_k.txt").read_text().splitlines()) == 2
+        manifest = json.loads((ingested_ws / "manifest.json").read_text())
+        assert "load" in manifest["timings"]["stages_s"]
 
     def test_k_max_beyond_users_exits_1(self, ingested_ws):
         assert run([
@@ -220,6 +238,8 @@ class TestBenchCommand:
         assert row[0] == "4"
         total_min, total_max = float(row[5]), float(row[6])
         assert total_min <= float(row[4]) <= total_max
+        manifest = json.loads((ingested_ws / "manifest.json").read_text())
+        assert "load" in manifest["timings"]["stages_s"]
 
     def test_default_m_list_mirrors_benchmark_rows(self):
         parser = cli.build_parser()

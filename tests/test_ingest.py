@@ -53,6 +53,15 @@ class TestParseSessions:
         assert rep.n_errors == 1
         assert rep.errors[0][0] == 2  # line number
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_duration_skipped(self, value):
+        rep = parse_sessions(
+            sess_csv(f"u1,2014-09-01T10:00:00Z,{value},ap1,a.com,isp,1,web,5")
+        )
+        assert rep.records == []
+        assert rep.n_errors == 1
+        assert "non-finite duration" in rep.errors[0][1]
+
     def test_fail_fast_raises(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_sessions(
@@ -140,6 +149,14 @@ class TestParseTransactions:
             io.StringIO("user_id,timestamp,amount\nu1,2014-09-01T10:00:00Z,-1\n")
         )
         assert rep.records == [] and rep.n_errors == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_amount_error(self, value):
+        rep = parse_transactions(
+            io.StringIO(f"user_id,timestamp,amount\nu1,2014-09-01T10:00:00Z,{value}\n")
+        )
+        assert rep.records == [] and rep.n_errors == 1
+        assert "non-finite amount" in rep.errors[0][1]
 
 
 class TestNormalizeDomain:

@@ -1,11 +1,10 @@
-import os
 import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 from usertopics import _kernels
+from usertopics.matrix import SparseMatrix
 
 
 def random_csr(rng, n_rows=30, n_cols=20, nnz_per_row=6):
@@ -20,86 +19,95 @@ def random_csr(rng, n_rows=30, n_cols=20, nnz_per_row=6):
     return indptr, cols, data
 
 
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
+def sparse_cases(rng):
+    """(indptr, indices, data, n_cols) with gaps: empty rows, empty columns, nnz=0."""
+    dense = rng.standard_normal((30, 20))
+    dense[rng.random(dense.shape) < 0.7] = 0.0
+    dense[[0, 11, 29]] = 0.0  # empty rows, first and last included
+    dense[:, [0, 7, 19]] = 0.0  # empty columns, first and last included
+    rows, cols = np.nonzero(dense)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=30))))
+    yield indptr.astype(np.int64), cols.astype(np.int64), dense[rows, cols], 20
+    yield np.zeros(5, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0), 3
 
 
-@needs_numba
-class TestPathEquivalence:
-    def test_tf_values(self, rng):
-        indptr, _, data = random_csr(rng)
-        a = _kernels.tf_values_np(indptr, data, 1.0)
-        b = _kernels.tf_values_nb(indptr, data, 1.0)
-        assert np.allclose(a, b, atol=1e-12, rtol=0)
+def toarray(indptr, indices, data, n_cols):
+    n_rows = indptr.size - 1
+    return SparseMatrix(
+        n_users=n_rows,
+        n_domains=n_cols,
+        indptr=indptr,
+        indices=indices,
+        data=data,
+        users=tuple(f"u{i}" for i in range(n_rows)),
+        domains=tuple(f"d{j}" for j in range(n_cols)),
+    ).toarray()
 
-    def test_share_values(self, rng):
-        indptr, _, data = random_csr(rng)
-        a = _kernels.share_values_np(indptr, data)
-        b = _kernels.share_values_nb(indptr, data)
-        assert np.allclose(a, b, atol=1e-15, rtol=0)
 
-    def test_csr_matmat(self, rng):
+def loop_matmat(indptr, indices, data, dense):
+    """Reference: out[i] += data[p] * dense[indices[p]] over p in CSR order."""
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    out = np.zeros((indptr.size - 1, dense.shape[1]))
+    np.add.at(out, rows, data[:, None] * dense[indices])
+    return out
+
+
+def loop_tmatmat(indptr, indices, data, n_cols, dense):
+    """Reference: out[indices[p]] += data[p] * dense[i] over p in CSR order."""
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    out = np.zeros((n_cols, dense.shape[1]))
+    np.add.at(out, indices, data[:, None] * dense[rows])
+    return out
+
+
+class TestSparseProducts:
+    def test_csr_matmat_matches_dense(self, rng):
+        for indptr, indices, data, n_cols in sparse_cases(rng):
+            block = np.ascontiguousarray(rng.standard_normal((n_cols, 7)))
+            out = _kernels.csr_matmat(indptr, indices, data, block)
+            expect = toarray(indptr, indices, data, n_cols) @ block
+            assert out.shape == expect.shape
+            assert np.allclose(out, expect, rtol=1e-12, atol=1e-12)
+
+    def test_csr_tmatmat_matches_dense(self, rng):
+        for indptr, indices, data, n_cols in sparse_cases(rng):
+            tall = np.ascontiguousarray(rng.standard_normal((indptr.size - 1, 5)))
+            out = _kernels.csr_tmatmat(indptr, indices, data, n_cols, tall)
+            expect = toarray(indptr, indices, data, n_cols).T @ tall
+            assert out.shape == expect.shape
+            assert np.allclose(out, expect, rtol=1e-12, atol=1e-12)
+
+    def test_products_bit_identical_to_csr_order_loop(self, rng):
         indptr, indices, data = random_csr(rng)
         block = np.ascontiguousarray(rng.standard_normal((20, 7)))
-        a = _kernels.csr_matmat_np(indptr, indices, data, block)
-        b = _kernels.csr_matmat_nb(indptr, indices, data, block)
-        assert np.allclose(a, b, rtol=1e-12)
-
-    def test_csr_tmatmat(self, rng):
-        indptr, indices, data = random_csr(rng)
         tall = np.ascontiguousarray(rng.standard_normal((30, 5)))
-        a = _kernels.csr_tmatmat_np(indptr, indices, data, 20, tall)
-        b = _kernels.csr_tmatmat_nb(indptr, indices, data, 20, tall)
-        assert np.allclose(a, b, rtol=1e-12)
+        assert np.array_equal(
+            _kernels.csr_matmat(indptr, indices, data, block),
+            loop_matmat(indptr, indices, data, block),
+        )
+        assert np.array_equal(
+            _kernels.csr_tmatmat(indptr, indices, data, 20, tall),
+            loop_tmatmat(indptr, indices, data, 20, tall),
+        )
 
-    def test_kmeans_assign(self, rng):
-        pts = np.ascontiguousarray(rng.standard_normal((50, 4)))
-        cents = np.ascontiguousarray(rng.standard_normal((5, 4)))
-        la, da = _kernels.kmeans_assign_np(pts, cents)
-        lb, db = _kernels.kmeans_assign_nb(pts, cents)
-        assert np.array_equal(la, lb)
-        assert np.allclose(da, db, rtol=1e-12)
+    def test_cli_import_leaves_scipy_unloaded(self):
+        code = "import sys, usertopics.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
+
+class TestKmeansKernels:
     def test_kmeans_assign_tie_lowest_index(self):
         pts = np.array([[0.0]])
         cents = np.array([[1.0], [-1.0]])  # equidistant
-        for fn in (_kernels.kmeans_assign_np, _kernels.kmeans_assign_nb):
-            labels, _ = fn(pts, cents)
-            assert labels[0] == 0
-
-    def test_kmeans_update(self, rng):
-        pts = np.ascontiguousarray(rng.standard_normal((40, 3)))
-        labels = rng.integers(0, 4, size=40).astype(np.int64)
-        sa, ca = _kernels.kmeans_update_np(pts, labels, 4)
-        sb, cb = _kernels.kmeans_update_nb(pts, labels, 4)
-        assert np.array_equal(ca, cb)
-        assert np.array_equal(sa, sb)  # same accumulation order
-
-    def test_dsq_update(self, rng):
-        pts = np.ascontiguousarray(rng.standard_normal((30, 3)))
-        c = np.ascontiguousarray(rng.standard_normal(3))
-        da = np.full(30, np.inf)
-        db = np.full(30, np.inf)
-        _kernels.dsq_update_np(pts, c, da)
-        _kernels.dsq_update_nb(pts, c, db)
-        assert np.allclose(da, db, rtol=1e-12)
+        labels, dist = _kernels.kmeans_assign(pts, cents)
+        assert labels[0] == 0 and dist[0] == 1.0
 
 
 class TestBackendSelection:
     def test_backend_exposed(self):
-        assert _kernels.BACKEND in ("numba", "numpy")
-
-    def test_env_flag_forces_numpy(self):
-        code = (
-            "from usertopics import _kernels; "
-            "print(_kernels.BACKEND); print(_kernels.USING_NUMBA)"
-        )
-        env = dict(os.environ, USERTOPICS_NUMBA="0")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        lines = out.stdout.split()
-        assert lines[0] == "numpy" and lines[1] == "False"
+        assert _kernels.BACKEND == "scipy"
 
     def test_empty_matrix_kernels(self):
         indptr = np.zeros(1, dtype=np.int64)
