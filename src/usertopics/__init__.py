@@ -12,6 +12,7 @@ from .clustering import Clustering, inertia, kmeans, kmeanspp_init, sweep_k
 from .ingest import (
     ParseError,
     ParseReport,
+    SessionTable,
     build_profile_matrix,
     normalize_domain,
     parse_demographics,

@@ -74,10 +74,21 @@ def kmeans_assign(points, centroids):
 
 
 def kmeans_update(points, labels, k):
-    """Per-cluster coordinate sums and member counts."""
-    sums = np.zeros((k, points.shape[1]))
-    np.add.at(sums, labels, points)
+    """Per-cluster coordinate sums and member counts.
+
+    Each sum adds the cluster's points in index order, as the loop
+    ``sums[labels[i]] += points[i]`` does: a stable sort on the label makes
+    every cluster one block of rows, and ``sum(axis=0)`` adds a block row
+    after row. A single column would be summed pairwise instead, so it
+    takes a running sum.
+    """
     counts = np.bincount(labels, minlength=k).astype(np.int64)
+    sums = np.zeros((k, points.shape[1]))
+    grouped = points[np.argsort(labels, kind="stable")]
+    ends = np.cumsum(counts)
+    for j in np.flatnonzero(counts):
+        block = grouped[ends[j] - counts[j] : ends[j]]
+        sums[j] = np.cumsum(block)[-1] if points.shape[1] == 1 else block.sum(axis=0)
     return sums, counts
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import json
 import logging
 import os
@@ -177,7 +178,7 @@ def _parse_session_input(args):
             truncate_domains=args.truncate_domains,
         )
         sessions = ingest.sessionize(report.records, gap_threshold=args.gap)
-        return sessions, report
+        return ingest.SessionTable.from_records(sessions), report
     path = _require_file(args.sessions, "sessions")
     report = ingest.parse_sessions(
         path,
@@ -543,15 +544,23 @@ def cmd_report(args) -> int:
     feature_prefix = workspace / FEATURE_PREFIX
     if not feature_prefix.with_name(feature_prefix.name + ".triplets.txt").is_file():
         raise DataError(f"no clustered feature matrix under {workspace}")
-    feature = read_matrix(feature_prefix)
+    try:
+        feature = read_matrix(feature_prefix)
+    except (ValueError, OSError) as exc:
+        raise DataError(f"corrupt feature matrix under {workspace}: {exc}") from exc
     assignments_path = workspace / "assignments.csv"
     if not assignments_path.is_file():
         raise DataError(f"no assignments file under {workspace}")
-    mapping = clus.read_assignments(assignments_path)
+    try:
+        mapping = clus.read_assignments(assignments_path)
+    except (ValueError, OSError) as exc:
+        raise DataError(f"corrupt assignments file: {exc}") from exc
     try:
         labels = np.array([mapping[u] for u in feature.users], dtype=np.int64)
     except KeyError as exc:
         raise DataError(f"assignments missing user {exc}") from exc
+    if labels.size and not 0 <= labels.min() <= labels.max() < labels.size:
+        raise DataError(f"cluster ids outside [0, {labels.size}) in {assignments_path}")
     k = int(labels.max()) + 1 if labels.size else 1
     centroids = np.zeros((k, 1))
     result = clus.Clustering(
@@ -592,11 +601,20 @@ def _add_common_model_flags(p):
                    help="random seed (env: USERTOPICS_SEED)")
 
 
+def _delimiter(text: str) -> str:
+    """argparse type: a field delimiter the csv module accepts."""
+    try:
+        csv.reader([], delimiter=text)
+    except (TypeError, ValueError, csv.Error) as exc:
+        raise argparse.ArgumentTypeError(f"bad delimiter {text!r}: {exc}") from None
+    return text
+
+
 def _add_report_flags(p):
     p.add_argument("--demographics", help="demographics CSV path")
     p.add_argument("--transactions", help="transactions CSV path")
     p.add_argument("--top-n", type=int, default=10)
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", type=_delimiter, default=",")
     p.add_argument("--fail-fast", action="store_true")
 
 
@@ -617,7 +635,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gap", type=float, default=ingest.DEFAULT_GAP_SECONDS,
                    help="sessionization gap threshold in seconds")
     p.add_argument("--metric", choices=list(ingest.PROFILE_METRICS), default="bytes")
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", type=_delimiter, default=",")
     p.add_argument("--fail-fast", action="store_true")
     p.add_argument("--truncate-domains", action="store_true",
                    help="cut domains down to a registrable suffix heuristically")

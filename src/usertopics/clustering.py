@@ -272,9 +272,20 @@ def write_clustering(c: Clustering, user_ids, out_dir: str | Path) -> list[Path]
 
 
 def read_assignments(path: str | Path) -> dict[str, int]:
+    """user -> cluster id from assignments.csv; ValueError on a malformed file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["user_id", "cluster"]:
-            raise ValueError(f"{path}: unexpected header {header}")
-        return {row[0]: int(row[1]) for row in reader if row}
+        try:
+            header = next(reader, None)
+            if header != ["user_id", "cluster"]:
+                raise ValueError(f"{path}: unexpected header {header}")
+            mapping = {}
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise ValueError(f"{path}: line {line_no}: expected 2 fields, got {len(row)}")
+                mapping[row[0]] = int(row[1])
+        except csv.Error as exc:  # e.g. a field over the csv size limit
+            raise ValueError(f"{path}: {exc}") from exc
+        return mapping

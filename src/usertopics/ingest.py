@@ -4,21 +4,43 @@ All parsers read delimited text with a mandatory header row and collect
 malformed rows into a :class:`ParseReport` instead of failing (pass
 ``fail_fast=True`` to raise on the first bad row). Real logs are dirty;
 skip-and-count is the default policy.
+
+Session logs, the large input, are parsed column by column into a
+:class:`SessionTable`. The log is read in chunks of :data:`CHUNK_ROWS`
+rows. Each chunk's columns are validated in bulk: numbers through one
+``map`` over the column, domains once per distinct raw string, the
+finiteness and sign checks as array comparisons. The chunk is then
+encoded to int64 codes and numeric arrays before the next one is read, so
+memory grows with the vocabularies and the numeric columns, not with the
+raw text. A row that a column check flags is converted once more through
+the per-row :class:`SessionRecord` path. The column checks only tell that
+a row is bad; the per-row path applies the checks in their fixed order,
+so it gives the verdict and the message that parsing the row on its own
+gives, and errors stay identical line for line. The other parsers stay
+row by row.
 """
 
 from __future__ import annotations
 
-import logging
+import contextlib
 import csv
+import itertools
+import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from .matrix import ProfileMatrix, csr_from_triplets
-from .records import DemographicRecord, RawEvent, SessionRecord, TransactionRecord
+from .records import (
+    DemographicRecord,
+    RawEvent,
+    SessionRecord,
+    TransactionRecord,
+    _check_domain,
+)
 
 log = logging.getLogger(__name__)
 
@@ -42,6 +64,9 @@ PROFILE_METRICS = ("bytes", "duration", "requests", "session_count")
 DEFAULT_GAP_SECONDS = 300.0
 DEFAULT_BIRTH_YEAR_RANGE = (1900, 2100)
 
+# session-log rows validated and encoded per chunk
+CHUNK_ROWS = 2048
+
 # naive common second-level suffixes for the registrable-domain heuristic
 _COMMON_SLD = frozenset({"com", "net", "org", "edu", "gov", "ac", "co"})
 
@@ -52,7 +77,11 @@ class ParseError(Exception):
 
 @dataclass
 class ParseReport:
-    """Parsed records plus per-line errors and free-form warnings."""
+    """Parsed records plus per-line errors and free-form warnings.
+
+    ``records`` is a list of records, or a :class:`SessionTable` from
+    :func:`parse_sessions`.
+    """
 
     records: list = field(default_factory=list)
     errors: list[tuple[int, str]] = field(default_factory=list)
@@ -98,8 +127,9 @@ def format_timestamp(epoch: int) -> str:
     return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
 
 
-def _open_rows(source, delimiter: str, expected_header: tuple[str, ...]):
-    """Yield (line_number, row) pairs after validating the header."""
+@contextlib.contextmanager
+def _open_reader(source, delimiter: str, expected_header: tuple[str, ...]):
+    """A csv reader positioned after the validated header; None for an empty stream."""
     if hasattr(source, "read"):
         fh = source
         close = False
@@ -111,27 +141,43 @@ def _open_rows(source, delimiter: str, expected_header: tuple[str, ...]):
         try:
             header = next(reader)
         except StopIteration:
-            return  # empty stream: no rows, no errors
-        if tuple(h.strip().lower() for h in header) != expected_header:
-            raise ParseError(
-                f"bad header: expected {','.join(expected_header)}, "
-                f"got {','.join(header)}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            yield line_no, row
+            reader = None  # empty stream: no rows, no errors
+        else:
+            if tuple(h.strip().lower() for h in header) != expected_header:
+                raise ParseError(
+                    f"bad header: expected {','.join(expected_header)}, "
+                    f"got {','.join(header)}"
+                )
+        yield reader
     finally:
         if close:
             fh.close()
+
+
+def _is_blank(row) -> bool:
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
+def _check_width(row, columns) -> None:
+    if len(row) != len(columns):
+        raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
+
+
+def _open_rows(source, delimiter: str, expected_header: tuple[str, ...]):
+    """Yield (line_number, row) pairs after validating the header."""
+    with _open_reader(source, delimiter, expected_header) as reader:
+        if reader is None:
+            return
+        for line_no, row in enumerate(reader, start=2):
+            if not _is_blank(row):
+                yield line_no, row
 
 
 def _run_parser(source, delimiter, columns, convert, fail_fast) -> ParseReport:
     report = ParseReport()
     for line_no, row in _open_rows(source, delimiter, columns):
         try:
-            if len(row) != len(columns):
-                raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
+            _check_width(row, columns)
             record = convert(row, report)
         except (ValueError, OverflowError) as exc:
             if fail_fast:
@@ -143,6 +189,296 @@ def _run_parser(source, delimiter, columns, convert, fail_fast) -> ParseReport:
     return report
 
 
+# --------------------------------------------------------------------------
+# columnar session table
+# --------------------------------------------------------------------------
+
+_SESSION_FIELDS = tuple(f.name for f in fields(SessionRecord))
+# dict-encoded fields; the others are numeric columns of these dtypes
+_STRING_FIELDS = ("user_id", "location", "domain", "isp", "service_class")
+_NUMERIC_DTYPES = {
+    "start_time": np.int64,
+    "duration": np.float64,
+    "http_requests": np.int64,
+    "bytes": np.int64,
+}
+
+
+def _int_array(values) -> np.ndarray:
+    """int64 array, or an object array of Python ints if a value does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+class _Vocabulary:
+    """Dict-encodes strings to int64 codes in first-appearance order.
+
+    ``clean`` turns raw text into the stored value (``str.strip``, say);
+    it runs once per distinct raw string.
+    """
+
+    def __init__(self, clean=None):
+        self.codes: dict[str, int] = {}  # stored value -> code
+        self._clean = clean
+        self._raw = {} if clean else self.codes  # raw text -> code
+
+    def encode(self, texts) -> np.ndarray:
+        codes = list(map(self._raw.get, texts))
+        if None in codes:
+            for i, code in enumerate(codes):
+                if code is None:
+                    text = texts[i]
+                    code = self._raw.get(text)
+                    if code is None:
+                        value = self._clean(text) if self._clean else text
+                        code = self.codes.setdefault(value, len(self.codes))
+                        self._raw[text] = code
+                    codes[i] = code
+        return np.array(codes, dtype=np.int64)
+
+
+class _TableChunks:
+    """Collects encoded chunks of columns and joins them into a SessionTable."""
+
+    def __init__(self, clean: dict | None = None):
+        clean = clean or {}
+        self._vocab = {name: _Vocabulary(clean.get(name)) for name in _STRING_FIELDS}
+        self._parts: dict[str, list[np.ndarray]] = {name: [] for name in _SESSION_FIELDS}
+
+    def add(self, columns: dict) -> None:
+        """Append one chunk: texts for the string fields, arrays for the numbers."""
+        for name, values in columns.items():
+            if name in self._vocab:
+                values = self._vocab[name].encode(values)
+            self._parts[name].append(values)
+
+    def build(self) -> SessionTable:
+        columns = {}
+        for name, parts in self._parts.items():
+            if parts:
+                columns[name] = np.concatenate(parts)
+                parts.clear()  # hold one column twice at most, not the whole table
+            else:
+                columns[name] = np.empty(0, dtype=_NUMERIC_DTYPES.get(name, np.int64))
+        vocab = {name: tuple(v.codes) for name, v in self._vocab.items()}
+        return SessionTable(columns=columns, vocab=vocab)
+
+
+@dataclass(frozen=True, eq=False)
+class SessionTable:
+    """Sessions as columns, one per :class:`SessionRecord` field.
+
+    String fields hold int64 codes into ``vocab[field]``, whose values are
+    in first-appearance order and each occur in at least one row.
+    ``start_time``, ``http_requests`` and ``bytes`` are int64 (an integer
+    column holds Python ints in an object array when a value does not fit
+    in int64); ``duration`` is float64.
+
+    Record-level callers keep working: ``len``, indexing and iteration
+    give :class:`SessionRecord` objects, and :meth:`to_records` returns
+    all of them as a list.
+    """
+
+    columns: dict[str, np.ndarray]
+    vocab: dict[str, tuple[str, ...]]
+
+    def __post_init__(self):
+        if set(self.columns) != set(_SESSION_FIELDS) or set(self.vocab) != set(_STRING_FIELDS):
+            raise ValueError("columns or vocabularies do not match the SessionRecord fields")
+        if len({col.shape for col in self.columns.values()}) != 1:
+            raise ValueError("columns differ in length")
+
+    @classmethod
+    def from_records(cls, records) -> SessionTable:
+        """Encode session records (any objects with the SessionRecord fields)."""
+        records = list(records)
+        columns = {}
+        for name in _SESSION_FIELDS:
+            values = [getattr(r, name) for r in records]
+            if name == "duration":
+                values = np.array(values, dtype=np.float64)
+            elif name in _NUMERIC_DTYPES:
+                values = _int_array(values)
+            columns[name] = values
+        chunks = _TableChunks()
+        chunks.add(columns)
+        return chunks.build()
+
+    @property
+    def users(self) -> tuple[str, ...]:
+        return self.vocab["user_id"]
+
+    @property
+    def domains(self) -> tuple[str, ...]:
+        return self.vocab["domain"]
+
+    def __len__(self) -> int:
+        return int(self.columns["user_id"].size)
+
+    def _values(self, name: str, rows=slice(None)) -> list:
+        values = self.columns[name][rows].tolist()
+        if name in self.vocab:
+            vocab = self.vocab[name]
+            values = [vocab[code] for code in values]
+        return values
+
+    def __getitem__(self, index: int) -> SessionRecord:
+        i = range(len(self))[index]
+        return SessionRecord(*(self._values(name, slice(i, i + 1))[0] for name in _SESSION_FIELDS))
+
+    def __iter__(self):
+        return iter(self.to_records())
+
+    def to_records(self) -> list[SessionRecord]:
+        columns = [self._values(name) for name in _SESSION_FIELDS]
+        return [SessionRecord(*values) for values in zip(*columns)]
+
+    def metric_values(self, metric: str) -> np.ndarray:
+        """Per-session float64 value of one of PROFILE_METRICS."""
+        if metric == "session_count":
+            return np.ones(len(self))
+        column = {"bytes": "bytes", "duration": "duration", "requests": "http_requests"}
+        return self.columns[column[metric]].astype(np.float64)
+
+
+# --------------------------------------------------------------------------
+# parsers
+# --------------------------------------------------------------------------
+
+
+def _session_record(row, truncate_domains: bool) -> SessionRecord:
+    """One csv row to a validated SessionRecord; raises ValueError if bad."""
+    _check_width(row, SESSION_COLUMNS)
+    return SessionRecord(
+        user_id=row[0].strip(),
+        start_time=parse_timestamp(row[1]),
+        duration=float(row[2]),
+        location=row[3].strip(),
+        domain=normalize_domain(row[4], truncate=truncate_domains),
+        isp=row[5].strip(),
+        http_requests=int(row[6]),
+        service_class=row[7].strip(),
+        bytes=int(row[8]),
+    )
+
+
+def _convert_column(texts, convert, bad: np.ndarray, fill) -> list:
+    """``convert`` over a column; a value that raises is flagged in ``bad``."""
+    try:
+        return list(map(convert, texts))
+    except (ValueError, OverflowError):
+        pass
+    out = []
+    for i, text in enumerate(texts):
+        try:
+            out.append(convert(text))
+        except (ValueError, OverflowError):
+            bad[i] = True
+            out.append(fill)
+    return out
+
+
+def _read_chunk(reader, n: int):
+    """Up to ``n`` rows, and the read error that cut them short, if any."""
+    rows = []
+    try:
+        for row in itertools.islice(reader, n):
+            rows.append(row)
+    except (csv.Error, ValueError, OSError) as exc:
+        return rows, exc
+    return rows, None
+
+
+class _SessionChunkParser:
+    """Validates session-log chunks and encodes the accepted rows."""
+
+    def __init__(self, report: ParseReport, fail_fast: bool, truncate_domains: bool):
+        self.report = report
+        self.fail_fast = fail_fast
+        self.truncate = truncate_domains
+        self.table = _TableChunks(
+            {name: str.strip for name in _STRING_FIELDS if name != "domain"}
+        )
+        self._domains: dict[str, str] = {}  # raw text -> valid domain, or "" if invalid
+
+    def _normalize_domains(self, texts) -> list[str]:
+        domains = list(map(self._domains.get, texts))
+        if None in domains:
+            for i, domain in enumerate(domains):
+                if domain is None:
+                    raw = texts[i]
+                    domain = self._domains.get(raw)
+                    if domain is None:
+                        domain = normalize_domain(raw, truncate=self.truncate)
+                        try:
+                            _check_domain(domain)
+                        except ValueError:
+                            domain = ""
+                        self._domains[raw] = domain
+                    domains[i] = domain
+        return domains
+
+    def add(self, rows: list, first_line: int) -> None:
+        """Parse one chunk whose first row is csv record ``first_line``."""
+        width = len(SESSION_COLUMNS)
+        if set(map(len, rows)) <= {width}:
+            full, full_pos, other = rows, range(len(rows)), []
+        else:
+            full_pos = [i for i, row in enumerate(rows) if len(row) == width]
+            full = [rows[i] for i in full_pos]
+            other = [(i, -1) for i, row in enumerate(rows)
+                     if len(row) != width and not _is_blank(row)]
+        if not full:
+            self._convert_flagged(rows, first_line, other, None)
+            return
+        texts = dict(zip(SESSION_COLUMNS, zip(*full)))
+        bad = np.zeros(len(full), dtype=bool)
+        cols = {
+            "start_time": _convert_column(texts["start_time"], parse_timestamp, bad, 0),
+            "duration": np.array(_convert_column(texts["duration_s"], float, bad, 0.0)),
+            "http_requests": _int_array(_convert_column(texts["http_requests"], int, bad, 0)),
+            "bytes": _int_array(_convert_column(texts["bytes"], int, bad, 0)),
+            "domain": self._normalize_domains(texts["domain"]),
+        }
+        duration = cols["duration"]
+        bad |= ~np.isfinite(duration) | (duration < 0)
+        bad |= (cols["http_requests"] < 0) | (cols["bytes"] < 0)
+        if "" in cols["domain"]:
+            bad[[j for j, d in enumerate(cols["domain"]) if not d]] = True
+        flagged = [(full_pos[j], j) for j in np.flatnonzero(bad).tolist()]
+        self._convert_flagged(rows, first_line, sorted(flagged + other), (bad, cols))
+        cols["start_time"] = np.array(cols["start_time"], dtype=np.int64)
+        for name in ("user_id", "location", "isp", "service_class"):
+            cols[name] = texts[name]
+        if bad.any():
+            keep = np.flatnonzero(~bad).tolist()
+            cols = {
+                name: values[keep] if isinstance(values, np.ndarray)
+                else [values[j] for j in keep]
+                for name, values in cols.items()
+            }
+        self.table.add(cols)
+
+    def _convert_flagged(self, rows, first_line, flagged, checked) -> None:
+        """Run flagged rows, as (chunk position, column index), through the per-row path."""
+        for pos, j in flagged:
+            line_no = first_line + pos
+            try:
+                record = _session_record(rows[pos], self.truncate)
+            except (ValueError, OverflowError) as exc:
+                if self.fail_fast:
+                    raise ParseError(f"line {line_no}: {exc}") from exc
+                self.report.errors.append((line_no, str(exc)))
+                continue
+            # a column check was stricter than the record's: keep the row as converted
+            bad, cols = checked
+            bad[j] = False
+            for name in ("start_time", "duration", "http_requests", "bytes", "domain"):
+                cols[name][j] = getattr(record, name)
+
+
 def parse_sessions(
     source,
     *,
@@ -150,22 +486,26 @@ def parse_sessions(
     fail_fast: bool = False,
     truncate_domains: bool = False,
 ) -> ParseReport:
-    """Parse a session log (see SESSION_COLUMNS for the schema)."""
+    """Parse a session log (see SESSION_COLUMNS for the schema).
 
-    def convert(row, _report):
-        return SessionRecord(
-            user_id=row[0].strip(),
-            start_time=parse_timestamp(row[1]),
-            duration=float(row[2]),
-            location=row[3].strip(),
-            domain=normalize_domain(row[4], truncate=truncate_domains),
-            isp=row[5].strip(),
-            http_requests=int(row[6]),
-            service_class=row[7].strip(),
-            bytes=int(row[8]),
-        )
-
-    return _run_parser(source, delimiter, SESSION_COLUMNS, convert, fail_fast)
+    ``report.records`` is a :class:`SessionTable` of the accepted rows in
+    file order. Error line numbers count csv records (the header is 1,
+    blank rows count).
+    """
+    report = ParseReport()
+    parser = _SessionChunkParser(report, fail_fast, truncate_domains)
+    with _open_reader(source, delimiter, SESSION_COLUMNS) as reader:
+        first_line = 2
+        while reader is not None:
+            rows, read_error = _read_chunk(reader, CHUNK_ROWS)
+            parser.add(rows, first_line)
+            if read_error is not None:
+                raise read_error
+            if len(rows) < CHUNK_ROWS:
+                break
+            first_line += len(rows)
+    report.records = parser.table.build()
+    return report
 
 
 def parse_demographics(
@@ -421,20 +761,20 @@ def resessionize(
 # --------------------------------------------------------------------------
 
 
-def _metric_value(session: SessionRecord, metric: str) -> float:
-    if metric == "bytes":
-        return float(session.bytes)
-    if metric == "duration":
-        return float(session.duration)
-    if metric == "requests":
-        return float(session.http_requests)
-    return 1.0  # session_count
+def _order_positions(codes, size: int) -> np.ndarray:
+    """pos[code] = rank of ``code`` in ``codes``; -1 for codes not listed."""
+    pos = np.full(size, -1, dtype=np.int64)
+    pos[np.asarray(codes, dtype=np.int64)] = np.arange(len(codes))
+    return pos
 
 
 def build_profile_matrix(
     sessions, metric: str = "bytes", *, canonical_order: bool = True
 ) -> ProfileMatrix:
     """Aggregate sessions into the users-by-domains activity matrix.
+
+    ``sessions`` is a :class:`SessionTable`; any other iterable of session
+    records is first converted with :meth:`SessionTable.from_records`.
 
     Entry (i, j) is the chosen metric summed over user i's sessions on
     domain j. Per-cell sums use math.fsum, so the result is bit-identical
@@ -447,39 +787,48 @@ def build_profile_matrix(
     """
     if metric not in PROFILE_METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {PROFILE_METRICS}")
-    cells: dict[tuple[str, str], list[float]] = {}
-    users_order: dict[str, None] = {}
-    domains_order: dict[str, None] = {}
-    for s in sessions:
-        users_order.setdefault(s.user_id)
-        domains_order.setdefault(s.domain)
-        cells.setdefault((s.user_id, s.domain), []).append(_metric_value(s, metric))
-    totals = {key: math.fsum(vals) for key, vals in cells.items()}
-    domain_active: dict[str, bool] = {d: False for d in domains_order}
-    for (_, d), v in totals.items():
-        if v > 0:
-            domain_active[d] = True
-    kept_domains = [d for d in domains_order if domain_active[d]]
-    dropped = len(domains_order) - len(kept_domains)
+    if not isinstance(sessions, SessionTable):
+        sessions = SessionTable.from_records(sessions)
+    users, domains = sessions.users, sessions.domains
+    user_codes, domain_codes = sessions.columns["user_id"], sessions.columns["domain"]
+    # a stable sort on the cell key lays each (user, domain) cell out as one run
+    order = np.argsort(user_codes * len(domains) + domain_codes, kind="stable")
+    user_codes, domain_codes = user_codes[order], domain_codes[order]
+    values = sessions.metric_values(metric)[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (user_codes[1:] != user_codes[:-1]) | (domain_codes[1:] != domain_codes[:-1])
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], order.size)
+    totals = values[starts]
+    multi = np.flatnonzero(ends - starts > 1)
+    if multi.size:
+        flat = values.tolist()
+        totals[multi] = [
+            math.fsum(flat[a:b]) for a, b in zip(starts[multi].tolist(), ends[multi].tolist())
+        ]
+    cell_users, cell_domains = user_codes[starts], domain_codes[starts]
+    positive = totals > 0
+    active = np.zeros(len(domains), dtype=bool)
+    active[cell_domains[positive]] = True
+    kept = np.flatnonzero(active).tolist()
+    dropped = len(domains) - len(kept)
     if dropped:
         log.warning("dropping %d domain(s) with zero total %s", dropped, metric)
-    users = sorted(users_order) if canonical_order else list(users_order)
-    domains = sorted(kept_domains) if canonical_order else kept_domains
-    user_pos = {u: i for i, u in enumerate(users)}
-    domain_pos = {d: j for j, d in enumerate(domains)}
-    rows, cols, vals = [], [], []
-    for (u, d), v in totals.items():
-        if v > 0:
-            rows.append(user_pos[u])
-            cols.append(domain_pos[d])
-            vals.append(v)
-    indptr, indices, data = csr_from_triplets(len(users), len(domains), rows, cols, vals)
+    user_order = range(len(users))
+    if canonical_order:
+        user_order = sorted(user_order, key=users.__getitem__)
+        kept = sorted(kept, key=domains.__getitem__)
+    rows = _order_positions(user_order, len(users))[cell_users[positive]]
+    cols = _order_positions(kept, len(domains))[cell_domains[positive]]
+    indptr, indices, data = csr_from_triplets(
+        len(users), len(kept), rows, cols, totals[positive]
+    )
     return ProfileMatrix(
         n_users=len(users),
-        n_domains=len(domains),
+        n_domains=len(kept),
         indptr=indptr,
         indices=indices,
         data=data,
-        users=tuple(users),
-        domains=tuple(domains),
+        users=tuple(users[c] for c in user_order),
+        domains=tuple(domains[c] for c in kept),
     )

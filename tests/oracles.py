@@ -1,11 +1,15 @@
 """Independent reference computations the implementation is checked against.
 
 Everything here is deliberately naive: scalar arithmetic, exhaustive
-enumeration, pair counting. None of it shares code with the package.
+enumeration, pair counting, one record per row. None of it shares code
+with the package beyond the record types and the scalar helpers
+``parse_timestamp`` and ``normalize_domain``.
 """
 
 from __future__ import annotations
 
+import csv
+import math
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -135,4 +139,94 @@ def dense_to_feature(dense, provenance="tfidf"):
         users=tuple(f"u{i:04d}" for i in range(n)),
         domains=tuple(f"d{j:04d}" for j in range(d)),
         provenance=provenance,
+    )
+
+
+def parse_sessions_rows(source, *, delimiter=",", fail_fast=False, truncate_domains=False):
+    """Row-by-row session-log parser: (records, errors).
+
+    The reference for ``ingest.parse_sessions``: ``source`` is a path or a
+    text stream, each row becomes one ``SessionRecord``, line numbers are
+    csv record numbers (header = 1, blank rows counted) and blank rows are
+    skipped. With ``fail_fast`` the first bad row raises
+    ``ParseError("line N: ...")``; a bad header raises ParseError.
+    """
+    from usertopics.ingest import SESSION_COLUMNS, ParseError, normalize_domain, parse_timestamp
+    from usertopics.records import SessionRecord
+
+    if not hasattr(source, "read"):
+        with open(source, newline="", encoding="utf-8-sig") as fh:
+            return parse_sessions_rows(
+                fh, delimiter=delimiter, fail_fast=fail_fast, truncate_domains=truncate_domains
+            )
+    records, errors = [], []
+    reader = csv.reader(source, delimiter=delimiter)
+    header = next(reader, None)
+    if header is None:
+        return records, errors
+    if tuple(h.strip().lower() for h in header) != SESSION_COLUMNS:
+        raise ParseError("bad header")
+    for line_no, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        try:
+            if len(row) != len(SESSION_COLUMNS):
+                raise ValueError(f"expected {len(SESSION_COLUMNS)} fields, got {len(row)}")
+            record = SessionRecord(
+                user_id=row[0].strip(),
+                start_time=parse_timestamp(row[1]),
+                duration=float(row[2]),
+                location=row[3].strip(),
+                domain=normalize_domain(row[4], truncate=truncate_domains),
+                isp=row[5].strip(),
+                http_requests=int(row[6]),
+                service_class=row[7].strip(),
+                bytes=int(row[8]),
+            )
+        except (ValueError, OverflowError) as exc:
+            if fail_fast:
+                raise ParseError(f"line {line_no}: {exc}") from exc
+            errors.append((line_no, str(exc)))
+            continue
+        records.append(record)
+    return records, errors
+
+
+def profile_oracle(sessions, metric="bytes", canonical_order=True):
+    """Dict-of-lists aggregation with math.fsum per (user, domain) cell."""
+    from usertopics.matrix import ProfileMatrix, csr_from_triplets
+
+    def value(s):
+        if metric == "bytes":
+            return float(s.bytes)
+        if metric == "duration":
+            return float(s.duration)
+        if metric == "requests":
+            return float(s.http_requests)
+        return 1.0
+
+    cells, users, domains = {}, {}, {}
+    for s in sessions:
+        users.setdefault(s.user_id)
+        domains.setdefault(s.domain)
+        cells.setdefault((s.user_id, s.domain), []).append(value(s))
+    totals = {key: math.fsum(vals) for key, vals in cells.items()}
+    kept = [d for d in domains if any(v > 0 for (_, e), v in totals.items() if e == d)]
+    users = sorted(users) if canonical_order else list(users)
+    kept = sorted(kept) if canonical_order else kept
+    upos = {u: i for i, u in enumerate(users)}
+    dpos = {d: j for j, d in enumerate(kept)}
+    triplets = [(upos[u], dpos[d], v) for (u, d), v in totals.items() if v > 0]
+    rows = [t[0] for t in triplets]
+    cols = [t[1] for t in triplets]
+    vals = [t[2] for t in triplets]
+    indptr, indices, data = csr_from_triplets(len(users), len(kept), rows, cols, vals)
+    return ProfileMatrix(
+        n_users=len(users),
+        n_domains=len(kept),
+        indptr=indptr,
+        indices=indices,
+        data=data,
+        users=tuple(users),
+        domains=tuple(kept),
     )

@@ -258,6 +258,41 @@ class TestReportCommand:
         for name in ("report_topics.txt", "summary.json"):
             assert (out / name).read_bytes() == (ingested_ws / name).read_bytes()
 
+    def test_truncated_feature_matrix_exits_2(self, ingested_ws, capsys):
+        assert run(["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4]) == 0
+        path = ingested_ws / "feature.triplets.txt"
+        path.write_bytes(path.read_bytes()[:300])
+        assert run(["report", "--workspace", ingested_ws]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: corrupt feature matrix")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("{u}", "expected 2 fields, got 1"),
+            ("{u},one", "invalid literal"),
+            ("{u},0,7", "expected 2 fields, got 3"),
+            ("{u},-1", "cluster ids outside"),
+            ("{u},99999", "cluster ids outside"),
+            ('{u},"' + "9" * 200_000 + '"', "field larger than field limit"),
+            (None, "unexpected header None"),
+        ],
+    )
+    def test_mangled_assignments_exit_2(self, ingested_ws, capsys, row, message):
+        assert run(["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4]) == 0
+        path = ingested_ws / "assignments.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        if row is None:
+            lines = []  # empty file, header gone too
+        else:
+            lines[1] = row.format(u=lines[1].split(",")[0]) + "\n"  # first data row
+        path.write_text("".join(lines))
+        assert run(["report", "--workspace", ingested_ws]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
+        assert err.count("\n") == 1
+
 
 class TestDefaults:
     def test_reference_defaults(self):
@@ -272,6 +307,16 @@ class TestDefaults:
 
     def test_usage_error_exit_code(self):
         assert cli.main(["cluster"]) == 1  # missing --workspace
+
+    @pytest.mark.parametrize("command", ["ingest", "cluster", "report"])
+    @pytest.mark.parametrize("delimiter", ["::", ""])
+    def test_bad_delimiter_is_usage_error(self, tmp_path, capsys, command, delimiter):
+        argv = [command, "--workspace", tmp_path / "ws", f"--delimiter={delimiter}"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: argument --delimiter: bad delimiter")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "ws").exists()
 
     def test_env_seed_override(self, monkeypatch):
         monkeypatch.setenv("USERTOPICS_SEED", "99")

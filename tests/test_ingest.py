@@ -41,15 +41,15 @@ class TestParseSessions:
 
     def test_empty_input(self):
         rep = parse_sessions(io.StringIO(""))
-        assert rep.records == [] and rep.n_errors == 0
+        assert rep.records.to_records() == [] and rep.n_errors == 0
         rep = parse_sessions(io.StringIO(SESS_HEADER))
-        assert rep.records == [] and rep.n_errors == 0
+        assert rep.records.to_records() == [] and rep.n_errors == 0
 
     def test_negative_bytes_skipped(self):
         rep = parse_sessions(
             sess_csv("u1,2014-09-01T10:00:00Z,1,ap1,a.com,isp,1,web,-5")
         )
-        assert rep.records == []
+        assert rep.records.to_records() == []
         assert rep.n_errors == 1
         assert rep.errors[0][0] == 2  # line number
 
@@ -58,7 +58,7 @@ class TestParseSessions:
         rep = parse_sessions(
             sess_csv(f"u1,2014-09-01T10:00:00Z,{value},ap1,a.com,isp,1,web,5")
         )
-        assert rep.records == []
+        assert rep.records.to_records() == []
         assert rep.n_errors == 1
         assert "non-finite duration" in rep.errors[0][1]
 
@@ -88,7 +88,7 @@ class TestParseSessions:
         path = tmp_path / "s.csv"
         write_sessions_csv(sessions, path)
         back = parse_sessions(path)
-        assert back.records == sessions
+        assert back.records.to_records() == sessions
 
 
 class TestParseDemographics:

@@ -97,12 +97,31 @@ class TestSparseProducts:
         assert out.stdout.strip() == "False"
 
 
+def loop_update(points, labels, k):
+    """Reference: add each point to its cluster's sum, in index order."""
+    sums = np.zeros((k, points.shape[1]))
+    for i in range(points.shape[0]):
+        sums[labels[i]] += points[i]
+    return sums, np.bincount(labels, minlength=k)
+
+
 class TestKmeansKernels:
     def test_kmeans_assign_tie_lowest_index(self):
         pts = np.array([[0.0]])
         cents = np.array([[1.0], [-1.0]])  # equidistant
         labels, dist = _kernels.kmeans_assign(pts, cents)
         assert labels[0] == 0 and dist[0] == 1.0
+
+    def test_kmeans_update_bit_identical_to_loop(self, rng):
+        # magnitudes spread over 16 decades, so any change of summation order shows
+        for n, d, k in [(800, 80, 8), (300, 1, 3), (500, 2, 4), (40, 7, 13), (3, 5, 8), (0, 4, 2)]:
+            points = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 8, size=(n, d))
+            labels = rng.integers(0, max(1, k // 2), size=n)  # clusters k//2.. stay empty
+            sums, counts = _kernels.kmeans_update(points, labels, k)
+            want_sums, want_counts = loop_update(points, labels, k)
+            assert sums.shape == (k, d) and counts.dtype == np.int64
+            assert np.array_equal(sums, want_sums), (n, d, k)
+            assert np.array_equal(counts, want_counts)
 
 
 class TestBackendSelection:
