@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__, _kernels
 from . import clustering as clus
 from . import ingest, lsa, reporting, synth, weighting
-from .matrix import domain_stats, rank_domains, read_matrix, write_matrix
+from .matrix import domain_stats, matrix_sidecar, rank_domains, read_matrix, write_matrix
 
 log = logging.getLogger(__name__)
 
@@ -257,7 +257,7 @@ def cmd_ingest(args) -> int:
 
 def _load_profile(workspace: Path, watch: _Stopwatch):
     prefix = workspace / PROFILE_PREFIX
-    if not prefix.with_name(prefix.name + ".triplets.txt").is_file():
+    if not matrix_sidecar(prefix).is_file():
         raise DataError(f"no ingested profile matrix under {workspace}")
     try:
         with watch.stage("load"):
@@ -542,7 +542,7 @@ def cmd_report(args) -> int:
     workspace = Path(args.workspace)
     out_dir = Path(args.out_dir) if args.out_dir else workspace
     feature_prefix = workspace / FEATURE_PREFIX
-    if not feature_prefix.with_name(feature_prefix.name + ".triplets.txt").is_file():
+    if not matrix_sidecar(feature_prefix).is_file():
         raise DataError(f"no clustered feature matrix under {workspace}")
     try:
         feature = read_matrix(feature_prefix)

@@ -3,7 +3,9 @@
 All parsers read delimited text with a mandatory header row and collect
 malformed rows into a :class:`ParseReport` instead of failing (pass
 ``fail_fast=True`` to raise on the first bad row). Real logs are dirty;
-skip-and-count is the default policy.
+skip-and-count is the default policy. A record the csv reader cannot read
+at all (a field over the csv field limit, bytes that are not UTF-8) ends
+the parse with a :class:`ParseError` naming its csv record.
 
 Session logs, the large input, are parsed column by column into a
 :class:`SessionTable`. The log is read in chunks of :data:`CHUNK_ROWS`
@@ -27,6 +29,7 @@ import csv
 import itertools
 import logging
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -127,6 +130,10 @@ def format_timestamp(epoch: int) -> str:
     return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
 
 
+# what reading a csv record can raise: an over-long field, undecodable bytes
+_READ_ERRORS = (csv.Error, ValueError, OSError)
+
+
 @contextlib.contextmanager
 def _open_reader(source, delimiter: str, expected_header: tuple[str, ...]):
     """A csv reader positioned after the validated header; None for an empty stream."""
@@ -142,6 +149,8 @@ def _open_reader(source, delimiter: str, expected_header: tuple[str, ...]):
             header = next(reader)
         except StopIteration:
             reader = None  # empty stream: no rows, no errors
+        except _READ_ERRORS as exc:
+            raise ParseError(f"line 1: {exc}") from exc
         else:
             if tuple(h.strip().lower() for h in header) != expected_header:
                 raise ParseError(
@@ -166,9 +175,15 @@ def _check_width(row, columns) -> None:
 def _open_rows(source, delimiter: str, expected_header: tuple[str, ...]):
     """Yield (line_number, row) pairs after validating the header."""
     with _open_reader(source, delimiter, expected_header) as reader:
-        if reader is None:
-            return
-        for line_no, row in enumerate(reader, start=2):
+        line_no = 1
+        while reader is not None:
+            line_no += 1
+            try:
+                row = next(reader, None)
+            except _READ_ERRORS as exc:
+                raise ParseError(f"line {line_no}: {exc}") from exc
+            if row is None:
+                return
             if not _is_blank(row):
                 yield line_no, row
 
@@ -386,7 +401,7 @@ def _read_chunk(reader, n: int):
     try:
         for row in itertools.islice(reader, n):
             rows.append(row)
-    except (csv.Error, ValueError, OSError) as exc:
+    except _READ_ERRORS as exc:
         return rows, exc
     return rows, None
 
@@ -444,7 +459,8 @@ class _SessionChunkParser:
         }
         duration = cols["duration"]
         bad |= ~np.isfinite(duration) | (duration < 0)
-        bad |= (cols["http_requests"] < 0) | (cols["bytes"] < 0)
+        for name in ("http_requests", "bytes"):
+            bad |= (cols[name] < 0) | (cols[name] > sys.float_info.max)
         if "" in cols["domain"]:
             bad[[j for j, d in enumerate(cols["domain"]) if not d]] = True
         flagged = [(full_pos[j], j) for j in np.flatnonzero(bad).tolist()]
@@ -500,7 +516,8 @@ def parse_sessions(
             rows, read_error = _read_chunk(reader, CHUNK_ROWS)
             parser.add(rows, first_line)
             if read_error is not None:
-                raise read_error
+                line_no = first_line + len(rows)
+                raise ParseError(f"line {line_no}: {read_error}") from read_error
             if len(rows) < CHUNK_ROWS:
                 break
             first_line += len(rows)

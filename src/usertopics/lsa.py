@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
+from ._store import load_array, read_sidecar, save_array, write_sidecar
 from .matrix import FeatureMatrix, matrix_checksum
 
 log = logging.getLogger(__name__)
@@ -171,74 +172,61 @@ def orthonormality_residual(mat: np.ndarray) -> float:
 
 
 # --------------------------------------------------------------------------
-# model export / import
+# workspace files
 # --------------------------------------------------------------------------
 #
-# Three dense text files (<prefix>.U.txt, <prefix>.sigma.txt,
-# <prefix>.V.txt), each with "# key: value" header lines recording the
-# rank, method, seed and a checksum of the source matrix, followed by one
-# space-separated row per line in shortest round-trip form.
+# A model under prefix P is P.U.npy (N_u x M), P.sigma.npy (M) and P.V.npy
+# (N_d x M), all <f8, and the sidecar P.meta.json with the rank m, method,
+# seed (null for the exact method) and source_checksum, the
+# matrix_checksum of the feature matrix the model was computed from. As
+# for matrices, the sidecar is removed first and written last.
 
-
-def _write_factor(path: Path, mat: np.ndarray, header: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
-        for key, val in header.items():
-            fh.write(f"# {key}: {val}\n")
-        fh.write(f"# shape: {mat.shape[0]} {mat.shape[1]}\n")
-        for row in mat:
-            fh.write(" ".join(repr(float(x)) for x in row) + "\n")
-
-
-def _read_factor(path: Path) -> tuple[np.ndarray, dict]:
-    header: dict[str, str] = {}
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("#"):
-                key, _, val = line[1:].partition(":")
-                header[key.strip()] = val.strip()
-            else:
-                rows.append([float(tok) for tok in line.split()])
-    n, m = (int(tok) for tok in header["shape"].split())
-    mat = np.array(rows, dtype=np.float64).reshape(n, m)
-    return mat, header
+_FACTORS = (("U", "u", 2), ("sigma", "sigma", 1), ("V", "v", 2))
+_META_FIELDS = {"m": int, "method": str, "seed": (int, type(None)), "source_checksum": str}
 
 
 def save_model(model: LsaModel, prefix: str | Path) -> list[Path]:
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    header = {
+    sidecar = prefix.with_name(prefix.name + ".meta.json")
+    sidecar.unlink(missing_ok=True)
+    paths = [
+        save_array(prefix.with_name(f"{prefix.name}.{name}.npy"), getattr(model, attr), "<f8")
+        for name, attr, _ in _FACTORS
+    ]
+    meta = {
         "m": model.m,
         "method": model.method,
-        "seed": "none" if model.seed is None else model.seed,
+        "seed": model.seed,
         "source_checksum": model.source_checksum,
     }
-    paths = []
-    for name, mat in (
-        ("U", model.u),
-        ("sigma", model.sigma.reshape(-1, 1)),
-        ("V", model.v),
-    ):
-        path = prefix.with_name(prefix.name + f".{name}.txt")
-        _write_factor(path, mat, header)
-        paths.append(path)
+    paths.append(write_sidecar(sidecar, meta))
     return paths
 
 
 def load_model(prefix: str | Path) -> LsaModel:
+    """Load a model written by :func:`save_model`.
+
+    Raises ValueError for files that do not hold a valid model (wrong dtype,
+    shape or length, non-finite factors, an unknown method) and OSError for
+    missing or unreadable files.
+    """
     prefix = Path(prefix)
-    u, header = _read_factor(prefix.with_name(prefix.name + ".U.txt"))
-    sigma, h2 = _read_factor(prefix.with_name(prefix.name + ".sigma.txt"))
-    v, h3 = _read_factor(prefix.with_name(prefix.name + ".V.txt"))
-    if not (header["m"] == h2["m"] == h3["m"]):
-        raise ValueError("factor files disagree on the rank")
-    seed = None if header["seed"] == "none" else int(header["seed"])
+    meta = read_sidecar(prefix.with_name(prefix.name + ".meta.json"), _META_FIELDS)
+    if meta["method"] not in ("exact", "randomized"):
+        raise ValueError(f"{prefix.name}: unknown method {meta['method']!r:.80}")
+    u, sigma, v = (
+        load_array(prefix.with_name(f"{prefix.name}.{name}.npy"), "<f8", ndim)
+        for name, _, ndim in _FACTORS
+    )
+    if not all(np.isfinite(arr).all() for arr in (u, sigma, v)):
+        raise ValueError(f"{prefix.name}: non-finite factor entries")
     return LsaModel(
         u=u,
-        sigma=sigma.ravel(),
+        sigma=sigma,
         v=v,
-        m=int(header["m"]),
-        method=header["method"],
-        seed=seed,
-        source_checksum=header["source_checksum"],
+        m=meta["m"],
+        method=meta["method"],
+        seed=meta["seed"],
+        source_checksum=meta["source_checksum"],
     )

@@ -1,4 +1,4 @@
-"""Sparse users-by-domains matrices, descriptive statistics, and text IO.
+"""Sparse users-by-domains matrices, descriptive statistics, and workspace files.
 
 Storage is compressed sparse row (CSR): ``indptr``/``indices``/``data``
 numpy arrays plus user and domain index maps. Only what the weighting and
@@ -12,12 +12,16 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+
+from ._store import atomic_file, load_array, read_sidecar, save_array, write_sidecar
 
 FEATURE_PROVENANCES = ("tfidf", "row_normalized")
 
@@ -77,11 +81,6 @@ class SparseMatrix:
         col_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
         return col_indptr, rows[order], self.data[order]
 
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Stored (column indices, values) of row ``i``."""
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.indices[lo:hi], self.data[lo:hi]
-
     def column_values(self, j: int) -> np.ndarray:
         """Stored values of column ``j`` (row order)."""
         col_indptr, _, col_data = self._csc
@@ -90,10 +89,6 @@ class SparseMatrix:
     def column_counts(self) -> np.ndarray:
         """Number of stored entries per column."""
         return np.bincount(self.indices, minlength=self.n_domains).astype(np.int64)
-
-    def row_sums(self) -> np.ndarray:
-        rows = np.repeat(np.arange(self.n_users), np.diff(self.indptr))
-        return np.bincount(rows, weights=self.data, minlength=self.n_users)
 
     def toarray(self) -> np.ndarray:
         dense = np.zeros((self.n_users, self.n_domains))
@@ -278,101 +273,121 @@ def intensity_histogram(
 
 
 # --------------------------------------------------------------------------
-# text export / import
+# workspace files
 # --------------------------------------------------------------------------
 #
-# Triplet file: optional "# provenance: <tag>" comment, a "n_users n_domains
-# nnz" header line, then one "i j value" line per stored entry with values
-# in shortest round-trip form. Index maps are written alongside as
-# two-column "index,key" CSV files (<prefix>.users.txt, <prefix>.domains.txt).
+# A matrix under prefix P is six files: the CSR arrays P.indptr.npy,
+# P.indices.npy (both <i8) and P.data.npy (<f8); the index maps
+# P.users.txt and P.domains.txt, two-column "index,key" CSV; and the
+# sidecar P.meta.json with n_users, n_domains, nnz and provenance (null
+# for a profile matrix). The writer removes the old sidecar first and
+# writes the new one last, so a write cut short reads as no matrix.
+
+_CSR_ARRAYS = (("indptr", "<i8"), ("indices", "<i8"), ("data", "<f8"))
+_META_FIELDS = {"n_users": int, "n_domains": int, "nnz": int, "provenance": (str, type(None))}
+
+
+def _file(prefix: Path, suffix: str) -> Path:
+    return prefix.with_name(prefix.name + suffix)
+
+
+def matrix_sidecar(prefix: str | Path) -> Path:
+    """The file whose presence marks a complete matrix under ``prefix``."""
+    return _file(Path(prefix), ".meta.json")
 
 
 def write_matrix(m: SparseMatrix, prefix: str | Path) -> list[Path]:
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    triplet_path = prefix.with_name(prefix.name + ".triplets.txt")
-    with open(triplet_path, "w", newline="\n") as fh:
-        prov = getattr(m, "provenance", None)
-        if prov is not None:
-            fh.write(f"# provenance: {prov}\n")
-        fh.write(f"{m.n_users} {m.n_domains} {m.nnz}\n")
-        rows = np.repeat(np.arange(m.n_users), np.diff(m.indptr))
-        for i, j, v in zip(rows, m.indices, m.data):
-            fh.write(f"{i} {j} {float(v)!r}\n")
-    written = [triplet_path]
+    sidecar = matrix_sidecar(prefix)
+    sidecar.unlink(missing_ok=True)
+    written = [
+        save_array(_file(prefix, f".{name}.npy"), getattr(m, name), dtype)
+        for name, dtype in _CSR_ARRAYS
+    ]
     for name, keys in (("users", m.users), ("domains", m.domains)):
-        path = prefix.with_name(prefix.name + f".{name}.txt")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            for idx, key in enumerate(keys):
-                writer.writerow([idx, key])
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(enumerate(keys))
+        path = _file(prefix, f".{name}.txt")
+        with atomic_file(path) as fh:
+            fh.write(text.getvalue().encode())
         written.append(path)
+    meta = {
+        "n_users": m.n_users,
+        "n_domains": m.n_domains,
+        "nnz": m.nnz,
+        "provenance": getattr(m, "provenance", None),
+    }
+    written.append(write_sidecar(sidecar, meta))
     return written
 
 
 def _read_index(path: Path, expect: int) -> tuple[str, ...]:
     keys: list[str] = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            if int(row[0]) != len(keys):
-                raise ValueError(f"{path}: index map out of order")
-            keys.append(row[1])
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            for row in csv.reader(fh):
+                if not row:
+                    continue
+                if len(row) != 2 or row[0] != str(len(keys)):
+                    raise ValueError(f"{path.name}: bad index map row {len(keys) + 1}")
+                keys.append(row[1])
+        except csv.Error as exc:
+            raise ValueError(f"{path.name}: {exc}") from exc
     if len(keys) != expect:
-        raise ValueError(f"{path}: expected {expect} entries, found {len(keys)}")
+        raise ValueError(f"{path.name}: expected {expect} entries, found {len(keys)}")
     return tuple(keys)
+
+
+def _check_sorted_rows(m: SparseMatrix) -> None:
+    """Columns strictly increase within each row: sorted, no duplicate cells."""
+    step_up = np.diff(m.indices) > 0
+    starts = m.indptr[1:-1]
+    step_up[starts[(starts > 0) & (starts < m.nnz)] - 1] = True  # a row begins
+    if not step_up.all():
+        raise ValueError("column indices not sorted and unique within each row")
 
 
 def read_matrix(prefix: str | Path) -> SparseMatrix:
     """Load a matrix written by :func:`write_matrix`.
 
-    Returns a FeatureMatrix when a provenance line is present, otherwise a
-    ProfileMatrix.
+    Returns a FeatureMatrix when the sidecar names a provenance, otherwise a
+    ProfileMatrix. Raises ValueError for files that do not hold a valid
+    matrix (wrong dtype, shape or length, non-finite values, unsorted rows,
+    bad index maps) and OSError for missing or unreadable files.
     """
     prefix = Path(prefix)
-    triplet_path = prefix.with_name(prefix.name + ".triplets.txt")
-    provenance = None
-    with open(triplet_path) as fh:
-        line = fh.readline()
-        while line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("provenance:"):
-                provenance = body.split(":", 1)[1].strip()
-            line = fh.readline()
-        n_users, n_domains, nnz = (int(tok) for tok in line.split())
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.float64)
-        for idx in range(nnz):
-            i, j, v = fh.readline().split()
-            rows[idx], cols[idx], vals[idx] = int(i), int(j), float(v)
-    indptr, indices, data = csr_from_triplets(n_users, n_domains, rows, cols, vals)
-    users = _read_index(prefix.with_name(prefix.name + ".users.txt"), n_users)
-    domains = _read_index(prefix.with_name(prefix.name + ".domains.txt"), n_domains)
+    meta = read_sidecar(matrix_sidecar(prefix), _META_FIELDS)
+    indptr, indices, data = (
+        load_array(_file(prefix, f".{name}.npy"), dtype, ndim=1) for name, dtype in _CSR_ARRAYS
+    )
+    if indices.size != meta["nnz"] or data.size != meta["nnz"]:
+        raise ValueError(f"{prefix.name}: expected {meta['nnz']} stored entries")
+    if not np.isfinite(data).all():
+        raise ValueError(f"{prefix.name}: non-finite matrix entries")
     common = dict(
-        n_users=n_users,
-        n_domains=n_domains,
+        n_users=meta["n_users"],
+        n_domains=meta["n_domains"],
         indptr=indptr,
         indices=indices,
         data=data,
-        users=users,
-        domains=domains,
+        users=_read_index(_file(prefix, ".users.txt"), meta["n_users"]),
+        domains=_read_index(_file(prefix, ".domains.txt"), meta["n_domains"]),
     )
-    if provenance is not None:
-        return FeatureMatrix(provenance=provenance, **common)
-    return ProfileMatrix(**common)
+    if meta["provenance"] is not None:
+        m = FeatureMatrix(provenance=meta["provenance"], **common)
+    else:
+        m = ProfileMatrix(**common)
+    _check_sorted_rows(m)
+    return m
 
 
 def matrix_checksum(m: SparseMatrix) -> str:
-    """sha256 over the canonical serialized form, index maps included."""
+    """sha256 over a canonical header, the little-endian CSR arrays and the index maps."""
     h = hashlib.sha256()
     prov = getattr(m, "provenance", "")
-    h.update(f"{prov}\n{m.n_users} {m.n_domains} {m.nnz}\n".encode())
-    rows = np.repeat(np.arange(m.n_users), np.diff(m.indptr))
-    for i, j, v in zip(rows, m.indices, m.data):
-        h.update(f"{i} {j} {float(v)!r}\n".encode())
-    h.update("\x00".join(m.users).encode())
-    h.update(b"\x01")
-    h.update("\x00".join(m.domains).encode())
+    h.update(f"csr\n{prov}\n{m.n_users} {m.n_domains} {m.nnz}\n".encode())
+    for name, dtype in _CSR_ARRAYS:
+        h.update(np.ascontiguousarray(getattr(m, name), dtype=dtype).data)
+    h.update(json.dumps([m.users, m.domains]).encode())
     return h.hexdigest()

@@ -8,6 +8,14 @@ from dataclasses import dataclass
 GENDERS = frozenset({"male", "female", "unknown"})
 
 
+def _check_float_range(name: str, value: int) -> None:
+    """Integer counts become float64 activity values; reject any that overflow."""
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{name} beyond the float64 range: {len(str(value))} digits") from None
+
+
 def _check_domain(domain: str) -> None:
     if not domain:
         raise ValueError("domain must be non-empty")
@@ -40,6 +48,8 @@ class SessionRecord:
             raise ValueError(f"negative bytes: {self.bytes}")
         if self.http_requests < 0:
             raise ValueError(f"negative http_requests: {self.http_requests}")
+        _check_float_range("bytes", self.bytes)
+        _check_float_range("http_requests", self.http_requests)
         _check_domain(self.domain)
 
 
@@ -88,4 +98,6 @@ class RawEvent:
             raise ValueError(f"negative bytes: {self.bytes}")
         if self.http_requests < 0:
             raise ValueError(f"negative http_requests: {self.http_requests}")
+        _check_float_range("bytes", self.bytes)
+        _check_float_range("http_requests", self.http_requests)
         _check_domain(self.domain)

@@ -244,8 +244,9 @@ def test_criterion_7_runtime_vs_rank_trend(tmp_path):
 
 
 TRACKED_OUTPUTS = [
-    "feature.triplets.txt", "feature.users.txt", "feature.domains.txt",
-    "lsa.U.txt", "lsa.sigma.txt", "lsa.V.txt",
+    "feature.indptr.npy", "feature.indices.npy", "feature.data.npy",
+    "feature.meta.json", "feature.users.txt", "feature.domains.txt",
+    "lsa.U.npy", "lsa.sigma.npy", "lsa.V.npy", "lsa.meta.json",
     "assignments.csv", "centroids.txt", "clustering_meta.json",
     "report_topics.txt", "report_gender.txt", "report_birth_years.txt",
     "report_spend.txt", "summary.json",

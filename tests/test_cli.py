@@ -75,11 +75,11 @@ class TestSynthCommand:
 
 class TestIngestCommand:
     def test_matrix_files_written(self, ingested_ws):
-        header = (ingested_ws / "profile.triplets.txt").read_text().splitlines()[0]
-        n_users, n_domains, nnz = (int(t) for t in header.split())
-        assert n_users == SPEC["n_users"]
-        lines = (ingested_ws / "profile.triplets.txt").read_text().splitlines()
-        assert len(lines) == 1 + nnz
+        meta = json.loads((ingested_ws / "profile.meta.json").read_text())
+        assert meta["n_users"] == SPEC["n_users"]
+        assert np.load(ingested_ws / "profile.indptr.npy").shape == (meta["n_users"] + 1,)
+        for name in ("indices", "data"):
+            assert np.load(ingested_ws / f"profile.{name}.npy").shape == (meta["nnz"],)
         assert (ingested_ws / "domain_stats.txt").is_file()
 
     def test_missing_file_exit_2_names_path(self, tmp_path, capsys):
@@ -91,9 +91,36 @@ class TestIngestCommand:
         ws1, ws2 = tmp_path / "w1", tmp_path / "w2"
         for ws in (ws1, ws2):
             assert run(["ingest", "--workspace", ws, "--sessions", synth_ws / "sessions.csv"]) == 0
-        for name in ("profile.triplets.txt", "profile.users.txt",
-                     "profile.domains.txt", "domain_stats.txt"):
+        for name in ("profile.indptr.npy", "profile.indices.npy", "profile.data.npy",
+                     "profile.meta.json", "profile.users.txt", "profile.domains.txt",
+                     "domain_stats.txt"):
             assert (ws1 / name).read_bytes() == (ws2 / name).read_bytes()
+
+    def test_field_over_csv_limit_exits_2(self, tmp_path, synth_ws, capsys):
+        log = tmp_path / "big.csv"
+        lines = (synth_ws / "sessions.csv").read_text().splitlines(keepends=True)
+        log.write_text("".join(lines[:3]) + '"' + "9" * 200_000 + '"\n' + "".join(lines[3:]))
+        assert run(["ingest", "--workspace", tmp_path / "w", "--sessions", log]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: line 4: field larger than field limit")
+        assert err.count("\n") == 1
+
+    def test_demographics_field_over_csv_limit_exits_2(self, tmp_path, ingested_ws, capsys):
+        demo = tmp_path / "demo.csv"
+        demo.write_text("user_id,gender,birth_year,enrol_year,degree_type\n" + "x" * 200_000)
+        argv = ["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4, "--demographics", demo]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: line 2: field larger than field limit")
+        assert err.count("\n") == 1
+
+    def test_bytes_beyond_float64_counted(self, tmp_path, synth_ws, capsys):
+        log = tmp_path / "huge.csv"
+        lines = (synth_ws / "sessions.csv").read_text().splitlines(keepends=True)
+        huge = lines[1].rsplit(",", 1)[0] + "," + "9" * 401 + "\n"
+        log.write_text("".join(lines[:2]) + huge + "".join(lines[2:]))
+        assert run(["ingest", "--workspace", tmp_path / "w", "--sessions", log]) == 0
+        assert "1 bad rows" in capsys.readouterr().out
 
     def test_raw_events_input(self, tmp_path):
         events = tmp_path / "ev.csv"
@@ -105,8 +132,8 @@ class TestIngestCommand:
         )
         ws = tmp_path / "w"
         assert run(["ingest", "--workspace", ws, "--raw-events", events]) == 0
-        header = (ws / "profile.triplets.txt").read_text().splitlines()[0]
-        assert header.split() == ["1", "1", "1"]
+        meta = json.loads((ws / "profile.meta.json").read_text())
+        assert [meta["n_users"], meta["n_domains"], meta["nnz"]] == [1, 1, 1]
 
 
 class TestClusterCommand:
@@ -131,7 +158,8 @@ class TestClusterCommand:
         assert "timings" in manifest
         for name in ("report_topics.txt", "report_gender.txt",
                      "report_birth_years.txt", "report_spend.txt", "summary.json",
-                     "lsa.U.txt", "lsa.sigma.txt", "lsa.V.txt", "centroids.txt"):
+                     "lsa.U.npy", "lsa.sigma.npy", "lsa.V.npy", "lsa.meta.json",
+                     "centroids.txt"):
             assert (ingested_ws / name).is_file()
 
     def test_row_normalized_mode_recorded_and_universal_tops(self, tmp_path):
@@ -156,9 +184,9 @@ class TestClusterCommand:
         assert sum(stages.values()) <= manifest["timings"]["total_s"]
 
     def test_truncated_profile_exits_2(self, ingested_ws, capsys):
-        path = ingested_ws / "profile.triplets.txt"
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[: len(lines) // 2]))
+        path = ingested_ws / "profile.data.npy"
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
         assert run(["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: corrupt profile matrix")
@@ -176,8 +204,9 @@ class TestClusterCommand:
         keep = tmp_path / "copy"
         keep.mkdir()
         tracked = [
-            "feature.triplets.txt", "feature.users.txt", "feature.domains.txt",
-            "lsa.U.txt", "lsa.sigma.txt", "lsa.V.txt",
+            "feature.indptr.npy", "feature.indices.npy", "feature.data.npy",
+            "feature.meta.json", "feature.users.txt", "feature.domains.txt",
+            "lsa.U.npy", "lsa.sigma.npy", "lsa.V.npy", "lsa.meta.json",
             "assignments.csv", "centroids.txt", "clustering_meta.json",
             "report_topics.txt", "report_gender.txt", "report_birth_years.txt",
             "report_spend.txt", "summary.json",
@@ -260,7 +289,7 @@ class TestReportCommand:
 
     def test_truncated_feature_matrix_exits_2(self, ingested_ws, capsys):
         assert run(["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4]) == 0
-        path = ingested_ws / "feature.triplets.txt"
+        path = ingested_ws / "feature.data.npy"
         path.write_bytes(path.read_bytes()[:300])
         assert run(["report", "--workspace", ingested_ws]) == 2
         err = capsys.readouterr().err

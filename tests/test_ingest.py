@@ -10,6 +10,7 @@ from usertopics.ingest import (
     build_profile_matrix,
     normalize_domain,
     parse_demographics,
+    parse_raw_events,
     parse_sessions,
     parse_transactions,
     resessionize,
@@ -61,6 +62,22 @@ class TestParseSessions:
         assert rep.records.to_records() == []
         assert rep.n_errors == 1
         assert "non-finite duration" in rep.errors[0][1]
+
+    def test_bytes_beyond_float64_skipped(self):
+        rep = parse_sessions(sess_csv(
+            "u1,2014-09-01T10:00:00Z,1,ap1,a.com,isp,1,web," + "9" * 401,
+            "u1,2014-09-01T10:00:00Z,1,ap1,a.com,isp,1,web," + str(2**1023),
+        ))
+        assert rep.errors == [(2, "bytes beyond the float64 range: 401 digits")]
+        assert rep.records[0].bytes == 2**1023  # beyond int64, kept exactly
+        assert build_profile_matrix(rep.records).data.tolist() == [float(2**1023)]
+
+    def test_raw_event_bytes_beyond_float64_skipped(self):
+        rep = parse_raw_events(io.StringIO(
+            "user_id,timestamp,domain,bytes,http_requests\n"
+            "u1,2014-09-01T00:00:00Z,a.com," + "9" * 401 + ",1\n"
+        ))
+        assert rep.errors == [(2, "bytes beyond the float64 range: 401 digits")]
 
     def test_fail_fast_raises(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -157,6 +174,42 @@ class TestParseTransactions:
         )
         assert rep.records == [] and rep.n_errors == 1
         assert "non-finite amount" in rep.errors[0][1]
+
+
+PARSERS = {
+    "sessions": (parse_sessions, SESS_HEADER, "u1,2014-09-01T10:00:00Z,1,ap1,a.com,isp,1,web,5\n"),
+    "demographics": (
+        parse_demographics,
+        "user_id,gender,birth_year,enrol_year,degree_type\n",
+        "u1,male,1995,2013,u\n",
+    ),
+    "transactions": (
+        parse_transactions, "user_id,timestamp,amount\n", "u1,2014-09-01T10:00:00Z,12.50\n"
+    ),
+}
+
+
+class TestUnreadableRecords:
+    @pytest.mark.parametrize("kind", sorted(PARSERS))
+    def test_field_over_csv_limit(self, kind):
+        parse, header, row = PARSERS[kind]
+        text = header + row + "\n" + '"' + "x" * 200_000 + '"\n'
+        with pytest.raises(ParseError, match="^line 4: field larger than field limit"):
+            parse(io.StringIO(text))
+
+    @pytest.mark.parametrize("kind", sorted(PARSERS))
+    def test_bytes_not_utf8(self, kind, tmp_path):
+        parse, header, row = PARSERS[kind]
+        path = tmp_path / "in.csv"
+        path.write_bytes((header + row).encode() + b"u2,\xff\xfe\n")
+        with pytest.raises(ParseError, match=r"^line \d+: 'utf-8' codec can't decode"):
+            parse(path)
+
+    @pytest.mark.parametrize("kind", sorted(PARSERS))
+    def test_header_over_csv_limit(self, kind):
+        parse, _, _ = PARSERS[kind]
+        with pytest.raises(ParseError, match="^line 1: field larger than field limit"):
+            parse(io.StringIO('"' + "x" * 200_000 + '"\n'))
 
 
 class TestNormalizeDomain:

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from usertopics.matrix import (
+    FeatureMatrix,
     domain_stats,
     intensity_histogram,
     matrices_equal,
@@ -13,6 +16,8 @@ from usertopics.matrix import (
 from usertopics.weighting import tfidf
 
 from helpers import matrix_from_dense, random_dense_positive
+
+CSR_FIELDS = ("n_users", "n_domains", "indptr", "indices", "data", "users", "domains")
 
 
 class TestDomainStats:
@@ -128,11 +133,62 @@ class TestMatrixIO:
 
     def test_write_is_deterministic(self, tmp_path, rng):
         m = matrix_from_dense(random_dense_positive(rng))
-        write_matrix(m, tmp_path / "a")
-        write_matrix(m, tmp_path / "b")
-        a = (tmp_path / "a.triplets.txt").read_bytes()
-        b = (tmp_path / "b.triplets.txt").read_bytes()
-        assert a == b
+        paths_a = write_matrix(m, tmp_path / "a")
+        paths_b = write_matrix(m, tmp_path / "b")
+        assert [p.name[1:] for p in paths_a] == [p.name[1:] for p in paths_b]
+        assert len(paths_a) == 6
+        for a, b in zip(paths_a, paths_b):
+            assert a.read_bytes() == b.read_bytes(), a.name
+        assert sorted(tmp_path.iterdir()) == sorted(paths_a + paths_b)  # no temporaries left
+
+    def test_arrays_are_plain_little_endian_npy(self, tmp_path, rng):
+        f = tfidf(matrix_from_dense(random_dense_positive(rng)))
+        write_matrix(f, tmp_path / "f")
+        for name, dtype in (("indptr", "<i8"), ("indices", "<i8"), ("data", "<f8")):
+            arr = np.load(tmp_path / f"f.{name}.npy", allow_pickle=False)
+            assert arr.dtype.str == dtype
+            assert np.array_equal(arr, getattr(f, name))
+
+    def test_interrupted_rewrite_reads_as_no_matrix(self, tmp_path, rng, monkeypatch):
+        from usertopics import _store
+
+        m = matrix_from_dense(random_dense_positive(rng))
+        write_matrix(m, tmp_path / "m")
+        real_save = np.save
+        calls = []
+
+        def save_then_fail(fh, arr, **kwargs):
+            calls.append(arr)
+            if len(calls) == 2:
+                fh.write(b"partial")
+                raise KeyboardInterrupt
+            real_save(fh, arr, **kwargs)
+
+        monkeypatch.setattr(_store.np, "save", save_then_fail)
+        with pytest.raises(KeyboardInterrupt):
+            write_matrix(m, tmp_path / "m")
+        monkeypatch.undo()
+        assert not (tmp_path / "m.meta.json").exists()
+        assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+        with pytest.raises(FileNotFoundError):
+            read_matrix(tmp_path / "m")
+        # the indices file kept its old, complete content
+        assert np.array_equal(np.load(tmp_path / "m.indices.npy"), m.indices)
+
+    def test_checksum_is_canonical(self, rng):
+        m = matrix_from_dense(random_dense_positive(rng))
+        copy = dataclasses.replace(m, data=m.data.copy())
+        assert matrix_checksum(copy) == matrix_checksum(m)
+        data = m.data.copy()
+        data[-1] = np.nextafter(data[-1], np.inf)  # one ulp
+        assert matrix_checksum(dataclasses.replace(m, data=data)) != matrix_checksum(m)
+        f = tfidf(m)
+        other = FeatureMatrix(**{k: getattr(f, k) for k in CSR_FIELDS}, provenance="row_normalized")
+        assert matrix_checksum(other) != matrix_checksum(f)
+        users = (m.users[0] + "x",) + m.users[1:]
+        assert matrix_checksum(dataclasses.replace(m, users=users)) != matrix_checksum(m)
+        domains = m.domains[:-1] + (m.domains[-1] + "x",)
+        assert matrix_checksum(dataclasses.replace(m, domains=domains)) != matrix_checksum(m)
 
     def test_checksum_tracks_content(self, rng):
         m1 = matrix_from_dense([[1, 2], [3, 4]])
