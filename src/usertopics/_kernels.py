@@ -6,11 +6,15 @@ imported inside the product functions, not at module level: only the
 randomized SVD calls them, and the import costs a few tenths of a second
 that every other command would otherwise pay at start-up.
 
-Determinism: every floating-point reduction runs in a fixed serial order,
-so results do not depend on the BLAS thread count. The sparse products
-accumulate each output row over the stored entries in CSR order, which is
-the order the reference loop ``out[i] += data[p] * dense[indices[p]]`` over
-``p`` uses; seeded runs reproduce bit for bit.
+Determinism: results do not depend on the BLAS thread count, so seeded
+runs reproduce bit for bit. The sparse products accumulate each output row
+over the stored entries in CSR order, which is the order the reference loop
+``out[i] += data[p] * dense[indices[p]]`` over ``p`` uses; the other
+reductions run in a fixed serial order too. The one BLAS product,
+the nearest-centroid candidates of ``kmeans_assign``, may be summed in any
+order; it only proposes labels, each accepted under a rounding bound that
+holds for every order (see there), and the returned distances are serial
+sums.
 
 Sparse arguments are raw CSR arrays (``indptr``/``indices`` int64,
 ``data`` float64); dense arguments must be C-contiguous float64.
@@ -22,6 +26,11 @@ import numpy as np
 
 # recorded in every manifest: the sparse products run in scipy.sparse
 BACKEND = "scipy"
+
+# kmeans_assign: near-tie margin per unit of (d + 4) (eps s + 2**-1074), and
+# the largest ||x||^2 + max ||c||^2 for which no distance can overflow
+_TIE_MARGIN = 5.0
+_SCALE_LIMIT = 2.0**1020
 
 
 def _csr(indptr, indices, data, n_cols):
@@ -59,11 +68,65 @@ def csr_tmatmat(indptr, indices, data, n_cols, dense):
 def kmeans_assign(points, centroids):
     """Nearest centroid per point (ties to the lowest index).
 
-    Returns (labels int64, squared distance to the assigned centroid).
+    Returns (labels int64, squared distance to the assigned centroid). The
+    result is defined by the exact rule: per point, the einsum distance
+    ``sum((x - c)**2)`` to each centroid in index order, a strictly smaller
+    one replacing the current best. It is computed in GEMM form instead:
+
+    1. ``g = ||c||^2 - 2 x.c`` for all pairs from one BLAS product; each
+       row's candidate is its ``argmin``.
+    2. A row whose candidate is not certified takes the exact rule.
+    3. ``sq`` is the einsum distance to the chosen centroid, the same
+       reduction the exact rule uses, so it is bit-identical to it.
+
+    Certificate. Let u = eps/2, d the dimension, ``s = ||x||^2 + max ||c||^2``
+    and ``gamma_m = m u / (1 - m u)``, the error bound of an m-term dot
+    product or sum in *any* summation order, with or without FMA. For every
+    centroid c, ``g_c`` is within ``2 gamma_d s + 2u(1 + gamma_d) s``, about
+    ``(d + 1) eps s``, of the exact ``||x - c||^2 - ||x||^2``: ``||c||^2``
+    is off by at most ``gamma_d ||c||^2``, ``2 x.c`` by at most
+    ``2 gamma_d ||x|| ||c|| <= gamma_d s``, and the subtraction rounds once.
+    The einsum distance is within ``gamma_(d+2) ||x - c||^2``, about
+    ``(d + 2) eps s``, of the exact one, as ``||x - c||^2 <= 2 s``. Hence if
+    ``g_c > g_a + (4d + 6) eps s`` the einsum distance to c exceeds that to
+    a, and the exact rule cannot pick c. A candidate a is certified when
+    every other centroid lies above ``g_a + 5 (d + 4) (eps s + 2**-1074)``.
+    The margin leaves room for the rounding of s, of the margin itself and
+    of the sum ``g_a + margin`` (each under 1.1 eps s), and for underflow,
+    which adds at most ``2**-1075`` per rounded product, ``4 d 2**-1074`` in
+    all. Rows with a non-finite g, or with ``s > 2**1020`` (where a
+    distance could overflow), are not certified either. The labels
+    therefore do not depend on how BLAS orders or splits the product, nor
+    on its thread count.
     """
-    n = points.shape[0]
-    best = np.full(n, np.inf)
-    labels = np.zeros(n, dtype=np.int64)
+    dim = points.shape[1]
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # k x n, so the per-point reductions below run down contiguous columns
+        g = centroids @ points.T
+        g *= -2.0
+        g += c_sq[:, None]
+        scale = np.einsum("ij,ij->i", points, points) + c_sq.max()
+        fi = np.finfo(np.float64)
+        margin = _TIE_MARGIN * (dim + 4) * (fi.eps * scale + fi.smallest_subnormal)
+        near = np.count_nonzero(g <= g.min(axis=0) + margin, axis=0)
+    labels = np.argmin(g, axis=0).astype(np.int64, copy=False)
+    uncertified = (near > 1) | ~(scale <= _SCALE_LIMIT) | ~np.isfinite(g).all(axis=0)
+    rows = np.flatnonzero(uncertified)
+    if rows.size:
+        labels[rows], best = _exact_nearest(points[rows], centroids)
+    diff = centroids[labels]
+    np.subtract(points, diff, out=diff)
+    sq = np.einsum("ij,ij->i", diff, diff)
+    if rows.size:
+        sq[rows] = best  # inf, as the exact rule gives, where no distance beat inf
+    return labels, sq
+
+
+def _exact_nearest(points, centroids):
+    """The exact rule of kmeans_assign: einsum distances in index order."""
+    best = np.full(points.shape[0], np.inf)
+    labels = np.zeros(points.shape[0], dtype=np.int64)
     for j in range(centroids.shape[0]):
         diff = points - centroids[j]
         d = np.einsum("ij,ij->i", diff, diff)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -198,14 +199,14 @@ def cmd_ingest(args) -> int:
         try:
             with watch.stage("parse"):
                 sessions, report = _parse_session_input(args)
+            with watch.stage("aggregate"):
+                matrix = ingest.build_profile_matrix(
+                    sessions,
+                    metric=args.metric,
+                    canonical_order=not args.first_appearance,
+                )
         except ingest.ParseError as exc:
             raise DataError(str(exc)) from exc
-        with watch.stage("aggregate"):
-            matrix = ingest.build_profile_matrix(
-                sessions,
-                metric=args.metric,
-                canonical_order=not args.first_appearance,
-            )
         with watch.stage("stats"):
             stats = domain_stats(matrix)
             ranked = rank_domains(stats, by="median")
@@ -374,6 +375,7 @@ def cmd_cluster(args) -> int:
                 "svd_method": model.method,
                 "inertia": result.inertia,
                 "iterations_run": result.iterations_run,
+                "kmeans_runs": [dataclasses.asdict(run) for run in result.runs],
                 "cluster_sizes": [int(s) for s in np.bincount(result.assignments, minlength=result.k)],
                 "labels": topics.labels,
             },
@@ -437,7 +439,12 @@ def cmd_sweep_k(args) -> int:
                 "method": args.method,
                 "scale_features": args.scale_features,
             },
-            results={"inertia": {str(r.k): r.inertia for r in results}},
+            results={
+                "inertia": {str(r.k): r.inertia for r in results},
+                "kmeans_runs": {
+                    str(r.k): [dataclasses.asdict(run) for run in r.runs] for r in results
+                },
+            },
             timings={"stages_s": watch.stages, "total_s": watch.total()},
         )
     for res in results:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +27,27 @@ import numpy as np
 from . import _kernels
 
 
+@dataclass(frozen=True)
+class LloydRun:
+    """Diagnostics of one Lloyd run: a k-means++ restart or a warm start.
+
+    ``stop_reason`` is ``"fixed_point"`` (the assignment repeated),
+    ``"tolerance"`` (the relative inertia change fell to ``tol`` or below)
+    or ``"max_iter"``.
+    """
+
+    seed: int | None  # the restart's seed; None for a warm start
+    inertia: float  # final inertia
+    iterations: int
+    stop_reason: str
+
+
 @dataclass(frozen=True, eq=False)
 class Clustering:
-    """One k-means solution: assignments, centroids and run parameters."""
+    """One k-means solution: assignments, centroids and run parameters.
+
+    ``runs`` holds every Lloyd run the solution was chosen from, in order.
+    """
 
     k: int
     assignments: np.ndarray  # per-point cluster index in [0, k)
@@ -38,6 +56,7 @@ class Clustering:
     restarts: int
     iterations_run: int
     seed: int
+    runs: tuple[LloydRun, ...] = ()
 
     def __post_init__(self):
         if self.assignments.size and (
@@ -110,7 +129,8 @@ def _means(pts, labels, k) -> np.ndarray:
 def _lloyd(pts, centroids0, max_iter, tol):
     """Lloyd iterations from given centroids.
 
-    Returns (labels, centroids, inertia, iterations, inertia history).
+    Returns (labels, centroids, inertia, iterations, inertia history,
+    stop reason), the reason as in :class:`LloydRun`.
     The final centroids are exact cluster means; at an assignment fixed
     point every point also sits with its nearest centroid.
     """
@@ -122,6 +142,7 @@ def _lloyd(pts, centroids0, max_iter, tol):
     prev_inertia = float(sq.sum())
     history = [prev_inertia]
     iterations = 0
+    stop_reason = "max_iter"
     for it in range(1, max_iter + 1):
         centroids = _means(pts, labels, k)
         new_labels, sq = _kernels.kmeans_assign(pts, centroids)
@@ -131,15 +152,17 @@ def _lloyd(pts, centroids0, max_iter, tol):
         iterations = it
         if np.array_equal(new_labels, labels):
             labels = new_labels
+            stop_reason = "fixed_point"
             break
         converged = abs(prev_inertia - cur_inertia) <= tol * prev_inertia
         labels = new_labels
         prev_inertia = cur_inertia
         if converged:
+            stop_reason = "tolerance"
             break
     final_centroids = _means(pts, labels, k)
     final_inertia = inertia(pts, labels, final_centroids)
-    return labels, final_centroids, final_inertia, iterations, history
+    return labels, final_centroids, final_inertia, iterations, history, stop_reason
 
 
 def kmeans(
@@ -161,10 +184,12 @@ def kmeans(
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     best = None
+    runs = []
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
         centroids0 = kmeanspp_init(pts, k, rng)
-        labels, centroids, inert, iters, _ = _lloyd(pts, centroids0, max_iter, tol)
+        labels, centroids, inert, iters, _, stop = _lloyd(pts, centroids0, max_iter, tol)
+        runs.append(LloydRun(seed + r, inert, iters, stop))
         if best is None or inert < best[2]:
             best = (labels, centroids, inert, iters)
     labels, centroids, inert, iters = best
@@ -176,6 +201,7 @@ def kmeans(
         restarts=restarts,
         iterations_run=iters,
         seed=seed,
+        runs=tuple(runs),
     )
 
 
@@ -205,7 +231,8 @@ def sweep_k(
 
     Besides the fresh k-means++ runs, each k is also warm-started from the
     previous k's solution extended with the point farthest from its
-    assigned centroid; the cheaper of the two results is kept. Adding a
+    assigned centroid; the cheaper of the two results is kept, and the warm
+    start's run is appended to its ``runs``. Adding a
     centroid at a data point can only lower the objective, so the reported
     inertia sequence is non-increasing in k.
     """
@@ -221,7 +248,8 @@ def sweep_k(
             sq = np.einsum("ij,ij->i", diff, diff)
             extra = pts[int(np.argmax(sq))]
             warm0 = np.vstack([prev.centroids, extra[None, :]])
-            labels, centroids, inert, iters, _ = _lloyd(pts, warm0, max_iter, tol)
+            labels, centroids, inert, iters, _, stop = _lloyd(pts, warm0, max_iter, tol)
+            runs = best.runs + (LloydRun(None, inert, iters, stop),)
             if inert < best.inertia:
                 best = Clustering(
                     k=k,
@@ -231,7 +259,10 @@ def sweep_k(
                     restarts=restarts,
                     iterations_run=iters,
                     seed=seed,
+                    runs=runs,
                 )
+            else:
+                best = replace(best, runs=runs)
         results.append(best)
         prev = best
     return results

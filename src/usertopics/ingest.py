@@ -75,7 +75,8 @@ _COMMON_SLD = frozenset({"com", "net", "org", "edu", "gov", "ac", "co"})
 
 
 class ParseError(Exception):
-    """Unrecoverable input problem (bad header, fail-fast row, etc.)."""
+    """Unrecoverable input problem (bad header, fail-fast row, a sum of
+    valid values beyond the float64 range, etc.)."""
 
 
 @dataclass
@@ -649,21 +650,26 @@ def _merge_intervals(items, gap_threshold: float) -> list[SessionRecord]:
     open_by_domain: dict[str, _OpenSession] = {}
     current_user: str | None = None
 
+    def close(user_id, domain, st):
+        try:
+            record = SessionRecord(
+                user_id=user_id,
+                start_time=st.start,
+                duration=st.duration,
+                location=st.location,
+                domain=domain,
+                isp=st.isp,
+                http_requests=st.requests,
+                service_class=st.service_class,
+                bytes=st.bytes,
+            )
+        except ValueError as exc:  # summed bytes or requests beyond float64
+            raise ParseError(f"session of user {user_id!r} on domain {domain!r}: {exc}") from None
+        sessions.append(record)
+
     def flush(user_id):
         for domain, st in open_by_domain.items():
-            sessions.append(
-                SessionRecord(
-                    user_id=user_id,
-                    start_time=st.start,
-                    duration=st.duration,
-                    location=st.location,
-                    domain=domain,
-                    isp=st.isp,
-                    http_requests=st.requests,
-                    service_class=st.service_class,
-                    bytes=st.bytes,
-                )
-            )
+            close(user_id, domain, st)
         open_by_domain.clear()
 
     for user_id, domain, start, duration, nbytes, requests, loc, isp, svc in items:
@@ -678,20 +684,7 @@ def _merge_intervals(items, gap_threshold: float) -> list[SessionRecord]:
             st.requests += requests
         else:
             if st is not None:
-                flush_one = st
-                sessions.append(
-                    SessionRecord(
-                        user_id=user_id,
-                        start_time=flush_one.start,
-                        duration=flush_one.duration,
-                        location=flush_one.location,
-                        domain=domain,
-                        isp=flush_one.isp,
-                        http_requests=flush_one.requests,
-                        service_class=flush_one.service_class,
-                        bytes=flush_one.bytes,
-                    )
-                )
+                close(user_id, domain, st)
             open_by_domain[domain] = _OpenSession(
                 start=start,
                 duration=duration,
@@ -727,7 +720,9 @@ def sessionize(
     other domains in between do not break a domain's run.
 
     Input must be ordered by (user_id, timestamp); it is sorted unless
-    ``assume_sorted``, in which case order violations raise ValueError.
+    ``assume_sorted``, in which case order violations raise ValueError. A
+    session whose summed bytes or requests overflow float64 raises
+    ParseError naming its user and domain.
     """
     _check_gap(gap_threshold)
     events = list(events)
@@ -797,7 +792,8 @@ def build_profile_matrix(
     domain j. Per-cell sums use math.fsum, so the result is bit-identical
     under any permutation of the input. Users whose total activity is zero
     keep their (empty) row; domains with zero total activity are dropped,
-    which guarantees every column has at least one visitor.
+    which guarantees every column has at least one visitor. A cell total
+    beyond the float64 range raises ParseError naming the user and domain.
 
     ``canonical_order`` sorts users and domains lexicographically (the
     reproducible default); otherwise first-appearance order is kept.
@@ -820,9 +816,17 @@ def build_profile_matrix(
     multi = np.flatnonzero(ends - starts > 1)
     if multi.size:
         flat = values.tolist()
-        totals[multi] = [
-            math.fsum(flat[a:b]) for a, b in zip(starts[multi].tolist(), ends[multi].tolist())
-        ]
+        cell = 0  # first row of the cell being summed
+        try:
+            totals[multi] = [
+                math.fsum(flat[(cell := a) : b])
+                for a, b in zip(starts[multi].tolist(), ends[multi].tolist())
+            ]
+        except OverflowError:
+            raise ParseError(
+                f"{metric} total of user {users[user_codes[cell]]!r} on domain "
+                f"{domains[domain_codes[cell]]!r} is beyond the float64 range"
+            ) from None
     cell_users, cell_domains = user_codes[starts], domain_codes[starts]
     positive = totals > 0
     active = np.zeros(len(domains), dtype=bool)

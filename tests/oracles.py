@@ -51,6 +51,26 @@ def tfidf_oracle(dense):
     return out
 
 
+def nearest_centroid_loop(points, centroids):
+    """Nearest centroid per point: one einsum distance pass per centroid.
+
+    Centroids are taken in index order and only a strictly smaller distance
+    replaces the best so far, so ties go to the lowest index. Returns
+    (labels int64, squared distance); a point no distance beats inf for
+    keeps label 0 and distance inf.
+    """
+    n = points.shape[0]
+    best = np.full(n, np.inf)
+    labels = np.zeros(n, dtype=np.int64)
+    for j in range(centroids.shape[0]):
+        diff = points - centroids[j]
+        d = np.einsum("ij,ij->i", diff, diff)
+        closer = d < best
+        best[closer] = d[closer]
+        labels[closer] = j
+    return labels, best
+
+
 def partition_inertia(points, labels):
     """Objective of an explicit labeling: per-group mean distances."""
     total = 0.0

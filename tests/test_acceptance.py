@@ -7,12 +7,17 @@ by a session fixture before any timed section.
 
 import contextlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import usertopics
 from usertopics import cli
 from usertopics.clustering import kmeans, read_assignments, sweep_k
 from usertopics.ingest import build_profile_matrix, resessionize, sessionize
@@ -253,25 +258,34 @@ TRACKED_OUTPUTS = [
 ]
 
 
+CRITERION_8_CLUSTER = ["cluster", "-M", "4", "-K", "4", "--seed", "17"]
+
+
+def criterion_8_workspace(tmp_path):
+    """Synthesize and ingest the criterion-8 corpus; returns the workspace."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "n_topics": 4,
+        "n_domains": 60,
+        "n_users": 300,
+        "sessions": {"dist": "fixed", "lo": 40},
+        "seed": 81,
+    }))
+    synth_out = tmp_path / "synth"
+    ws = tmp_path / "ws"
+    assert cli.main(["synth", "--spec", str(spec), "--out-dir", str(synth_out)]) == 0
+    assert cli.main([
+        "ingest", "--workspace", str(ws),
+        "--sessions", str(synth_out / "sessions.csv"),
+    ]) == 0
+    return ws
+
+
 def test_criterion_8_cluster_determinism(tmp_path):
     """Identical config + seed: bit-identical outputs, manifest aside."""
     with criterion(8, "determinism", budget_s=120.0):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({
-            "n_topics": 4,
-            "n_domains": 60,
-            "n_users": 300,
-            "sessions": {"dist": "fixed", "lo": 40},
-            "seed": 81,
-        }))
-        synth_out = tmp_path / "synth"
-        ws = tmp_path / "ws"
-        assert cli.main(["synth", "--spec", str(spec), "--out-dir", str(synth_out)]) == 0
-        assert cli.main([
-            "ingest", "--workspace", str(ws),
-            "--sessions", str(synth_out / "sessions.csv"),
-        ]) == 0
-        args = ["cluster", "--workspace", str(ws), "-M", "4", "-K", "4", "--seed", "17"]
+        ws = criterion_8_workspace(tmp_path)
+        args = CRITERION_8_CLUSTER + ["--workspace", str(ws)]
         assert cli.main(args) == 0
         keep = tmp_path / "first_run"
         keep.mkdir()
@@ -285,6 +299,29 @@ def test_criterion_8_cluster_determinism(tmp_path):
         manifest2 = json.loads((ws / "manifest.json").read_text())
         manifest2.pop("timings")
         assert manifest1 == manifest2
+
+
+def test_cluster_outputs_independent_of_blas_threads(tmp_path):
+    """The criterion-8 run gives the same bytes on one BLAS thread as on the default."""
+    ws = criterion_8_workspace(tmp_path)
+    package_root = str(Path(usertopics.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", None):
+        env = dict(os.environ)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads_{threads or 'default'}"
+        argv = CRITERION_8_CLUSTER + ["--workspace", str(ws), "--out-dir", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "usertopics.cli", *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out)
+    for name in TRACKED_OUTPUTS:
+        assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
 
 
 def test_criterion_9_conservation_and_idempotence():

@@ -122,6 +122,33 @@ class TestIngestCommand:
         assert run(["ingest", "--workspace", tmp_path / "w", "--sessions", log]) == 0
         assert "1 bad rows" in capsys.readouterr().out
 
+    def test_cell_total_beyond_float64_exits_2(self, tmp_path, capsys):
+        # each row fits float64; the (u1, a.com) cell's sum does not
+        log = tmp_path / "big.csv"
+        row = "u1,{},1,lab,a.com,isp,1,web," + str(10**308) + "\n"
+        log.write_text(
+            "user_id,start_time,duration_s,location,domain,isp,http_requests,service_class,bytes\n"
+            + row.format("2014-09-01T00:00:00Z") + row.format("2014-09-01T01:00:00Z")
+        )
+        assert run(["ingest", "--workspace", tmp_path / "w", "--sessions", log]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "data error: bytes total of user 'u1' on domain 'a.com' is beyond the float64 range\n"
+        )
+
+    def test_merged_session_beyond_float64_exits_2(self, tmp_path, capsys):
+        # two events one minute apart merge into one session of 2e308 bytes
+        events = tmp_path / "ev.csv"
+        events.write_text(
+            "user_id,timestamp,domain,bytes,http_requests\n"
+            f"u1,2014-09-01T00:00:00Z,a.com,{10**308},1\n"
+            f"u1,2014-09-01T00:01:00Z,a.com,{10**308},1\n"
+        )
+        assert run(["ingest", "--workspace", tmp_path / "w", "--raw-events", events]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: session of user 'u1' on domain 'a.com': bytes beyond")
+        assert err.count("\n") == 1
+
     def test_raw_events_input(self, tmp_path):
         events = tmp_path / "ev.csv"
         events.write_text(
@@ -175,6 +202,25 @@ class TestClusterCommand:
         manifest = json.loads((ws / "manifest.json").read_text())
         assert manifest["params"]["weighting"] == "row_normalized"
         assert "portal.example" in manifest["results"]["labels"]
+
+    def test_manifest_records_each_restart(self, ingested_ws):
+        argv = ["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4,
+                "--restarts", 3, "--seed", 5]
+        assert run(argv) == 0
+        results = json.loads((ingested_ws / "manifest.json").read_text())["results"]
+        runs = results["kmeans_runs"]
+        assert [r["seed"] for r in runs] == [5, 6, 7]
+        assert {r["stop_reason"] for r in runs} <= {"fixed_point", "tolerance", "max_iter"}
+        assert all(r["iterations"] >= 0 for r in runs)
+        assert min(r["inertia"] for r in runs) == results["inertia"]
+        assert results["iterations_run"] in [r["iterations"] for r in runs]
+
+    def test_manifest_stop_reason_max_iter(self, ingested_ws):
+        argv = ["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4,
+                "--restarts", 2, "--max-iter", 0]
+        assert run(argv) == 0
+        runs = json.loads((ingested_ws / "manifest.json").read_text())["results"]["kmeans_runs"]
+        assert [(r["iterations"], r["stop_reason"]) for r in runs] == [(0, "max_iter")] * 2
 
     def test_manifest_times_profile_load(self, ingested_ws):
         assert run(["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4]) == 0
@@ -237,6 +283,11 @@ class TestSweepCommand:
         assert [int(r[0]) for r in rows] == list(range(1, 7))
         inertias = [float(r[1]) for r in rows]
         assert all(b <= a for a, b in zip(inertias, inertias[1:]))
+        runs = json.loads((ingested_ws / "manifest.json").read_text())["results"]["kmeans_runs"]
+        assert sorted(runs, key=int) == [str(k) for k in range(1, 7)]
+        # three k-means++ restarts per k, plus the warm start (seed null) after k = 1
+        assert [r["seed"] for r in runs["1"]] == [0, 1, 2]
+        assert all([r["seed"] for r in runs[str(k)]] == [0, 1, 2, None] for k in range(2, 7))
 
     def test_single_k(self, ingested_ws):
         assert run([

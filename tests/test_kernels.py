@@ -2,7 +2,10 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import nearest_centroid_loop
 from usertopics import _kernels
 from usertopics.matrix import SparseMatrix
 
@@ -105,12 +108,79 @@ def loop_update(points, labels, k):
     return sums, np.bincount(labels, minlength=k)
 
 
+@st.composite
+def assign_cases(draw):
+    """(points, centroids) rich in ties: grid coordinates, duplicated
+    centroids, points on bisectors, then a common scale and offset."""
+    n, dim, k = draw(st.integers(0, 12)), draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    coord = st.one_of(st.integers(-3, 3), st.floats(-4.0, 4.0))
+    cents = np.array(draw(st.lists(coord, min_size=k * dim, max_size=k * dim)), dtype=float)
+    cents = cents.reshape(k, dim)
+    if k > 1 and draw(st.booleans()):
+        cents[draw(st.integers(1, k - 1))] = cents[0]
+    pts = np.array(draw(st.lists(coord, min_size=n * dim, max_size=n * dim)), dtype=float)
+    pts = pts.reshape(n, dim)
+    for i in range(n):
+        if draw(st.booleans()):
+            a, b = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+            pts[i] = (cents[a] + cents[b]) / 2.0  # on the bisector of a and b
+    # 1e8: cancellation in ||x||^2 - 2x.c; 1e-150: products near underflow;
+    # 1e154: squares overflow for coordinates of 2 and more
+    scale = draw(st.sampled_from([1.0, 1e-150, 1e154]))
+    offset = draw(st.sampled_from([0.0, 1e8]))
+    return pts * scale + offset, cents * scale + offset
+
+
 class TestKmeansKernels:
     def test_kmeans_assign_tie_lowest_index(self):
         pts = np.array([[0.0]])
         cents = np.array([[1.0], [-1.0]])  # equidistant
         labels, dist = _kernels.kmeans_assign(pts, cents)
         assert labels[0] == 0 and dist[0] == 1.0
+
+    @settings(max_examples=300)
+    @given(assign_cases())
+    def test_kmeans_assign_matches_loop(self, case):
+        pts, cents = case
+        labels, sq = _kernels.kmeans_assign(pts, cents)
+        want_labels, want_sq = nearest_centroid_loop(pts, cents)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, want_labels)
+        assert np.array_equal(sq, want_sq)
+
+    @pytest.mark.parametrize(
+        "n, dim, k", [(50, 1, 4), (50, 3, 1), (3, 2, 7), (0, 3, 2), (0, 1, 1), (300, 80, 8)]
+    )
+    def test_kmeans_assign_shapes(self, rng, n, dim, k):
+        pts = rng.standard_normal((n, dim))
+        cents = rng.standard_normal((k, dim))
+        labels, sq = _kernels.kmeans_assign(pts, cents)
+        want_labels, want_sq = nearest_centroid_loop(pts, cents)
+        assert labels.shape == sq.shape == (n,)
+        assert np.array_equal(labels, want_labels) and np.array_equal(sq, want_sq)
+
+    def test_kmeans_assign_rechecks_near_tie(self, monkeypatch):
+        # ||c||^2 - 2x.c rounds both candidates to the same value at this
+        # offset, so the GEMM argmin alone would pick 0; centroid 1 is nearer
+        pts = np.array([[0.0], [1e8 + 0.75], [1e8 + 1000.0]])
+        cents = np.array([[1e8], [1e8 + 1.0]])
+        gemm = cents @ pts.T * -2.0 + np.einsum("ij,ij->i", cents, cents)[:, None]
+        assert np.argmin(gemm, axis=0)[1] == 0
+        rechecked = []
+        exact = _kernels._exact_nearest
+
+        def spy(points, centroids):
+            rechecked.append(points.copy())
+            return exact(points, centroids)
+
+        monkeypatch.setattr(_kernels, "_exact_nearest", spy)
+        labels, sq = _kernels.kmeans_assign(pts, cents)
+        assert len(rechecked) == 1 and np.array_equal(rechecked[0], pts[1:2])
+        assert labels.tolist() == [0, 1, 1]
+        assert sq[1] == 0.0625
+        rechecked.clear()
+        _kernels.kmeans_assign(np.array([[0.2], [3.0]]), np.array([[0.0], [4.0]]))
+        assert rechecked == []
 
     def test_kmeans_update_bit_identical_to_loop(self, rng):
         # magnitudes spread over 16 decades, so any change of summation order shows
