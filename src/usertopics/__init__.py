@@ -25,7 +25,6 @@ from .ingest import (
 from .lsa import (
     LsaModel,
     canonicalize_signs,
-    domain_topics,
     load_model,
     reconstruct,
     save_model,
@@ -35,10 +34,8 @@ from .lsa import (
 from .matrix import (
     DomainStats,
     FeatureMatrix,
-    Histogram,
     ProfileMatrix,
     domain_stats,
-    intensity_histogram,
     matrix_checksum,
     rank_domains,
     read_matrix,

@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 import statistics
 import sys
@@ -67,9 +68,9 @@ def _env_seed() -> int:
     raw = os.environ.get("USERTOPICS_SEED", "").strip()
     if raw:
         try:
-            return int(raw)
-        except ValueError as exc:
-            raise UsageError(f"USERTOPICS_SEED must be an integer, got {raw!r}") from exc
+            return _non_negative_int(raw)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise UsageError(f"USERTOPICS_SEED must be an integer >= 0, got {raw!r}") from exc
     return 0
 
 
@@ -104,14 +105,17 @@ def _require_file(path: str | None, what: str) -> Path:
     return p
 
 
-def _write_manifest(path: Path, command: str, params: dict, results: dict, timings: dict):
+def _write_manifest(path: Path, args, results: dict, watch: _Stopwatch, **parsed):
+    """Write a run's manifest: ``params`` holds every parsed argument, updated
+    by ``parsed`` (values the command derived, such as bench-m's M list)."""
+    params = {key: val for key, val in vars(args).items() if key not in ("func", "command")}
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "kernel_backend": _kernels.BACKEND,
-        "params": params,
+        "params": {**params, **parsed},
         "results": results,
-        "timings": timings,
+        "timings": {"stages_s": watch.stages, "total_s": watch.total()},
     }
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -154,46 +158,35 @@ def cmd_synth(args) -> int:
             synth.write_truth(truth, out_dir / "truth.csv")
         _write_manifest(
             out_dir / "synth_manifest.json",
-            "synth",
-            params={"spec": str(spec_path), "seed": spec.seed},
-            results={
+            args,
+            {
                 "n_sessions": len(sessions),
                 "n_users": spec.n_users,
                 "n_topics": spec.n_topics,
                 "n_domains": spec.n_domains,
                 "universal_domain": spec.universal_domain,
             },
-            timings={"stages_s": watch.stages, "total_s": watch.total()},
+            watch,
+            seed=spec.seed,
         )
     print(f"generated {len(sessions)} sessions for {spec.n_users} users -> {out_dir}")
     return 0
 
 
 def _parse_session_input(args):
+    options = dict(
+        delimiter=args.delimiter, fail_fast=args.fail_fast, truncate_domains=args.truncate_domains
+    )
     if args.raw_events:
-        path = _require_file(args.raw_events, "raw events")
-        report = ingest.parse_raw_events(
-            path,
-            delimiter=args.delimiter,
-            fail_fast=args.fail_fast,
-            truncate_domains=args.truncate_domains,
-        )
+        report = ingest.parse_raw_events(_require_file(args.raw_events, "raw events"), **options)
         sessions = ingest.sessionize(report.records, gap_threshold=args.gap)
         return ingest.SessionTable.from_records(sessions), report
-    path = _require_file(args.sessions, "sessions")
-    report = ingest.parse_sessions(
-        path,
-        delimiter=args.delimiter,
-        fail_fast=args.fail_fast,
-        truncate_domains=args.truncate_domains,
-    )
+    report = ingest.parse_sessions(_require_file(args.sessions, "sessions"), **options)
     return report.records, report
 
 
 def cmd_ingest(args) -> int:
     workspace = Path(args.workspace)
-    if args.gap <= 0:
-        raise UsageError(f"gap must be positive, got {args.gap}")
     with _workspace_lock(workspace):
         watch = _Stopwatch()
         try:
@@ -205,7 +198,7 @@ def cmd_ingest(args) -> int:
                     metric=args.metric,
                     canonical_order=not args.first_appearance,
                 )
-        except ingest.ParseError as exc:
+        except (ingest.ParseError, ValueError) as exc:
             raise DataError(str(exc)) from exc
         with watch.stage("stats"):
             stats = domain_stats(matrix)
@@ -228,18 +221,8 @@ def cmd_ingest(args) -> int:
                     )
         _write_manifest(
             workspace / "ingest_manifest.json",
-            "ingest",
-            params={
-                "sessions": args.sessions,
-                "raw_events": args.raw_events,
-                "gap": args.gap,
-                "metric": args.metric,
-                "delimiter": args.delimiter,
-                "fail_fast": args.fail_fast,
-                "truncate_domains": args.truncate_domains,
-                "first_appearance": args.first_appearance,
-            },
-            results={
+            args,
+            {
                 "n_users": matrix.n_users,
                 "n_domains": matrix.n_domains,
                 "nnz": matrix.nnz,
@@ -247,7 +230,7 @@ def cmd_ingest(args) -> int:
                 "parse_warnings": len(report.warnings),
                 "nonzero_median_fraction": stats.nonzero_median_fraction,
             },
-            timings={"stages_s": watch.stages, "total_s": watch.total()},
+            watch,
         )
     print(
         f"ingested {matrix.n_users} users x {matrix.n_domains} domains "
@@ -256,52 +239,79 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _load_profile(workspace: Path, watch: _Stopwatch):
+@contextlib.contextmanager
+def _open_workspace(args):
+    """Load the workspace's profile, then hold the output directory's lock.
+
+    Yields (output directory, profile, stopwatch with the ``load`` stage).
+    """
+    workspace = Path(args.workspace)
+    out_dir = Path(args.out_dir) if args.out_dir else workspace
     prefix = workspace / PROFILE_PREFIX
     if not matrix_sidecar(prefix).is_file():
         raise DataError(f"no ingested profile matrix under {workspace}")
+    watch = _Stopwatch()
     try:
         with watch.stage("load"):
-            return read_matrix(prefix)
+            profile = read_matrix(prefix)
     except (ValueError, OSError) as exc:
         raise DataError(f"corrupt profile matrix under {workspace}: {exc}") from exc
+    with _workspace_lock(out_dir):
+        yield out_dir, profile, watch
 
 
-def _weight(profile, mode: str, base: float):
-    if mode == "tfidf":
-        return weighting.tfidf(profile, base=base)
-    if mode == "row_normalized":
-        return weighting.row_normalize(profile)
-    raise UsageError(f"unknown weighting mode: {mode!r}")
+def _run(args, profile, watch: _Stopwatch, m: int, k: int):
+    """Weight, check M and K, factorize: the chain cluster, sweep-k and bench-m share.
 
-
-def _check_rank(m: int, feature) -> None:
+    ``k`` is the largest cluster count the caller will ask for. Returns the
+    feature matrix, the sign-canonical LSA model, the user features and the
+    k-means keyword arguments.
+    """
+    try:
+        with watch.stage("weighting"):
+            if args.weighting == "tfidf":
+                feature = weighting.tfidf(profile, base=args.log_base)
+            else:
+                feature = weighting.row_normalize(profile)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
     limit = min(feature.n_users, feature.n_domains)
     if not 1 <= m <= limit:
         raise UsageError(f"M={m} outside [1, {limit}] for this matrix")
+    if not 1 <= k <= feature.n_users:
+        raise UsageError(f"K={k} outside [1, {feature.n_users}] weighted users")
+    with watch.stage("lsa"):
+        model = lsa.truncated_svd(feature, m, method=args.method, seed=args.seed)
+        model = lsa.canonicalize_signs(model)
+        features = lsa.user_features(model, scale=args.scale_features)
+    kmeans_kw = dict(restarts=args.restarts, max_iter=args.max_iter, tol=args.tol, seed=args.seed)
+    return feature, model, features, kmeans_kw
 
 
 def _parse_reports(args):
     demo = []
     tx = []
-    if args.demographics:
-        path = _require_file(args.demographics, "demographics")
-        demo = ingest.parse_demographics(
-            path, delimiter=args.delimiter, fail_fast=args.fail_fast
-        ).records
-    if args.transactions:
-        path = _require_file(args.transactions, "transactions")
-        tx = ingest.parse_transactions(
-            path, delimiter=args.delimiter, fail_fast=args.fail_fast
-        ).records
+    try:
+        if args.demographics:
+            path = _require_file(args.demographics, "demographics")
+            demo = ingest.parse_demographics(
+                path, delimiter=args.delimiter, fail_fast=args.fail_fast
+            ).records
+        if args.transactions:
+            path = _require_file(args.transactions, "transactions")
+            tx = ingest.parse_transactions(
+                path, delimiter=args.delimiter, fail_fast=args.fail_fast
+            ).records
+    except ingest.ParseError as exc:
+        raise DataError(str(exc)) from exc
     return demo, tx
 
 
-def _write_reports(out_dir: Path, feature, clustering, demo, tx, top_n: int):
-    topics = reporting.cluster_topics(feature, clustering, top_n=top_n)
-    gender = reporting.gender_breakdown(clustering, feature.users, demo)
-    birth = reporting.birth_year_distribution(clustering, feature.users, demo)
-    spend = reporting.spend_distribution(clustering, feature.users, tx)
+def _write_reports(out_dir: Path, feature, labels, k: int, demo, tx, top_n: int):
+    topics = reporting.cluster_topics(feature, labels, k, top_n=top_n)
+    gender = reporting.gender_breakdown(labels, k, feature.users, demo)
+    birth = reporting.birth_year_distribution(labels, k, feature.users, demo)
+    spend = reporting.spend_distribution(labels, k, feature.users, tx)
     reporting.write_topic_report(out_dir / "report_topics.txt", topics)
     reporting.write_gender_report(out_dir / "report_gender.txt", gender)
     reporting.write_birth_year_report(out_dir / "report_birth_years.txt", birth)
@@ -312,65 +322,26 @@ def _write_reports(out_dir: Path, feature, clustering, demo, tx, top_n: int):
 
 
 def cmd_cluster(args) -> int:
-    workspace = Path(args.workspace)
-    out_dir = Path(args.out_dir) if args.out_dir else workspace
-    watch = _Stopwatch()
-    profile = _load_profile(workspace, watch)
-    if not 1 <= args.k <= profile.n_users:
-        raise UsageError(f"K={args.k} outside [1, {profile.n_users}]")
-    with _workspace_lock(out_dir):
-        try:
-            demo, tx = _parse_reports(args)
-        except ingest.ParseError as exc:
-            raise DataError(str(exc)) from exc
-        with watch.stage("weighting"):
-            feature = _weight(profile, args.weighting, args.log_base)
-        _check_rank(args.m, feature)
-        if args.k > feature.n_users:
-            raise UsageError(f"K={args.k} exceeds {feature.n_users} weighted users")
-        with watch.stage("lsa"):
-            model = lsa.truncated_svd(feature, args.m, method=args.method, seed=args.seed)
-            model = lsa.canonicalize_signs(model)
-            features = lsa.user_features(model, scale=args.scale_features)
+    with _open_workspace(args) as (out_dir, profile, watch):
+        demo, tx = _parse_reports(args)
+        feature, model, features, kmeans_kw = _run(args, profile, watch, args.m, args.k)
         with watch.stage("cluster"):
-            result = clus.kmeans(
-                features,
-                args.k,
-                restarts=args.restarts,
-                max_iter=args.max_iter,
-                tol=args.tol,
-                seed=args.seed,
-            )
+            result = clus.kmeans(features, args.k, **kmeans_kw)
         with watch.stage("report"):
-            topics = _write_reports(out_dir, feature, result, demo, tx, args.top_n)
+            topics = _write_reports(
+                out_dir, feature, result.assignments, result.k, demo, tx, args.top_n
+            )
         with watch.stage("write"):
             write_matrix(feature, out_dir / FEATURE_PREFIX)
             lsa.save_model(model, out_dir / LSA_PREFIX)
             clus.write_clustering(result, feature.users, out_dir)
-        dropped = profile.n_users - feature.n_users
         _write_manifest(
             out_dir / "manifest.json",
-            "cluster",
-            params={
-                "workspace": str(workspace),
-                "demographics": args.demographics,
-                "transactions": args.transactions,
-                "weighting": args.weighting,
-                "log_base": args.log_base,
-                "m": args.m,
-                "k": args.k,
-                "restarts": args.restarts,
-                "max_iter": args.max_iter,
-                "tol": args.tol,
-                "seed": args.seed,
-                "method": args.method,
-                "scale_features": args.scale_features,
-                "top_n": args.top_n,
-            },
-            results={
+            args,
+            {
                 "n_users": feature.n_users,
                 "n_domains": feature.n_domains,
-                "dropped_zero_users": dropped,
+                "dropped_zero_users": profile.n_users - feature.n_users,
                 "negative_weight_fraction": weighting.negative_fraction(feature),
                 "svd_method": model.method,
                 "inertia": result.inertia,
@@ -379,7 +350,7 @@ def cmd_cluster(args) -> int:
                 "cluster_sizes": [int(s) for s in np.bincount(result.assignments, minlength=result.k)],
                 "labels": topics.labels,
             },
-            timings={"stages_s": watch.stages, "total_s": watch.total()},
+            watch,
         )
     print(
         f"clustered {feature.n_users} users into K={args.k} (M={args.m}, "
@@ -389,154 +360,65 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_sweep_k(args) -> int:
-    workspace = Path(args.workspace)
-    out_dir = Path(args.out_dir) if args.out_dir else workspace
-    watch = _Stopwatch()
-    profile = _load_profile(workspace, watch)
     if args.k_min < 1 or args.k_max < args.k_min:
         raise UsageError(f"bad K range [{args.k_min}, {args.k_max}]")
-    if args.k_max > profile.n_users:
-        raise UsageError(f"K_max={args.k_max} exceeds {profile.n_users} users")
-    with _workspace_lock(out_dir):
-        with watch.stage("weighting"):
-            feature = _weight(profile, args.weighting, args.log_base)
-        _check_rank(args.m, feature)
-        if args.k_max > feature.n_users:
-            raise UsageError(f"K_max={args.k_max} exceeds {feature.n_users} weighted users")
-        with watch.stage("lsa"):
-            model = lsa.truncated_svd(feature, args.m, method=args.method, seed=args.seed)
-            model = lsa.canonicalize_signs(model)
-            features = lsa.user_features(model, scale=args.scale_features)
+    with _open_workspace(args) as (out_dir, profile, watch):
+        _, _, features, kmeans_kw = _run(args, profile, watch, args.m, args.k_max)
         with watch.stage("sweep"):
-            results = clus.sweep_k(
-                features,
-                args.k_min,
-                args.k_max,
-                restarts=args.restarts,
-                max_iter=args.max_iter,
-                tol=args.tol,
-                seed=args.seed,
-            )
-        table_path = out_dir / "sweep_k.txt"
-        with open(table_path, "w", newline="\n") as fh:
+            results = clus.sweep_k(features, args.k_min, args.k_max, **kmeans_kw)
+        with open(out_dir / "sweep_k.txt", "w", newline="\n") as fh:
             fh.write("k,inertia\n")
             for res in results:
                 fh.write(f"{res.k},{res.inertia:.6g}\n")
         _write_manifest(
             out_dir / "manifest.json",
-            "sweep-k",
-            params={
-                "workspace": str(workspace),
-                "weighting": args.weighting,
-                "log_base": args.log_base,
-                "m": args.m,
-                "k_min": args.k_min,
-                "k_max": args.k_max,
-                "restarts": args.restarts,
-                "max_iter": args.max_iter,
-                "tol": args.tol,
-                "seed": args.seed,
-                "method": args.method,
-                "scale_features": args.scale_features,
-            },
-            results={
+            args,
+            {
                 "inertia": {str(r.k): r.inertia for r in results},
                 "kmeans_runs": {
                     str(r.k): [dataclasses.asdict(run) for run in r.runs] for r in results
                 },
             },
-            timings={"stages_s": watch.stages, "total_s": watch.total()},
+            watch,
         )
     for res in results:
         print(f"K={res.k:3d}  inertia={res.inertia:.6g}")
     return 0
 
 
+BENCH_STAGES = ("weighting", "lsa", "cluster", "total")
+
+
 def cmd_bench_m(args) -> int:
-    workspace = Path(args.workspace)
-    out_dir = Path(args.out_dir) if args.out_dir else workspace
-    watch = _Stopwatch()
-    profile = _load_profile(workspace, watch)
     try:
         m_list = [int(tok) for tok in args.m_list.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"bad M list {args.m_list!r}") from exc
     if not m_list:
         raise UsageError("empty M list")
-    if args.repeats < 1:
-        raise UsageError("repeats must be at least 1")
     rows = []
-    with _workspace_lock(out_dir):
+    with _open_workspace(args) as (out_dir, profile, watch):
         for m in m_list:
-            stage_times = {"weighting": [], "lsa": [], "cluster": [], "total": []}
-            for rep in range(args.repeats):
-                t0 = time.perf_counter()
-                feature = _weight(profile, args.weighting, args.log_base)
-                t1 = time.perf_counter()
-                _check_rank(m, feature)
-                model = lsa.truncated_svd(feature, m, method=args.method, seed=args.seed)
-                features = lsa.user_features(model, scale=args.scale_features)
-                t2 = time.perf_counter()
-                clus.kmeans(
-                    features,
-                    min(args.k, features.shape[0]),
-                    restarts=args.restarts,
-                    max_iter=args.max_iter,
-                    tol=args.tol,
-                    seed=args.seed,
-                )
-                t3 = time.perf_counter()
-                stage_times["weighting"].append(t1 - t0)
-                stage_times["lsa"].append(t2 - t1)
-                stage_times["cluster"].append(t3 - t2)
-                stage_times["total"].append(t3 - t0)
-            rows.append(
-                {
-                    "m": m,
-                    "weighting_median_s": statistics.median(stage_times["weighting"]),
-                    "lsa_median_s": statistics.median(stage_times["lsa"]),
-                    "cluster_median_s": statistics.median(stage_times["cluster"]),
-                    "total_median_s": statistics.median(stage_times["total"]),
-                    "total_min_s": min(stage_times["total"]),
-                    "total_max_s": max(stage_times["total"]),
-                }
-            )
-        table_path = out_dir / "bench_m.txt"
-        with open(table_path, "w", newline="\n") as fh:
-            fh.write(
-                "m,weighting_median_s,lsa_median_s,cluster_median_s,"
-                "total_median_s,total_min_s,total_max_s\n"
-            )
+            times = {stage: [] for stage in BENCH_STAGES}
+            for _ in range(args.repeats):
+                rep = _Stopwatch()
+                _, _, features, kmeans_kw = _run(args, profile, rep, m, args.k)
+                with rep.stage("cluster"):
+                    clus.kmeans(features, args.k, **kmeans_kw)
+                for stage, seconds in rep.stages.items():
+                    times[stage].append(seconds)
+                times["total"].append(rep.total())
+            row = {"m": m}
+            for stage, samples in times.items():
+                row[f"{stage}_median_s"] = statistics.median(samples)
+            row.update(total_min_s=min(times["total"]), total_max_s=max(times["total"]))
+            rows.append(row)
+        with open(out_dir / "bench_m.txt", "w", newline="\n") as fh:
+            fh.write(",".join(rows[0]) + "\n")
             for row in rows:
-                fh.write(
-                    f"{row['m']},{row['weighting_median_s']:.6g},"
-                    f"{row['lsa_median_s']:.6g},{row['cluster_median_s']:.6g},"
-                    f"{row['total_median_s']:.6g},{row['total_min_s']:.6g},"
-                    f"{row['total_max_s']:.6g}\n"
-                )
-        _write_manifest(
-            out_dir / "manifest.json",
-            "bench-m",
-            params={
-                "workspace": str(workspace),
-                "m_list": m_list,
-                "repeats": args.repeats,
-                "weighting": args.weighting,
-                "log_base": args.log_base,
-                "k": args.k,
-                "restarts": args.restarts,
-                "max_iter": args.max_iter,
-                "tol": args.tol,
-                "seed": args.seed,
-                "method": args.method,
-            },
-            results={"rows": rows},
-            timings={
-                "stages_s": watch.stages,
-                "total_s": watch.total(),
-                "note": "benchmark results are themselves timings",
-            },
-        )
+                m, *seconds = row.values()
+                fh.write(f"{m}," + ",".join(f"{t:.6g}" for t in seconds) + "\n")
+        _write_manifest(out_dir / "manifest.json", args, {"rows": rows}, watch, m_list=m_list)
     for row in rows:
         print(
             f"M={row['m']:4d}  total median {row['total_median_s']:.3f}s "
@@ -569,22 +451,9 @@ def cmd_report(args) -> int:
     if labels.size and not 0 <= labels.min() <= labels.max() < labels.size:
         raise DataError(f"cluster ids outside [0, {labels.size}) in {assignments_path}")
     k = int(labels.max()) + 1 if labels.size else 1
-    centroids = np.zeros((k, 1))
-    result = clus.Clustering(
-        k=k,
-        assignments=labels,
-        centroids=centroids,
-        inertia=0.0,
-        restarts=0,
-        iterations_run=0,
-        seed=0,
-    )
-    try:
-        demo, tx = _parse_reports(args)
-    except ingest.ParseError as exc:
-        raise DataError(str(exc)) from exc
+    demo, tx = _parse_reports(args)
     with _workspace_lock(out_dir):
-        _write_reports(out_dir, feature, result, demo, tx, args.top_n)
+        _write_reports(out_dir, feature, labels, k, demo, tx, args.top_n)
     print(f"reports regenerated -> {out_dir}")
     return 0
 
@@ -594,17 +463,43 @@ def cmd_report(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _add_common_model_flags(p):
+def _checked(convert, rule: str, ok):
+    """argparse type: ``convert`` the text, then require ``ok`` of the value."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
+_positive_int = _checked(int, "at least 1", lambda v: v >= 1)
+_positive_float = _checked(float, "positive", lambda v: v > 0)
+_non_negative_int = _checked(int, "at least 0", lambda v: v >= 0)
+_tolerance = _checked(float, "finite and at least 0", lambda v: math.isfinite(v) and v >= 0)
+_log_base = _checked(
+    float, "finite, positive and not 1", lambda v: math.isfinite(v) and v > 0 and v != 1
+)
+
+
+def _add_pipeline_flags(p):
+    """The workspace and model flags of cluster, sweep-k and bench-m."""
+    p.add_argument("--workspace", required=True, help="ingested workspace")
+    p.add_argument("--out-dir", default=_env_out(),
+                   help="output directory (default: the workspace)")
     p.add_argument("--weighting", choices=["tfidf", "row_normalized"], default="tfidf")
-    p.add_argument("--log-base", type=float, default=float(np.e),
+    p.add_argument("--log-base", type=_log_base, default=float(np.e),
                    help="logarithm base for TF and IDF (default: natural)")
     p.add_argument("--method", choices=["auto", "exact", "randomized"], default="auto")
     p.add_argument("--scale-features", action="store_true",
                    help="scale user features by the singular values")
-    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--seed", type=int, default=_env_seed(),
+    p.add_argument("--restarts", type=_positive_int, default=DEFAULT_RESTARTS)
+    p.add_argument("--max-iter", type=_non_negative_int, default=DEFAULT_MAX_ITER)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    p.add_argument("--seed", type=_non_negative_int, default=_env_seed(),
                    help="random seed (env: USERTOPICS_SEED)")
 
 
@@ -620,7 +515,7 @@ def _delimiter(text: str) -> str:
 def _add_report_flags(p):
     p.add_argument("--demographics", help="demographics CSV path")
     p.add_argument("--transactions", help="transactions CSV path")
-    p.add_argument("--top-n", type=int, default=10)
+    p.add_argument("--top-n", type=_positive_int, default=10)
     p.add_argument("--delimiter", type=_delimiter, default=",")
     p.add_argument("--fail-fast", action="store_true")
 
@@ -639,7 +534,7 @@ def build_parser() -> _Parser:
     p.add_argument("--workspace", required=True, help="workspace directory to create")
     p.add_argument("--sessions", help="session CSV path")
     p.add_argument("--raw-events", help="raw event CSV path (sessionized on the fly)")
-    p.add_argument("--gap", type=float, default=ingest.DEFAULT_GAP_SECONDS,
+    p.add_argument("--gap", type=_positive_float, default=ingest.DEFAULT_GAP_SECONDS,
                    help="sessionization gap threshold in seconds")
     p.add_argument("--metric", choices=list(ingest.PROFILE_METRICS), default="bytes")
     p.add_argument("--delimiter", type=_delimiter, default=",")
@@ -652,32 +547,25 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("cluster", help="weight, factorize, cluster and report")
-    p.add_argument("--workspace", required=True, help="ingested workspace")
-    p.add_argument("--out-dir", default=_env_out(),
-                   help="output directory (default: the workspace)")
     p.add_argument("-M", "--m", dest="m", type=int, default=DEFAULT_M)
     p.add_argument("-K", "--k", dest="k", type=int, default=DEFAULT_K)
-    _add_common_model_flags(p)
+    _add_pipeline_flags(p)
     _add_report_flags(p)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("sweep-k", help="inertia for a range of cluster counts")
-    p.add_argument("--workspace", required=True)
-    p.add_argument("--out-dir", default=_env_out())
     p.add_argument("-M", "--m", dest="m", type=int, default=DEFAULT_M)
     p.add_argument("--k-min", type=int, default=DEFAULT_K_RANGE[0])
     p.add_argument("--k-max", type=int, default=DEFAULT_K_RANGE[1])
-    _add_common_model_flags(p)
+    _add_pipeline_flags(p)
     p.set_defaults(func=cmd_sweep_k)
 
     p = sub.add_parser("bench-m", help="runtime of the pipeline for several ranks")
-    p.add_argument("--workspace", required=True)
-    p.add_argument("--out-dir", default=_env_out())
     p.add_argument("--m-list", default=DEFAULT_M_LIST,
                    help="comma-separated truncation ranks")
-    p.add_argument("--repeats", type=int, default=DEFAULT_BENCH_REPEATS)
+    p.add_argument("--repeats", type=_positive_int, default=DEFAULT_BENCH_REPEATS)
     p.add_argument("-K", "--k", dest="k", type=int, default=DEFAULT_K)
-    _add_common_model_flags(p)
+    _add_pipeline_flags(p)
     p.set_defaults(func=cmd_bench_m)
 
     p = sub.add_parser("report", help="regenerate reports from a clustered workspace")

@@ -135,11 +135,6 @@ def user_features(model: LsaModel, scale: bool = False) -> np.ndarray:
     return model.u.copy()
 
 
-def domain_topics(model: LsaModel) -> np.ndarray:
-    """Domain-by-topic loading matrix."""
-    return model.v.copy()
-
-
 def reconstruct(model: LsaModel) -> np.ndarray:
     """Dense rank-``m`` approximation of the source matrix.
 

@@ -14,7 +14,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -65,10 +64,6 @@ class SparseMatrix:
         return int(self.indices.size)
 
     @cached_property
-    def user_pos(self) -> dict[str, int]:
-        return {u: i for i, u in enumerate(self.users)}
-
-    @cached_property
     def domain_pos(self) -> dict[str, int]:
         return {d: j for j, d in enumerate(self.domains)}
 
@@ -80,11 +75,6 @@ class SparseMatrix:
         counts = np.bincount(self.indices, minlength=self.n_domains)
         col_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
         return col_indptr, rows[order], self.data[order]
-
-    def column_values(self, j: int) -> np.ndarray:
-        """Stored values of column ``j`` (row order)."""
-        col_indptr, _, col_data = self._csc
-        return col_data[col_indptr[j] : col_indptr[j + 1]]
 
     def column_counts(self) -> np.ndarray:
         """Number of stored entries per column."""
@@ -99,12 +89,19 @@ class SparseMatrix:
 
 @dataclass(frozen=True, eq=False)
 class ProfileMatrix(SparseMatrix):
-    """Raw activity matrix; stored entries are strictly positive."""
+    """Raw activity matrix; stored entries are strictly positive, and every
+    user's and every domain's total is within the float64 range."""
 
     def __post_init__(self):
         super().__post_init__()
         if self.data.size and not np.all(self.data > 0):
             raise ValueError("profile matrix entries must be strictly positive")
+        rows = np.repeat(np.arange(self.n_users), np.diff(self.indptr))
+        for kind, keys, pos in (("user", self.users, rows), ("domain", self.domains, self.indices)):
+            totals = np.bincount(pos, weights=self.data, minlength=len(keys))
+            if not np.isfinite(totals).all():
+                name = keys[int(np.argmin(np.isfinite(totals)))]
+                raise ValueError(f"activity total of {kind} {name!r} is beyond the float64 range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,73 +200,6 @@ def rank_domains(stats: DomainStats, by: str = "median") -> list[str]:
     key = keys[by]
     order = sorted(range(len(stats.domains)), key=lambda j: (-key[j], stats.domains[j]))
     return [stats.domains[j] for j in order]
-
-
-@dataclass(frozen=True, eq=False)
-class Histogram:
-    """Bin counts over half-open intervals [edges[i], edges[i+1]).
-
-    ``zeros`` counts exact-zero values in scope (they have no logarithmic
-    bin); ``below``/``above`` count values outside explicit edges.
-    """
-
-    edges: np.ndarray
-    counts: np.ndarray
-    zeros: int = 0
-    below: int = 0
-    above: int = 0
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum()) + self.zeros + self.below + self.above
-
-
-def _log_edges(vmin: float, vmax: float) -> np.ndarray:
-    lo = math.floor(math.log10(vmin))
-    hi = math.ceil(math.log10(vmax))
-    while 10.0**hi <= vmax:
-        hi += 1
-    if hi <= lo:
-        hi = lo + 1
-    return 10.0 ** np.arange(lo, hi + 1)
-
-
-def intensity_histogram(
-    m: SparseMatrix, domain: str, bins="log", include_zeros: bool = False
-) -> Histogram:
-    """Histogram of one domain's per-user activity.
-
-    ``bins`` is either ``"log"`` (decade edges spanning the data) or an
-    explicit increasing edge sequence. Zero activity is excluded unless
-    ``include_zeros``; with log bins zeros are tallied separately.
-    """
-    if domain not in m.domain_pos:
-        raise KeyError(f"unknown domain: {domain!r}")
-    j = m.domain_pos[domain]
-    values = m.column_values(j)
-    zeros = int(m.n_users - values.size) if include_zeros else 0
-    if values.size == 0:
-        return Histogram(edges=np.empty(0), counts=np.empty(0, dtype=np.int64), zeros=zeros)
-    if isinstance(bins, str):
-        if bins != "log":
-            raise ValueError(f"unknown bin spec: {bins!r}")
-        if values.min() <= 0:
-            raise ValueError("log bins need strictly positive values")
-        edges = _log_edges(float(values.min()), float(values.max()))
-    else:
-        edges = np.asarray(bins, dtype=np.float64)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise ValueError("bin edges must be an increasing sequence")
-    pos = np.searchsorted(edges, values, side="right") - 1
-    in_range = (pos >= 0) & (values < edges[-1])
-    counts = np.bincount(pos[in_range], minlength=edges.size - 1).astype(np.int64)
-    return Histogram(
-        edges=edges,
-        counts=counts,
-        zeros=zeros,
-        below=int(np.count_nonzero(values < edges[0])),
-        above=int(np.count_nonzero(values >= edges[-1])),
-    )
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import Clustering
 from .matrix import FeatureMatrix
 from .records import DemographicRecord, TransactionRecord
 
@@ -35,37 +34,35 @@ class ClusterTopicReport:
 
 
 def cluster_topics(
-    f: FeatureMatrix, c: Clustering, top_n: int = 10
+    f: FeatureMatrix, labels: np.ndarray, k: int, top_n: int = 10
 ) -> ClusterTopicReport:
     """Mean feature weight per (cluster, domain) and top-``top_n`` lists.
 
-    The mean divides by the full cluster size, structural zeros included.
-    Only domains with a nonzero mean are ranked; ties break by domain name.
-    The cluster label is the heaviest domain.
+    ``labels`` holds each row's cluster in [0, k). The mean divides by the
+    full cluster size, structural zeros included. Only domains with a
+    nonzero mean are ranked; ties break by domain name. The cluster label
+    is the heaviest domain.
     """
-    if f.n_users != c.assignments.shape[0]:
-        raise ValueError(
-            f"matrix has {f.n_users} rows but clustering has "
-            f"{c.assignments.shape[0]} assignments"
-        )
-    sizes = np.bincount(c.assignments, minlength=c.k)
-    sums = np.zeros((c.k, f.n_domains))
+    if f.n_users != labels.shape[0]:
+        raise ValueError(f"matrix has {f.n_users} rows but {labels.shape[0]} labels")
+    sizes = np.bincount(labels, minlength=k)
+    sums = np.zeros((k, f.n_domains))
     rows = np.repeat(np.arange(f.n_users), np.diff(f.indptr))
-    np.add.at(sums, (c.assignments[rows], f.indices), f.data)
+    np.add.at(sums, (labels[rows], f.indices), f.data)
     means = sums / np.maximum(sizes, 1)[:, None]
     top: list[list[tuple[str, float]]] = []
-    labels: list[str | None] = []
-    for g in range(c.k):
+    names: list[str | None] = []
+    for g in range(k):
         nonzero = np.flatnonzero(means[g] != 0.0)
         ranked = sorted(nonzero, key=lambda j: (-means[g, j], f.domains[j]))
         entries = [(f.domains[j], float(means[g, j])) for j in ranked[:top_n]]
         top.append(entries)
-        labels.append(entries[0][0] if entries else None)
+        names.append(entries[0][0] if entries else None)
     return ClusterTopicReport(
         sizes=sizes,
         mean_weights=means,
         top=top,
-        labels=labels,
+        labels=names,
         domains=f.domains,
         provenance=f.provenance,
     )
@@ -93,7 +90,7 @@ def _gender_map(demographics) -> dict[str, str]:
 
 
 def gender_breakdown(
-    c: Clustering, user_ids, demographics: list[DemographicRecord]
+    labels: np.ndarray, k: int, user_ids, demographics: list[DemographicRecord]
 ) -> GenderReport:
     """Male fraction per cluster and overall.
 
@@ -102,10 +99,10 @@ def gender_breakdown(
     cluster with no known genders gets fraction None, not zero.
     """
     genders = _gender_map(demographics)
-    males = np.zeros(c.k, dtype=np.int64)
-    females = np.zeros(c.k, dtype=np.int64)
-    unknown = np.zeros(c.k, dtype=np.int64)
-    for uid, lab in zip(user_ids, c.assignments):
+    males = np.zeros(k, dtype=np.int64)
+    females = np.zeros(k, dtype=np.int64)
+    unknown = np.zeros(k, dtype=np.int64)
+    for uid, lab in zip(user_ids, labels):
         g = genders.get(uid, "unknown")
         if g == "male":
             males[lab] += 1
@@ -114,7 +111,7 @@ def gender_breakdown(
         else:
             unknown[lab] += 1
     fractions: list[float | None] = []
-    for g in range(c.k):
+    for g in range(k):
         known = males[g] + females[g]
         fractions.append(float(males[g] / known) if known else None)
     total_known = int(males.sum() + females.sum())
@@ -136,18 +133,18 @@ class BirthYearReport:
 
 
 def birth_year_distribution(
-    c: Clustering, user_ids, demographics: list[DemographicRecord]
+    labels: np.ndarray, k: int, user_ids, demographics: list[DemographicRecord]
 ) -> BirthYearReport:
     """Counts per (cluster, birth year); missing years are excluded."""
     by_user = {rec.user_id: rec.birth_year for rec in demographics}
     pairs = [
         (int(lab), by_user[uid])
-        for uid, lab in zip(user_ids, c.assignments)
+        for uid, lab in zip(user_ids, labels)
         if by_user.get(uid) is not None
     ]
     years = tuple(sorted({year for _, year in pairs}))
     pos = {y: i for i, y in enumerate(years)}
-    counts = np.zeros((c.k, len(years)), dtype=np.int64)
+    counts = np.zeros((k, len(years)), dtype=np.int64)
     for lab, year in pairs:
         counts[lab, pos[year]] += 1
     row_totals = counts.sum(axis=1)
@@ -164,7 +161,8 @@ class SpendReport:
 
 
 def spend_distribution(
-    c: Clustering,
+    labels: np.ndarray,
+    k: int,
     user_ids,
     transactions: list[TransactionRecord],
     bins=None,
@@ -189,11 +187,11 @@ def spend_distribution(
     n_bins = edges.size - 1
     pos = np.searchsorted(edges, totals, side="right") - 1
     pos = np.clip(pos, 0, n_bins - 1)  # closed outer bins: everything tallies
-    counts = np.zeros((c.k, n_bins), dtype=np.int64)
-    np.add.at(counts, (c.assignments, pos), 1)
-    sums = np.zeros(c.k)
-    np.add.at(sums, c.assignments, totals)
-    sizes = np.bincount(c.assignments, minlength=c.k)
+    counts = np.zeros((k, n_bins), dtype=np.int64)
+    np.add.at(counts, (labels, pos), 1)
+    sums = np.zeros(k)
+    np.add.at(sums, labels, totals)
+    sizes = np.bincount(labels, minlength=k)
     means = sums / np.maximum(sizes, 1)
     return SpendReport(edges=edges, counts=counts, means=means, totals=totals)
 

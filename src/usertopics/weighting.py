@@ -100,11 +100,18 @@ def tfidf(m: ProfileMatrix, base: float = math.e) -> FeatureMatrix:
     """Elementwise TF * IDF on the support of ``m``.
 
     Domains visited by every user get IDF 0, so their entries vanish from
-    the result (zeros are structural, never stored).
+    the result (zeros are structural, never stored). Raises ValueError
+    naming the first user with a TF weight that is not finite: a share of
+    the row total that underflows to 0 has no logarithm.
     """
     m, _ = drop_zero_rows(m)
     log_scale = 1.0 / math.log(base)
-    tf_vals = _kernels.tf_values(m.indptr, m.data, log_scale)
+    with np.errstate(divide="ignore"):
+        tf_vals = _kernels.tf_values(m.indptr, m.data, log_scale)
+    finite = np.isfinite(tf_vals)
+    if not finite.all():
+        row = int(np.searchsorted(m.indptr, np.argmin(finite), side="right")) - 1
+        raise ValueError(f"TF weight of user {m.users[row]!r} is not finite")
     idf_vec = idf(m, base=base)
     values = tf_vals * idf_vec[m.indices]
     indptr, indices, data = _mask_entries(m, values, values != 0.0)

@@ -1,8 +1,7 @@
 """Acceptance suite: one test per release criterion.
 
 Each test prints a single PASS/FAIL line (run with ``pytest -s`` to see
-them live) and enforces its runtime budget; JIT compilation is triggered
-by a session fixture before any timed section.
+them live) and enforces its runtime budget.
 """
 
 import contextlib
@@ -115,7 +114,7 @@ def test_criterion_2_popular_domain_suppression():
         def top_report(fm):
             feats = user_features(truncated_svd(fm, 4))
             result = kmeans(feats, 4, restarts=10, seed=0)
-            return cluster_topics(fm, result, top_n=10)
+            return cluster_topics(fm, result.assignments, result.k, top_n=10)
 
         rep_tfidf = top_report(feature)
         tfidf_tops = {d for entries in rep_tfidf.top for d, _ in entries}

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from usertopics import cli
+from usertopics.matrix import SparseMatrix, csr_from_triplets, write_matrix
 from usertopics.synth import read_truth
+
+SESSION_HEADER = (
+    "user_id,start_time,duration_s,location,domain,isp,http_requests,service_class,bytes\n"
+)
 
 SPEC = {
     "n_topics": 4,
@@ -42,6 +47,23 @@ def ingested_ws(tmp_path, synth_ws):
     ws = tmp_path / "ws"
     assert run(["ingest", "--workspace", ws, "--sessions", synth_ws / "sessions.csv"]) == 0
     return ws
+
+
+def write_profile(ws, dense):
+    """Write ``dense`` as the workspace's profile, bypassing the ProfileMatrix checks."""
+    dense = np.asarray(dense, dtype=np.float64)
+    rows, cols = np.nonzero(dense)
+    indptr, indices, data = csr_from_triplets(*dense.shape, rows, cols, dense[rows, cols])
+    matrix = SparseMatrix(
+        n_users=dense.shape[0],
+        n_domains=dense.shape[1],
+        indptr=indptr,
+        indices=indices,
+        data=data,
+        users=tuple(f"u{i}" for i in range(dense.shape[0])),
+        domains=tuple(f"d{j}.com" for j in range(dense.shape[1])),
+    )
+    write_matrix(matrix, ws / "profile")
 
 
 def strip_timings(manifest_path):
@@ -148,6 +170,27 @@ class TestIngestCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error: session of user 'u1' on domain 'a.com': bytes beyond")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "domains, message",
+        [
+            # each cell fits float64; each user's total does not
+            (("a.com", "b.com", "c.com"), "user 'u1'"),
+            # each user's total fits; the shared domain's does not
+            (("a.com",), "domain 'a.com'"),
+        ],
+    )
+    def test_profile_total_beyond_float64_exits_2(self, tmp_path, capsys, domains, message):
+        log = tmp_path / "big.csv"
+        rows = [
+            f"u{i},2014-09-01T00:00:00Z,1,lab,{d},isp,1,web,{10**308}\n"
+            for i in range(1, 5)
+            for d in domains
+        ]
+        log.write_text(SESSION_HEADER + "".join(rows))
+        assert run(["ingest", "--workspace", tmp_path / "w", "--sessions", log]) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: activity total of {message} is beyond the float64 range\n"
 
     def test_raw_events_input(self, tmp_path):
         events = tmp_path / "ev.csv"
@@ -330,6 +373,73 @@ class TestBenchCommand:
         assert run(["bench-m", "--workspace", ingested_ws, "--m-list", "a,b"]) == 1
 
 
+PIPELINE_ARGV = {
+    "cluster": ["cluster", "-M", 1, "-K", 1],
+    "sweep-k": ["sweep-k", "-M", 1, "--k-min", 1, "--k-max", 1],
+    "bench-m": ["bench-m", "--m-list", "1", "--repeats", 1, "-K", 1],
+}
+
+
+class TestPipelineRunner:
+    """What cluster, sweep-k and bench-m share: manifests, checks, weighting errors."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster", "-M", 4, "-K", 4, "--scale-features"],
+            ["sweep-k", "-M", 4, "--k-max", 3],
+            ["bench-m", "--m-list", "4", "--repeats", 1, "-K", 3],
+        ],
+        ids=["cluster", "sweep-k", "bench-m"],
+    )
+    def test_manifest_params_are_the_parsed_arguments(self, ingested_ws, argv):
+        argv = [str(a) for a in [*argv, "--workspace", ingested_ws, "--restarts", 2]]
+        assert run(argv) == 0
+        params = json.loads((ingested_ws / "manifest.json").read_text())["params"]
+        expected = vars(cli.build_parser().parse_args(argv))
+        del expected["func"], expected["command"]
+        if argv[0] == "bench-m":
+            expected["m_list"] = [4]
+        assert params == expected
+        assert "scale_features" in params
+
+    def test_bench_k_beyond_weighted_users_exits_1(self, ingested_ws, capsys):
+        argv = ["bench-m", "--workspace", ingested_ws, "--m-list", "4", "-K", 10_000]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: K=10000 outside [1, 80]")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", sorted(PIPELINE_ARGV))
+    def test_unvisited_domain_exits_2(self, tmp_path, capsys, command):
+        ws = tmp_path / "ws"
+        write_profile(ws, [[1, 2, 0], [3, 0, 0], [0, 4, 0]])
+        assert run([*PIPELINE_ARGV[command], "--workspace", ws]) == 2
+        assert capsys.readouterr().err == "data error: matrix has a domain no user visited\n"
+
+    def test_tf_underflow_exits_2(self, tmp_path, capsys):
+        # the 1e-320 s share of u1's time underflows to 0, whose log is -inf
+        log = tmp_path / "durations.csv"
+        log.write_text(
+            SESSION_HEADER
+            + "u1,2014-09-01T00:00:00Z,1e-320,lab,a.com,isp,1,web,10\n"
+            + "u1,2014-09-01T01:00:00Z,1e10,lab,b.com,isp,1,web,10\n"
+        )
+        ws = tmp_path / "ws"
+        assert run(["ingest", "--workspace", ws, "--sessions", log, "--metric", "duration"]) == 0
+        assert run([*PIPELINE_ARGV["cluster"], "--workspace", ws]) == 2
+        assert capsys.readouterr().err == "data error: TF weight of user 'u1' is not finite\n"
+
+    def test_hand_written_profile_total_beyond_float64_exits_2(self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        write_profile(ws, np.full((4, 3), 1e308))
+        assert run(["cluster", "--workspace", ws, "-M", 2, "-K", 2]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: corrupt profile matrix")
+        assert "activity total of user 'u0' is beyond the float64 range" in err
+        assert err.count("\n") == 1
+
+
 class TestReportCommand:
     def test_regenerates_identical_reports(self, tmp_path, ingested_ws):
         assert run(["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4]) == 0
@@ -398,10 +508,43 @@ class TestDefaults:
         assert err.count("\n") == 1
         assert not (tmp_path / "ws").exists()
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("cluster", "--restarts=0"),
+            ("sweep-k", "--restarts=0"),
+            ("bench-m", "--restarts=0"),
+            ("cluster", "--log-base=1"),
+            ("cluster", "--log-base=-2"),
+            ("cluster", "--log-base=nan"),
+            ("cluster", "--max-iter=-1"),
+            ("cluster", "--tol=-1e-6"),
+            ("cluster", "--tol=inf"),
+            ("cluster", "--top-n=-1"),
+            ("report", "--top-n=0"),
+            ("bench-m", "--repeats=0"),
+            ("ingest", "--gap=nan"),
+            ("cluster", "--seed=-1"),
+        ],
+    )
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, command, flag):
+        assert run([command, flag, "--workspace", tmp_path / "ws"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: argument {flag.split('=')[0]}: must be")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "ws").exists()
+
     def test_env_seed_override(self, monkeypatch):
         monkeypatch.setenv("USERTOPICS_SEED", "99")
         parser = cli.build_parser()
         assert parser.parse_args(["cluster", "--workspace", "x"]).seed == 99
+
+    def test_negative_env_seed_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("USERTOPICS_SEED", "-5")
+        assert cli.main(["cluster", "--workspace", "x"]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: USERTOPICS_SEED must be an integer >= 0, got '-5'\n"
+        )
 
     def test_env_out_dir_override(self, monkeypatch):
         monkeypatch.setenv("USERTOPICS_OUT", "/tmp/elsewhere")

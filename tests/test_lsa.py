@@ -4,7 +4,6 @@ import scipy.linalg
 
 from usertopics.lsa import (
     canonicalize_signs,
-    domain_topics,
     load_model,
     orthonormality_residual,
     reconstruct,
@@ -96,14 +95,14 @@ class TestUserFeatures:
 class TestDomainTopics:
     def test_diagonal_signed_permutation(self):
         f = dense_to_feature(np.diag([3.0, 2.0, 1.0]))
-        v = domain_topics(truncated_svd(f, 3, method="exact"))
+        v = truncated_svd(f, 3, method="exact").v
         assert np.allclose(np.abs(v), np.eye(3), atol=1e-12)
 
     def test_rank_one_direction(self):
         u = np.array([1.0, 1.0])
         v = np.array([3.0, 4.0, 0.0])
         f = dense_to_feature(np.outer(u, v))
-        topics = domain_topics(truncated_svd(f, 1, method="exact"))
+        topics = truncated_svd(f, 1, method="exact").v
         assert np.allclose(np.abs(topics[:, 0]), np.abs(v) / 5.0, atol=1e-12)
 
     def test_orthonormal_columns(self, rng):

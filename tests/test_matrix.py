@@ -6,7 +6,6 @@ import pytest
 from usertopics.matrix import (
     FeatureMatrix,
     domain_stats,
-    intensity_histogram,
     matrices_equal,
     matrix_checksum,
     rank_domains,
@@ -76,44 +75,6 @@ class TestRankDomains:
         stats = domain_stats(matrix_from_dense([[1]]))
         with pytest.raises(ValueError):
             rank_domains(stats, "bogus")
-
-
-class TestIntensityHistogram:
-    def test_log_decades(self):
-        m = matrix_from_dense([[10], [10], [1000]])
-        h = intensity_histogram(m, "d0000")
-        assert h.edges.tolist() == [10.0, 100.0, 1000.0, 10000.0]
-        assert h.counts.tolist() == [2, 0, 1]
-
-    def test_unknown_domain(self):
-        m = matrix_from_dense([[1]])
-        with pytest.raises(KeyError):
-            intensity_histogram(m, "missing.com")
-
-    def test_single_value_one(self):
-        m = matrix_from_dense([[1]])
-        h = intensity_histogram(m, "d0000")
-        assert h.counts.tolist() == [1]
-        assert h.edges[0] == 1.0
-
-    def test_zero_column_with_zeros_excluded(self):
-        # a universal domain weighted away gives an all-zero stored column
-        f = tfidf(matrix_from_dense([[5, 1], [5, 0], [5, 2]]))
-        h = intensity_histogram(f, "d0000")
-        assert h.counts.size == 0 and h.total == 0
-
-    def test_total_matches_zero_policy(self):
-        m = matrix_from_dense([[0, 1], [20, 2], [300, 3]])
-        h_excl = intensity_histogram(m, "d0000")
-        assert h_excl.total == 2
-        h_incl = intensity_histogram(m, "d0000", include_zeros=True)
-        assert h_incl.total == 3 and h_incl.zeros == 1
-
-    def test_explicit_edges_catch_outliers(self):
-        m = matrix_from_dense([[1], [50], [5000]])
-        h = intensity_histogram(m, "d0000", bins=[10, 100])
-        assert h.below == 1 and h.above == 1 and h.counts.tolist() == [1]
-        assert h.total == 3
 
 
 class TestMatrixIO:
