@@ -41,10 +41,7 @@ def _csr(indptr, indices, data, n_cols):
 
 def tf_values(indptr, data, log_scale):
     """1 + log(value / row_sum) * log_scale for every stored entry."""
-    n_rows = indptr.size - 1
-    rows = np.repeat(np.arange(n_rows), np.diff(indptr))
-    sums = np.bincount(rows, weights=data, minlength=n_rows)
-    return 1.0 + np.log(data / sums[rows]) * log_scale
+    return 1.0 + np.log(share_values(indptr, data)) * log_scale
 
 
 def share_values(indptr, data):

@@ -1,4 +1,4 @@
-"""Workspace file primitives: atomic writes, checked ``.npy`` arrays, JSON sidecars.
+"""Workspace file primitives: atomic writes, checked ``.npy`` arrays, JSON files.
 
 Arrays are plain ``.npy`` files (format 1.0, C order, an explicit
 little-endian dtype) written by ``np.save`` without pickling. They are read
@@ -77,9 +77,10 @@ def load_array(path: Path, dtype: str, ndim: int) -> np.ndarray:
     return arr
 
 
-def write_sidecar(path: Path, meta: dict) -> Path:
+def write_json(path: Path, obj: dict) -> Path:
+    """``obj`` as indented JSON with sorted keys and a final newline."""
     with atomic_file(path) as fh:
-        fh.write((json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
+        fh.write((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
     return path
 
 

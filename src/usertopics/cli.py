@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__, _kernels
 from . import clustering as clus
 from . import ingest, lsa, reporting, synth, weighting
+from ._store import write_json
 from .matrix import domain_stats, matrix_sidecar, rank_domains, read_matrix, write_matrix
 
 log = logging.getLogger(__name__)
@@ -117,9 +118,7 @@ def _write_manifest(path: Path, args, results: dict, watch: _Stopwatch, **parsed
         "results": results,
         "timings": {"stages_s": watch.stages, "total_s": watch.total()},
     }
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, manifest)
 
 
 class _Stopwatch:
@@ -193,16 +192,12 @@ def cmd_ingest(args) -> int:
             with watch.stage("parse"):
                 sessions, report = _parse_session_input(args)
             with watch.stage("aggregate"):
-                matrix = ingest.build_profile_matrix(
-                    sessions,
-                    metric=args.metric,
-                    canonical_order=not args.first_appearance,
-                )
+                matrix = ingest.build_profile_matrix(sessions, metric=args.metric)
         except (ingest.ParseError, ValueError) as exc:
             raise DataError(str(exc)) from exc
         with watch.stage("stats"):
             stats = domain_stats(matrix)
-            ranked = rank_domains(stats, by="median")
+            ranked = rank_domains(stats)
         with watch.stage("write"):
             write_matrix(matrix, workspace / PROFILE_PREFIX)
             stats_path = workspace / "domain_stats.txt"
@@ -281,7 +276,7 @@ def _run(args, profile, watch: _Stopwatch, m: int, k: int):
     if not 1 <= k <= feature.n_users:
         raise UsageError(f"K={k} outside [1, {feature.n_users}] weighted users")
     with watch.stage("lsa"):
-        model = lsa.truncated_svd(feature, m, method=args.method, seed=args.seed)
+        model = lsa.truncated_svd(feature, m, seed=args.seed)
         model = lsa.canonicalize_signs(model)
         features = lsa.user_features(model, scale=args.scale_features)
     kmeans_kw = dict(restarts=args.restarts, max_iter=args.max_iter, tol=args.tol, seed=args.seed)
@@ -493,7 +488,6 @@ def _add_pipeline_flags(p):
     p.add_argument("--weighting", choices=["tfidf", "row_normalized"], default="tfidf")
     p.add_argument("--log-base", type=_log_base, default=float(np.e),
                    help="logarithm base for TF and IDF (default: natural)")
-    p.add_argument("--method", choices=["auto", "exact", "randomized"], default="auto")
     p.add_argument("--scale-features", action="store_true",
                    help="scale user features by the singular values")
     p.add_argument("--restarts", type=_positive_int, default=DEFAULT_RESTARTS)
@@ -541,9 +535,6 @@ def build_parser() -> _Parser:
     p.add_argument("--fail-fast", action="store_true")
     p.add_argument("--truncate-domains", action="store_true",
                    help="cut domains down to a registrable suffix heuristically")
-    p.add_argument("--first-appearance", action="store_true",
-                   help="index users/domains in first-appearance order "
-                        "instead of sorted")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("cluster", help="weight, factorize, cluster and report")

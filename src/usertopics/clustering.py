@@ -17,7 +17,6 @@ reproduce bit for bit and restarts may execute in any order.
 
 from __future__ import annotations
 
-import json
 import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -25,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
+from ._store import write_json
 
 
 @dataclass(frozen=True)
@@ -296,9 +296,7 @@ def write_clustering(c: Clustering, user_ids, out_dir: str | Path) -> list[Path]
         "inertia": c.inertia,
         "iterations_run": c.iterations_run,
     }
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta_path, meta)
     return [assign_path, cent_path, meta_path]
 
 

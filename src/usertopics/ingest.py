@@ -65,7 +65,7 @@ RAW_EVENT_COLUMNS = ("user_id", "timestamp", "domain", "bytes", "http_requests")
 PROFILE_METRICS = ("bytes", "duration", "requests", "session_count")
 
 DEFAULT_GAP_SECONDS = 300.0
-DEFAULT_BIRTH_YEAR_RANGE = (1900, 2100)
+BIRTH_YEAR_RANGE = (1900, 2100)
 
 # session-log rows validated and encoded per chunk
 CHUNK_ROWS = 2048
@@ -292,9 +292,8 @@ class SessionTable:
     column holds Python ints in an object array when a value does not fit
     in int64); ``duration`` is float64.
 
-    Record-level callers keep working: ``len``, indexing and iteration
-    give :class:`SessionRecord` objects, and :meth:`to_records` returns
-    all of them as a list.
+    ``len`` counts the sessions; :meth:`to_records` returns them as
+    :class:`SessionRecord` objects.
     """
 
     columns: dict[str, np.ndarray]
@@ -333,19 +332,12 @@ class SessionTable:
     def __len__(self) -> int:
         return int(self.columns["user_id"].size)
 
-    def _values(self, name: str, rows=slice(None)) -> list:
-        values = self.columns[name][rows].tolist()
+    def _values(self, name: str) -> list:
+        values = self.columns[name].tolist()
         if name in self.vocab:
             vocab = self.vocab[name]
             values = [vocab[code] for code in values]
         return values
-
-    def __getitem__(self, index: int) -> SessionRecord:
-        i = range(len(self))[index]
-        return SessionRecord(*(self._values(name, slice(i, i + 1))[0] for name in _SESSION_FIELDS))
-
-    def __iter__(self):
-        return iter(self.to_records())
 
     def to_records(self) -> list[SessionRecord]:
         columns = [self._values(name) for name in _SESSION_FIELDS]
@@ -526,13 +518,7 @@ def parse_sessions(
     return report
 
 
-def parse_demographics(
-    source,
-    *,
-    delimiter: str = ",",
-    fail_fast: bool = False,
-    birth_year_range: tuple[int, int] = DEFAULT_BIRTH_YEAR_RANGE,
-) -> ParseReport:
+def parse_demographics(source, *, delimiter: str = ",", fail_fast: bool = False) -> ParseReport:
     """Parse user profiles; duplicate user_ids resolve last-wins with a warning."""
     seen: dict[str, int] = {}
 
@@ -541,7 +527,7 @@ def parse_demographics(
         gender = row[1].strip().lower() or "unknown"
         birth_year = int(row[2]) if row[2].strip() else None
         if birth_year is not None and not (
-            birth_year_range[0] <= birth_year <= birth_year_range[1]
+            BIRTH_YEAR_RANGE[0] <= birth_year <= BIRTH_YEAR_RANGE[1]
         ):
             raise ValueError(f"birth_year {birth_year} outside plausible range")
         record = DemographicRecord(
@@ -566,6 +552,12 @@ def parse_demographics(
 def parse_transactions(
     source, *, delimiter: str = ",", fail_fast: bool = False
 ) -> ParseReport:
+    """Parse campus-card transactions.
+
+    A user's total amount, or the total over all users, beyond the float64
+    range raises ParseError (naming the user), so no report sums to inf.
+    """
+
     def convert(row, _report):
         return TransactionRecord(
             user_id=row[0].strip(),
@@ -573,7 +565,21 @@ def parse_transactions(
             amount=float(row[2]),
         )
 
-    return _run_parser(source, delimiter, TRANSACTION_COLUMNS, convert, fail_fast)
+    report = _run_parser(source, delimiter, TRANSACTION_COLUMNS, convert, fail_fast)
+    by_user: dict[str, list[float]] = {}
+    for t in report.records:
+        by_user.setdefault(t.user_id, []).append(t.amount)
+    for user_id, amounts in by_user.items():
+        _check_total(amounts, f"amount total of user {user_id!r}")
+    _check_total([t.amount for t in report.records], "amount total over all users")
+    return report
+
+
+def _check_total(values, what: str) -> None:
+    try:
+        math.fsum(values)
+    except OverflowError:
+        raise ParseError(f"{what} is beyond the float64 range") from None
 
 
 def parse_raw_events(
@@ -595,12 +601,12 @@ def parse_raw_events(
     return _run_parser(source, delimiter, RAW_EVENT_COLUMNS, convert, fail_fast)
 
 
-def write_sessions_csv(sessions, path, delimiter: str = ",") -> None:
+def write_sessions_csv(sessions, path) -> None:
     """Write sessions in the format parse_sessions reads back."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SESSION_COLUMNS)
         for s in sessions:
             writer.writerow(
@@ -705,12 +711,7 @@ def _check_gap(gap_threshold: float) -> None:
         raise ValueError(f"gap_threshold must be positive, got {gap_threshold}")
 
 
-def sessionize(
-    events,
-    gap_threshold: float = DEFAULT_GAP_SECONDS,
-    *,
-    assume_sorted: bool = False,
-) -> list[SessionRecord]:
+def sessionize(events, gap_threshold: float = DEFAULT_GAP_SECONDS) -> list[SessionRecord]:
     """Group raw events into sessions.
 
     Consecutive events of the same user on the same domain merge while the
@@ -719,20 +720,12 @@ def sessionize(
     first to last event; bytes and request counts are summed. Events of
     other domains in between do not break a domain's run.
 
-    Input must be ordered by (user_id, timestamp); it is sorted unless
-    ``assume_sorted``, in which case order violations raise ValueError. A
-    session whose summed bytes or requests overflow float64 raises
-    ParseError naming its user and domain.
+    Events may come in any order; they are sorted by (user_id, timestamp)
+    first. A session whose summed bytes or requests overflow float64
+    raises ParseError naming its user and domain.
     """
     _check_gap(gap_threshold)
-    events = list(events)
-    if assume_sorted:
-        for prev, cur in zip(events, events[1:]):
-            if (cur.user_id, cur.timestamp) < (prev.user_id, prev.timestamp):
-                raise ValueError("events are not sorted by (user_id, timestamp)")
-        ordered = events
-    else:
-        ordered = sorted(events, key=lambda e: (e.user_id, e.timestamp))
+    ordered = sorted(events, key=lambda e: (e.user_id, e.timestamp))
     items = (
         (e.user_id, e.domain, e.timestamp, 0.0, e.bytes, e.http_requests, "", "", "")
         for e in ordered
@@ -780,9 +773,7 @@ def _order_positions(codes, size: int) -> np.ndarray:
     return pos
 
 
-def build_profile_matrix(
-    sessions, metric: str = "bytes", *, canonical_order: bool = True
-) -> ProfileMatrix:
+def build_profile_matrix(sessions, metric: str = "bytes") -> ProfileMatrix:
     """Aggregate sessions into the users-by-domains activity matrix.
 
     ``sessions`` is a :class:`SessionTable`; any other iterable of session
@@ -794,9 +785,7 @@ def build_profile_matrix(
     keep their (empty) row; domains with zero total activity are dropped,
     which guarantees every column has at least one visitor. A cell total
     beyond the float64 range raises ParseError naming the user and domain.
-
-    ``canonical_order`` sorts users and domains lexicographically (the
-    reproducible default); otherwise first-appearance order is kept.
+    Users and domains are indexed in lexicographic order.
     """
     if metric not in PROFILE_METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {PROFILE_METRICS}")
@@ -835,10 +824,8 @@ def build_profile_matrix(
     dropped = len(domains) - len(kept)
     if dropped:
         log.warning("dropping %d domain(s) with zero total %s", dropped, metric)
-    user_order = range(len(users))
-    if canonical_order:
-        user_order = sorted(user_order, key=users.__getitem__)
-        kept = sorted(kept, key=domains.__getitem__)
+    user_order = sorted(range(len(users)), key=users.__getitem__)
+    kept = sorted(kept, key=domains.__getitem__)
     rows = _order_positions(user_order, len(users))[cell_users[positive]]
     cols = _order_positions(kept, len(domains))[cell_domains[positive]]
     indptr, indices, data = csr_from_triplets(

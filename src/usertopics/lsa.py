@@ -4,15 +4,16 @@ Two methods are provided behind one interface:
 
 * ``exact``: full LAPACK decomposition of the densified matrix, then
   truncation. The default while the smaller matrix dimension is at most
-  500; oracle-grade accuracy at desk scale.
-* ``randomized``: Gaussian range sketch of width ``m + oversample`` with
-  ``power_iters`` subspace iterations, orthonormalization, projection, and
-  a small dense SVD (Halko, Martinsson and Tropp, SIAM Review 2011). The
-  sparse matrix is never densified on this path; only matrix-block
-  products against it are used. They run in ``scipy.sparse`` (see
-  :mod:`usertopics._kernels`), which only this path imports.
-  Deterministic given (matrix, m, oversample, power_iters, seed); the seed
-  feeds a PCG64 generator whose stream is stable across platforms.
+  :data:`EXACT_METHOD_MAX_DIM` and the dense matrix takes at most
+  :data:`EXACT_METHOD_MAX_BYTES`; oracle-grade accuracy at desk scale.
+* ``randomized``: Gaussian range sketch of width ``m +`` :data:`OVERSAMPLE`
+  with :data:`POWER_ITERS` subspace iterations, orthonormalization,
+  projection, and a small dense SVD (Halko, Martinsson and Tropp, SIAM
+  Review 2011, section 4). The sparse matrix is never densified on this
+  path; only matrix-block products against it are used. They run in
+  ``scipy.sparse`` (see :mod:`usertopics._kernels`), which only this path
+  imports. Deterministic given (matrix, m, seed); the seed feeds a PCG64
+  generator whose stream is stable across platforms.
 
 The left factor is the per-user topic embedding used for clustering; the
 right factor relates domains to topics. Unscaled left vectors weight all
@@ -29,14 +30,16 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from ._store import load_array, read_sidecar, save_array, write_sidecar
+from ._store import load_array, read_sidecar, save_array, write_json
 from .matrix import FeatureMatrix, matrix_checksum
 
 log = logging.getLogger(__name__)
 
 EXACT_METHOD_MAX_DIM = 500
-DEFAULT_OVERSAMPLE = 10
-DEFAULT_POWER_ITERS = 2
+# the densified float64 matrix the exact method factorizes
+EXACT_METHOD_MAX_BYTES = 256 * 2**20
+OVERSAMPLE = 10
+POWER_ITERS = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,18 +65,13 @@ class LsaModel:
             raise ValueError("singular values must be non-negative and descending")
 
 
-def truncated_svd(
-    f: FeatureMatrix,
-    m: int,
-    method: str = "auto",
-    seed: int = 0,
-    oversample: int = DEFAULT_OVERSAMPLE,
-    power_iters: int = DEFAULT_POWER_ITERS,
-) -> LsaModel:
+def truncated_svd(f: FeatureMatrix, m: int, method: str = "auto", seed: int = 0) -> LsaModel:
     """Top-``m`` singular triplets of ``f``.
 
     ``m`` may exceed the numerical rank, in which case trailing singular
-    values are near zero; it may not exceed min(N_u, N_d).
+    values are near zero; it may not exceed min(N_u, N_d). ``auto`` picks
+    ``exact`` for a matrix small enough to densify (see the module
+    docstring), ``randomized`` otherwise.
     """
     if f.n_users < 1 or f.n_domains < 1:
         raise ValueError("feature matrix must be non-empty")
@@ -81,14 +79,16 @@ def truncated_svd(
     if not 1 <= m <= max_rank:
         raise ValueError(f"rank m={m} outside [1, {max_rank}]")
     if method == "auto":
-        method = "exact" if max_rank <= EXACT_METHOD_MAX_DIM else "randomized"
+        dense_bytes = f.n_users * f.n_domains * 8
+        small = max_rank <= EXACT_METHOD_MAX_DIM and dense_bytes <= EXACT_METHOD_MAX_BYTES
+        method = "exact" if small else "randomized"
     checksum = matrix_checksum(f)
     if method == "exact":
         u_full, s_full, vt_full = np.linalg.svd(f.toarray(), full_matrices=False)
         u, s, vt = u_full[:, :m], s_full[:m], vt_full[:m]
         model_seed = None
     elif method == "randomized":
-        u, s, vt = _randomized_svd(f, m, seed, oversample, power_iters)
+        u, s, vt = _randomized_svd(f, m, seed)
         model_seed = seed
     else:
         raise ValueError(f"unknown method: {method!r}")
@@ -103,12 +103,12 @@ def truncated_svd(
     )
 
 
-def _randomized_svd(f, m, seed, oversample, power_iters):
+def _randomized_svd(f, m, seed):
     rng = np.random.default_rng(seed)
-    width = min(m + oversample, min(f.n_users, f.n_domains))
+    width = min(m + OVERSAMPLE, min(f.n_users, f.n_domains))
     sketch = rng.standard_normal((f.n_domains, width))
     y = _kernels.csr_matmat(f.indptr, f.indices, f.data, np.ascontiguousarray(sketch))
-    for _ in range(power_iters):
+    for _ in range(POWER_ITERS):
         q, _ = np.linalg.qr(y)
         z = _kernels.csr_tmatmat(
             f.indptr, f.indices, f.data, f.n_domains, np.ascontiguousarray(q)
@@ -195,7 +195,7 @@ def save_model(model: LsaModel, prefix: str | Path) -> list[Path]:
         "seed": model.seed,
         "source_checksum": model.source_checksum,
     }
-    paths.append(write_sidecar(sidecar, meta))
+    paths.append(write_json(sidecar, meta))
     return paths
 
 

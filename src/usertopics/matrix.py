@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._store import atomic_file, load_array, read_sidecar, save_array, write_sidecar
+from ._store import atomic_file, load_array, read_sidecar, save_array, write_json
 
 FEATURE_PROVENANCES = ("tfidf", "row_normalized")
 
@@ -62,10 +62,6 @@ class SparseMatrix:
     @property
     def nnz(self) -> int:
         return int(self.indices.size)
-
-    @cached_property
-    def domain_pos(self) -> dict[str, int]:
-        return {d: j for j, d in enumerate(self.domains)}
 
     @cached_property
     def _csc(self):
@@ -192,13 +188,9 @@ def domain_stats(m: SparseMatrix) -> DomainStats:
     )
 
 
-def rank_domains(stats: DomainStats, by: str = "median") -> list[str]:
-    """Domains in descending key order; ties break by name ascending."""
-    keys = {"median": stats.median, "total": stats.total, "n_j": stats.n_visitors}
-    if by not in keys:
-        raise ValueError(f"unknown ranking key: {by!r}")
-    key = keys[by]
-    order = sorted(range(len(stats.domains)), key=lambda j: (-key[j], stats.domains[j]))
+def rank_domains(stats: DomainStats) -> list[str]:
+    """Domains in descending median order; ties break by name ascending."""
+    order = sorted(range(len(stats.domains)), key=lambda j: (-stats.median[j], stats.domains[j]))
     return [stats.domains[j] for j in order]
 
 
@@ -248,7 +240,7 @@ def write_matrix(m: SparseMatrix, prefix: str | Path) -> list[Path]:
         "nnz": m.nnz,
         "provenance": getattr(m, "provenance", None),
     }
-    written.append(write_sidecar(sidecar, meta))
+    written.append(write_json(sidecar, meta))
     return written
 
 

@@ -25,6 +25,17 @@ def _check_domain(domain: str) -> None:
         raise ValueError(f"domain carries a scheme prefix: {domain!r}")
 
 
+def _check_activity(nbytes: int, http_requests: int, domain: str) -> None:
+    """The count and domain checks of a session or raw event, in their fixed order."""
+    if nbytes < 0:
+        raise ValueError(f"negative bytes: {nbytes}")
+    if http_requests < 0:
+        raise ValueError(f"negative http_requests: {http_requests}")
+    _check_float_range("bytes", nbytes)
+    _check_float_range("http_requests", http_requests)
+    _check_domain(domain)
+
+
 @dataclass(frozen=True)
 class SessionRecord:
     """One aggregated network session of one user on one domain."""
@@ -44,13 +55,7 @@ class SessionRecord:
             raise ValueError(f"non-finite duration: {self.duration}")
         if self.duration < 0:
             raise ValueError(f"negative duration: {self.duration}")
-        if self.bytes < 0:
-            raise ValueError(f"negative bytes: {self.bytes}")
-        if self.http_requests < 0:
-            raise ValueError(f"negative http_requests: {self.http_requests}")
-        _check_float_range("bytes", self.bytes)
-        _check_float_range("http_requests", self.http_requests)
-        _check_domain(self.domain)
+        _check_activity(self.bytes, self.http_requests, self.domain)
 
 
 @dataclass(frozen=True)
@@ -94,10 +99,4 @@ class RawEvent:
     http_requests: int
 
     def __post_init__(self):
-        if self.bytes < 0:
-            raise ValueError(f"negative bytes: {self.bytes}")
-        if self.http_requests < 0:
-            raise ValueError(f"negative http_requests: {self.http_requests}")
-        _check_float_range("bytes", self.bytes)
-        _check_float_range("http_requests", self.http_requests)
-        _check_domain(self.domain)
+        _check_activity(self.bytes, self.http_requests, self.domain)

@@ -7,12 +7,12 @@ report on identical inputs is bit-identical.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._store import write_json
 from .matrix import FeatureMatrix
 from .records import DemographicRecord, TransactionRecord
 
@@ -161,29 +161,19 @@ class SpendReport:
 
 
 def spend_distribution(
-    labels: np.ndarray,
-    k: int,
-    user_ids,
-    transactions: list[TransactionRecord],
-    bins=None,
+    labels: np.ndarray, k: int, user_ids, transactions: list[TransactionRecord]
 ) -> SpendReport:
     """Per-user total spend histogrammed and averaged per cluster.
 
-    Users without transactions count as total 0. ``bins`` is an explicit
-    increasing edge sequence; by default 10 equal-width bins span
+    Users without transactions count as total 0. Ten equal-width bins span
     [0, max total] (the last bin is closed so every total lands somewhere).
     """
     spent: dict[str, float] = {}
     for t in transactions:
         spent[t.user_id] = spent.get(t.user_id, 0.0) + t.amount
     totals = np.array([spent.get(uid, 0.0) for uid in user_ids])
-    if bins is None:
-        top = float(totals.max()) if totals.size and totals.max() > 0 else 1.0
-        edges = np.linspace(0.0, top, 11)
-    else:
-        edges = np.asarray(bins, dtype=np.float64)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise ValueError("bin edges must be an increasing sequence")
+    top = float(totals.max()) if totals.size and totals.max() > 0 else 1.0
+    edges = np.linspace(0.0, top, 11)
     n_bins = edges.size - 1
     pos = np.searchsorted(edges, totals, side="right") - 1
     pos = np.clip(pos, 0, n_bins - 1)  # closed outer bins: everything tallies
@@ -296,6 +286,4 @@ def summary_dict(
 
 
 def write_summary(path: str | Path, summary: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(Path(path), summary)

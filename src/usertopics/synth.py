@@ -201,23 +201,20 @@ def _draw_session_count(spec: SynthSpec, rng: np.random.Generator) -> int:
     return int(rng.integers(spec.sessions_lo, spec.sessions_hi + 1))
 
 
-def generate(
-    spec: SynthSpec, seed: int | None = None
-) -> tuple[list[SessionRecord], GroundTruth]:
+def generate(spec: SynthSpec) -> tuple[list[SessionRecord], GroundTruth]:
     """Sample a session corpus and its planted topic labels.
 
-    ``seed`` overrides ``spec.seed``; each user draws from an independent
-    generator derived from (seed, user index), so output never depends on
-    generation order.
+    Each user draws from an independent generator derived from
+    (``spec.seed``, user index), so output never depends on generation
+    order.
     """
-    base_seed = spec.seed if seed is None else seed
     sessions: list[SessionRecord] = []
     user_ids = tuple(f"u{idx:05d}" for idx in range(spec.n_users))
     mixtures = np.zeros((spec.n_users, spec.n_topics))
     topic_cum = np.cumsum(spec.topic_word, axis=1)
     log_median = np.log(spec.bytes_median)
     for idx in range(spec.n_users):
-        rng = np.random.default_rng((base_seed, idx))
+        rng = np.random.default_rng((spec.seed, idx))
         if spec.user_topic_mode == "hard":
             topic = int(rng.integers(spec.n_topics))
             mixtures[idx, topic] = 1.0

@@ -212,7 +212,7 @@ def parse_sessions_rows(source, *, delimiter=",", fail_fast=False, truncate_doma
     return records, errors
 
 
-def profile_oracle(sessions, metric="bytes", canonical_order=True):
+def profile_oracle(sessions, metric="bytes"):
     """Dict-of-lists aggregation with math.fsum per (user, domain) cell."""
     from usertopics.matrix import ProfileMatrix, csr_from_triplets
 
@@ -232,8 +232,8 @@ def profile_oracle(sessions, metric="bytes", canonical_order=True):
         cells.setdefault((s.user_id, s.domain), []).append(value(s))
     totals = {key: math.fsum(vals) for key, vals in cells.items()}
     kept = [d for d in domains if any(v > 0 for (_, e), v in totals.items() if e == d)]
-    users = sorted(users) if canonical_order else list(users)
-    kept = sorted(kept) if canonical_order else kept
+    users = sorted(users)
+    kept = sorted(kept)
     upos = {u: i for i, u in enumerate(users)}
     dpos = {d: j for j, d in enumerate(kept)}
     triplets = [(upos[u], dpos[d], v) for (u, d), v in totals.items() if v > 0]

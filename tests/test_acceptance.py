@@ -75,7 +75,7 @@ def test_criterion_1_tfidf_exactness():
             # map back into the dense column space (all-zero columns are
             # dropped by construction and never carry oracle entries)
             got = np.zeros(dense.shape)
-            for name, jm in f.domain_pos.items():
+            for jm, name in enumerate(f.domains):
                 got[:, int(name[1:])] = arr[:, jm]
             expected = tfidf_oracle(dense.tolist())
             checked = np.zeros_like(got, dtype=bool)
@@ -102,7 +102,7 @@ def test_criterion_2_popular_domain_suppression():
         )
         sessions, _ = generate(spec)
         profile = build_profile_matrix(sessions)
-        j_univ = profile.domain_pos["portal.example"]
+        j_univ = profile.domains.index("portal.example")
         assert profile.column_counts()[j_univ] == profile.n_users
 
         feature = tfidf(profile)

@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from usertopics import cli
+from usertopics import cli, lsa
 from usertopics.matrix import SparseMatrix, csr_from_triplets, write_matrix
 from usertopics.synth import read_truth
 
@@ -429,6 +429,34 @@ class TestPipelineRunner:
         assert run(["ingest", "--workspace", ws, "--sessions", log, "--metric", "duration"]) == 0
         assert run([*PIPELINE_ARGV["cluster"], "--workspace", ws]) == 2
         assert capsys.readouterr().err == "data error: TF weight of user 'u1' is not finite\n"
+
+    def test_svd_over_byte_cap_runs_randomized(self, ingested_ws, monkeypatch):
+        argv = ["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4]
+        assert run(argv) == 0
+        results = json.loads((ingested_ws / "manifest.json").read_text())["results"]
+        assert results["svd_method"] == "exact"
+        dense_bytes = SPEC["n_users"] * SPEC["n_domains"] * 8
+        monkeypatch.setattr(lsa, "EXACT_METHOD_MAX_BYTES", dense_bytes - 1)
+        assert run(argv) == 0
+        results = json.loads((ingested_ws / "manifest.json").read_text())["results"]
+        assert results["svd_method"] == "randomized"
+
+    @pytest.mark.parametrize("command", ["cluster", "report"])
+    def test_spend_total_beyond_float64_exits_2(self, tmp_path, ingested_ws, capsys, command):
+        tx = tmp_path / "tx.csv"
+        tx.write_text("user_id,timestamp,amount\n" + "u00000,2014-09-01T00:00:00Z,1e308\n" * 2)
+        argv = [command, "--workspace", ingested_ws, "--transactions", tx]
+        if command == "report":
+            assert run(["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4]) == 0
+        else:
+            argv += ["-M", 4, "-K", 4]
+        written = {p.name: p.read_bytes() for p in ingested_ws.iterdir() if p.is_file()}
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            "data error: amount total of user 'u00000' is beyond the float64 range\n"
+        )
+        assert {p.name: p.read_bytes() for p in ingested_ws.iterdir() if p.is_file()} == written
 
     def test_hand_written_profile_total_beyond_float64_exits_2(self, tmp_path, capsys):
         ws = tmp_path / "ws"

@@ -35,7 +35,7 @@ class TestParseSessions:
         )
         assert len(rep.records) == 1
         assert rep.n_errors == 0
-        rec = rep.records[0]
+        rec = rep.records.to_records()[0]
         assert rec.bytes == 1024
         assert rec.domain == "example.com"
         assert rec.duration == 120.0
@@ -69,7 +69,7 @@ class TestParseSessions:
             "u1,2014-09-01T10:00:00Z,1,ap1,a.com,isp,1,web," + str(2**1023),
         ))
         assert rep.errors == [(2, "bytes beyond the float64 range: 401 digits")]
-        assert rep.records[0].bytes == 2**1023  # beyond int64, kept exactly
+        assert rep.records.to_records()[0].bytes == 2**1023  # beyond int64, kept exactly
         assert build_profile_matrix(rep.records).data.tolist() == [float(2**1023)]
 
     def test_raw_event_bytes_beyond_float64_skipped(self):
@@ -98,7 +98,7 @@ class TestParseSessions:
             ),
             delimiter=";",
         )
-        assert rep.records[0].bytes == 7
+        assert rep.records.to_records()[0].bytes == 7
 
     def test_roundtrip_through_writer(self, tmp_path):
         sessions = [make_session(t=1409560000, bytes=5, duration=12.5)]
@@ -175,6 +175,15 @@ class TestParseTransactions:
         assert rep.records == [] and rep.n_errors == 1
         assert "non-finite amount" in rep.errors[0][1]
 
+    @pytest.mark.parametrize(
+        "users, message",
+        [(("u1", "u1"), "of user 'u1'"), (("u1", "u2"), "over all users")],
+    )
+    def test_total_beyond_float64_raises(self, users, message):
+        rows = "".join(f"{u},2014-09-01T10:00:00Z,1e308\n" for u in users)
+        with pytest.raises(ParseError, match=f"^amount total {message} is beyond the float64"):
+            parse_transactions(io.StringIO("user_id,timestamp,amount\n" + rows))
+
 
 PARSERS = {
     "sessions": (parse_sessions, SESS_HEADER, "u1,2014-09-01T10:00:00Z,1,ap1,a.com,isp,1,web,5\n"),
@@ -232,6 +241,7 @@ class TestSessionize:
         assert sessions[0].duration == 480
         assert sessions[0].start_time == 0
         assert sessions[0].bytes == 30
+        assert sessionize(events[::-1], 300) == sessions  # input order does not matter
 
     def test_splits_at_gap(self):
         sessions = sessionize([make_event(t=0), make_event(t=360)], 300)
@@ -263,12 +273,6 @@ class TestSessionize:
             sessionize([make_event()], 0)
         with pytest.raises(ValueError):
             sessionize([make_event()], -1)
-
-    def test_unsorted_with_sorting_disabled(self):
-        events = [make_event(t=100), make_event(t=0)]
-        with pytest.raises(ValueError, match="sorted"):
-            sessionize(events, 300, assume_sorted=True)
-        assert len(sessionize(events, 300)) == 1
 
     @given(
         st.lists(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from usertopics import lsa
 from usertopics.lsa import (
     canonicalize_signs,
     load_model,
@@ -55,9 +56,18 @@ class TestTruncatedSvd:
         with pytest.raises(ValueError):
             truncated_svd(f, 7)
 
-    def test_auto_method_threshold(self, rng):
+    def test_auto_method_threshold(self, rng, monkeypatch):
         f = dense_to_feature(decay_matrix(rng, 30, 20))
         assert truncated_svd(f, 3).method == "exact"
+        # exact while min(N_u, N_d) <= EXACT_METHOD_MAX_DIM and N_u * N_d * 8 bytes
+        # <= EXACT_METHOD_MAX_BYTES; randomized one step past either bound
+        bounds = (("EXACT_METHOD_MAX_DIM", 20), ("EXACT_METHOD_MAX_BYTES", 30 * 20 * 8))
+        for name, at_bound in bounds:
+            monkeypatch.setattr(lsa, name, at_bound)
+            assert truncated_svd(f, 3).method == "exact"
+            monkeypatch.setattr(lsa, name, at_bound - 1)
+            assert truncated_svd(f, 3).method == "randomized"
+            monkeypatch.undo()
 
     def test_randomized_deterministic(self, rng):
         f = dense_to_feature(decay_matrix(rng, 60, 50))

@@ -54,12 +54,12 @@ class TestRankDomains:
     def test_descending(self):
         m = matrix_from_dense([[2, 5]])
         stats = domain_stats(m)
-        assert rank_domains(stats, "median") == ["d0001", "d0000"]
+        assert rank_domains(stats) == ["d0001", "d0000"]
 
     def test_tie_breaks_by_name(self):
         m = matrix_from_dense([[3, 3]])
         stats = domain_stats(m)
-        assert rank_domains(stats, "median") == ["d0000", "d0001"]
+        assert rank_domains(stats) == ["d0000", "d0001"]
 
     def test_empty(self):
         stats = domain_stats(matrix_from_dense(np.zeros((0, 0))))
@@ -68,13 +68,7 @@ class TestRankDomains:
     def test_is_permutation(self, rng):
         m = matrix_from_dense(random_dense_positive(rng))
         stats = domain_stats(m)
-        for by in ("median", "total", "n_j"):
-            assert sorted(rank_domains(stats, by)) == sorted(m.domains)
-
-    def test_unknown_key(self):
-        stats = domain_stats(matrix_from_dense([[1]]))
-        with pytest.raises(ValueError):
-            rank_domains(stats, "bogus")
+        assert sorted(rank_domains(stats)) == sorted(m.domains)
 
 
 class TestMatrixIO:

@@ -163,10 +163,6 @@ class TestSpend:
         rep = spend_distribution(np.array([0, 1, 0]), 2, ["u0", "u2", "unseen"], TX)
         assert rep.counts.sum(axis=1).tolist() == [2, 1]
 
-    def test_explicit_edges(self):
-        rep = spend_distribution(np.array([0, 0]), 1, ["u0", "u2"], TX, bins=[0, 30, 50])
-        assert rep.counts.tolist() == [[1, 1]]
-
 
 class TestDeterminism:
     def test_reports_bit_identical(self, rng):

@@ -88,10 +88,8 @@ class TestDifferential:
         assert report.records.to_records() == records
         assert len(report.records) == len(records)
         for metric in PROFILE_METRICS:
-            for canonical in (True, False):
-                got = build_profile_matrix(report.records, metric, canonical_order=canonical)
-                want = profile_oracle(records, metric, canonical_order=canonical)
-                assert matrices_equal(got, want), (metric, canonical)
+            got = build_profile_matrix(report.records, metric)
+            assert matrices_equal(got, profile_oracle(records, metric)), metric
 
     @given(session_logs(), st.sampled_from([1, 2, 5, 2048]))
     def test_fail_fast_raises_at_first_bad_row(self, text, chunk_rows):
@@ -154,11 +152,7 @@ class TestSessionTable:
         table = SessionTable.from_records(sessions)
         assert len(table) == 3
         assert table.to_records() == sessions
-        assert list(table) == sessions
-        assert table[0] == sessions[0] and table[-1] == sessions[-1]
         assert table.users == ("b", "a") and table.domains == ("x.com", "y.com")
-        with pytest.raises(IndexError):
-            table[3]
 
     def test_empty(self):
         table = SessionTable.from_records([])
@@ -169,7 +163,7 @@ class TestSessionTable:
         text = ",".join(SESSION_COLUMNS) + "\n" + ",".join(
             GOOD_ROW[:8] + ("99999999999999999999999",)) + "\n"
         report = parse_sessions(io.StringIO(text))
-        assert report.records[0].bytes == 99999999999999999999999
+        assert report.records.to_records()[0].bytes == 99999999999999999999999
         matrix = build_profile_matrix(report.records)
         assert matrix.data.tolist() == [float(99999999999999999999999)]
 
