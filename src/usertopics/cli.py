@@ -151,7 +151,10 @@ def cmd_synth(args) -> int:
     with _workspace_lock(out_dir):
         watch = _Stopwatch()
         with watch.stage("generate"):
-            sessions, truth = synth.generate(spec)
+            try:
+                sessions, truth = synth.generate(spec)
+            except ValueError as exc:
+                raise UsageError(f"synth spec {spec_path}: {exc}") from exc
         with watch.stage("write"):
             ingest.write_sessions_csv(sessions, out_dir / "sessions.csv")
             synth.write_truth(truth, out_dir / "truth.csv")

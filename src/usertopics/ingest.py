@@ -10,7 +10,7 @@ the parse with a :class:`ParseError` naming its csv record.
 Session logs, the large input, are parsed column by column into a
 :class:`SessionTable`. The log is read in chunks of :data:`CHUNK_ROWS`
 rows. Each chunk's columns are validated in bulk: numbers through one
-``map`` over the column, domains once per distinct raw string, the
+``map`` over the column, domains and user ids once per distinct raw string, the
 finiteness and sign checks as array comparisons. The chunk is then
 encoded to int64 codes and numeric arrays before the next one is read, so
 memory grows with the vocabularies and the numeric columns, not with the
@@ -43,6 +43,7 @@ from .records import (
     SessionRecord,
     TransactionRecord,
     _check_domain,
+    _check_user_id,
 )
 
 log = logging.getLogger(__name__)
@@ -129,6 +130,24 @@ def parse_timestamp(text: str) -> int:
 
 def format_timestamp(epoch: int) -> str:
     return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
+
+
+# epochs of 0001-01-01T00:00:00 and 9999-12-31T23:59:59 UTC, the datetime range
+_EPOCH_RANGE = (-62135596800, 253402300799)
+
+
+def format_timestamps(epochs: np.ndarray) -> list[str]:
+    """:func:`format_timestamp` over an integer column, byte for byte.
+
+    Epochs outside the datetime range, or held as Python ints, go through
+    :func:`format_timestamp` one by one, so they raise its error.
+    """
+    if epochs.dtype == object or (
+        epochs.size and (epochs.min() < _EPOCH_RANGE[0] or epochs.max() > _EPOCH_RANGE[1])
+    ):
+        return list(map(format_timestamp, epochs.tolist()))
+    text = np.datetime_as_string(epochs.astype("datetime64[s]"), unit="s").tolist()
+    return [t + "+00:00" for t in text]
 
 
 # what reading a csv record can raise: an over-long field, undecodable bytes
@@ -228,6 +247,15 @@ def _int_array(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
+def _bad_activity(duration, http_requests, nbytes) -> np.ndarray:
+    """Rows that may fail a SessionRecord number check: a non-finite or
+    negative duration, a negative count or one beyond the float64 range."""
+    bad = ~np.isfinite(duration) | (duration < 0)
+    for col in (http_requests, nbytes):
+        bad |= (col < 0) | (col > sys.float_info.max)
+    return bad
+
+
 class _Vocabulary:
     """Dict-encodes strings to int64 codes in first-appearance order.
 
@@ -304,6 +332,8 @@ class SessionTable:
             raise ValueError("columns or vocabularies do not match the SessionRecord fields")
         if len({col.shape for col in self.columns.values()}) != 1:
             raise ValueError("columns differ in length")
+        if any(len(set(values)) != len(values) for values in self.vocab.values()):
+            raise ValueError("a vocabulary repeats a value")
 
     @classmethod
     def from_records(cls, records) -> SessionTable:
@@ -332,12 +362,29 @@ class SessionTable:
     def __len__(self) -> int:
         return int(self.columns["user_id"].size)
 
-    def _values(self, name: str) -> list:
-        values = self.columns[name].tolist()
+    def _values(self, name: str, rows=slice(None)) -> list:
+        """One column's values as Python objects, strings decoded."""
+        values = self.columns[name][rows]
         if name in self.vocab:
-            vocab = self.vocab[name]
-            values = [vocab[code] for code in values]
-        return values
+            values = np.array(self.vocab[name], dtype=object)[values]
+        return values.tolist()
+
+    def check_rows(self) -> None:
+        """Apply the :class:`SessionRecord` checks in bulk, for a table built
+        from columns rather than from records or a parse.
+
+        The number checks run over the columns, the domain and user_id
+        checks once per vocabulary value. A failing row raises the
+        ValueError its record would.
+        """
+        cols = self.columns
+        flagged = _bad_activity(cols["duration"], cols["http_requests"], cols["bytes"])
+        for i in np.flatnonzero(flagged).tolist():
+            SessionRecord(*(self._values(name, [i])[0] for name in _SESSION_FIELDS))
+        for domain in self.domains:
+            _check_domain(domain)
+        for user_id in self.users:
+            _check_user_id(user_id)
 
     def to_records(self) -> list[SessionRecord]:
         columns = [self._values(name) for name in _SESSION_FIELDS]
@@ -388,6 +435,24 @@ def _convert_column(texts, convert, bad: np.ndarray, fill) -> list:
     return out
 
 
+def _valid_or_blank(cache: dict, texts, clean) -> list[str]:
+    """``clean`` once per distinct text, cached; "" where it raises ValueError."""
+    values = list(map(cache.get, texts))
+    if None in values:
+        for i, value in enumerate(values):
+            if value is None:
+                raw = texts[i]
+                value = cache.get(raw)
+                if value is None:
+                    try:
+                        value = clean(raw)
+                    except ValueError:
+                        value = ""
+                    cache[raw] = value
+                values[i] = value
+    return values
+
+
 def _read_chunk(reader, n: int):
     """Up to ``n`` rows, and the read error that cut them short, if any."""
     rows = []
@@ -407,26 +472,22 @@ class _SessionChunkParser:
         self.fail_fast = fail_fast
         self.truncate = truncate_domains
         self.table = _TableChunks(
-            {name: str.strip for name in _STRING_FIELDS if name != "domain"}
+            {name: str.strip for name in _STRING_FIELDS if name not in ("domain", "user_id")}
         )
-        self._domains: dict[str, str] = {}  # raw text -> valid domain, or "" if invalid
+        # raw text -> valid value, or "" if invalid
+        self._domains: dict[str, str] = {}
+        self._users: dict[str, str] = {}
 
-    def _normalize_domains(self, texts) -> list[str]:
-        domains = list(map(self._domains.get, texts))
-        if None in domains:
-            for i, domain in enumerate(domains):
-                if domain is None:
-                    raw = texts[i]
-                    domain = self._domains.get(raw)
-                    if domain is None:
-                        domain = normalize_domain(raw, truncate=self.truncate)
-                        try:
-                            _check_domain(domain)
-                        except ValueError:
-                            domain = ""
-                        self._domains[raw] = domain
-                    domains[i] = domain
-        return domains
+    def _domain(self, raw: str) -> str:
+        domain = normalize_domain(raw, truncate=self.truncate)
+        _check_domain(domain)
+        return domain
+
+    @staticmethod
+    def _user_id(raw: str) -> str:
+        user_id = raw.strip()
+        _check_user_id(user_id)
+        return user_id
 
     def add(self, rows: list, first_line: int) -> None:
         """Parse one chunk whose first row is csv record ``first_line``."""
@@ -448,18 +509,17 @@ class _SessionChunkParser:
             "duration": np.array(_convert_column(texts["duration_s"], float, bad, 0.0)),
             "http_requests": _int_array(_convert_column(texts["http_requests"], int, bad, 0)),
             "bytes": _int_array(_convert_column(texts["bytes"], int, bad, 0)),
-            "domain": self._normalize_domains(texts["domain"]),
+            "domain": _valid_or_blank(self._domains, texts["domain"], self._domain),
+            "user_id": _valid_or_blank(self._users, texts["user_id"], self._user_id),
         }
-        duration = cols["duration"]
-        bad |= ~np.isfinite(duration) | (duration < 0)
-        for name in ("http_requests", "bytes"):
-            bad |= (cols[name] < 0) | (cols[name] > sys.float_info.max)
-        if "" in cols["domain"]:
-            bad[[j for j, d in enumerate(cols["domain"]) if not d]] = True
+        bad |= _bad_activity(cols["duration"], cols["http_requests"], cols["bytes"])
+        for name in ("domain", "user_id"):
+            if "" in cols[name]:
+                bad[[j for j, v in enumerate(cols[name]) if not v]] = True
         flagged = [(full_pos[j], j) for j in np.flatnonzero(bad).tolist()]
         self._convert_flagged(rows, first_line, sorted(flagged + other), (bad, cols))
         cols["start_time"] = np.array(cols["start_time"], dtype=np.int64)
-        for name in ("user_id", "location", "isp", "service_class"):
+        for name in ("location", "isp", "service_class"):
             cols[name] = texts[name]
         if bad.any():
             keep = np.flatnonzero(~bad).tolist()
@@ -602,26 +662,22 @@ def parse_raw_events(
 
 
 def write_sessions_csv(sessions, path) -> None:
-    """Write sessions in the format parse_sessions reads back."""
+    """Write sessions in the format parse_sessions reads back.
+
+    ``sessions`` is a :class:`SessionTable` or a list of session records;
+    the table is written column by column.
+    """
+    if not isinstance(sessions, SessionTable):
+        sessions = SessionTable.from_records(sessions)
+    columns = {name: sessions._values(name) for name in _SESSION_FIELDS}
+    columns["start_time"] = format_timestamps(sessions.columns["start_time"])
+    columns["duration"] = map(repr, columns["duration"])
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SESSION_COLUMNS)
-        for s in sessions:
-            writer.writerow(
-                [
-                    s.user_id,
-                    format_timestamp(s.start_time),
-                    repr(float(s.duration)),
-                    s.location,
-                    s.domain,
-                    s.isp,
-                    s.http_requests,
-                    s.service_class,
-                    s.bytes,
-                ]
-            )
+        writer.writerows(zip(*columns.values()))
 
 
 # --------------------------------------------------------------------------

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 GENDERS = frozenset({"male", "female", "unknown"})
+
+# Unicode category Cc: C0 controls, DEL and C1 controls
+_CONTROL_CHAR = re.compile("[\x00-\x1f\x7f-\x9f]")
 
 
 def _check_float_range(name: str, value: int) -> None:
@@ -21,8 +25,15 @@ def _check_domain(domain: str) -> None:
         raise ValueError("domain must be non-empty")
     if any(ch.isspace() for ch in domain):
         raise ValueError(f"domain contains whitespace: {domain!r}")
+    if _CONTROL_CHAR.search(domain):
+        raise ValueError(f"domain contains a control character: {domain!r}")
     if "://" in domain:
         raise ValueError(f"domain carries a scheme prefix: {domain!r}")
+
+
+def _check_user_id(user_id: str) -> None:
+    if not user_id.strip():
+        raise ValueError("empty user_id")
 
 
 def _check_activity(nbytes: int, http_requests: int, domain: str) -> None:
@@ -56,6 +67,7 @@ class SessionRecord:
         if self.duration < 0:
             raise ValueError(f"negative duration: {self.duration}")
         _check_activity(self.bytes, self.http_requests, self.domain)
+        _check_user_id(self.user_id)
 
 
 @dataclass(frozen=True)
@@ -71,6 +83,7 @@ class DemographicRecord:
     def __post_init__(self):
         if self.gender not in GENDERS:
             raise ValueError(f"unknown gender value: {self.gender!r}")
+        _check_user_id(self.user_id)
 
 
 @dataclass(frozen=True)
@@ -86,6 +99,7 @@ class TransactionRecord:
             raise ValueError(f"non-finite amount: {self.amount}")
         if self.amount < 0:
             raise ValueError(f"negative amount: {self.amount}")
+        _check_user_id(self.user_id)
 
 
 @dataclass(frozen=True)
@@ -100,3 +114,4 @@ class RawEvent:
 
     def __post_init__(self):
         _check_activity(self.bytes, self.http_requests, self.domain)
+        _check_user_id(self.user_id)

@@ -25,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .records import SessionRecord
+from .ingest import SessionTable, _int_array
+from .records import _check_domain
 
 _BASE_EPOCH = int(datetime(2014, 9, 1, tzinfo=timezone.utc).timestamp())
 
@@ -109,7 +110,12 @@ class SynthSpec:
             raise ValueError("bad sessions_per_user range")
         if not 0.0 <= self.universal_share < 1.0:
             raise ValueError("universal_share must lie in [0, 1)")
-        if self.bytes_median <= 0 or self.bytes_sigma < 0:
+        if self.universal_domain is not None:
+            if not isinstance(self.universal_domain, str):
+                raise ValueError("universal_domain must be a string")
+            if self.universal_domain:
+                _check_domain(self.universal_domain)
+        if not (self.bytes_median > 0 and self.bytes_sigma >= 0):  # NaN fails too
             raise ValueError("bad byte distribution parameters")
         if not self.domain_names:
             object.__setattr__(
@@ -201,18 +207,34 @@ def _draw_session_count(spec: SynthSpec, rng: np.random.Generator) -> int:
     return int(rng.integers(spec.sessions_lo, spec.sessions_hi + 1))
 
 
-def generate(spec: SynthSpec) -> tuple[list[SessionRecord], GroundTruth]:
+def _first_appearance(codes: np.ndarray, names) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Re-code indices into ``names`` as codes into the names that occur,
+    in first-appearance order; equal names share one code."""
+    first: dict[str, int] = {}
+    canonical = np.array([first.setdefault(name, i) for i, name in enumerate(names)])
+    codes = canonical[codes]
+    present, first_row = np.unique(codes, return_index=True)
+    order = present[np.argsort(first_row)]
+    recode = np.empty(len(names), dtype=np.int64)
+    recode[order] = np.arange(order.size)
+    return recode[codes], tuple(names[i] for i in order.tolist())
+
+
+def generate(spec: SynthSpec) -> tuple[SessionTable, GroundTruth]:
     """Sample a session corpus and its planted topic labels.
 
     Each user draws from an independent generator derived from
     (``spec.seed``, user index), so output never depends on generation
-    order.
+    order. The per-user draws are joined into columns once; a byte draw
+    beyond the float64 range raises ValueError.
     """
-    sessions: list[SessionRecord] = []
     user_ids = tuple(f"u{idx:05d}" for idx in range(spec.n_users))
     mixtures = np.zeros((spec.n_users, spec.n_topics))
-    topic_cum = np.cumsum(spec.topic_word, axis=1)
-    log_median = np.log(spec.bytes_median)
+    counts = np.empty(spec.n_users, dtype=np.int64)
+    n_universal = np.zeros(spec.n_users, dtype=np.int64)
+    parts: dict[str, list[np.ndarray]] = {
+        name: [] for name in ("topic", "word", "size", "duration", "location", "requests")
+    }
     for idx in range(spec.n_users):
         rng = np.random.default_rng((spec.seed, idx))
         if spec.user_topic_mode == "hard":
@@ -223,51 +245,75 @@ def generate(spec: SynthSpec) -> tuple[list[SessionRecord], GroundTruth]:
         else:
             alpha = np.full(spec.n_topics, spec.mixed_concentration)
             mixtures[idx] = rng.dirichlet(alpha)
-        n_sessions = _draw_session_count(spec, rng)
-        n_universal = (
-            max(1, int(round(spec.universal_share * n_sessions)))
-            if spec.universal_domain
-            else 0
+        n_sessions = counts[idx] = _draw_session_count(spec, rng)
+        if spec.universal_domain:
+            n_universal[idx] = max(1, int(round(spec.universal_share * n_sessions)))
+        n_topic_sessions = n_sessions - n_universal[idx]
+        parts["topic"].append(
+            np.searchsorted(np.cumsum(mixtures[idx]), rng.random(n_topic_sessions), side="right")
         )
-        n_topic_sessions = n_sessions - n_universal
-        mix_cum = np.cumsum(mixtures[idx])
-        topics = np.searchsorted(
-            mix_cum, rng.random(n_topic_sessions), side="right"
-        ).clip(0, spec.n_topics - 1)
-        rvals = rng.random(n_topic_sessions)
-        domain_idx = np.empty(n_topic_sessions, dtype=np.int64)
-        for t in np.unique(topics):
-            mask = topics == t
-            domain_idx[mask] = np.searchsorted(topic_cum[t], rvals[mask], side="right")
-        domain_idx = domain_idx.clip(0, spec.n_domains - 1)
-        domains = [spec.domain_names[j] for j in domain_idx]
-        domains.extend([spec.universal_domain] * n_universal)
-        nbytes = np.maximum(
-            1,
-            np.rint(
-                np.exp(log_median + spec.bytes_sigma * rng.standard_normal(n_sessions))
-            ),
+        parts["word"].append(rng.random(n_topic_sessions))
+        parts["size"].append(rng.standard_normal(n_sessions))
+        parts["duration"].append(rng.integers(30, 900, size=n_sessions))
+        parts["location"].append(rng.integers(0, 50, size=n_sessions))
+        parts["requests"].append(rng.poisson(4.0, size=n_sessions))
+    draws = {name: np.concatenate(arrays) for name, arrays in parts.items()}
+    users = np.repeat(np.arange(spec.n_users), counts)
+    first_row = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    session_idx = np.arange(users.size) - np.repeat(first_row, counts)
+
+    # topic sessions draw a domain from their topic's word distribution
+    topics = draws["topic"].clip(0, spec.n_topics - 1)
+    topic_domains = np.empty(topics.size, dtype=np.int64)
+    topic_cum = np.cumsum(spec.topic_word, axis=1)
+    for t in np.unique(topics):
+        mask = topics == t
+        topic_domains[mask] = np.searchsorted(topic_cum[t], draws["word"][mask], side="right")
+    # each user's topic sessions come first, then its universal ones (code n_domains)
+    domains = np.full(users.size, spec.n_domains, dtype=np.int64)
+    domains[session_idx < (counts - n_universal)[users]] = topic_domains.clip(
+        0, spec.n_domains - 1
+    )
+
+    with np.errstate(over="ignore"):
+        size = np.exp(np.log(spec.bytes_median) + spec.bytes_sigma * draws["size"])
+    if not np.isfinite(size).all():
+        raise ValueError(
+            f"byte draw beyond the float64 range (bytes_median {spec.bytes_median!r}, "
+            f"bytes_sigma {spec.bytes_sigma!r})"
         )
-        durations = rng.integers(30, 900, size=n_sessions)
-        locations = rng.integers(0, 50, size=n_sessions)
-        requests = 1 + rng.poisson(4.0, size=n_sessions)
-        for s_idx, domain in enumerate(domains):
-            sessions.append(
-                SessionRecord(
-                    user_id=user_ids[idx],
-                    start_time=_BASE_EPOCH + idx * 7 + s_idx * 3600,
-                    duration=float(durations[s_idx]),
-                    location=f"ap{int(locations[s_idx]):03d}",
-                    domain=domain,
-                    isp="campus",
-                    http_requests=int(requests[s_idx]),
-                    service_class="web",
-                    bytes=int(nbytes[s_idx]),
-                )
-            )
+    nbytes = np.maximum(1, np.rint(size))
+
+    domain_codes, domain_vocab = _first_appearance(
+        domains, (*spec.domain_names, spec.universal_domain)
+    )
+    location_codes, location_vocab = _first_appearance(
+        draws["location"], tuple(f"ap{j:03d}" for j in range(50))
+    )
+    table = SessionTable(
+        columns={
+            "user_id": users,
+            "start_time": _BASE_EPOCH + users * 7 + session_idx * 3600,
+            "duration": draws["duration"].astype(np.float64),
+            "location": location_codes,
+            "domain": domain_codes,
+            "isp": np.zeros(users.size, dtype=np.int64),
+            "http_requests": 1 + draws["requests"],
+            "service_class": np.zeros(users.size, dtype=np.int64),
+            "bytes": _int_array(list(map(int, nbytes.tolist()))),
+        },
+        vocab={
+            "user_id": user_ids,
+            "location": location_vocab,
+            "domain": domain_vocab,
+            "isp": ("campus",),
+            "service_class": ("web",),
+        },
+    )
+    table.check_rows()
     dominant = np.argmax(mixtures, axis=1).astype(np.int64)
     truth = GroundTruth(user_ids=user_ids, dominant=dominant, topic_mix=mixtures)
-    return sessions, truth
+    return table, truth
 
 
 def write_truth(truth: GroundTruth, path: str | Path) -> None:

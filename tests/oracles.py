@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: scalar arithmetic, exhaustive
 enumeration, pair counting, one record per row. None of it shares code
-with the package beyond the record types and the scalar helpers
-``parse_timestamp`` and ``normalize_domain``.
+with the package beyond the record types, the scalar helpers
+``parse_timestamp`` and ``normalize_domain``, and the constants
+``SESSION_COLUMNS`` and ``synth._BASE_EPOCH``.
 """
 
 from __future__ import annotations
@@ -250,3 +251,95 @@ def profile_oracle(sessions, metric="bytes"):
         users=tuple(users),
         domains=tuple(kept),
     )
+
+
+def generate_records(spec):
+    """Per-record synth reference: (sessions, dominant topics).
+
+    The reference for ``synth.generate``: one generator per user from
+    (``spec.seed``, user index), drawn in the same order and sizes, and one
+    ``SessionRecord`` per session.
+    """
+    from usertopics.records import SessionRecord
+    from usertopics.synth import _BASE_EPOCH
+
+    sessions = []
+    dominant = []
+    topic_cum = np.cumsum(spec.topic_word, axis=1)
+    log_median = np.log(spec.bytes_median)
+    for idx in range(spec.n_users):
+        rng = np.random.default_rng((spec.seed, idx))
+        mixture = np.zeros(spec.n_topics)
+        if spec.user_topic_mode == "hard":
+            mixture[int(rng.integers(spec.n_topics))] = 1.0
+        elif spec.fixed_mixture is not None:
+            mixture[:] = spec.fixed_mixture
+        else:
+            mixture[:] = rng.dirichlet(np.full(spec.n_topics, spec.mixed_concentration))
+        dominant.append(int(np.argmax(mixture)))
+        if spec.sessions_dist == "fixed":
+            n_sessions = spec.sessions_lo
+        elif spec.sessions_dist == "poisson":
+            n_sessions = max(1, int(rng.poisson(spec.sessions_lo)))
+        else:
+            n_sessions = int(rng.integers(spec.sessions_lo, spec.sessions_hi + 1))
+        n_universal = (
+            max(1, int(round(spec.universal_share * n_sessions))) if spec.universal_domain else 0
+        )
+        n_topic_sessions = n_sessions - n_universal
+        topics = np.searchsorted(
+            np.cumsum(mixture), rng.random(n_topic_sessions), side="right"
+        ).clip(0, spec.n_topics - 1)
+        rvals = rng.random(n_topic_sessions)
+        domains = []
+        for t, r in zip(topics.tolist(), rvals.tolist()):
+            j = min(int(np.searchsorted(topic_cum[t], r, side="right")), spec.n_domains - 1)
+            domains.append(spec.domain_names[j])
+        domains.extend([spec.universal_domain] * n_universal)
+        nbytes = np.maximum(
+            1,
+            np.rint(np.exp(log_median + spec.bytes_sigma * rng.standard_normal(n_sessions))),
+        )
+        durations = rng.integers(30, 900, size=n_sessions)
+        locations = rng.integers(0, 50, size=n_sessions)
+        requests = 1 + rng.poisson(4.0, size=n_sessions)
+        for s_idx, domain in enumerate(domains):
+            sessions.append(
+                SessionRecord(
+                    user_id=f"u{idx:05d}",
+                    start_time=_BASE_EPOCH + idx * 7 + s_idx * 3600,
+                    duration=float(durations[s_idx]),
+                    location=f"ap{int(locations[s_idx]):03d}",
+                    domain=domain,
+                    isp="campus",
+                    http_requests=int(requests[s_idx]),
+                    service_class="web",
+                    bytes=int(nbytes[s_idx]),
+                )
+            )
+    return sessions, dominant
+
+
+def write_sessions_rows(sessions, path):
+    """Row-by-row session-log writer, the reference for ``ingest.write_sessions_csv``."""
+    from datetime import datetime, timezone
+
+    from usertopics.ingest import SESSION_COLUMNS
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SESSION_COLUMNS)
+        for s in sessions:
+            writer.writerow(
+                [
+                    s.user_id,
+                    datetime.fromtimestamp(int(s.start_time), tz=timezone.utc).isoformat(),
+                    repr(float(s.duration)),
+                    s.location,
+                    s.domain,
+                    s.isp,
+                    s.http_requests,
+                    s.service_class,
+                    s.bytes,
+                ]
+            )

@@ -339,7 +339,7 @@ def test_criterion_9_conservation_and_idempotence():
             )
             sessions, _ = generate(spec)
             matrix = build_profile_matrix(sessions)
-            assert float(matrix.data.sum()) == float(sum(s.bytes for s in sessions))
+            assert float(matrix.data.sum()) == float(sum(sessions.columns["bytes"].tolist()))
 
         rng = np.random.default_rng(93)
         for _ in range(1000):

@@ -1,11 +1,12 @@
 import json
+import re
 import shutil
 
 import numpy as np
 import pytest
 
 from usertopics import cli, lsa
-from usertopics.matrix import SparseMatrix, csr_from_triplets, write_matrix
+from usertopics.matrix import SparseMatrix, csr_from_triplets, read_matrix, write_matrix
 from usertopics.synth import read_truth
 
 SESSION_HEADER = (
@@ -94,6 +95,25 @@ class TestSynthCommand:
     def test_missing_spec_exits_2(self, tmp_path):
         assert run(["synth", "--spec", tmp_path / "nope.json", "--out-dir", tmp_path / "o"]) == 2
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"universal_domain": "bad domain"},
+             "usage error: malformed synth spec .*: domain contains whitespace: 'bad domain'"),
+            ({"bytes_median": 1e308, "bytes_sigma": 3},
+             "usage error: synth spec .*: byte draw beyond the float64 range"),
+            ({"bytes_median": float("nan")},
+             "usage error: malformed synth spec .*: bad byte distribution parameters"),
+        ],
+    )
+    def test_bad_spec_exits_1_before_writing(self, tmp_path, capsys, extra, message):
+        spec = write_spec(tmp_path, extra)
+        out = tmp_path / "o"
+        assert run(["synth", "--spec", spec, "--out-dir", out]) == 1
+        err = capsys.readouterr().err
+        assert re.match(message, err) and err.count("\n") == 1
+        assert not out.exists() or list(out.iterdir()) == []
+
 
 class TestIngestCommand:
     def test_matrix_files_written(self, ingested_ws):
@@ -143,6 +163,23 @@ class TestIngestCommand:
         log.write_text("".join(lines[:2]) + huge + "".join(lines[2:]))
         assert run(["ingest", "--workspace", tmp_path / "w", "--sessions", log]) == 0
         assert "1 bad rows" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "bad_rows", [["", "  "], ["b\x00c.com"]], ids=["blank-user", "nul-domain"]
+    )
+    def test_rejected_user_or_domain_counted(self, tmp_path, capsys, bad_rows):
+        log = tmp_path / "log.csv"
+        good = "u1,2014-09-01T10:00:00Z,1,ap1,a.com,isp,1,web,5\n"
+        if bad_rows[0].endswith(".com"):
+            bad = [good.replace("a.com", domain) for domain in bad_rows]
+        else:
+            bad = [good.replace("u1", user, 1) for user in bad_rows]
+        log.write_text(SESSION_HEADER + good + "".join(bad) + good.replace("u1", "u2"))
+        ws = tmp_path / "w"
+        assert run(["ingest", "--workspace", ws, "--sessions", log]) == 0
+        assert f"{len(bad_rows)} bad rows" in capsys.readouterr().out
+        profile = read_matrix(ws / "profile")
+        assert profile.users == ("u1", "u2") and profile.domains == ("a.com",)
 
     def test_cell_total_beyond_float64_exits_2(self, tmp_path, capsys):
         # each row fits float64; the (u1, a.com) cell's sum does not

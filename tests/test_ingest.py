@@ -108,6 +108,52 @@ class TestParseSessions:
         assert back.records.to_records() == sessions
 
 
+class TestRejectedValues:
+    ROW = "{user},2014-09-01T10:00:00Z,1,ap1,{domain},isp,1,web,{bytes}"
+
+    @pytest.mark.parametrize("user", ["", "  "])
+    def test_blank_user_id(self, user):
+        rep = parse_sessions(sess_csv(self.ROW.format(user=user, domain="a.com", bytes=5),
+                                      self.ROW.format(user="u1", domain="a.com", bytes=5)))
+        assert rep.errors == [(2, "empty user_id")]
+        assert rep.records.users == ("u1",)
+        with pytest.raises(ParseError, match="^line 2: empty user_id$"):
+            parse_sessions(sess_csv(self.ROW.format(user=user, domain="a.com", bytes=5)),
+                           fail_fast=True)
+
+    def test_blank_user_id_checked_last(self):
+        rep = parse_sessions(sess_csv(self.ROW.format(user=" ", domain="a b.com", bytes=5),
+                                      self.ROW.format(user="", domain="a.com", bytes=-1)))
+        assert rep.errors == [(2, "domain contains whitespace: 'a b.com'"),
+                              (3, "negative bytes: -1")]
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_raw_events, "user_id,timestamp,domain,bytes,http_requests\n"
+                               " ,2014-09-01T10:00:00Z,a.com,1,1\n"),
+            (parse_transactions, "user_id,timestamp,amount\n ,2014-09-01T10:00:00Z,1.5\n"),
+            (parse_demographics, "user_id,gender,birth_year,enrol_year,degree_type\n"
+                                 ",male,1990,2010,bachelor\n"),
+        ],
+    )
+    def test_blank_user_id_in_other_parsers(self, parse, text):
+        rep = parse(io.StringIO(text))
+        assert rep.errors == [(2, "empty user_id")] and len(rep.records) == 0
+
+    @pytest.mark.parametrize("char", ["\x00", "\x7f", "\x9f"])
+    def test_control_character_in_domain(self, char):
+        domain = f"b{char}c.com"
+        message = f"domain contains a control character: {domain!r}"
+        rep = parse_sessions(sess_csv(self.ROW.format(user="u1", domain=domain, bytes=5),
+                                      self.ROW.format(user="u1", domain="a.com", bytes=5)))
+        assert rep.errors == [(2, message)]
+        assert rep.records.domains == ("a.com",)
+        rep = parse_raw_events(io.StringIO(
+            f"user_id,timestamp,domain,bytes,http_requests\nu1,2014-09-01T10:00:00Z,{domain},1,1\n"))
+        assert rep.errors == [(2, message)]
+
+
 class TestParseDemographics:
     def test_field_mapping(self):
         rep = parse_demographics(

@@ -23,7 +23,7 @@ from usertopics.ingest import (
 from usertopics.matrix import matrices_equal
 
 from helpers import make_session
-from oracles import parse_sessions_rows, profile_oracle
+from oracles import parse_sessions_rows, profile_oracle, write_sessions_rows
 
 GOOD_ROW = ("u1", "2014-09-01T10:00:00Z", "120.5", "ap1", "News.Example.com", "isp", "5", "web",
             "1024")
@@ -166,6 +166,58 @@ class TestSessionTable:
         assert report.records.to_records()[0].bytes == 99999999999999999999999
         matrix = build_profile_matrix(report.records)
         assert matrix.data.tolist() == [float(99999999999999999999999)]
+
+
+class TestWriter:
+    # epochs of 0001-01-01T00:00:00 and 9999-12-31T23:59:59 UTC
+    FIRST, LAST = -62135596800, 253402300799
+
+    def written(self, tmp_path, sessions, as_table=True):
+        """Write records as a table (or as given) and through the row oracle."""
+        ours, oracle = tmp_path / "columns.csv", tmp_path / "rows.csv"
+        write_sessions_csv(SessionTable.from_records(sessions) if as_table else sessions, ours)
+        write_sessions_rows(sessions, oracle)
+        assert ours.read_bytes() == oracle.read_bytes()
+        return ours.read_text()
+
+    def test_epochs_at_the_datetime_bounds(self, tmp_path):
+        sessions = [make_session(t=t) for t in (self.FIRST, -1, 0, self.LAST)]
+        text = self.written(tmp_path, sessions)
+        assert "0001-01-01T00:00:00+00:00" in text and "9999-12-31T23:59:59+00:00" in text
+
+    @pytest.mark.parametrize("epoch", [FIRST - 1, LAST + 1])
+    def test_epoch_outside_the_bounds_raises_like_format_timestamp(self, tmp_path, epoch):
+        with pytest.raises(ValueError) as expected:
+            ingest.format_timestamp(epoch)
+        table = SessionTable.from_records([make_session(t=0), make_session(t=epoch)])
+        with pytest.raises(ValueError, match=f"^{expected.value}$"):
+            write_sessions_csv(table, tmp_path / "s.csv")
+
+    def test_epoch_beyond_int64_raises_like_format_timestamp(self, tmp_path):
+        with pytest.raises((ValueError, OverflowError)) as expected:
+            ingest.format_timestamp(2**70)
+        table = SessionTable.from_records([make_session(t=2**70)])
+        assert table.columns["start_time"].dtype == object
+        with pytest.raises(expected.type, match=f"^{expected.value}$"):
+            write_sessions_csv(table, tmp_path / "s.csv")
+
+    def test_bytes_beyond_int64_written_exactly(self, tmp_path):
+        sessions = [make_session(bytes=10**30), make_session(bytes=2**63), make_session(bytes=0)]
+        text = self.written(tmp_path, sessions)
+        assert [line.rsplit(",", 1)[1] for line in text.splitlines()[1:]] == [
+            str(10**30), str(2**63), "0"]
+
+    def test_record_list_accepted(self, tmp_path):
+        sessions = [
+            make_session(user="b", domain="x.com", t=1409560000, duration=12),
+            make_session(user='a "quoted", user', domain="y.com", duration=0.1),
+        ]
+        text = self.written(tmp_path, sessions, as_table=False)
+        assert '"a ""quoted"", user"' in text
+        assert parse_sessions(tmp_path / "columns.csv").records.to_records() == [
+            make_session(user="b", domain="x.com", t=1409560000, duration=12.0),
+            make_session(user='a "quoted", user', domain="y.com", duration=0.1),
+        ]
 
 
 def test_parse_and_aggregate_memory_per_row():

@@ -1,9 +1,15 @@
 import collections
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from usertopics import cli
+from usertopics.ingest import write_sessions_csv
 from usertopics.synth import (
     SynthSpec,
     adjusted_rand_index,
@@ -15,7 +21,7 @@ from usertopics.synth import (
     write_truth,
 )
 
-from oracles import ari_pair_counting
+from oracles import ari_pair_counting, generate_records, write_sessions_rows
 
 
 def spec_with(**kw):
@@ -65,6 +71,19 @@ class TestSpecValidation:
         path.write_text(json.dumps({"n_topics": 2, "n_domains": 6, "n_users": 3}))
         assert SynthSpec.from_file(path).n_users == 3
 
+    @pytest.mark.parametrize(
+        "domain, message",
+        [
+            ("bad domain", "domain contains whitespace: 'bad domain'"),
+            ("http://a.com", "domain carries a scheme prefix"),
+            ("a\x00.com", "domain contains a control character"),
+            (5, "universal_domain must be a string"),
+        ],
+    )
+    def test_bad_universal_domain(self, domain, message):
+        with pytest.raises(ValueError, match=message):
+            spec_with(universal_domain=domain)
+
 
 class TestGenerate:
     def test_single_topic_frequencies(self):
@@ -76,7 +95,7 @@ class TestGenerate:
             sessions_lo=5000,
             sessions_hi=5000,
         )
-        sessions, _ = generate(spec)
+        sessions = generate(spec)[0].to_records()
         counts = collections.Counter(s.domain for s in sessions)
         total = len(sessions)
         for j, name in enumerate(spec.domain_names):
@@ -93,7 +112,8 @@ class TestGenerate:
             sessions_lo=5000,
             sessions_hi=5000,
         )
-        sessions, truth = generate(spec)
+        table, truth = generate(spec)
+        sessions = table.to_records()
         assert np.allclose(truth.topic_mix, 0.5)
         counts = collections.Counter(s.domain for s in sessions)
         total = len(sessions)
@@ -104,12 +124,12 @@ class TestGenerate:
     def test_seeded_bit_identical(self):
         a_sessions, a_truth = generate(spec_with(seed=9))
         b_sessions, b_truth = generate(spec_with(seed=9))
-        assert a_sessions == b_sessions
+        assert a_sessions.to_records() == b_sessions.to_records()
         assert np.array_equal(a_truth.dominant, b_truth.dominant)
 
     def test_universal_domain_everywhere(self):
         spec = spec_with(universal_domain="portal.example", n_users=10)
-        sessions, _ = generate(spec)
+        sessions = generate(spec)[0].to_records()
         per_user = collections.defaultdict(set)
         for s in sessions:
             per_user[s.user_id].add(s.domain)
@@ -117,7 +137,7 @@ class TestGenerate:
 
     def test_universal_share_of_sessions(self):
         spec = spec_with(universal_domain="portal.example", sessions_lo=40, sessions_hi=40)
-        sessions, _ = generate(spec)
+        sessions = generate(spec)[0].to_records()
         per_user = collections.Counter(
             s.user_id for s in sessions if s.domain == "portal.example"
         )
@@ -140,6 +160,127 @@ class TestGenerate:
         write_truth(truth, tmp_path / "truth.csv")
         back = read_truth(tmp_path / "truth.csv")
         assert back == {u: int(t) for u, t in zip(truth.user_ids, truth.dominant)}
+
+
+@st.composite
+def specs(draw):
+    """Small specs of every kind: topic layout, user topics, session counts,
+    universal domain and byte scale."""
+    n_topics = draw(st.integers(1, 4))
+    n_domains = draw(st.integers(n_topics + 1, 12))
+    layout = draw(st.sampled_from(["disjoint", "overlap", "matrix"]))
+    if layout == "disjoint":
+        topic_word = disjoint_topic_word(n_topics, n_domains)
+    elif layout == "overlap":
+        topic_word = overlapping_topic_word(n_topics, n_domains, draw(st.sampled_from([0.0, 0.2, 0.6])))
+    else:
+        weights = np.array(
+            draw(st.lists(st.integers(0, 3), min_size=n_topics * n_domains, max_size=n_topics * n_domains)),
+            dtype=np.float64,
+        ).reshape(n_topics, n_domains)
+        weights[:, 0] += 1  # every row has mass
+        topic_word = weights / weights.sum(axis=1, keepdims=True)
+    mode = draw(st.sampled_from(["hard", "mixed", "fixed_mixture"]))
+    fixed_mixture = None
+    if mode == "fixed_mixture":
+        weights = np.array(draw(st.lists(st.integers(1, 4), min_size=n_topics, max_size=n_topics)))
+        fixed_mixture = tuple((weights / weights.sum()).tolist())
+    lo = draw(st.integers(1, 8))
+    universal = draw(st.sampled_from([None, "portal.example", "topic"]))
+    if universal == "topic":  # the name of a topic domain
+        universal = f"dom{draw(st.integers(0, n_domains - 1)):04d}"
+    return SynthSpec(
+        n_topics=n_topics,
+        n_domains=n_domains,
+        n_users=draw(st.integers(1, 6)),
+        topic_word=topic_word,
+        user_topic_mode="hard" if mode == "hard" else "mixed",
+        fixed_mixture=fixed_mixture,
+        mixed_concentration=draw(st.sampled_from([0.3, 1.0, 5.0])),
+        sessions_dist=draw(st.sampled_from(["fixed", "poisson", "uniform"])),
+        sessions_lo=lo,
+        sessions_hi=lo + draw(st.integers(0, 8)),
+        bytes_median=draw(st.sampled_from([1.0, 1e4, 1e18, 1e300])),
+        bytes_sigma=draw(st.sampled_from([0.0, 0.5, 2.0])),
+        universal_domain=universal,
+        universal_share=draw(st.sampled_from([0.0, 0.3, 0.9])),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+class TestColumnarGenerate:
+    @settings(max_examples=150, deadline=None)
+    @given(spec=specs())
+    def test_matches_per_record_oracle(self, spec):
+        table, truth = generate(spec)
+        records, dominant = generate_records(spec)
+        assert table.to_records() == records
+        assert truth.dominant.tolist() == dominant
+        assert len(set(table.domains)) == len(table.domains)
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, oracle = Path(tmp) / "columns.csv", Path(tmp) / "rows.csv"
+            write_sessions_csv(table, ours)
+            write_sessions_rows(records, oracle)
+            assert ours.read_bytes() == oracle.read_bytes()
+
+    def test_universal_domain_named_like_a_topic_domain(self):
+        table, _ = generate(spec_with(universal_domain="dom0001", n_users=10))
+        assert table.domains.count("dom0001") == 1
+        assert table.to_records() == generate_records(spec_with(universal_domain="dom0001", n_users=10))[0]
+
+    def test_bytes_beyond_int64_kept_exactly(self, tmp_path):
+        table, _ = generate(spec_with(bytes_median=1e300, bytes_sigma=0.0))
+        nbytes = table.columns["bytes"].tolist()
+        assert len(set(nbytes)) == 1 and nbytes[0] == int(np.exp(np.log(1e300)))
+        write_sessions_csv(table, tmp_path / "s.csv")
+        rows = (tmp_path / "s.csv").read_text().splitlines()[1:]
+        assert {row.rsplit(",", 1)[1] for row in rows} == {str(nbytes[0])}
+        assert len(str(nbytes[0])) == 300
+
+    def test_byte_draw_beyond_float64_raises(self):
+        with pytest.raises(ValueError, match="byte draw beyond the float64 range"):
+            generate(spec_with(bytes_median=1e308, bytes_sigma=3.0))
+
+
+# the pipebench workloads' smoke_spec, and sha256 of the synth outputs for them
+SMOKE_SPECS = {
+    "campus-logs": {
+        "n_topics": 4,
+        "n_domains": 40,
+        "n_users": 120,
+        "topics": {"kind": "overlap", "share": 0.2},
+        "sessions": {"dist": "poisson", "lo": 60},
+        "universal_domain": "portal.example",
+    },
+    "wide-rank": {
+        "n_topics": 4,
+        "n_domains": 520,
+        "n_users": 520,
+        "sessions": {"dist": "fixed", "lo": 30},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "workload, seed, sessions_sha, truth_sha",
+    [
+        ("campus-logs", 7, "518b0242ce8e250095689532163c02190da1a4f50a93e105a8a6c39b3ebea63a",
+         "66a9f74d319a1182c0c25f4290d52aaddf782ecfe19751be705b152f114a330d"),
+        ("campus-logs", 905, "2586cb78f4c0768d69876615b09bfcd31af9937531e839bcd6dc99b578004f21",
+         "53a40561422cf1b101da8f3290817988841261a6693bcfaeaa6011f336ab8b3b"),
+        ("wide-rank", 7, "29e90b3a03f858c4c93865bfe0ecba9492d692b1fe6ad06a5c3298c41e09ec21",
+         "ae2f2adee8b6133e0c614467d63b5cb43778d787ad43e0f022d29f4641b45d23"),
+        ("wide-rank", 905, "aa2e23d3520c069712512aa6b62be04080cfe0a5bd4c953d2250c0af86b06041",
+         "3b744e39054a7d740e7d59712aa7e7f9f7f26100429785b60abf6e5136879e77"),
+    ],
+)
+def test_smoke_spec_outputs_pinned(tmp_path, workload, seed, sessions_sha, truth_sha):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SMOKE_SPECS[workload], "seed": seed}))
+    out = tmp_path / "synth"
+    assert cli.main(["synth", "--spec", str(spec), "--out-dir", str(out)]) == 0
+    assert hashlib.sha256((out / "sessions.csv").read_bytes()).hexdigest() == sessions_sha
+    assert hashlib.sha256((out / "truth.csv").read_bytes()).hexdigest() == truth_sha
 
 
 class TestAdjustedRandIndex:
