@@ -279,7 +279,10 @@ def _run(args, profile, watch: _Stopwatch, m: int, k: int):
     if not 1 <= k <= feature.n_users:
         raise UsageError(f"K={k} outside [1, {feature.n_users}] weighted users")
     with watch.stage("lsa"):
-        model = lsa.truncated_svd(feature, m, seed=args.seed)
+        try:
+            model = lsa.truncated_svd(feature, m, seed=args.seed)
+        except np.linalg.LinAlgError as exc:
+            raise DataError(f"truncated SVD failed: {exc}") from exc
         model = lsa.canonicalize_signs(model)
         features = lsa.user_features(model, scale=args.scale_features)
     kmeans_kw = dict(restarts=args.restarts, max_iter=args.max_iter, tol=args.tol, seed=args.seed)

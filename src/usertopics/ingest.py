@@ -9,17 +9,21 @@ the parse with a :class:`ParseError` naming its csv record.
 
 Session logs, the large input, are parsed column by column into a
 :class:`SessionTable`. The log is read in chunks of :data:`CHUNK_ROWS`
-rows. Each chunk's columns are validated in bulk: numbers through one
-``map`` over the column, domains and user ids once per distinct raw string, the
-finiteness and sign checks as array comparisons. The chunk is then
-encoded to int64 codes and numeric arrays before the next one is read, so
-memory grows with the vocabularies and the numeric columns, not with the
-raw text. A row that a column check flags is converted once more through
-the per-row :class:`SessionRecord` path. The column checks only tell that
-a row is bad; the per-row path applies the checks in their fixed order,
-so it gives the verdict and the message that parsing the row on its own
-gives, and errors stay identical line for line. The other parsers stay
-row by row.
+lines. A chunk without the quote character, and with no line longer than
+the csv field limit, holds one csv record per line and is split with
+``str.split``; any other chunk is read by ``csv.reader``, with the same
+fields as a result. Each chunk's columns are validated in bulk:
+timestamps through :func:`parse_timestamps`, the other numbers through
+one ``map`` over the column, domains and user ids once per distinct raw
+string, the finiteness and sign checks as array comparisons. The chunk
+is then encoded to int64 codes and numeric arrays before the next one is
+read, so memory grows with the vocabularies and the numeric columns, not
+with the raw text. A row that a column check flags is converted once
+more through the per-row :class:`SessionRecord` path. The column checks
+only tell that a row is bad; the per-row path applies the checks in their
+fixed order, so it gives the verdict and the message that parsing the row
+on its own gives, and errors stay identical line for line. The other
+parsers stay row by row.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,7 +73,7 @@ PROFILE_METRICS = ("bytes", "duration", "requests", "session_count")
 DEFAULT_GAP_SECONDS = 300.0
 BIRTH_YEAR_RANGE = (1900, 2100)
 
-# session-log rows validated and encoded per chunk
+# session-log lines read, validated and encoded per chunk
 CHUNK_ROWS = 2048
 
 # naive common second-level suffixes for the registrable-domain heuristic
@@ -150,13 +155,76 @@ def format_timestamps(epochs: np.ndarray) -> list[str]:
     return [t + "+00:00" for t in text]
 
 
+# text width -> suffix of the canonical UTC forms: naive, "Z" and "+00:00"
+_CANONICAL_SUFFIX = {19: b"", 20: b"Z", 25: b"+00:00"}
+# positions of the digits of YYYY, MM, DD, HH, MM and SS in "YYYY-MM-DDTHH:MM:SS"
+_DIGIT_POS = (0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18)
+_SEPARATOR_POS = (4, 7, 10, 13, 16)
+_SEPARATORS = np.frombuffer(b"--T::", dtype=np.uint8)
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _days_from_civil(year, month, day):
+    """Days since 1970-01-01 of proleptic Gregorian dates (H. Hinnant's algorithm)."""
+    y = year - (month <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    return era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+
+
+def parse_timestamps(texts) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`parse_timestamp` over a column: (int64 epochs, rejected mask).
+
+    When every value has one width of the canonical UTC forms
+    ``YYYY-MM-DDTHH:MM:SS``, ``...Z`` and ``...+00:00`` and the column is
+    ASCII, the values are decoded from one byte array: digits and
+    separators are checked, and year >= 1, month, day (with Gregorian leap
+    years), hour, minute and second ranges as ``datetime`` checks them.
+    Every value that fails, or every value of any other column, goes
+    through :func:`parse_timestamp` alone; where that raises, the value is
+    marked rejected and its epoch reads 0.
+    """
+    n = len(texts)
+    epochs = np.zeros(n, dtype=np.int64)
+    decoded = np.zeros(n, dtype=bool)
+    widths = set(map(len, texts))
+    width = widths.pop() if len(widths) == 1 else None
+    if width in _CANONICAL_SUFFIX and (joined := "".join(texts)).isascii():
+        chars = np.frombuffer(joined.encode("ascii"), dtype=np.uint8).reshape(n, width)
+        digits = chars[:, _DIGIT_POS] - np.uint8(ord("0"))  # other bytes wrap past 9
+        decoded = (digits <= 9).all(axis=1)
+        decoded &= (chars[:, _SEPARATOR_POS] == _SEPARATORS).all(axis=1)
+        suffix = np.frombuffer(_CANONICAL_SUFFIX[width], dtype=np.uint8)
+        decoded &= (chars[:, 19:] == suffix).all(axis=1)
+        year = digits[:, :4] @ np.array([1000, 100, 10, 1])
+        month, day, hour, minute, second = (digits[:, 4:].reshape(n, 5, 2) @ np.array([10, 1])).T
+        leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+        month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2))
+        decoded &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+        decoded &= (day <= month_days) & (hour <= 23) & (minute <= 59) & (second <= 59)
+        days = _days_from_civil(year, month, day)
+        epochs = np.where(decoded, days * 86400 + hour * 3600 + minute * 60 + second, 0)
+    rejected = np.zeros(n, dtype=bool)
+    for i in np.flatnonzero(~decoded).tolist():
+        try:
+            epochs[i] = parse_timestamp(texts[i])
+        except (ValueError, OverflowError):
+            rejected[i] = True
+    return epochs, rejected
+
+
 # what reading a csv record can raise: an over-long field, undecodable bytes
 _READ_ERRORS = (csv.Error, ValueError, OSError)
 
 
 @contextlib.contextmanager
 def _open_reader(source, delimiter: str, expected_header: tuple[str, ...]):
-    """A csv reader positioned after the validated header; None for an empty stream."""
+    """The text stream positioned after the validated header; None for an empty stream.
+
+    ``csv.reader`` pulls one line at a time and reads none ahead, so the
+    stream stands right after the header's last line.
+    """
     if hasattr(source, "read"):
         fh = source
         close = False
@@ -164,11 +232,11 @@ def _open_reader(source, delimiter: str, expected_header: tuple[str, ...]):
         fh = open(source, newline="", encoding="utf-8-sig")
         close = True
     try:
-        reader = csv.reader(fh, delimiter=delimiter)
+        rest = fh
         try:
-            header = next(reader)
+            header = next(csv.reader(fh, delimiter=delimiter))
         except StopIteration:
-            reader = None  # empty stream: no rows, no errors
+            rest = None  # empty stream: no rows, no errors
         except _READ_ERRORS as exc:
             raise ParseError(f"line 1: {exc}") from exc
         else:
@@ -177,7 +245,7 @@ def _open_reader(source, delimiter: str, expected_header: tuple[str, ...]):
                     f"bad header: expected {','.join(expected_header)}, "
                     f"got {','.join(header)}"
                 )
-        yield reader
+        yield rest
     finally:
         if close:
             fh.close()
@@ -194,7 +262,8 @@ def _check_width(row, columns) -> None:
 
 def _open_rows(source, delimiter: str, expected_header: tuple[str, ...]):
     """Yield (line_number, row) pairs after validating the header."""
-    with _open_reader(source, delimiter, expected_header) as reader:
+    with _open_reader(source, delimiter, expected_header) as fh:
+        reader = None if fh is None else csv.reader(fh, delimiter=delimiter)
         line_no = 1
         while reader is not None:
             line_no += 1
@@ -453,15 +522,100 @@ def _valid_or_blank(cache: dict, texts, clean) -> list[str]:
     return values
 
 
-def _read_chunk(reader, n: int):
-    """Up to ``n`` rows, and the read error that cut them short, if any."""
+class _Chunk(NamedTuple):
+    """One chunk of a session log, split into fields.
+
+    ``columns`` holds, per SESSION_COLUMNS name, the texts of the rows
+    with exactly that many fields, and ``positions`` their record indices
+    in the chunk. ``odd`` maps the index of every other non-blank record
+    to its fields. ``n_records`` counts the chunk's csv records, blank
+    ones included.
+    """
+
+    columns: dict[str, list[str]]
+    positions: range | list[int]
+    odd: dict[int, list[str]]
+    n_records: int
+
+
+def _chunk(flat: list[str], positions, odd, n_records: int) -> _Chunk:
+    """A chunk from the fields of its full-width rows laid end to end."""
+    width = len(SESSION_COLUMNS)
+    columns = {name: flat[k::width] for k, name in enumerate(SESSION_COLUMNS)}
+    return _Chunk(columns, positions, odd, n_records)
+
+
+def _raising(exc: Exception):
+    """An iterator that raises ``exc`` on its first read."""
+    raise exc
+    yield
+
+
+def _split_csv(lines: list[str], tail, delimiter: str) -> tuple[_Chunk, Exception | None]:
+    """Split a chunk's lines with csv.reader; also return the error that stopped it.
+
+    A quoted field may run on past the chunk's last line: its record is
+    read to the end from ``tail``, and the next chunk starts after it.
+    """
+    reader = csv.reader(itertools.chain(lines, tail), delimiter=delimiter)
     rows = []
+    error = None
     try:
-        for row in itertools.islice(reader, n):
+        for row in reader:
             rows.append(row)
+            if reader.line_num >= len(lines):
+                break
     except _READ_ERRORS as exc:
-        return rows, exc
-    return rows, None
+        error = exc
+    width = len(SESSION_COLUMNS)
+    positions = [i for i, row in enumerate(rows) if len(row) == width]
+    odd = {i: row for i, row in enumerate(rows) if len(row) != width and not _is_blank(row)}
+    flat = list(itertools.chain.from_iterable(rows[i] for i in positions))
+    return _chunk(flat, positions, odd, len(rows)), error
+
+
+def _read_chunk(fh, delimiter: str) -> tuple[_Chunk, Exception | None]:
+    """The next CHUNK_ROWS lines of ``fh`` as a chunk, and the read error
+    that cut them short, if any.
+
+    Without the quote character each line is one csv record, and
+    csv.reader reads it as the line without its terminator (LF, CRLF or
+    CR) split at the delimiter, as long as no CR or LF is left inside and
+    no field passes the csv field limit. Such a chunk is split with
+    ``str.split``; any other goes through csv.reader.
+    """
+    lines = []
+    error = None
+    try:
+        lines.extend(itertools.islice(fh, CHUNK_ROWS))
+    except _READ_ERRORS as exc:
+        error = exc
+    stripped = list(map(str.rstrip, lines, itertools.repeat("\r\n", len(lines))))
+    joined = delimiter.join(stripped)
+    if (
+        '"' in joined
+        or "\r" in joined
+        or "\n" in joined
+        or max(map(len, lines), default=0) > csv.field_size_limit()
+    ):
+        tail = fh if error is None else _raising(error)
+        chunk, csv_error = _split_csv(lines, tail, delimiter)
+        return chunk, csv_error or error
+    n_lines = len(lines)
+    width = len(SESSION_COLUMNS)
+    counts = list(map(str.count, stripped, itertools.repeat(delimiter, n_lines)))
+    if counts.count(width - 1) == n_lines:
+        positions, odd = range(n_lines), {}
+    else:
+        positions = [i for i, count in enumerate(counts) if count == width - 1]
+        odd = {
+            i: row
+            for i, count in enumerate(counts)
+            if count != width - 1 and not _is_blank(row := stripped[i].split(delimiter))
+        }
+        joined = delimiter.join([stripped[i] for i in positions])
+    flat = joined.split(delimiter) if positions else []
+    return _chunk(flat, positions, odd, n_lines), error
 
 
 class _SessionChunkParser:
@@ -489,23 +643,16 @@ class _SessionChunkParser:
         _check_user_id(user_id)
         return user_id
 
-    def add(self, rows: list, first_line: int) -> None:
-        """Parse one chunk whose first row is csv record ``first_line``."""
-        width = len(SESSION_COLUMNS)
-        if set(map(len, rows)) <= {width}:
-            full, full_pos, other = rows, range(len(rows)), []
-        else:
-            full_pos = [i for i, row in enumerate(rows) if len(row) == width]
-            full = [rows[i] for i in full_pos]
-            other = [(i, -1) for i, row in enumerate(rows)
-                     if len(row) != width and not _is_blank(row)]
-        if not full:
-            self._convert_flagged(rows, first_line, other, None)
+    def add(self, chunk: _Chunk, first_line: int) -> None:
+        """Parse one chunk whose first record is csv record ``first_line``."""
+        texts, positions = chunk.columns, chunk.positions
+        other = [(pos, -1) for pos in chunk.odd]
+        if not positions:
+            self._convert_flagged(chunk, first_line, other, None)
             return
-        texts = dict(zip(SESSION_COLUMNS, zip(*full)))
-        bad = np.zeros(len(full), dtype=bool)
+        start_time, bad = parse_timestamps(texts["start_time"])
         cols = {
-            "start_time": _convert_column(texts["start_time"], parse_timestamp, bad, 0),
+            "start_time": start_time,
             "duration": np.array(_convert_column(texts["duration_s"], float, bad, 0.0)),
             "http_requests": _int_array(_convert_column(texts["http_requests"], int, bad, 0)),
             "bytes": _int_array(_convert_column(texts["bytes"], int, bad, 0)),
@@ -516,9 +663,8 @@ class _SessionChunkParser:
         for name in ("domain", "user_id"):
             if "" in cols[name]:
                 bad[[j for j, v in enumerate(cols[name]) if not v]] = True
-        flagged = [(full_pos[j], j) for j in np.flatnonzero(bad).tolist()]
-        self._convert_flagged(rows, first_line, sorted(flagged + other), (bad, cols))
-        cols["start_time"] = np.array(cols["start_time"], dtype=np.int64)
+        flagged = [(positions[j], j) for j in np.flatnonzero(bad).tolist()]
+        self._convert_flagged(chunk, first_line, sorted(flagged + other), (bad, cols))
         for name in ("location", "isp", "service_class"):
             cols[name] = texts[name]
         if bad.any():
@@ -530,12 +676,14 @@ class _SessionChunkParser:
             }
         self.table.add(cols)
 
-    def _convert_flagged(self, rows, first_line, flagged, checked) -> None:
-        """Run flagged rows, as (chunk position, column index), through the per-row path."""
+    def _convert_flagged(self, chunk: _Chunk, first_line, flagged, checked) -> None:
+        """Run flagged rows, as (record index, column index or -1 for an odd
+        row), through the per-row path."""
         for pos, j in flagged:
             line_no = first_line + pos
+            row = chunk.odd[pos] if j < 0 else [col[j] for col in chunk.columns.values()]
             try:
-                record = _session_record(rows[pos], self.truncate)
+                record = _session_record(row, self.truncate)
             except (ValueError, OverflowError) as exc:
                 if self.fail_fast:
                     raise ParseError(f"line {line_no}: {exc}") from exc
@@ -563,17 +711,18 @@ def parse_sessions(
     """
     report = ParseReport()
     parser = _SessionChunkParser(report, fail_fast, truncate_domains)
-    with _open_reader(source, delimiter, SESSION_COLUMNS) as reader:
+    with _open_reader(source, delimiter, SESSION_COLUMNS) as fh:
         first_line = 2
-        while reader is not None:
-            rows, read_error = _read_chunk(reader, CHUNK_ROWS)
-            parser.add(rows, first_line)
-            if read_error is not None:
-                line_no = first_line + len(rows)
-                raise ParseError(f"line {line_no}: {read_error}") from read_error
-            if len(rows) < CHUNK_ROWS:
+        while fh is not None:
+            chunk, error = _read_chunk(fh, delimiter)
+            parser.add(chunk, first_line)
+            n_records = chunk.n_records
+            del chunk  # hold one chunk's text at a time, not two
+            if error is not None:
+                raise ParseError(f"line {first_line + n_records}: {error}") from error
+            if not n_records:
                 break
-            first_line += len(rows)
+            first_line += n_records
     report.records = parser.table.build()
     return report
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -117,6 +118,8 @@ class SynthSpec:
                 _check_domain(self.universal_domain)
         if not (self.bytes_median > 0 and self.bytes_sigma >= 0):  # NaN fails too
             raise ValueError("bad byte distribution parameters")
+        if not 0 < self.mixed_concentration < math.inf:  # NaN fails too
+            raise ValueError("mixed_concentration must be a positive finite number")
         if not self.domain_names:
             object.__setattr__(
                 self,

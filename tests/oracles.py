@@ -10,6 +10,7 @@ with the package beyond the record types, the scalar helpers
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from decimal import Decimal, getcontext
 
@@ -170,7 +171,8 @@ def parse_sessions_rows(source, *, delimiter=",", fail_fast=False, truncate_doma
     text stream, each row becomes one ``SessionRecord``, line numbers are
     csv record numbers (header = 1, blank rows counted) and blank rows are
     skipped. With ``fail_fast`` the first bad row raises
-    ``ParseError("line N: ...")``; a bad header raises ParseError.
+    ``ParseError("line N: ...")``; a bad header raises ParseError, and so
+    does a record the csv reader cannot read, naming its line.
     """
     from usertopics.ingest import SESSION_COLUMNS, ParseError, normalize_domain, parse_timestamp
     from usertopics.records import SessionRecord
@@ -182,12 +184,22 @@ def parse_sessions_rows(source, *, delimiter=",", fail_fast=False, truncate_doma
             )
     records, errors = [], []
     reader = csv.reader(source, delimiter=delimiter)
-    header = next(reader, None)
+
+    def read(line_no):
+        try:
+            return next(reader, None)
+        except (csv.Error, ValueError, OSError) as exc:
+            raise ParseError(f"line {line_no}: {exc}") from exc
+
+    header = read(1)
     if header is None:
         return records, errors
     if tuple(h.strip().lower() for h in header) != SESSION_COLUMNS:
         raise ParseError("bad header")
-    for line_no, row in enumerate(reader, start=2):
+    for line_no in itertools.count(2):
+        row = read(line_no)
+        if row is None:
+            break
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         try:

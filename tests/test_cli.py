@@ -104,6 +104,10 @@ class TestSynthCommand:
              "usage error: synth spec .*: byte draw beyond the float64 range"),
             ({"bytes_median": float("nan")},
              "usage error: malformed synth spec .*: bad byte distribution parameters"),
+            *(({"user_topic_mode": "mixed", "mixed_concentration": value},
+               "usage error: malformed synth spec .*: "
+               "mixed_concentration must be a positive finite number")
+              for value in (-1, float("nan"), 0)),
         ],
     )
     def test_bad_spec_exits_1_before_writing(self, tmp_path, capsys, extra, message):
@@ -453,6 +457,16 @@ class TestPipelineRunner:
         write_profile(ws, [[1, 2, 0], [3, 0, 0], [0, 4, 0]])
         assert run([*PIPELINE_ARGV[command], "--workspace", ws]) == 2
         assert capsys.readouterr().err == "data error: matrix has a domain no user visited\n"
+
+    @pytest.mark.parametrize("command", sorted(PIPELINE_ARGV))
+    def test_svd_failure_exits_2(self, ingested_ws, capsys, monkeypatch, command):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        assert run([*PIPELINE_ARGV[command], "--workspace", ingested_ws]) == 2
+        assert capsys.readouterr().err == (
+            "data error: truncated SVD failed: SVD did not converge\n")
 
     def test_tf_underflow_exits_2(self, tmp_path, capsys):
         # the 1e-320 s share of u1's time underflows to 0, whose log is -inf

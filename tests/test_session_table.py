@@ -1,5 +1,6 @@
 """Columnar session ingest against the row-by-row oracles in oracles.py."""
 
+import contextlib
 import csv
 import io
 import tempfile
@@ -7,8 +8,9 @@ import tracemalloc
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from usertopics import ingest, synth
 from usertopics.ingest import (
@@ -55,56 +57,210 @@ def session_rows(draw):
     return (row + ["extra"])[:width]
 
 
+# values csv.writer quotes: every delimiter, a quote, an empty field, each line ending
+QUOTED_VALUES = ("x,y", "x;y", "x\ty", "x|y", 'say "hi"', "", "two\nlines", "two\r\nlines",
+                 "two\rlines")
+DELIMITERS = (",", ";", "\t", "|")
+LINE_ENDINGS = ("\n", "\r\n", "\r")
+
+
+def write_row(out, row, delimiter, ending="\n", quote_all=False):
+    quoting = csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL
+    csv.writer(out, delimiter=delimiter, lineterminator=ending, quoting=quoting).writerow(row)
+
+
 @st.composite
 def session_logs(draw):
-    """Text of a session log: header, rows, blank lines, mixed quoting."""
+    """(text, delimiter) of a session log: header, rows, blank and
+    whitespace-only lines, LF, CRLF and CR line endings, and quoting in no
+    row, in one row or in any row, with quoted fields that hold a delimiter,
+    a quote or a line ending."""
+    delimiter = draw(st.sampled_from(DELIMITERS))
+    quoting = draw(st.sampled_from(["none", "one", "any"]))
+    rows = draw(st.lists(session_rows(), max_size=40))
+    quoted_row = draw(st.integers(min_value=0, max_value=max(len(rows) - 1, 0)))
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SESSION_COLUMNS)
-    for row in draw(st.lists(session_rows(), max_size=40)):
+    write_row(out, SESSION_COLUMNS, delimiter, draw(st.sampled_from(LINE_ENDINGS)))
+    for i, row in enumerate(rows):
+        ending = draw(st.sampled_from(LINE_ENDINGS))
         if draw(st.booleans()) and draw(st.booleans()):
-            out.write(draw(st.sampled_from(["\n", "  \n", ",\n"])))
-        if draw(st.booleans()):
-            out.write(",".join(f'"{v}"' for v in row) + "\n")
-        else:
-            writer.writerow(row)
-    return out.getvalue()
+            out.write(draw(st.sampled_from(["", "  ", delimiter])) + ending)
+        quoted = quoting == "any" or (quoting == "one" and i == quoted_row)
+        if quoted and row and draw(st.booleans()):
+            row = list(row)
+            row[draw(st.integers(min_value=0, max_value=len(row) - 1))] = draw(
+                st.sampled_from(QUOTED_VALUES))
+        write_row(out, row, delimiter, ending, quoted and draw(st.booleans()))
+    return out.getvalue(), delimiter
+
+
+def text_stream(text, newline=""):
+    """A text stream over ``text``: with ``newline=""`` lines end at LF, CRLF
+    and CR, as in a file parse_sessions opens; with LF or CR only there."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8",
+                            newline=newline)
+
+
+def _outcome(parse, text, newline="", **kwargs):
+    """(errors, records) of a parse, or the message of the ParseError it raised."""
+    try:
+        return parse(text_stream(text, newline), **kwargs)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _columnar(source, **kwargs):
+    report = parse_sessions(source, **kwargs)
+    return report.errors, report.records.to_records()
+
+
+def _rows(source, **kwargs):
+    records, errors = parse_sessions_rows(source, **kwargs)
+    return errors, records
 
 
 def _parse_both(text, *, chunk_rows, **kwargs):
+    """The outcome of parse_sessions with ``chunk_rows`` and of the row-by-row oracle."""
     with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
-        report = parse_sessions(io.StringIO(text), **kwargs)
-    records, errors = parse_sessions_rows(io.StringIO(text), **kwargs)
-    return report, records, errors
+        got = _outcome(_columnar, text, **kwargs)
+    return got, _outcome(_rows, text, **kwargs)
+
+
+@contextlib.contextmanager
+def field_size_limit(limit):
+    old = csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
+def log_text(rows, delimiter=",", ending="\n"):
+    out = io.StringIO()
+    for row in (SESSION_COLUMNS, *rows):
+        write_row(out, row, delimiter, ending)
+    return out.getvalue()
 
 
 class TestDifferential:
-    @given(session_logs(), st.sampled_from([1, 2, 3, 7, 2048]), st.booleans())
-    def test_matches_row_by_row_parser_and_aggregator(self, text, chunk_rows, truncate):
-        report, records, errors = _parse_both(
-            text, chunk_rows=chunk_rows, truncate_domains=truncate
-        )
-        assert report.errors == errors
-        assert report.records.to_records() == records
-        assert len(report.records) == len(records)
+    @settings(max_examples=150)
+    @given(session_logs(), st.sampled_from([1, 2, 3, 7, 2048]), st.booleans(),
+           st.sampled_from([None, 25, 60]), st.sampled_from(["", "\n", "\r"]))
+    def test_matches_row_by_row_parser_and_aggregator(
+        self, log, chunk_rows, truncate, limit, newline
+    ):
+        # a csv field limit below the line length sends chunks through csv.reader,
+        # one below the longest field makes it fail
+        text, delimiter = log
+        with field_size_limit(limit or csv.field_size_limit()):
+            got, want = _parse_both(
+                text, chunk_rows=chunk_rows, delimiter=delimiter, truncate_domains=truncate,
+                newline=newline,
+            )
+        assert got == want
+        if isinstance(got, str):
+            return
+        with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+            table = parse_sessions(
+                text_stream(text, newline), delimiter=delimiter, truncate_domains=truncate
+            ).records
+        assert len(table) == len(want[1])
         for metric in PROFILE_METRICS:
-            got = build_profile_matrix(report.records, metric)
-            assert matrices_equal(got, profile_oracle(records, metric)), metric
+            got = build_profile_matrix(table, metric)
+            assert matrices_equal(got, profile_oracle(want[1], metric)), metric
 
     @given(session_logs(), st.sampled_from([1, 2, 5, 2048]))
-    def test_fail_fast_raises_at_first_bad_row(self, text, chunk_rows):
-        with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
-            try:
-                parse_sessions(io.StringIO(text), fail_fast=True)
-                got = None
-            except ParseError as exc:
-                got = str(exc)
-        try:
-            parse_sessions_rows(io.StringIO(text), fail_fast=True)
-            want = None
-        except ParseError as exc:
-            want = str(exc)
+    def test_fail_fast_raises_at_first_bad_row(self, log, chunk_rows):
+        text, delimiter = log
+        got, want = _parse_both(
+            text, chunk_rows=chunk_rows, delimiter=delimiter, fail_fast=True
+        )
         assert got == want
+
+    def test_quoted_line_ending_across_a_chunk_boundary(self):
+        rows = [list(GOOD_ROW) for _ in range(6)]
+        rows[1][3] = "lab\r\nwing\nb"  # record 3 spans lines 3-5
+        rows[3][8] = "-1"
+        text = log_text(rows)
+        for chunk_rows in (1, 2, 3, 4):
+            got, want = _parse_both(text, chunk_rows=chunk_rows)
+            assert got == want
+        assert got[0] == [(5, "negative bytes: -1")]
+        assert got[1][1].location == "lab\r\nwing\nb"
+
+    def test_line_over_the_field_limit_in_the_third_chunk(self):
+        rows = [list(GOOD_ROW) for _ in range(7)]
+        rows[1][6] = "-5"
+        rows[5][3] = "x" * (csv.field_size_limit() + 1)  # record 7, in chunk 3 of 2 rows each
+        text = log_text(rows)
+        for fail_fast in (False, True):
+            got, want = _parse_both(text, chunk_rows=2, fail_fast=fail_fast)
+            assert got == want
+        assert got == "line 3: negative http_requests: -5"
+        assert _parse_both(text, chunk_rows=2)[0] == (
+            "line 7: field larger than field limit (131072)")
+        before = log_text(rows[:5])
+        got, want = _parse_both(before, chunk_rows=2)
+        assert got == want and len(got[1]) == 4
+
+    def test_bytes_that_are_not_utf8_in_a_later_chunk(self, tmp_path):
+        rows = [list(GOOD_ROW) for _ in range(400)]
+        rows[228][6] = "-5"  # record 230, in the chunk that meets the bad block
+        path = tmp_path / "latin1.csv"
+        lines = log_text(rows).encode("utf-8").split(b"\n")
+        lines[330] = lines[330].replace(b"ap1", b"caf\xe9")
+        path.write_bytes(b"\n".join(lines))
+        messages = []
+        for fail_fast in (False, True):
+            with mock.patch.object(ingest, "CHUNK_ROWS", 64):
+                with pytest.raises(ParseError) as got:
+                    parse_sessions(path, fail_fast=fail_fast)
+            with pytest.raises(ParseError) as want:
+                parse_sessions_rows(path, fail_fast=fail_fast)
+            assert str(got.value) == str(want.value)
+            messages.append(str(got.value))
+        # the decoder reads 8 KiB blocks: the error names the first line of the bad block
+        line = int(messages[0].split(":")[0].removeprefix("line "))
+        assert 230 < line <= 2 + 4 * 64 and "can't decode byte 0xe9" in messages[0]
+        assert messages[1] == "line 230: negative http_requests: -5"
+        got, want = _parse_both(log_text(rows[: line - 2]), chunk_rows=64)
+        assert got == want and got[0] == [(230, "negative http_requests: -5")]
+
+    def test_field_over_the_limit_before_undecodable_bytes_in_one_chunk(self, tmp_path):
+        rows = [list(GOOD_ROW) for _ in range(300)]
+        rows[3][3] = "x" * (csv.field_size_limit() + 1)
+        lines = log_text(rows).encode("utf-8").split(b"\n")
+        lines[250] = lines[250].replace(b"ap1", b"caf\xe9")
+        path = tmp_path / "both.csv"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ParseError) as got:
+            parse_sessions(path)
+        with pytest.raises(ParseError) as want:
+            parse_sessions_rows(path)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == "line 5: field larger than field limit (131072)"
+
+    def test_bom_file_with_quotes_in_the_second_chunk(self, tmp_path):
+        rows = [list(GOOD_ROW) for _ in range(6)]
+        rows[4][5] = 'isp "x", inc'
+        rows[5][2] = "nan"
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + log_text(rows, ending="\r\n").encode("utf-8"))
+        with mock.patch.object(ingest, "CHUNK_ROWS", 3):
+            got = _columnar(path)
+        assert got == _rows(path)
+        assert got[0] == [(7, "non-finite duration: nan")]
+        assert got[1][4].isp == 'isp "x", inc'
+
+    def test_entirely_quoted_log(self):
+        out = io.StringIO()
+        rows = [GOOD_ROW, GOOD_ROW[:8], GOOD_ROW]
+        for row in (SESSION_COLUMNS, *rows):
+            write_row(out, row, ",", quote_all=True)
+        for chunk_rows in (1, 2, 2048):
+            got, want = _parse_both(out.getvalue(), chunk_rows=chunk_rows)
+            assert got == want
+        assert got[0] == [(3, "expected 9 fields, got 8")] and len(got[1]) == 2
 
     def test_bom_file_and_chunk_boundary_errors(self, tmp_path):
         rows = [",".join(GOOD_ROW)] * 5
@@ -140,6 +296,115 @@ class TestDifferential:
             report = parse_sessions(io.StringIO(text))
         assert report.errors == []
         assert report.records.to_records() == parse_sessions_rows(io.StringIO(text))[0]
+
+
+# one canonical UTC form per width: naive, "Z", "+00:00"
+CANONICAL_SUFFIXES = ("", "Z", "+00:00")
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                    "\u0665\u0666\u0667\u0668\u0669")
+# values parse_timestamps must hand to parse_timestamp, made from a canonical one
+ODD_TIMESTAMPS = (
+    lambda t: t[:19] + "+05:30",
+    lambda t: t[:19] + "-00:00",
+    lambda t: t[:19] + ".5" + t[19:],
+    lambda t: t[:19] + ".123456",
+    lambda t: t.replace("T", " ", 1),
+    lambda t: t.replace("T", "t", 1),
+    lambda t: f" {t} ",
+    lambda t: t.translate(ARABIC_INDIC_DIGITS),
+    lambda t: t[:19] + "Z" if t.endswith("+00:00") else t[:19] + "+00:00",
+    lambda t: t.replace(t[12], "x", 1),
+    lambda t: t[:-1],
+    lambda t: "",
+)
+
+
+@st.composite
+def timestamp_columns(draw):
+    """A start_time column: canonical texts of one width, field values beyond
+    their ranges, and now and then an odd value or another width."""
+    suffix = draw(st.sampled_from(CANONICAL_SUFFIXES))
+    texts = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        year, month, day, hour, minute, second = (
+            draw(st.integers(min_value=0, max_value=hi)) for hi in (9999, 13, 32, 24, 60, 60))
+        text = f"{year:04d}-{month:02d}-{day:02d}T{hour:02d}:{minute:02d}:{second:02d}{suffix}"
+        if draw(st.integers(min_value=0, max_value=7)) == 0:
+            text = draw(st.sampled_from(ODD_TIMESTAMPS))(text)
+        texts.append(text)
+    return texts
+
+
+class TestTimestampCodec:
+    @given(timestamp_columns())
+    def test_matches_parse_timestamp(self, texts):
+        epochs, rejected = ingest.parse_timestamps(texts)
+        assert epochs.dtype == np.int64
+        for text, epoch, flag in zip(texts, epochs.tolist(), rejected.tolist()):
+            try:
+                want = ingest.parse_timestamp(text)
+            except ValueError:
+                assert flag, text
+            else:
+                assert not flag and epoch == want, text
+
+    @given(timestamp_columns())
+    def test_session_log_errors_match_the_row_parser(self, texts):
+        rows = [(GOOD_ROW[0], text, *GOOD_ROW[2:]) for text in texts]
+        got, want = _parse_both(log_text(rows), chunk_rows=5)
+        assert got == want
+
+    @pytest.mark.parametrize("suffix", CANONICAL_SUFFIXES)
+    def test_february_29(self, suffix):
+        texts = [f"{year}-02-29T23:59:59{suffix}" for year in (1900, 2000, 2023, 2024)]
+        epochs, rejected = ingest.parse_timestamps(texts)
+        assert rejected.tolist() == [True, False, True, False]
+        assert epochs.tolist() == [0, 951868799, 0, 1709251199]
+
+    def test_canonical_column_skips_parse_timestamp(self):
+        texts = ["0001-01-01T00:00:00Z", "1969-12-31T23:59:59Z", "9999-12-31T23:59:59Z",
+                 "2000-02-29T00:00:00Z", "2024-02-29T00:00:00Z", "2023-04-30T00:00:00Z"]
+        with mock.patch.object(ingest, "parse_timestamp", side_effect=AssertionError):
+            epochs, rejected = ingest.parse_timestamps(texts)
+        assert epochs.tolist() == [-62135596800, -1, 253402300799,
+                                   951782400, 1709164800, 1682812800]
+        assert not rejected.any()
+
+
+def test_quote_free_log_is_split_without_csv_reader(tmp_path):
+    """A written log takes the str.split path, and its timestamps the codec."""
+    spec = synth.SynthSpec(
+        n_topics=2, n_domains=20, n_users=30, topic_word=synth.disjoint_topic_word(2, 20),
+        sessions_lo=20, sessions_hi=20, universal_domain="portal.example", seed=5,
+    )
+    sessions, _ = synth.generate(spec)
+    path = tmp_path / "sessions.csv"
+    write_sessions_csv(sessions, path)
+    text = path.read_text()
+    lines = text.splitlines(keepends=True)
+    lines[100] = lines[100].replace(",web,", ',"web",')
+    logs = {"quoted.csv": "".join(lines), "crlf.csv": text.replace("\n", "\r\n"),
+            "cr.csv": text.replace("\n", "\r")}
+    for name, content in logs.items():
+        (tmp_path / name).write_bytes(content.encode("utf-8"))
+    real_reader = csv.reader
+    line_counts = {}
+    for log in [path, *(tmp_path / name for name in logs)]:
+        readers = []
+
+        def spy(*args, **kwargs):
+            readers.append(real_reader(*args, **kwargs))
+            return readers[-1]
+
+        with mock.patch.object(ingest.csv, "reader", spy), \
+                mock.patch.object(ingest, "parse_timestamp", side_effect=AssertionError), \
+                mock.patch.object(ingest, "CHUNK_ROWS", 64):
+            got = _columnar(log)
+        assert got == _rows(log)
+        line_counts[log.name] = [reader.line_num for reader in readers]
+    # the header, then for the quoted log the one chunk that holds line 101
+    assert line_counts == {"sessions.csv": [1], "quoted.csv": [1, 64], "crlf.csv": [1],
+                           "cr.csv": [1]}
 
 
 class TestSessionTable:
