@@ -1,4 +1,5 @@
-"""Workspace file primitives: atomic writes, checked ``.npy`` arrays, JSON files.
+"""Workspace file primitives: atomic writes, checked ``.npy`` arrays, JSON
+files and the workspace lock.
 
 Arrays are plain ``.npy`` files (format 1.0, C order, an explicit
 little-endian dtype) written by ``np.save`` without pickling. They are read
@@ -9,19 +10,25 @@ holds, and nothing is evaluated or unpickled.
 
 Every file is written under a temporary name in its target directory and
 moved into place with ``os.replace``: a write cut short leaves the old file
-or the new one, never a partial file under the final name.
+or the new one, never a partial file under the final name. The workspace
+lock is the exception: it is created in place with ``O_EXCL``, so that of
+two runs only one creates it, and a lock found empty may be one that its
+run has not written yet.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import logging
 import math
 import os
 import re
 from pathlib import Path
 
 import numpy as np
+
+log = logging.getLogger(__name__)
 
 _NPY_MAGIC_1_0 = b"\x93NUMPY\x01\x00"
 
@@ -95,3 +102,77 @@ def read_sidecar(path: Path, fields: dict) -> dict:
         if isinstance(value, bool) or not isinstance(value, types):
             raise ValueError(f"{path.name}: bad {key}: {value!r:.80}")
     return meta
+
+
+class WorkspaceLocked(Exception):
+    """Another run holds the workspace, or its lock cannot be shown to be stale."""
+
+
+@contextlib.contextmanager
+def workspace_lock(directory: Path):
+    """Hold ``directory/.lock``, which names this run as ``PID hostname``.
+
+    A lock whose process is dead on this host is taken over with a
+    warning. A lock of a live process or of another host, or one that is
+    empty or unreadable, raises WorkspaceLocked.
+    """
+    directory.mkdir(parents=True, exist_ok=True)
+    lock = directory / ".lock"
+    try:
+        _create_lock(lock)
+    except FileExistsError:
+        _take_over(lock)
+    try:
+        yield
+    finally:
+        lock.unlink(missing_ok=True)
+
+
+def _create_lock(lock: Path) -> None:
+    fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    try:
+        os.write(fd, f"{os.getpid()} {os.uname().nodename}\n".encode())
+    finally:
+        os.close(fd)
+
+
+def _dead_owner(text: bytes) -> str | None:
+    """The PID a lock names if that process is dead on this host, else None."""
+    owner = re.fullmatch(rb"([1-9][0-9]*) (.+)\n", text)
+    if owner is None or owner[2] != os.uname().nodename.encode():
+        return None
+    try:
+        os.kill(int(owner[1]), 0)
+    except ProcessLookupError:
+        return owner[1].decode()
+    except (OSError, OverflowError):  # a process of another user, or no valid PID
+        pass
+    return None
+
+
+def _take_over(lock: Path) -> None:
+    locked = WorkspaceLocked(
+        f"workspace {lock.parent} is locked by another run (remove {lock} if stale)"
+    )
+    try:
+        text = lock.read_bytes()
+    except OSError:
+        raise locked from None
+    pid = _dead_owner(text)
+    if pid is None:
+        raise locked
+    # of two runs taking over one stale lock, only one moves that lock aside
+    aside = lock.with_name(f"{lock.name}.{os.getpid()}")
+    try:
+        os.rename(lock, aside)
+    except OSError:
+        raise locked from None
+    if aside.read_bytes() != text:  # the new lock of a run that took over first
+        os.rename(aside, lock)
+        raise locked
+    aside.unlink()
+    log.warning("taking over %s from process %s, which is no longer running", lock, pid)
+    try:
+        _create_lock(lock)
+    except FileExistsError:
+        raise locked from None

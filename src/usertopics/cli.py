@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__, _kernels
 from . import clustering as clus
 from . import ingest, lsa, reporting, synth, weighting
-from ._store import write_json
+from ._store import WorkspaceLocked, workspace_lock, write_json
 from .matrix import domain_stats, matrix_sidecar, rank_domains, read_matrix, write_matrix
 
 log = logging.getLogger(__name__)
@@ -77,24 +77,6 @@ def _env_seed() -> int:
 
 def _env_out() -> str | None:
     return os.environ.get("USERTOPICS_OUT") or None
-
-
-@contextlib.contextmanager
-def _workspace_lock(directory: Path):
-    directory.mkdir(parents=True, exist_ok=True)
-    lock = directory / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise UsageError(
-            f"workspace {directory} is locked by another run (remove {lock} if stale)"
-        ) from None
-    try:
-        os.close(fd)
-        yield
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            lock.unlink()
 
 
 def _require_file(path: str | None, what: str) -> Path:
@@ -148,7 +130,7 @@ def cmd_synth(args) -> int:
         spec = synth.SynthSpec.from_file(spec_path)
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise UsageError(f"malformed synth spec {spec_path}: {exc}") from exc
-    with _workspace_lock(out_dir):
+    with workspace_lock(out_dir):
         watch = _Stopwatch()
         with watch.stage("generate"):
             try:
@@ -175,25 +157,29 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _parse_session_input(args):
+def _parse_session_input(args, path: Path):
     options = dict(
         delimiter=args.delimiter, fail_fast=args.fail_fast, truncate_domains=args.truncate_domains
     )
     if args.raw_events:
-        report = ingest.parse_raw_events(_require_file(args.raw_events, "raw events"), **options)
+        report = ingest.parse_raw_events(path, **options)
         sessions = ingest.sessionize(report.records, gap_threshold=args.gap)
         return ingest.SessionTable.from_records(sessions), report
-    report = ingest.parse_sessions(_require_file(args.sessions, "sessions"), **options)
+    report = ingest.parse_sessions(path, **options)
     return report.records, report
 
 
 def cmd_ingest(args) -> int:
     workspace = Path(args.workspace)
-    with _workspace_lock(workspace):
+    if args.raw_events:
+        path = _require_file(args.raw_events, "raw events")
+    else:
+        path = _require_file(args.sessions, "sessions")
+    with workspace_lock(workspace):
         watch = _Stopwatch()
         try:
             with watch.stage("parse"):
-                sessions, report = _parse_session_input(args)
+                sessions, report = _parse_session_input(args, path)
             with watch.stage("aggregate"):
                 matrix = ingest.build_profile_matrix(sessions, metric=args.metric)
         except (ingest.ParseError, ValueError) as exc:
@@ -254,7 +240,7 @@ def _open_workspace(args):
             profile = read_matrix(prefix)
     except (ValueError, OSError) as exc:
         raise DataError(f"corrupt profile matrix under {workspace}: {exc}") from exc
-    with _workspace_lock(out_dir):
+    with workspace_lock(out_dir):
         yield out_dir, profile, watch
 
 
@@ -453,7 +439,7 @@ def cmd_report(args) -> int:
         raise DataError(f"cluster ids outside [0, {labels.size}) in {assignments_path}")
     k = int(labels.max()) + 1 if labels.size else 1
     demo, tx = _parse_reports(args)
-    with _workspace_lock(out_dir):
+    with workspace_lock(out_dir):
         _write_reports(out_dir, feature, labels, k, demo, tx, args.top_n)
     print(f"reports regenerated -> {out_dir}")
     return 0
@@ -532,8 +518,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ingest", help="parse logs and build the profile matrix")
     p.add_argument("--workspace", required=True, help="workspace directory to create")
-    p.add_argument("--sessions", help="session CSV path")
-    p.add_argument("--raw-events", help="raw event CSV path (sessionized on the fly)")
+    source = p.add_mutually_exclusive_group()  # cmd_ingest requires one of the two
+    source.add_argument("--sessions", help="session CSV path")
+    source.add_argument("--raw-events", help="raw event CSV path (sessionized on the fly)")
     p.add_argument("--gap", type=_positive_float, default=ingest.DEFAULT_GAP_SECONDS,
                    help="sessionization gap threshold in seconds")
     p.add_argument("--metric", choices=list(ingest.PROFILE_METRICS), default="bytes")
@@ -582,7 +569,7 @@ def main(argv=None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, WorkspaceLocked) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except DataError as exc:

@@ -7,28 +7,32 @@ skip-and-count is the default policy. A record the csv reader cannot read
 at all (a field over the csv field limit, bytes that are not UTF-8) ends
 the parse with a :class:`ParseError` naming its csv record.
 
+Every input file goes through one chunk reader, which reads
+:data:`CHUNK_ROWS` lines at a time. A chunk without the quote character,
+and with no line longer than the csv field limit, holds one csv record
+per line and is split with ``str.split``; any other chunk is read by
+``csv.reader``, with the same fields as a result. The demographics,
+transactions and raw-event parsers convert a chunk's records one by one.
+
 Session logs, the large input, are parsed column by column into a
-:class:`SessionTable`. The log is read in chunks of :data:`CHUNK_ROWS`
-lines. A chunk without the quote character, and with no line longer than
-the csv field limit, holds one csv record per line and is split with
-``str.split``; any other chunk is read by ``csv.reader``, with the same
-fields as a result. Each chunk's columns are validated in bulk:
+:class:`SessionTable`. Each chunk's columns are validated in bulk:
 timestamps through :func:`parse_timestamps`, the other numbers through
-one ``map`` over the column, domains and user ids once per distinct raw
-string, the finiteness and sign checks as array comparisons. The chunk
-is then encoded to int64 codes and numeric arrays before the next one is
-read, so memory grows with the vocabularies and the numeric columns, not
-with the raw text. A row that a column check flags is converted once
+one ``map`` over the column, the finiteness and sign checks as array
+comparisons. Each string column is encoded to int64 codes by a vocabulary
+that cleans and checks every distinct raw string once; a domain or user
+id that fails its check gets code -1, which flags its row. The chunk is
+encoded before the next one is read, so memory grows with the
+vocabularies and the numeric columns, not with the raw text. At the end,
+each vocabulary is reduced to the values the accepted rows use, in
+first-appearance order. A row that a column check flags is converted once
 more through the per-row :class:`SessionRecord` path. The column checks
 only tell that a row is bad; the per-row path applies the checks in their
 fixed order, so it gives the verdict and the message that parsing the row
-on its own gives, and errors stay identical line for line. The other
-parsers stay row by row.
+on its own gives, and errors stay identical line for line.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import itertools
 import logging
@@ -218,39 +222,6 @@ def parse_timestamps(texts) -> tuple[np.ndarray, np.ndarray]:
 _READ_ERRORS = (csv.Error, ValueError, OSError)
 
 
-@contextlib.contextmanager
-def _open_reader(source, delimiter: str, expected_header: tuple[str, ...]):
-    """The text stream positioned after the validated header; None for an empty stream.
-
-    ``csv.reader`` pulls one line at a time and reads none ahead, so the
-    stream stands right after the header's last line.
-    """
-    if hasattr(source, "read"):
-        fh = source
-        close = False
-    else:
-        fh = open(source, newline="", encoding="utf-8-sig")
-        close = True
-    try:
-        rest = fh
-        try:
-            header = next(csv.reader(fh, delimiter=delimiter))
-        except StopIteration:
-            rest = None  # empty stream: no rows, no errors
-        except _READ_ERRORS as exc:
-            raise ParseError(f"line 1: {exc}") from exc
-        else:
-            if tuple(h.strip().lower() for h in header) != expected_header:
-                raise ParseError(
-                    f"bad header: expected {','.join(expected_header)}, "
-                    f"got {','.join(header)}"
-                )
-        yield rest
-    finally:
-        if close:
-            fh.close()
-
-
 def _is_blank(row) -> bool:
     return not row or (len(row) == 1 and not row[0].strip())
 
@@ -260,36 +231,20 @@ def _check_width(row, columns) -> None:
         raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
 
 
-def _open_rows(source, delimiter: str, expected_header: tuple[str, ...]):
-    """Yield (line_number, row) pairs after validating the header."""
-    with _open_reader(source, delimiter, expected_header) as fh:
-        reader = None if fh is None else csv.reader(fh, delimiter=delimiter)
-        line_no = 1
-        while reader is not None:
-            line_no += 1
-            try:
-                row = next(reader, None)
-            except _READ_ERRORS as exc:
-                raise ParseError(f"line {line_no}: {exc}") from exc
-            if row is None:
-                return
-            if not _is_blank(row):
-                yield line_no, row
-
-
 def _run_parser(source, delimiter, columns, convert, fail_fast) -> ParseReport:
     report = ParseReport()
-    for line_no, row in _open_rows(source, delimiter, columns):
-        try:
-            _check_width(row, columns)
-            record = convert(row, report)
-        except (ValueError, OverflowError) as exc:
-            if fail_fast:
-                raise ParseError(f"line {line_no}: {exc}") from exc
-            report.errors.append((line_no, str(exc)))
-            continue
-        if record is not None:
-            report.records.append(record)
+    for chunk, first_line in _chunks(source, delimiter, columns):
+        for pos, row in chunk.rows():
+            try:
+                _check_width(row, columns)
+                record = convert(row, report)
+            except (ValueError, OverflowError) as exc:
+                if fail_fast:
+                    raise ParseError(f"line {first_line + pos}: {exc}") from exc
+                report.errors.append((first_line + pos, str(exc)))
+                continue
+            if record is not None:
+                report.records.append(record)
     return report
 
 
@@ -298,14 +253,8 @@ def _run_parser(source, delimiter, columns, convert, fail_fast) -> ParseReport:
 # --------------------------------------------------------------------------
 
 _SESSION_FIELDS = tuple(f.name for f in fields(SessionRecord))
-# dict-encoded fields; the others are numeric columns of these dtypes
+# dict-encoded fields; the others are numeric
 _STRING_FIELDS = ("user_id", "location", "domain", "isp", "service_class")
-_NUMERIC_DTYPES = {
-    "start_time": np.int64,
-    "duration": np.float64,
-    "http_requests": np.int64,
-    "bytes": np.int64,
-}
 
 
 def _int_array(values) -> np.ndarray:
@@ -326,57 +275,34 @@ def _bad_activity(duration, http_requests, nbytes) -> np.ndarray:
 
 
 class _Vocabulary:
-    """Dict-encodes strings to int64 codes in first-appearance order.
+    """Dict-encodes raw texts to int64 codes of their cleaned values.
 
-    ``clean`` turns raw text into the stored value (``str.strip``, say);
-    it runs once per distinct raw string.
+    ``clean`` turns raw text into the stored value (``str.strip``, say); it
+    runs once per distinct raw text, and a text it rejects with ValueError
+    gets code -1. ``codes`` maps the stored values to their codes.
     """
 
-    def __init__(self, clean=None):
+    def __init__(self, clean):
         self.codes: dict[str, int] = {}  # stored value -> code
         self._clean = clean
-        self._raw = {} if clean else self.codes  # raw text -> code
+        self._raw: dict[str, int] = {}  # raw text -> code, or -1
 
-    def encode(self, texts) -> np.ndarray:
-        codes = list(map(self._raw.get, texts))
-        if None in codes:
-            for i, code in enumerate(codes):
-                if code is None:
-                    text = texts[i]
-                    code = self._raw.get(text)
-                    if code is None:
-                        value = self._clean(text) if self._clean else text
-                        code = self.codes.setdefault(value, len(self.codes))
-                        self._raw[text] = code
-                    codes[i] = code
-        return np.array(codes, dtype=np.int64)
+    def add(self, value: str) -> int:
+        return self.codes.setdefault(value, len(self.codes))
 
-
-class _TableChunks:
-    """Collects encoded chunks of columns and joins them into a SessionTable."""
-
-    def __init__(self, clean: dict | None = None):
-        clean = clean or {}
-        self._vocab = {name: _Vocabulary(clean.get(name)) for name in _STRING_FIELDS}
-        self._parts: dict[str, list[np.ndarray]] = {name: [] for name in _SESSION_FIELDS}
-
-    def add(self, columns: dict) -> None:
-        """Append one chunk: texts for the string fields, arrays for the numbers."""
-        for name, values in columns.items():
-            if name in self._vocab:
-                values = self._vocab[name].encode(values)
-            self._parts[name].append(values)
-
-    def build(self) -> SessionTable:
-        columns = {}
-        for name, parts in self._parts.items():
-            if parts:
-                columns[name] = np.concatenate(parts)
-                parts.clear()  # hold one column twice at most, not the whole table
-            else:
-                columns[name] = np.empty(0, dtype=_NUMERIC_DTYPES.get(name, np.int64))
-        vocab = {name: tuple(v.codes) for name, v in self._vocab.items()}
-        return SessionTable(columns=columns, vocab=vocab)
+    def encode(self, texts: list[str]) -> np.ndarray:
+        raw = self._raw
+        try:
+            return np.fromiter(map(raw.__getitem__, texts), np.int64, len(texts))
+        except KeyError:
+            pass
+        for text in dict.fromkeys(texts):
+            if text not in raw:
+                try:
+                    raw[text] = self.add(self._clean(text))
+                except ValueError:
+                    raw[text] = -1
+        return np.fromiter(map(raw.__getitem__, texts), np.int64, len(texts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,8 +315,8 @@ class SessionTable:
     column holds Python ints in an object array when a value does not fit
     in int64); ``duration`` is float64.
 
-    ``len`` counts the sessions; :meth:`to_records` returns them as
-    :class:`SessionRecord` objects.
+    Tables are built by :meth:`encoded`. ``len`` counts the sessions;
+    :meth:`to_records` returns them as :class:`SessionRecord` objects.
     """
 
     columns: dict[str, np.ndarray]
@@ -405,20 +331,45 @@ class SessionTable:
             raise ValueError("a vocabulary repeats a value")
 
     @classmethod
+    def encoded(cls, columns: dict, names: dict) -> SessionTable:
+        """A table from columns whose string fields hold indices into ``names[field]``.
+
+        Each string column is reduced to the names its rows use, in
+        first-appearance order; equal names share one code. The table
+        takes over ``columns``: its string columns are replaced by the
+        reduced codes one by one, so the old ones are freed as it goes.
+        """
+        vocab = {}
+        for name in _STRING_FIELDS:
+            values = names[name]
+            first: dict[str, int] = {}
+            canonical = np.array(
+                [first.setdefault(value, i) for i, value in enumerate(values)], dtype=np.int64
+            )
+            codes = canonical[columns[name]]
+            present, first_row = np.unique(codes, return_index=True)
+            order = present[np.argsort(first_row)]
+            recode = np.empty(len(values), dtype=np.int64)
+            recode[order] = np.arange(order.size)
+            columns[name] = recode[codes]
+            vocab[name] = tuple(values[i] for i in order.tolist())
+        return cls(columns=columns, vocab=vocab)
+
+    @classmethod
     def from_records(cls, records) -> SessionTable:
         """Encode session records (any objects with the SessionRecord fields)."""
         records = list(records)
-        columns = {}
+        columns, names = {}, {}
         for name in _SESSION_FIELDS:
             values = [getattr(r, name) for r in records]
-            if name == "duration":
+            if name in _STRING_FIELDS:
+                names[name], values = values, np.arange(len(values))
+            elif name == "duration":
                 values = np.array(values, dtype=np.float64)
-            elif name in _NUMERIC_DTYPES:
+            else:
                 values = _int_array(values)
             columns[name] = values
-        chunks = _TableChunks()
-        chunks.add(columns)
-        return chunks.build()
+        return cls.encoded(columns, names)
 
     @property
     def users(self) -> tuple[str, ...]:
@@ -504,45 +455,28 @@ def _convert_column(texts, convert, bad: np.ndarray, fill) -> list:
     return out
 
 
-def _valid_or_blank(cache: dict, texts, clean) -> list[str]:
-    """``clean`` once per distinct text, cached; "" where it raises ValueError."""
-    values = list(map(cache.get, texts))
-    if None in values:
-        for i, value in enumerate(values):
-            if value is None:
-                raw = texts[i]
-                value = cache.get(raw)
-                if value is None:
-                    try:
-                        value = clean(raw)
-                    except ValueError:
-                        value = ""
-                    cache[raw] = value
-                values[i] = value
-    return values
-
-
 class _Chunk(NamedTuple):
-    """One chunk of a session log, split into fields.
+    """Consecutive csv records of a file, split into fields.
 
-    ``columns`` holds, per SESSION_COLUMNS name, the texts of the rows
-    with exactly that many fields, and ``positions`` their record indices
-    in the chunk. ``odd`` maps the index of every other non-blank record
-    to its fields. ``n_records`` counts the chunk's csv records, blank
-    ones included.
+    ``columns[k]`` holds field k of the rows with exactly the schema's
+    number of fields, and ``positions`` their record indices in the chunk.
+    ``odd`` maps the index of every other non-blank record to its fields.
+    ``n_records`` counts the chunk's csv records, blank ones included.
     """
 
-    columns: dict[str, list[str]]
+    columns: list[list[str]]
     positions: range | list[int]
     odd: dict[int, list[str]]
     n_records: int
 
+    def rows(self):
+        """(record index, fields) of each non-blank record, in order."""
+        return sorted([*zip(self.positions, zip(*self.columns)), *self.odd.items()])
 
-def _chunk(flat: list[str], positions, odd, n_records: int) -> _Chunk:
+
+def _chunk(flat: list[str], width: int, positions, odd, n_records: int) -> _Chunk:
     """A chunk from the fields of its full-width rows laid end to end."""
-    width = len(SESSION_COLUMNS)
-    columns = {name: flat[k::width] for k, name in enumerate(SESSION_COLUMNS)}
-    return _Chunk(columns, positions, odd, n_records)
+    return _Chunk([flat[k::width] for k in range(width)], positions, odd, n_records)
 
 
 def _raising(exc: Exception):
@@ -551,7 +485,9 @@ def _raising(exc: Exception):
     yield
 
 
-def _split_csv(lines: list[str], tail, delimiter: str) -> tuple[_Chunk, Exception | None]:
+def _split_csv(
+    lines: list[str], tail, delimiter: str, width: int
+) -> tuple[_Chunk, Exception | None]:
     """Split a chunk's lines with csv.reader; also return the error that stopped it.
 
     A quoted field may run on past the chunk's last line: its record is
@@ -567,16 +503,15 @@ def _split_csv(lines: list[str], tail, delimiter: str) -> tuple[_Chunk, Exceptio
                 break
     except _READ_ERRORS as exc:
         error = exc
-    width = len(SESSION_COLUMNS)
     positions = [i for i, row in enumerate(rows) if len(row) == width]
     odd = {i: row for i, row in enumerate(rows) if len(row) != width and not _is_blank(row)}
     flat = list(itertools.chain.from_iterable(rows[i] for i in positions))
-    return _chunk(flat, positions, odd, len(rows)), error
+    return _chunk(flat, width, positions, odd, len(rows)), error
 
 
-def _read_chunk(fh, delimiter: str) -> tuple[_Chunk, Exception | None]:
-    """The next CHUNK_ROWS lines of ``fh`` as a chunk, and the read error
-    that cut them short, if any.
+def _read_chunk(fh, delimiter: str, width: int) -> tuple[_Chunk, Exception | None]:
+    """The next CHUNK_ROWS lines of ``fh`` as a chunk of rows of ``width``
+    fields, and the read error that cut them short, if any.
 
     Without the quote character each line is one csv record, and
     csv.reader reads it as the line without its terminator (LF, CRLF or
@@ -599,10 +534,9 @@ def _read_chunk(fh, delimiter: str) -> tuple[_Chunk, Exception | None]:
         or max(map(len, lines), default=0) > csv.field_size_limit()
     ):
         tail = fh if error is None else _raising(error)
-        chunk, csv_error = _split_csv(lines, tail, delimiter)
+        chunk, csv_error = _split_csv(lines, tail, delimiter, width)
         return chunk, csv_error or error
     n_lines = len(lines)
-    width = len(SESSION_COLUMNS)
     counts = list(map(str.count, stripped, itertools.repeat(delimiter, n_lines)))
     if counts.count(width - 1) == n_lines:
         positions, odd = range(n_lines), {}
@@ -615,22 +549,56 @@ def _read_chunk(fh, delimiter: str) -> tuple[_Chunk, Exception | None]:
         }
         joined = delimiter.join([stripped[i] for i in positions])
     flat = joined.split(delimiter) if positions else []
-    return _chunk(flat, positions, odd, n_lines), error
+    return _chunk(flat, width, positions, odd, n_lines), error
+
+
+def _chunks(source, delimiter: str, columns: tuple[str, ...]):
+    """Yield (chunk, csv record number of its first record) of a delimited
+    file or text stream whose header must name ``columns``.
+
+    Record numbers count the header as 1 and blank records too; an empty
+    stream yields nothing. A record the csv reader cannot read raises
+    ParseError naming it, after the chunk of the records before it.
+    """
+    if not hasattr(source, "read"):
+        with open(source, newline="", encoding="utf-8-sig") as fh:
+            yield from _chunks(fh, delimiter, columns)
+        return
+    # csv.reader pulls one line at a time and reads none ahead, so the
+    # stream stands right after the header's last line
+    try:
+        header = next(csv.reader(source, delimiter=delimiter))
+    except StopIteration:
+        return
+    except _READ_ERRORS as exc:
+        raise ParseError(f"line 1: {exc}") from exc
+    if tuple(h.strip().lower() for h in header) != columns:
+        raise ParseError(f"bad header: expected {','.join(columns)}, got {','.join(header)}")
+    first_line = 2
+    while True:
+        chunk, error = _read_chunk(source, delimiter, len(columns))
+        n_records = chunk.n_records
+        yield chunk, first_line
+        del chunk  # hold one chunk's text at a time, not two
+        if error is not None:
+            raise ParseError(f"line {first_line + n_records}: {error}") from error
+        if not n_records:
+            return
+        first_line += n_records
 
 
 class _SessionChunkParser:
-    """Validates session-log chunks and encodes the accepted rows."""
+    """Validates and encodes session-log chunks, and joins the accepted
+    rows into a SessionTable."""
 
     def __init__(self, report: ParseReport, fail_fast: bool, truncate_domains: bool):
         self.report = report
         self.fail_fast = fail_fast
         self.truncate = truncate_domains
-        self.table = _TableChunks(
-            {name: str.strip for name in _STRING_FIELDS if name not in ("domain", "user_id")}
-        )
-        # raw text -> valid value, or "" if invalid
-        self._domains: dict[str, str] = {}
-        self._users: dict[str, str] = {}
+        self.vocab = {name: _Vocabulary(str.strip) for name in _STRING_FIELDS}
+        self.vocab["domain"] = _Vocabulary(self._domain)
+        self.vocab["user_id"] = _Vocabulary(self._user_id)
+        self._parts: dict[str, list[np.ndarray]] = {name: [] for name in _SESSION_FIELDS}
 
     def _domain(self, raw: str) -> str:
         domain = normalize_domain(raw, truncate=self.truncate)
@@ -645,43 +613,27 @@ class _SessionChunkParser:
 
     def add(self, chunk: _Chunk, first_line: int) -> None:
         """Parse one chunk whose first record is csv record ``first_line``."""
-        texts, positions = chunk.columns, chunk.positions
-        other = [(pos, -1) for pos in chunk.odd]
-        if not positions:
-            self._convert_flagged(chunk, first_line, other, None)
-            return
-        start_time, bad = parse_timestamps(texts["start_time"])
-        cols = {
-            "start_time": start_time,
-            "duration": np.array(_convert_column(texts["duration_s"], float, bad, 0.0)),
-            "http_requests": _int_array(_convert_column(texts["http_requests"], int, bad, 0)),
-            "bytes": _int_array(_convert_column(texts["bytes"], int, bad, 0)),
-            "domain": _valid_or_blank(self._domains, texts["domain"], self._domain),
-            "user_id": _valid_or_blank(self._users, texts["user_id"], self._user_id),
-        }
+        texts = dict(zip(_SESSION_FIELDS, chunk.columns))
+        cols = {name: vocab.encode(texts[name]) for name, vocab in self.vocab.items()}
+        cols["start_time"], bad = parse_timestamps(texts["start_time"])
+        cols["duration"] = np.array(_convert_column(texts["duration"], float, bad, 0.0))
+        for name in ("http_requests", "bytes"):
+            cols[name] = _int_array(_convert_column(texts[name], int, bad, 0))
         bad |= _bad_activity(cols["duration"], cols["http_requests"], cols["bytes"])
-        for name in ("domain", "user_id"):
-            if "" in cols[name]:
-                bad[[j for j, v in enumerate(cols[name]) if not v]] = True
-        flagged = [(positions[j], j) for j in np.flatnonzero(bad).tolist()]
-        self._convert_flagged(chunk, first_line, sorted(flagged + other), (bad, cols))
-        for name in ("location", "isp", "service_class"):
-            cols[name] = texts[name]
-        if bad.any():
-            keep = np.flatnonzero(~bad).tolist()
-            cols = {
-                name: values[keep] if isinstance(values, np.ndarray)
-                else [values[j] for j in keep]
-                for name, values in cols.items()
-            }
-        self.table.add(cols)
+        bad |= (cols["domain"] < 0) | (cols["user_id"] < 0)
+        flagged = [(chunk.positions[j], j) for j in np.flatnonzero(bad).tolist()]
+        flagged += [(pos, -1) for pos in chunk.odd]
+        self._convert_flagged(chunk, first_line, sorted(flagged), bad, cols)
+        keep = ~bad
+        for name, values in cols.items():
+            self._parts[name].append(values[keep])
 
-    def _convert_flagged(self, chunk: _Chunk, first_line, flagged, checked) -> None:
+    def _convert_flagged(self, chunk: _Chunk, first_line, flagged, bad, cols) -> None:
         """Run flagged rows, as (record index, column index or -1 for an odd
         row), through the per-row path."""
         for pos, j in flagged:
             line_no = first_line + pos
-            row = chunk.odd[pos] if j < 0 else [col[j] for col in chunk.columns.values()]
+            row = chunk.odd[pos] if j < 0 else [col[j] for col in chunk.columns]
             try:
                 record = _session_record(row, self.truncate)
             except (ValueError, OverflowError) as exc:
@@ -690,10 +642,21 @@ class _SessionChunkParser:
                 self.report.errors.append((line_no, str(exc)))
                 continue
             # a column check was stricter than the record's: keep the row as converted
-            bad, cols = checked
             bad[j] = False
-            for name in ("start_time", "duration", "http_requests", "bytes", "domain"):
-                cols[name][j] = getattr(record, name)
+            for name, values in cols.items():
+                value = getattr(record, name)
+                values[j] = self.vocab[name].add(value) if name in self.vocab else value
+
+    def build(self) -> SessionTable:
+        columns = {}
+        for name, parts in self._parts.items():
+            if parts:
+                columns[name] = np.concatenate(parts)
+                parts.clear()  # hold one column twice at most, not the whole table
+            else:
+                columns[name] = np.empty(0, dtype=np.float64 if name == "duration" else np.int64)
+        names = {name: tuple(vocab.codes) for name, vocab in self.vocab.items()}
+        return SessionTable.encoded(columns, names)
 
 
 def parse_sessions(
@@ -711,19 +674,10 @@ def parse_sessions(
     """
     report = ParseReport()
     parser = _SessionChunkParser(report, fail_fast, truncate_domains)
-    with _open_reader(source, delimiter, SESSION_COLUMNS) as fh:
-        first_line = 2
-        while fh is not None:
-            chunk, error = _read_chunk(fh, delimiter)
-            parser.add(chunk, first_line)
-            n_records = chunk.n_records
-            del chunk  # hold one chunk's text at a time, not two
-            if error is not None:
-                raise ParseError(f"line {first_line + n_records}: {error}") from error
-            if not n_records:
-                break
-            first_line += n_records
-    report.records = parser.table.build()
+    for chunk, first_line in _chunks(source, delimiter, SESSION_COLUMNS):
+        parser.add(chunk, first_line)
+        del chunk  # hold one chunk's text at a time, not two
+    report.records = parser.build()
     return report
 
 

@@ -210,19 +210,6 @@ def _draw_session_count(spec: SynthSpec, rng: np.random.Generator) -> int:
     return int(rng.integers(spec.sessions_lo, spec.sessions_hi + 1))
 
 
-def _first_appearance(codes: np.ndarray, names) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Re-code indices into ``names`` as codes into the names that occur,
-    in first-appearance order; equal names share one code."""
-    first: dict[str, int] = {}
-    canonical = np.array([first.setdefault(name, i) for i, name in enumerate(names)])
-    codes = canonical[codes]
-    present, first_row = np.unique(codes, return_index=True)
-    order = present[np.argsort(first_row)]
-    recode = np.empty(len(names), dtype=np.int64)
-    recode[order] = np.arange(order.size)
-    return recode[codes], tuple(names[i] for i in order.tolist())
-
-
 def generate(spec: SynthSpec) -> tuple[SessionTable, GroundTruth]:
     """Sample a session corpus and its planted topic labels.
 
@@ -287,28 +274,22 @@ def generate(spec: SynthSpec) -> tuple[SessionTable, GroundTruth]:
         )
     nbytes = np.maximum(1, np.rint(size))
 
-    domain_codes, domain_vocab = _first_appearance(
-        domains, (*spec.domain_names, spec.universal_domain)
-    )
-    location_codes, location_vocab = _first_appearance(
-        draws["location"], tuple(f"ap{j:03d}" for j in range(50))
-    )
-    table = SessionTable(
+    table = SessionTable.encoded(
         columns={
             "user_id": users,
             "start_time": _BASE_EPOCH + users * 7 + session_idx * 3600,
             "duration": draws["duration"].astype(np.float64),
-            "location": location_codes,
-            "domain": domain_codes,
+            "location": draws["location"],
+            "domain": domains,
             "isp": np.zeros(users.size, dtype=np.int64),
             "http_requests": 1 + draws["requests"],
             "service_class": np.zeros(users.size, dtype=np.int64),
             "bytes": _int_array(list(map(int, nbytes.tolist()))),
         },
-        vocab={
+        names={
             "user_id": user_ids,
-            "location": location_vocab,
-            "domain": domain_vocab,
+            "location": tuple(f"ap{j:03d}" for j in range(50)),
+            "domain": (*spec.domain_names, spec.universal_domain),
             "isp": ("campus",),
             "service_class": ("web",),
         },

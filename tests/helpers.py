@@ -1,6 +1,10 @@
-"""Shared record factories and small corpus builders for the tests."""
+"""Shared record factories, small corpus builders and csv text helpers for the tests."""
 
 from __future__ import annotations
+
+import contextlib
+import csv
+import io
 
 import numpy as np
 
@@ -58,3 +62,24 @@ def random_dense_positive(rng, max_users=10, max_domains=10, density=0.6,
             mask = rng.random(d) < density
             dense[i, mask] = rng.integers(low, high + 1, size=int(mask.sum()))
     return dense
+
+
+def write_row(out, row, delimiter, ending="\n", quote_all=False):
+    quoting = csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL
+    csv.writer(out, delimiter=delimiter, lineterminator=ending, quoting=quoting).writerow(row)
+
+
+def text_stream(text, newline=""):
+    """A text stream over ``text``: with ``newline=""`` lines end at LF, CRLF
+    and CR, as in a file the parsers open; with LF or CR only there."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8",
+                            newline=newline)
+
+
+@contextlib.contextmanager
+def field_size_limit(limit):
+    old = csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)

@@ -3,8 +3,8 @@
 Everything here is deliberately naive: scalar arithmetic, exhaustive
 enumeration, pair counting, one record per row. None of it shares code
 with the package beyond the record types, the scalar helpers
-``parse_timestamp`` and ``normalize_domain``, and the constants
-``SESSION_COLUMNS`` and ``synth._BASE_EPOCH``.
+``parse_timestamp`` and ``normalize_domain``, and the constants (the
+``*_COLUMNS`` schemas and ``synth._BASE_EPOCH``).
 """
 
 from __future__ import annotations
@@ -164,58 +164,46 @@ def dense_to_feature(dense, provenance="tfidf"):
     )
 
 
-def parse_sessions_rows(source, *, delimiter=",", fail_fast=False, truncate_domains=False):
-    """Row-by-row session-log parser: (records, errors).
+def open_rows(source, delimiter, columns):
+    """Yield (line_number, row) of each non-blank csv record after the header.
 
-    The reference for ``ingest.parse_sessions``: ``source`` is a path or a
-    text stream, each row becomes one ``SessionRecord``, line numbers are
-    csv record numbers (header = 1, blank rows counted) and blank rows are
-    skipped. With ``fail_fast`` the first bad row raises
-    ``ParseError("line N: ...")``; a bad header raises ParseError, and so
-    does a record the csv reader cannot read, naming its line.
+    The row-by-row reference for the ingest chunk reader: ``source`` is a
+    path or a text stream, line numbers are csv record numbers (header = 1,
+    blank rows counted). A header that does not name ``columns`` raises
+    ``ParseError``, and so does a record the csv reader cannot read,
+    naming its line.
     """
-    from usertopics.ingest import SESSION_COLUMNS, ParseError, normalize_domain, parse_timestamp
-    from usertopics.records import SessionRecord
+    from usertopics.ingest import ParseError
 
     if not hasattr(source, "read"):
         with open(source, newline="", encoding="utf-8-sig") as fh:
-            return parse_sessions_rows(
-                fh, delimiter=delimiter, fail_fast=fail_fast, truncate_domains=truncate_domains
-            )
-    records, errors = [], []
+            yield from open_rows(fh, delimiter, columns)
+        return
     reader = csv.reader(source, delimiter=delimiter)
-
-    def read(line_no):
+    for line_no in itertools.count(1):
         try:
-            return next(reader, None)
+            row = next(reader, None)
         except (csv.Error, ValueError, OSError) as exc:
             raise ParseError(f"line {line_no}: {exc}") from exc
-
-    header = read(1)
-    if header is None:
-        return records, errors
-    if tuple(h.strip().lower() for h in header) != SESSION_COLUMNS:
-        raise ParseError("bad header")
-    for line_no in itertools.count(2):
-        row = read(line_no)
         if row is None:
-            break
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
+            return
+        if line_no == 1:
+            if tuple(h.strip().lower() for h in row) != columns:
+                raise ParseError(f"bad header: expected {','.join(columns)}, got {','.join(row)}")
+        elif row and not (len(row) == 1 and not row[0].strip()):
+            yield line_no, row
+
+
+def _rows_parser(source, delimiter, columns, convert, fail_fast):
+    """(records, errors) of ``convert`` over the rows of ``open_rows``."""
+    from usertopics.ingest import ParseError
+
+    records, errors = [], []
+    for line_no, row in open_rows(source, delimiter, columns):
         try:
-            if len(row) != len(SESSION_COLUMNS):
-                raise ValueError(f"expected {len(SESSION_COLUMNS)} fields, got {len(row)}")
-            record = SessionRecord(
-                user_id=row[0].strip(),
-                start_time=parse_timestamp(row[1]),
-                duration=float(row[2]),
-                location=row[3].strip(),
-                domain=normalize_domain(row[4], truncate=truncate_domains),
-                isp=row[5].strip(),
-                http_requests=int(row[6]),
-                service_class=row[7].strip(),
-                bytes=int(row[8]),
-            )
+            if len(row) != len(columns):
+                raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
+            record = convert(row)
         except (ValueError, OverflowError) as exc:
             if fail_fast:
                 raise ParseError(f"line {line_no}: {exc}") from exc
@@ -223,6 +211,89 @@ def parse_sessions_rows(source, *, delimiter=",", fail_fast=False, truncate_doma
             continue
         records.append(record)
     return records, errors
+
+
+def parse_sessions_rows(source, *, delimiter=",", fail_fast=False, truncate_domains=False):
+    """Row-by-row session-log parser: (records, errors).
+
+    The reference for ``ingest.parse_sessions``: each row of ``open_rows``
+    becomes one ``SessionRecord``. With ``fail_fast`` the first bad row
+    raises ``ParseError("line N: ...")``.
+    """
+    from usertopics.ingest import SESSION_COLUMNS, normalize_domain, parse_timestamp
+    from usertopics.records import SessionRecord
+
+    def convert(row):
+        return SessionRecord(
+            user_id=row[0].strip(),
+            start_time=parse_timestamp(row[1]),
+            duration=float(row[2]),
+            location=row[3].strip(),
+            domain=normalize_domain(row[4], truncate=truncate_domains),
+            isp=row[5].strip(),
+            http_requests=int(row[6]),
+            service_class=row[7].strip(),
+            bytes=int(row[8]),
+        )
+
+    return _rows_parser(source, delimiter, SESSION_COLUMNS, convert, fail_fast)
+
+
+def parse_side_rows(columns, source, *, delimiter=",", fail_fast=False, truncate_domains=False):
+    """Row-by-row demographics, transactions or raw-event parser, picked by
+    ``columns``: (records, errors, warnings).
+
+    The reference for ``ingest.parse_demographics`` (a repeated user_id
+    replaces the earlier record with a warning), ``parse_transactions`` (an
+    amount total beyond float64, per user or over all users, raises
+    ParseError) and ``parse_raw_events``.
+    """
+    from usertopics.ingest import (
+        DEMOGRAPHIC_COLUMNS,
+        TRANSACTION_COLUMNS,
+        ParseError,
+        normalize_domain,
+        parse_timestamp,
+    )
+    from usertopics.records import DemographicRecord, RawEvent, TransactionRecord
+
+    def optional_int(text):
+        return int(text) if text.strip() else None
+
+    def convert(row):
+        if columns == DEMOGRAPHIC_COLUMNS:
+            birth_year = optional_int(row[2])
+            if birth_year is not None and not 1900 <= birth_year <= 2100:
+                raise ValueError(f"birth_year {birth_year} outside plausible range")
+            return DemographicRecord(row[0].strip(), row[1].strip().lower() or "unknown",
+                                     birth_year, optional_int(row[3]), row[4].strip() or None)
+        if columns == TRANSACTION_COLUMNS:
+            return TransactionRecord(row[0].strip(), parse_timestamp(row[1]), float(row[2]))
+        return RawEvent(row[0].strip(), parse_timestamp(row[1]),
+                        normalize_domain(row[2], truncate=truncate_domains), int(row[3]),
+                        int(row[4]))
+
+    records, errors = _rows_parser(source, delimiter, columns, convert, fail_fast)
+    warnings = []
+    if columns == DEMOGRAPHIC_COLUMNS:
+        last = {}
+        for record in records:
+            if record.user_id in last:
+                warnings.append(f"duplicate user_id {record.user_id!r}: keeping the last row")
+            last[record.user_id] = record
+        records = list(last.values())
+    if columns == TRANSACTION_COLUMNS:
+        by_user = {}
+        for t in records:
+            by_user.setdefault(t.user_id, []).append(t.amount)
+        sums = [(f"amount total of user {user!r}", a) for user, a in by_user.items()]
+        sums.append(("amount total over all users", [t.amount for t in records]))
+        for what, amounts in sums:
+            try:
+                math.fsum(amounts)
+            except OverflowError:
+                raise ParseError(f"{what} is beyond the float64 range") from None
+    return records, errors, warnings
 
 
 def profile_oracle(sessions, metric="bytes"):

@@ -1,11 +1,14 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from usertopics import cli, lsa
+from usertopics import _store, cli, lsa
 from usertopics.matrix import SparseMatrix, csr_from_triplets, read_matrix, write_matrix
 from usertopics.synth import read_truth
 
@@ -233,6 +236,14 @@ class TestIngestCommand:
         err = capsys.readouterr().err
         assert err == f"data error: activity total of {message} is beyond the float64 range\n"
 
+    @pytest.mark.parametrize("sources", [["--sessions", "s.csv", "--raw-events", "e.csv"], []],
+                             ids=["both", "neither"])
+    def test_exactly_one_session_source(self, tmp_path, capsys, sources):
+        assert run(["ingest", "--workspace", tmp_path / "w", *sources]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not (tmp_path / "w").exists()
+
     def test_raw_events_input(self, tmp_path):
         events = tmp_path / "ev.csv"
         events.write_text(
@@ -353,6 +364,87 @@ class TestClusterCommand:
         (ingested_ws / ".lock").touch()
         assert run(["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4]) == 1
         (ingested_ws / ".lock").unlink()
+
+
+def dead_pid() -> int:
+    """The PID of a child process that has exited and been reaped."""
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()
+    return child.pid
+
+
+class TestWorkspaceLock:
+    HOST = os.uname().nodename
+
+    def cluster(self, ws):
+        return run(["cluster", "--workspace", ws, "-M", 4, "-K", 4])
+
+    def test_lock_names_the_running_process(self, tmp_path):
+        with _store.workspace_lock(tmp_path / "w"):
+            assert (tmp_path / "w" / ".lock").read_text() == f"{os.getpid()} {self.HOST}\n"
+        assert not (tmp_path / "w" / ".lock").exists()
+
+    def test_dead_process_on_this_host_is_taken_over(self, ingested_ws, caplog):
+        pid = dead_pid()
+        (ingested_ws / ".lock").write_text(f"{pid} {self.HOST}\n")
+        assert self.cluster(ingested_ws) == 0
+        warnings = [(r.levelname, r.getMessage()) for r in caplog.records
+                    if r.name == _store.log.name]
+        assert warnings == [("WARNING", f"taking over {ingested_ws / '.lock'} from process "
+                                        f"{pid}, which is no longer running")]
+        assert list(ingested_ws.glob(".lock*")) == []
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(lambda pid, host: f"{os.getpid()} {host}\n", id="live-pid"),
+            pytest.param(lambda pid, host: f"{pid} elsewhere.example\n", id="other-host"),
+            pytest.param(lambda pid, host: "", id="empty"),
+            pytest.param(lambda pid, host: f"{pid}\n", id="no-host"),
+            pytest.param(lambda pid, host: f"0 {host}\n", id="pid-0"),
+            pytest.param(lambda pid, host: f"{10**30} {host}\n", id="pid-beyond-pid_t"),
+            pytest.param(lambda pid, host: f"x{pid} {host}\n", id="garbage"),
+        ],
+    )
+    def test_refused_unless_shown_stale(self, ingested_ws, capsys, content):
+        lock = ingested_ws / ".lock"
+        lock.write_text(content(dead_pid(), self.HOST))
+        before = lock.read_bytes()
+        assert self.cluster(ingested_ws) == 1
+        err = capsys.readouterr().err
+        assert err == (f"usage error: workspace {ingested_ws} is locked by another run "
+                       f"(remove {lock} if stale)\n")
+        assert lock.read_bytes() == before
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_lock_refused(self, ingested_ws, capsys, kind):
+        lock = ingested_ws / ".lock"
+        if kind == "directory":
+            lock.mkdir()
+        else:
+            lock.write_bytes(b"\xff\xfe 1 " + self.HOST.encode() + b"\n")
+        assert self.cluster(ingested_ws) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: workspace {ingested_ws} is locked")
+        assert lock.exists()
+
+    def test_of_two_runs_taking_over_one_stale_lock_one_wins(self, tmp_path, monkeypatch):
+        lock = tmp_path / ".lock"
+        lock.write_text(f"{dead_pid()} {self.HOST}\n")
+        rival = f"{os.getppid()} {self.HOST}\n"
+        real_rename = os.rename
+
+        def rival_first(src, dst):
+            # another run took over between this run's check and its move
+            lock.write_text(rival)
+            monkeypatch.setattr(_store.os, "rename", real_rename)
+            real_rename(src, dst)
+
+        monkeypatch.setattr(_store.os, "rename", rival_first)
+        with pytest.raises(_store.WorkspaceLocked):
+            with _store.workspace_lock(tmp_path):
+                pass
+        assert lock.read_text() == rival
+        assert [p.name for p in tmp_path.iterdir()] == [".lock"]
 
 
 class TestSweepCommand:

@@ -3,14 +3,19 @@
 Every data row must end as a record, a counted error (or, for
 demographics, a counted duplicate) or a ParseError for the whole input;
 no other exception may escape. Raw events go on through sessionize and
-build_profile_matrix, whose sums may only fail with a data error.
+build_profile_matrix, whose sums may only fail with a data error. The
+parsers read their files in chunks; they must give what a row-by-row
+csv reader gives, for any chunk size.
 """
 
 import csv
 import io
+from unittest import mock
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
+from usertopics import ingest
 from usertopics.ingest import (
     DEMOGRAPHIC_COLUMNS,
     RAW_EVENT_COLUMNS,
@@ -22,6 +27,9 @@ from usertopics.ingest import (
     parse_transactions,
     sessionize,
 )
+
+from helpers import field_size_limit, text_stream, write_row
+from oracles import parse_side_rows
 
 # values that are bad, odd or borderline in at least one column
 TOKENS = (
@@ -104,3 +112,89 @@ def test_raw_events_rows_all_accounted_for_through_aggregation(text, metric):
         assert "beyond the float64 range" in str(exc)
         return
     assert matrix.n_users == len({e.user_id for e in report.records})
+
+
+PARSERS = {
+    DEMOGRAPHIC_COLUMNS: parse_demographics,
+    TRANSACTION_COLUMNS: parse_transactions,
+    RAW_EVENT_COLUMNS: parse_raw_events,
+}
+# values csv.writer quotes: every delimiter, a quote, an empty field, each line ending
+QUOTED_VALUES = ("x,y", "x;y", "x\ty", "x|y", 'say "hi"', "", "two\nlines", "two\r\nlines",
+                 "two\rlines")
+DELIMITERS = (",", ";", "\t", "|")
+LINE_ENDINGS = ("\n", "\r\n", "\r")
+
+
+@st.composite
+def side_logs(draw, columns):
+    """(text, delimiter) of a log: header, mangled rows of any width, blank
+    and whitespace-only lines, LF, CRLF and CR line endings, and quoted
+    fields that hold a delimiter, a quote or a line ending."""
+    delimiter = draw(st.sampled_from(DELIMITERS))
+    out = io.StringIO()
+    write_row(out, columns, delimiter, draw(st.sampled_from(LINE_ENDINGS)))
+    for _ in range(draw(st.integers(min_value=0, max_value=20))):
+        ending = draw(st.sampled_from(LINE_ENDINGS))
+        if draw(st.integers(min_value=0, max_value=4)) == 0:
+            out.write(draw(st.sampled_from(["", "  ", delimiter])) + ending)
+        row = list(GOOD_ROWS[columns])
+        row[0] = draw(st.sampled_from(["u1", " u2 ", "u3", ""]))
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            row[draw(st.integers(min_value=0, max_value=len(row) - 1))] = draw(
+                st.sampled_from(TOKENS + QUOTED_VALUES))
+        width = draw(st.sampled_from([len(row)] * 6 + [0, 1, len(row) - 1, len(row) + 1]))
+        write_row(out, (row + ["extra"])[:width], delimiter, ending, draw(st.booleans()))
+    return out.getvalue(), delimiter
+
+
+def _outcome(parse, text, newline):
+    """What ``parse`` returns for a stream over ``text``, or its ParseError message."""
+    try:
+        return parse(text_stream(text, newline))
+    except ParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("columns", list(PARSERS), ids=["demographics", "transactions", "raw"])
+@settings(max_examples=100)
+@given(data=st.data(), chunk_rows=st.sampled_from([1, 2, 3, 7]), fail_fast=st.booleans(),
+       limit=st.sampled_from([None, 25, 60]), newline=st.sampled_from(["", "\n", "\r"]))
+def test_chunked_parse_matches_row_by_row_reader(columns, data, chunk_rows, fail_fast, limit,
+                                                 newline):
+    # a csv field limit below a line's length sends its chunk through csv.reader,
+    # one below a field's length makes the read fail at that record
+    text, delimiter = data.draw(side_logs(columns))
+    options = {"delimiter": delimiter, "fail_fast": fail_fast}
+    if columns == RAW_EVENT_COLUMNS:
+        options["truncate_domains"] = data.draw(st.booleans())
+
+    def chunked(stream):
+        report = PARSERS[columns](stream, **options)
+        return report.records, report.errors, report.warnings
+
+    with field_size_limit(limit or csv.field_size_limit()):
+        with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+            got = _outcome(chunked, text, newline)
+        want = _outcome(lambda stream: parse_side_rows(columns, stream, **options), text, newline)
+    assert got == want
+
+
+def test_quoted_record_across_chunks_then_a_field_over_the_limit():
+    rows = [list(GOOD_ROWS[TRANSACTION_COLUMNS]) for _ in range(5)]
+    rows[1][0] = "u\r\n2"  # record 3 spans two lines
+    rows[2][2] = "-1"
+    rows[4][1] = "9" * 100  # record 6
+    out = io.StringIO()
+    for row in (TRANSACTION_COLUMNS, *rows):
+        write_row(out, row, ",")
+    text = out.getvalue()
+    for chunk_rows in (1, 2, 3):
+        with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+            report = parse_transactions(text_stream(text))
+            with field_size_limit(60):
+                over_limit = _outcome(parse_transactions, text, "")
+        assert [t.user_id for t in report.records] == ["u1", "u\r\n2", "u1"]
+        assert [line for line, _ in report.errors] == [4, 6]
+        assert report.errors[0] == (4, "negative amount: -1.0")
+        assert over_limit == "line 6: field larger than field limit (60)"

@@ -1,6 +1,5 @@
 """Columnar session ingest against the row-by-row oracles in oracles.py."""
 
-import contextlib
 import csv
 import io
 import tempfile
@@ -24,7 +23,7 @@ from usertopics.ingest import (
 )
 from usertopics.matrix import matrices_equal
 
-from helpers import make_session
+from helpers import field_size_limit, make_session, text_stream, write_row
 from oracles import parse_sessions_rows, profile_oracle, write_sessions_rows
 
 GOOD_ROW = ("u1", "2014-09-01T10:00:00Z", "120.5", "ap1", "News.Example.com", "isp", "5", "web",
@@ -64,11 +63,6 @@ DELIMITERS = (",", ";", "\t", "|")
 LINE_ENDINGS = ("\n", "\r\n", "\r")
 
 
-def write_row(out, row, delimiter, ending="\n", quote_all=False):
-    quoting = csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL
-    csv.writer(out, delimiter=delimiter, lineterminator=ending, quoting=quoting).writerow(row)
-
-
 @st.composite
 def session_logs(draw):
     """(text, delimiter) of a session log: header, rows, blank and
@@ -94,13 +88,6 @@ def session_logs(draw):
     return out.getvalue(), delimiter
 
 
-def text_stream(text, newline=""):
-    """A text stream over ``text``: with ``newline=""`` lines end at LF, CRLF
-    and CR, as in a file parse_sessions opens; with LF or CR only there."""
-    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8",
-                            newline=newline)
-
-
 def _outcome(parse, text, newline="", **kwargs):
     """(errors, records) of a parse, or the message of the ParseError it raised."""
     try:
@@ -124,15 +111,6 @@ def _parse_both(text, *, chunk_rows, **kwargs):
     with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
         got = _outcome(_columnar, text, **kwargs)
     return got, _outcome(_rows, text, **kwargs)
-
-
-@contextlib.contextmanager
-def field_size_limit(limit):
-    old = csv.field_size_limit(limit)
-    try:
-        yield
-    finally:
-        csv.field_size_limit(old)
 
 
 def log_text(rows, delimiter=",", ending="\n"):
@@ -297,6 +275,29 @@ class TestDifferential:
         assert report.errors == []
         assert report.records.to_records() == parse_sessions_rows(io.StringIO(text))[0]
 
+    def test_per_row_verdict_wins_over_a_stricter_user_id_check(self):
+        rows = [GOOD_ROW, ("u2", *GOOD_ROW[1:]), GOOD_ROW]
+        text = log_text(rows)
+
+        def strict(user_id):
+            if user_id == "u1":
+                raise ValueError("stricter than SessionRecord")
+
+        with mock.patch.object(ingest, "_check_user_id", strict):
+            table = parse_sessions(io.StringIO(text)).records
+        assert table.to_records() == parse_sessions_rows(io.StringIO(text))[0]
+        assert table.users == ("u1", "u2")
+
+    @given(session_logs(), st.sampled_from([1, 3, 2048]))
+    def test_vocabularies_in_first_appearance_order_of_accepted_rows(self, log, chunk_rows):
+        # a value first seen in a rejected row takes its place where an accepted row has it
+        text, delimiter = log
+        with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+            table = parse_sessions(text_stream(text), delimiter=delimiter).records
+        records = table.to_records()
+        for name, values in table.vocab.items():
+            assert values == tuple(dict.fromkeys(getattr(r, name) for r in records)), name
+
 
 # one canonical UTC form per width: naive, "Z", "+00:00"
 CANONICAL_SUFFIXES = ("", "Z", "+00:00")
@@ -418,6 +419,17 @@ class TestSessionTable:
         assert len(table) == 3
         assert table.to_records() == sessions
         assert table.users == ("b", "a") and table.domains == ("x.com", "y.com")
+
+    def test_synth_vocabularies_in_first_appearance_order(self):
+        spec = synth.SynthSpec(
+            n_topics=3, n_domains=30, n_users=12, topic_word=synth.disjoint_topic_word(3, 30),
+            sessions_lo=5, sessions_hi=5, universal_domain="dom0004", seed=2,
+        )
+        table, _ = synth.generate(spec)
+        records = table.to_records()
+        for name, values in table.vocab.items():
+            assert values == tuple(dict.fromkeys(getattr(r, name) for r in records)), name
+        assert table.vocab["domain"] != tuple(sorted(table.domains))
 
     def test_empty(self):
         table = SessionTable.from_records([])
