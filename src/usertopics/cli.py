@@ -163,8 +163,7 @@ def _parse_session_input(args, path: Path):
     )
     if args.raw_events:
         report = ingest.parse_raw_events(path, **options)
-        sessions = ingest.sessionize(report.records, gap_threshold=args.gap)
-        return ingest.SessionTable.from_records(sessions), report
+        return ingest.sessionize(report.records, gap_threshold=args.gap), report
     report = ingest.parse_sessions(path, **options)
     return report.records, report
 
@@ -207,6 +206,7 @@ def cmd_ingest(args) -> int:
             workspace / "ingest_manifest.json",
             args,
             {
+                "n_sessions": len(sessions),
                 "n_users": matrix.n_users,
                 "n_domains": matrix.n_domains,
                 "nnz": matrix.nnz,

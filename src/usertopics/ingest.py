@@ -11,24 +11,28 @@ Every input file goes through one chunk reader, which reads
 :data:`CHUNK_ROWS` lines at a time. A chunk without the quote character,
 and with no line longer than the csv field limit, holds one csv record
 per line and is split with ``str.split``; any other chunk is read by
-``csv.reader``, with the same fields as a result. The demographics,
-transactions and raw-event parsers convert a chunk's records one by one.
+``csv.reader``, with the same fields as a result. The demographics and
+transactions parsers convert a chunk's records one by one.
 
-Session logs, the large input, are parsed column by column into a
-:class:`SessionTable`. Each chunk's columns are validated in bulk:
-timestamps through :func:`parse_timestamps`, the other numbers through
-one ``map`` over the column, the finiteness and sign checks as array
-comparisons. Each string column is encoded to int64 codes by a vocabulary
-that cleans and checks every distinct raw string once; a domain or user
-id that fails its check gets code -1, which flags its row. The chunk is
-encoded before the next one is read, so memory grows with the
-vocabularies and the numeric columns, not with the raw text. At the end,
-each vocabulary is reduced to the values the accepted rows use, in
+Session logs and raw-event logs, the large inputs, are parsed column by
+column into a :class:`SessionTable`; a raw event is a session of duration
+0 with empty location, isp and service class. Each chunk's columns are
+validated in bulk: timestamps through :func:`parse_timestamps`, the other
+numbers through one ``map`` over the column, the finiteness and sign
+checks as array comparisons. Each string column is encoded to int64 codes
+by a vocabulary that cleans and checks every distinct raw string once; a
+domain or user id that fails its check gets code -1, which flags its row.
+The chunk is encoded before the next one is read, so memory grows with
+the vocabularies and the numeric columns, not with the raw text. At the
+end, each vocabulary is reduced to the values the accepted rows use, in
 first-appearance order. A row that a column check flags is converted once
 more through the per-row :class:`SessionRecord` path. The column checks
 only tell that a row is bad; the per-row path applies the checks in their
 fixed order, so it gives the verdict and the message that parsing the row
 on its own gives, and errors stay identical line for line.
+
+:func:`sessionize` merges a table of raw events into sessions with array
+operations: a sort by (user, domain, time) and one sum per run of events.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -48,7 +53,6 @@ import numpy as np
 from .matrix import ProfileMatrix, csr_from_triplets
 from .records import (
     DemographicRecord,
-    RawEvent,
     SessionRecord,
     TransactionRecord,
     _check_domain,
@@ -94,7 +98,7 @@ class ParseReport:
     """Parsed records plus per-line errors and free-form warnings.
 
     ``records`` is a list of records, or a :class:`SessionTable` from
-    :func:`parse_sessions`.
+    :func:`parse_sessions` and :func:`parse_raw_events`.
     """
 
     records: list = field(default_factory=list)
@@ -177,38 +181,47 @@ def _days_from_civil(year, month, day):
     return era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
 
 
+def _decode_canonical(chars: np.ndarray, suffix: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """(decoded mask, epochs) of rows of ASCII bytes of one canonical width."""
+    n = chars.shape[0]
+    digits = chars[:, _DIGIT_POS] - np.uint8(ord("0"))  # other bytes wrap past 9
+    decoded = (digits <= 9).all(axis=1)
+    decoded &= (chars[:, _SEPARATOR_POS] == _SEPARATORS).all(axis=1)
+    decoded &= (chars[:, 19:] == np.frombuffer(suffix, dtype=np.uint8)).all(axis=1)
+    year = digits[:, :4] @ np.array([1000, 100, 10, 1])
+    month, day, hour, minute, second = (digits[:, 4:].reshape(n, 5, 2) @ np.array([10, 1])).T
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2))
+    decoded &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+    decoded &= (day <= month_days) & (hour <= 23) & (minute <= 59) & (second <= 59)
+    days = _days_from_civil(year, month, day)
+    return decoded, np.where(decoded, days * 86400 + hour * 3600 + minute * 60 + second, 0)
+
+
 def parse_timestamps(texts) -> tuple[np.ndarray, np.ndarray]:
     """:func:`parse_timestamp` over a column: (int64 epochs, rejected mask).
 
-    When every value has one width of the canonical UTC forms
-    ``YYYY-MM-DDTHH:MM:SS``, ``...Z`` and ``...+00:00`` and the column is
-    ASCII, the values are decoded from one byte array: digits and
-    separators are checked, and year >= 1, month, day (with Gregorian leap
-    years), hour, minute and second ranges as ``datetime`` checks them.
-    Every value that fails, or every value of any other column, goes
-    through :func:`parse_timestamp` alone; where that raises, the value is
-    marked rejected and its epoch reads 0.
+    The values of each width of the canonical UTC forms
+    ``YYYY-MM-DDTHH:MM:SS``, ``...Z`` and ``...+00:00`` are decoded from
+    one byte array: digits and separators are checked, and year >= 1,
+    month, day (with Gregorian leap years), hour, minute and second ranges
+    as ``datetime`` checks them; a non-ASCII character fails that check.
+    Every other value, and every value that fails, goes through
+    :func:`parse_timestamp` alone; where that raises, the value is marked
+    rejected and its epoch reads 0.
     """
     n = len(texts)
     epochs = np.zeros(n, dtype=np.int64)
     decoded = np.zeros(n, dtype=bool)
-    widths = set(map(len, texts))
-    width = widths.pop() if len(widths) == 1 else None
-    if width in _CANONICAL_SUFFIX and (joined := "".join(texts)).isascii():
-        chars = np.frombuffer(joined.encode("ascii"), dtype=np.uint8).reshape(n, width)
-        digits = chars[:, _DIGIT_POS] - np.uint8(ord("0"))  # other bytes wrap past 9
-        decoded = (digits <= 9).all(axis=1)
-        decoded &= (chars[:, _SEPARATOR_POS] == _SEPARATORS).all(axis=1)
-        suffix = np.frombuffer(_CANONICAL_SUFFIX[width], dtype=np.uint8)
-        decoded &= (chars[:, 19:] == suffix).all(axis=1)
-        year = digits[:, :4] @ np.array([1000, 100, 10, 1])
-        month, day, hour, minute, second = (digits[:, 4:].reshape(n, 5, 2) @ np.array([10, 1])).T
-        leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-        month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2))
-        decoded &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-        decoded &= (day <= month_days) & (hour <= 23) & (minute <= 59) & (second <= 59)
-        days = _days_from_civil(year, month, day)
-        epochs = np.where(decoded, days * 86400 + hour * 3600 + minute * 60 + second, 0)
+    lengths = np.fromiter(map(len, texts), np.int64, n)
+    for width, suffix in _CANONICAL_SUFFIX.items():
+        rows = np.flatnonzero(lengths == width)
+        if rows.size:
+            values = texts if rows.size == n else [texts[i] for i in rows.tolist()]
+            # "replace" keeps one byte per character, and "?" is no valid byte
+            raw = "".join(values).encode("ascii", "replace")
+            chars = np.frombuffer(raw, dtype=np.uint8).reshape(rows.size, width)
+            decoded[rows], epochs[rows] = _decode_canonical(chars, suffix)
     rejected = np.zeros(n, dtype=bool)
     for i in np.flatnonzero(~decoded).tolist():
         try:
@@ -255,6 +268,12 @@ def _run_parser(source, delimiter, columns, convert, fail_fast) -> ParseReport:
 _SESSION_FIELDS = tuple(f.name for f in fields(SessionRecord))
 # dict-encoded fields; the others are numeric
 _STRING_FIELDS = ("user_id", "location", "domain", "isp", "service_class")
+# the session field each RAW_EVENT_COLUMNS column fills, and the text of the others
+_RAW_EVENT_FIELDS = ("user_id", "start_time", "domain", "bytes", "http_requests")
+_CONSTANT_FIELDS = {"duration": "0", "location": "", "isp": "", "service_class": ""}
+# per-row converters of field texts; a parser's "domain" is normalize_domain
+_FIELD_PARSERS = {**dict.fromkeys(_STRING_FIELDS, str.strip), "start_time": parse_timestamp,
+                  "duration": float, "http_requests": int, "bytes": int}
 
 
 def _int_array(values) -> np.ndarray:
@@ -355,22 +374,6 @@ class SessionTable:
             vocab[name] = tuple(values[i] for i in order.tolist())
         return cls(columns=columns, vocab=vocab)
 
-    @classmethod
-    def from_records(cls, records) -> SessionTable:
-        """Encode session records (any objects with the SessionRecord fields)."""
-        records = list(records)
-        columns, names = {}, {}
-        for name in _SESSION_FIELDS:
-            values = [getattr(r, name) for r in records]
-            if name in _STRING_FIELDS:
-                names[name], values = values, np.arange(len(values))
-            elif name == "duration":
-                values = np.array(values, dtype=np.float64)
-            else:
-                values = _int_array(values)
-            columns[name] = values
-        return cls.encoded(columns, names)
-
     @property
     def users(self) -> tuple[str, ...]:
         return self.vocab["user_id"]
@@ -400,11 +403,15 @@ class SessionTable:
         cols = self.columns
         flagged = _bad_activity(cols["duration"], cols["http_requests"], cols["bytes"])
         for i in np.flatnonzero(flagged).tolist():
-            SessionRecord(*(self._values(name, [i])[0] for name in _SESSION_FIELDS))
+            self.record(i)
         for domain in self.domains:
             _check_domain(domain)
         for user_id in self.users:
             _check_user_id(user_id)
+
+    def record(self, i: int) -> SessionRecord:
+        """Row ``i`` as a SessionRecord, which runs its checks."""
+        return SessionRecord(*(self._values(name, [i])[0] for name in _SESSION_FIELDS))
 
     def to_records(self) -> list[SessionRecord]:
         columns = [self._values(name) for name in _SESSION_FIELDS]
@@ -421,22 +428,6 @@ class SessionTable:
 # --------------------------------------------------------------------------
 # parsers
 # --------------------------------------------------------------------------
-
-
-def _session_record(row, truncate_domains: bool) -> SessionRecord:
-    """One csv row to a validated SessionRecord; raises ValueError if bad."""
-    _check_width(row, SESSION_COLUMNS)
-    return SessionRecord(
-        user_id=row[0].strip(),
-        start_time=parse_timestamp(row[1]),
-        duration=float(row[2]),
-        location=row[3].strip(),
-        domain=normalize_domain(row[4], truncate=truncate_domains),
-        isp=row[5].strip(),
-        http_requests=int(row[6]),
-        service_class=row[7].strip(),
-        bytes=int(row[8]),
-    )
 
 
 def _convert_column(texts, convert, bad: np.ndarray, fill) -> list:
@@ -588,20 +579,28 @@ def _chunks(source, delimiter: str, columns: tuple[str, ...]):
 
 
 class _SessionChunkParser:
-    """Validates and encodes session-log chunks, and joins the accepted
-    rows into a SessionTable."""
+    """Validates and encodes chunks of a session or raw-event log, and joins
+    the accepted rows into a SessionTable.
 
-    def __init__(self, report: ParseReport, fail_fast: bool, truncate_domains: bool):
+    ``fields`` names the session field each file column fills; every other
+    field reads its ``_CONSTANT_FIELDS`` text on each row.
+    """
+
+    def __init__(self, report: ParseReport, fail_fast: bool, truncate_domains: bool,
+                 fields: tuple[str, ...]):
         self.report = report
         self.fail_fast = fail_fast
-        self.truncate = truncate_domains
+        self.fields = fields
+        self.constants = {k: v for k, v in _CONSTANT_FIELDS.items() if k not in fields}
+        domain = partial(normalize_domain, truncate=truncate_domains)
+        self.parsers = dict(_FIELD_PARSERS, domain=domain)
         self.vocab = {name: _Vocabulary(str.strip) for name in _STRING_FIELDS}
         self.vocab["domain"] = _Vocabulary(self._domain)
         self.vocab["user_id"] = _Vocabulary(self._user_id)
         self._parts: dict[str, list[np.ndarray]] = {name: [] for name in _SESSION_FIELDS}
 
     def _domain(self, raw: str) -> str:
-        domain = normalize_domain(raw, truncate=self.truncate)
+        domain = self.parsers["domain"](raw)
         _check_domain(domain)
         return domain
 
@@ -613,7 +612,8 @@ class _SessionChunkParser:
 
     def add(self, chunk: _Chunk, first_line: int) -> None:
         """Parse one chunk whose first record is csv record ``first_line``."""
-        texts = dict(zip(_SESSION_FIELDS, chunk.columns))
+        texts = dict(zip(self.fields, chunk.columns))
+        texts.update((k, [v] * len(chunk.columns[0])) for k, v in self.constants.items())
         cols = {name: vocab.encode(texts[name]) for name, vocab in self.vocab.items()}
         cols["start_time"], bad = parse_timestamps(texts["start_time"])
         cols["duration"] = np.array(_convert_column(texts["duration"], float, bad, 0.0))
@@ -635,7 +635,7 @@ class _SessionChunkParser:
             line_no = first_line + pos
             row = chunk.odd[pos] if j < 0 else [col[j] for col in chunk.columns]
             try:
-                record = _session_record(row, self.truncate)
+                record = self._record(row)
             except (ValueError, OverflowError) as exc:
                 if self.fail_fast:
                     raise ParseError(f"line {line_no}: {exc}") from exc
@@ -647,6 +647,16 @@ class _SessionChunkParser:
                 value = getattr(record, name)
                 values[j] = self.vocab[name].add(value) if name in self.vocab else value
 
+    def _record(self, row) -> SessionRecord:
+        """One csv row to a validated SessionRecord; raises ValueError if bad.
+
+        The fields convert in file order, then the record runs its checks,
+        so a row gives the message that parsing it on its own gives.
+        """
+        _check_width(row, self.fields)
+        texts = dict(zip(self.fields, row), **self.constants)
+        return SessionRecord(**{name: self.parsers[name](text) for name, text in texts.items()})
+
     def build(self) -> SessionTable:
         columns = {}
         for name, parts in self._parts.items():
@@ -657,6 +667,17 @@ class _SessionChunkParser:
                 columns[name] = np.empty(0, dtype=np.float64 if name == "duration" else np.int64)
         names = {name: tuple(vocab.codes) for name, vocab in self.vocab.items()}
         return SessionTable.encoded(columns, names)
+
+
+def _parse_table(source, delimiter, columns, fields, fail_fast, truncate_domains):
+    """Parse a log whose ``columns`` fill the session ``fields`` into a SessionTable."""
+    report = ParseReport()
+    parser = _SessionChunkParser(report, fail_fast, truncate_domains, fields)
+    for chunk, first_line in _chunks(source, delimiter, columns):
+        parser.add(chunk, first_line)
+        del chunk  # hold one chunk's text at a time, not two
+    report.records = parser.build()
+    return report
 
 
 def parse_sessions(
@@ -672,13 +693,9 @@ def parse_sessions(
     file order. Error line numbers count csv records (the header is 1,
     blank rows count).
     """
-    report = ParseReport()
-    parser = _SessionChunkParser(report, fail_fast, truncate_domains)
-    for chunk, first_line in _chunks(source, delimiter, SESSION_COLUMNS):
-        parser.add(chunk, first_line)
-        del chunk  # hold one chunk's text at a time, not two
-    report.records = parser.build()
-    return report
+    return _parse_table(
+        source, delimiter, SESSION_COLUMNS, _SESSION_FIELDS, fail_fast, truncate_domains
+    )
 
 
 def parse_demographics(source, *, delimiter: str = ",", fail_fast: bool = False) -> ParseReport:
@@ -752,26 +769,20 @@ def parse_raw_events(
     fail_fast: bool = False,
     truncate_domains: bool = False,
 ) -> ParseReport:
-    def convert(row, _report):
-        return RawEvent(
-            user_id=row[0].strip(),
-            timestamp=parse_timestamp(row[1]),
-            domain=normalize_domain(row[2], truncate=truncate_domains),
-            bytes=int(row[3]),
-            http_requests=int(row[4]),
-        )
+    """Parse a raw-event log (see RAW_EVENT_COLUMNS for the schema).
 
-    return _run_parser(source, delimiter, RAW_EVENT_COLUMNS, convert, fail_fast)
-
-
-def write_sessions_csv(sessions, path) -> None:
-    """Write sessions in the format parse_sessions reads back.
-
-    ``sessions`` is a :class:`SessionTable` or a list of session records;
-    the table is written column by column.
+    ``report.records`` is a :class:`SessionTable` of the accepted events in
+    file order, each a session of duration 0 with empty location, isp and
+    service class; errors are numbered as in :func:`parse_sessions`.
     """
-    if not isinstance(sessions, SessionTable):
-        sessions = SessionTable.from_records(sessions)
+    return _parse_table(
+        source, delimiter, RAW_EVENT_COLUMNS, _RAW_EVENT_FIELDS, fail_fast, truncate_domains
+    )
+
+
+def write_sessions_csv(sessions: SessionTable, path) -> None:
+    """Write a :class:`SessionTable` column by column, in the format
+    parse_sessions reads back."""
     columns = {name: sessions._values(name) for name in _SESSION_FIELDS}
     columns["start_time"] = format_timestamps(sessions.columns["start_time"])
     columns["duration"] = map(repr, columns["duration"])
@@ -788,141 +799,77 @@ def write_sessions_csv(sessions, path) -> None:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class _OpenSession:
-    start: int
-    duration: float
-    bytes: int
-    requests: int
-    location: str
-    isp: str
-    service_class: str
+def sessionize(events: SessionTable, gap_threshold: float = DEFAULT_GAP_SECONDS) -> SessionTable:
+    """Group raw events (sessions of duration 0, in any order) into sessions.
 
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
+    Events of one user on one domain merge while the pause from one to the
+    next stays under ``gap_threshold`` seconds, whatever other domains do in
+    between. A session spans its first to its last event, sums their bytes
+    and requests exactly and takes the rest from its first event. Sessions
+    come out in (user_id, start_time, domain) order.
 
-
-def _merge_intervals(items, gap_threshold: float) -> list[SessionRecord]:
-    """Merge per-(user, domain) interval streams into sessions.
-
-    ``items`` yields (user_id, domain, start, duration, bytes, requests,
-    location, isp, service_class) in non-decreasing time order per user.
-    A new interval extends the domain's open session when the pause before
-    it is shorter than ``gap_threshold``.
+    A session whose sums overflow float64 raises ParseError naming its user
+    and domain; of several, the first to close as the events are read in
+    (user_id, time) order, file order breaking ties.
     """
-    sessions: list[SessionRecord] = []
-    open_by_domain: dict[str, _OpenSession] = {}
-    current_user: str | None = None
-
-    def close(user_id, domain, st):
-        try:
-            record = SessionRecord(
-                user_id=user_id,
-                start_time=st.start,
-                duration=st.duration,
-                location=st.location,
-                domain=domain,
-                isp=st.isp,
-                http_requests=st.requests,
-                service_class=st.service_class,
-                bytes=st.bytes,
-            )
-        except ValueError as exc:  # summed bytes or requests beyond float64
-            raise ParseError(f"session of user {user_id!r} on domain {domain!r}: {exc}") from None
-        sessions.append(record)
-
-    def flush(user_id):
-        for domain, st in open_by_domain.items():
-            close(user_id, domain, st)
-        open_by_domain.clear()
-
-    for user_id, domain, start, duration, nbytes, requests, loc, isp, svc in items:
-        if user_id != current_user:
-            if current_user is not None:
-                flush(current_user)
-            current_user = user_id
-        st = open_by_domain.get(domain)
-        if st is not None and start - st.end < gap_threshold:
-            st.duration = (start - st.start) + duration
-            st.bytes += nbytes
-            st.requests += requests
-        else:
-            if st is not None:
-                close(user_id, domain, st)
-            open_by_domain[domain] = _OpenSession(
-                start=start,
-                duration=duration,
-                bytes=nbytes,
-                requests=requests,
-                location=loc,
-                isp=isp,
-                service_class=svc,
-            )
-    if current_user is not None:
-        flush(current_user)
-    sessions.sort(key=lambda s: (s.user_id, s.start_time, s.domain))
-    return sessions
-
-
-def _check_gap(gap_threshold: float) -> None:
     if not gap_threshold > 0:
         raise ValueError(f"gap_threshold must be positive, got {gap_threshold}")
-
-
-def sessionize(events, gap_threshold: float = DEFAULT_GAP_SECONDS) -> list[SessionRecord]:
-    """Group raw events into sessions.
-
-    Consecutive events of the same user on the same domain merge while the
-    inter-event pause stays under ``gap_threshold`` seconds; a pause of
-    ``gap_threshold`` or more starts a new session. Session duration spans
-    first to last event; bytes and request counts are summed. Events of
-    other domains in between do not break a domain's run.
-
-    Events may come in any order; they are sorted by (user_id, timestamp)
-    first. A session whose summed bytes or requests overflow float64
-    raises ParseError naming its user and domain.
-    """
-    _check_gap(gap_threshold)
-    ordered = sorted(events, key=lambda e: (e.user_id, e.timestamp))
-    items = (
-        (e.user_id, e.domain, e.timestamp, 0.0, e.bytes, e.http_requests, "", "", "")
-        for e in ordered
+    cols = events.columns
+    # a stable sort: events of one (user, domain) in time order, ties in file order
+    order = np.lexsort((cols["start_time"], cols["domain"], cols["user_id"]))
+    user, domain, start = (cols[name][order] for name in ("user_id", "domain", "start_time"))
+    new_group = np.ones(order.size, dtype=bool)
+    new_group[1:] = (user[1:] != user[:-1]) | (domain[1:] != domain[:-1])
+    new_run = new_group.copy()
+    new_run[1:] |= np.diff(start) >= gap_threshold
+    firsts = np.flatnonzero(new_run)
+    sessions = {name: col[order[firsts]] for name, col in cols.items()}
+    # a run's latest start is its last event's
+    sessions["duration"] = (np.maximum.reduceat(start, firsts) - start[firsts]).astype(np.float64)
+    for name in ("http_requests", "bytes"):
+        # Python ints: no int64 sum can wrap
+        sums = np.add.reduceat(cols[name][order].astype(object), firsts)
+        sessions[name] = _int_array(sums.tolist())
+    user_rank = _order_positions(_sorted_codes(events.users), len(events.users))
+    domain_rank = _order_positions(_sorted_codes(events.domains), len(events.domains))
+    final = np.lexsort((domain_rank[sessions["domain"]], sessions["start_time"],
+                        user_rank[sessions["user_id"]]))
+    table = SessionTable.encoded(
+        {name: col[final] for name, col in sessions.items()}, dict(events.vocab)
     )
-    return _merge_intervals(items, gap_threshold)
+    limit = sys.float_info.max
+    too_big = (sessions["bytes"] > limit) | (sessions["http_requests"] > limit)
+    if too_big.any():
+        group_first = np.maximum.accumulate(np.where(new_group[firsts], firsts, 0))
 
+        def closes_at(k):
+            """Run k closes when run k + 1 of its (user, domain) starts, or
+            else at its user's end, in the order its domain first appeared."""
+            ends_early = k + 1 < firsts.size and not new_group[firsts[k + 1]]
+            event = firsts[k + 1] if ends_early else group_first[k]
+            return user_rank[user[event]], not ends_early, start[event], order[event]
 
-def resessionize(
-    sessions, gap_threshold: float = DEFAULT_GAP_SECONDS
-) -> list[SessionRecord]:
-    """Apply the session merge rule to already-built sessions.
-
-    Sessions are treated as activity intervals; the pause between two
-    sessions is measured from the end of one to the start of the next.
-    Output of :func:`sessionize` maps to itself for the same threshold.
-    """
-    _check_gap(gap_threshold)
-    ordered = sorted(sessions, key=lambda s: (s.user_id, s.start_time))
-    items = (
-        (
-            s.user_id,
-            s.domain,
-            s.start_time,
-            s.duration,
-            s.bytes,
-            s.http_requests,
-            s.location,
-            s.isp,
-            s.service_class,
-        )
-        for s in ordered
-    )
-    return _merge_intervals(items, gap_threshold)
+        position = np.empty(final.size, dtype=np.int64)
+        position[final] = np.arange(final.size)
+        for k in sorted(np.flatnonzero(too_big).tolist(), key=closes_at):
+            try:
+                table.record(int(position[k]))
+            except ValueError as exc:
+                raise ParseError(
+                    f"session of user {events.users[user[firsts[k]]]!r} on domain "
+                    f"{events.domains[domain[firsts[k]]]!r}: {exc}"
+                ) from None
+    return table
 
 
 # --------------------------------------------------------------------------
 # profile matrix assembly
 # --------------------------------------------------------------------------
+
+
+def _sorted_codes(values) -> list[int]:
+    """Codes of ``values`` in lexicographic order of the values."""
+    return sorted(range(len(values)), key=values.__getitem__)
 
 
 def _order_positions(codes, size: int) -> np.ndarray:
@@ -932,11 +879,8 @@ def _order_positions(codes, size: int) -> np.ndarray:
     return pos
 
 
-def build_profile_matrix(sessions, metric: str = "bytes") -> ProfileMatrix:
-    """Aggregate sessions into the users-by-domains activity matrix.
-
-    ``sessions`` is a :class:`SessionTable`; any other iterable of session
-    records is first converted with :meth:`SessionTable.from_records`.
+def build_profile_matrix(sessions: SessionTable, metric: str = "bytes") -> ProfileMatrix:
+    """Aggregate a table of sessions into the users-by-domains activity matrix.
 
     Entry (i, j) is the chosen metric summed over user i's sessions on
     domain j. Per-cell sums use math.fsum, so the result is bit-identical
@@ -948,8 +892,6 @@ def build_profile_matrix(sessions, metric: str = "bytes") -> ProfileMatrix:
     """
     if metric not in PROFILE_METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {PROFILE_METRICS}")
-    if not isinstance(sessions, SessionTable):
-        sessions = SessionTable.from_records(sessions)
     users, domains = sessions.users, sessions.domains
     user_codes, domain_codes = sessions.columns["user_id"], sessions.columns["domain"]
     # a stable sort on the cell key lays each (user, domain) cell out as one run
@@ -983,7 +925,7 @@ def build_profile_matrix(sessions, metric: str = "bytes") -> ProfileMatrix:
     dropped = len(domains) - len(kept)
     if dropped:
         log.warning("dropping %d domain(s) with zero total %s", dropped, metric)
-    user_order = sorted(range(len(users)), key=users.__getitem__)
+    user_order = _sorted_codes(users)
     kept = sorted(kept, key=domains.__getitem__)
     rows = _order_positions(user_order, len(users))[cell_users[positive]]
     cols = _order_positions(kept, len(domains))[cell_domains[positive]]

@@ -36,20 +36,12 @@ def _check_user_id(user_id: str) -> None:
         raise ValueError("empty user_id")
 
 
-def _check_activity(nbytes: int, http_requests: int, domain: str) -> None:
-    """The count and domain checks of a session or raw event, in their fixed order."""
-    if nbytes < 0:
-        raise ValueError(f"negative bytes: {nbytes}")
-    if http_requests < 0:
-        raise ValueError(f"negative http_requests: {http_requests}")
-    _check_float_range("bytes", nbytes)
-    _check_float_range("http_requests", http_requests)
-    _check_domain(domain)
-
-
 @dataclass(frozen=True)
 class SessionRecord:
-    """One aggregated network session of one user on one domain."""
+    """One aggregated network session of one user on one domain. A raw
+    traffic event is a session of duration 0 with empty location, isp and
+    service class. The checks run in a fixed order, and a bad record's
+    error names the first check it fails."""
 
     user_id: str
     start_time: int  # epoch seconds, UTC
@@ -66,7 +58,13 @@ class SessionRecord:
             raise ValueError(f"non-finite duration: {self.duration}")
         if self.duration < 0:
             raise ValueError(f"negative duration: {self.duration}")
-        _check_activity(self.bytes, self.http_requests, self.domain)
+        if self.bytes < 0:
+            raise ValueError(f"negative bytes: {self.bytes}")
+        if self.http_requests < 0:
+            raise ValueError(f"negative http_requests: {self.http_requests}")
+        _check_float_range("bytes", self.bytes)
+        _check_float_range("http_requests", self.http_requests)
+        _check_domain(self.domain)
         _check_user_id(self.user_id)
 
 
@@ -99,19 +97,4 @@ class TransactionRecord:
             raise ValueError(f"non-finite amount: {self.amount}")
         if self.amount < 0:
             raise ValueError(f"negative amount: {self.amount}")
-        _check_user_id(self.user_id)
-
-
-@dataclass(frozen=True)
-class RawEvent:
-    """Instantaneous traffic event, input shape for sessionization."""
-
-    user_id: str
-    timestamp: int  # epoch seconds, UTC
-    domain: str
-    bytes: int
-    http_requests: int
-
-    def __post_init__(self):
-        _check_activity(self.bytes, self.http_requests, self.domain)
         _check_user_id(self.user_id)

@@ -8,8 +8,14 @@ import io
 
 import numpy as np
 
-from usertopics.ingest import build_profile_matrix
-from usertopics.records import RawEvent, SessionRecord
+from usertopics.ingest import (
+    _SESSION_FIELDS,
+    _STRING_FIELDS,
+    SessionTable,
+    _int_array,
+    build_profile_matrix,
+)
+from usertopics.records import SessionRecord
 
 
 def make_session(user="u1", domain="example.com", bytes=100, t=0, duration=60.0,
@@ -28,9 +34,27 @@ def make_session(user="u1", domain="example.com", bytes=100, t=0, duration=60.0,
 
 
 def make_event(user="u1", t=0, domain="example.com", bytes=10, requests=1):
-    return RawEvent(
-        user_id=user, timestamp=t, domain=domain, bytes=bytes, http_requests=requests
+    """A raw event: a session of duration 0 with empty location, isp and service class."""
+    return SessionRecord(
+        user_id=user, start_time=t, duration=0.0, location="", domain=domain, isp="",
+        http_requests=requests, service_class="", bytes=bytes,
     )
+
+
+def session_table(records):
+    """Encode session records (any objects with the SessionRecord fields) as a table."""
+    records = list(records)
+    columns, names = {}, {}
+    for name in _SESSION_FIELDS:
+        values = [getattr(r, name) for r in records]
+        if name in _STRING_FIELDS:
+            names[name], values = values, np.arange(len(values))
+        elif name == "duration":
+            values = np.array(values, dtype=np.float64)
+        else:
+            values = _int_array(values)
+        columns[name] = values
+    return SessionTable.encoded(columns, names)
 
 
 def matrix_from_dense(dense, metric="bytes"):
@@ -48,7 +72,7 @@ def matrix_from_dense(dense, metric="bytes"):
         if not dense[i].any():
             # keep the user present through a zero-byte session
             sessions.append(make_session(user=f"u{i:04d}", domain="d0000", bytes=0))
-    return build_profile_matrix(sessions, metric=metric)
+    return build_profile_matrix(session_table(sessions), metric=metric)
 
 
 def random_dense_positive(rng, max_users=10, max_domains=10, density=0.6,

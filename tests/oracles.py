@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from dataclasses import dataclass
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -246,7 +247,8 @@ def parse_side_rows(columns, source, *, delimiter=",", fail_fast=False, truncate
     The reference for ``ingest.parse_demographics`` (a repeated user_id
     replaces the earlier record with a warning), ``parse_transactions`` (an
     amount total beyond float64, per user or over all users, raises
-    ParseError) and ``parse_raw_events``.
+    ParseError) and ``parse_raw_events`` (each event a SessionRecord of
+    duration 0 with empty location, isp and service class).
     """
     from usertopics.ingest import (
         DEMOGRAPHIC_COLUMNS,
@@ -255,7 +257,7 @@ def parse_side_rows(columns, source, *, delimiter=",", fail_fast=False, truncate
         normalize_domain,
         parse_timestamp,
     )
-    from usertopics.records import DemographicRecord, RawEvent, TransactionRecord
+    from usertopics.records import DemographicRecord, SessionRecord, TransactionRecord
 
     def optional_int(text):
         return int(text) if text.strip() else None
@@ -269,9 +271,11 @@ def parse_side_rows(columns, source, *, delimiter=",", fail_fast=False, truncate
                                      birth_year, optional_int(row[3]), row[4].strip() or None)
         if columns == TRANSACTION_COLUMNS:
             return TransactionRecord(row[0].strip(), parse_timestamp(row[1]), float(row[2]))
-        return RawEvent(row[0].strip(), parse_timestamp(row[1]),
-                        normalize_domain(row[2], truncate=truncate_domains), int(row[3]),
-                        int(row[4]))
+        # a raw event: fields converted in file order, then a session of duration 0
+        user_id, timestamp, domain, nbytes, requests = (
+            row[0].strip(), parse_timestamp(row[1]),
+            normalize_domain(row[2], truncate=truncate_domains), int(row[3]), int(row[4]))
+        return SessionRecord(user_id, timestamp, 0.0, "", domain, "", requests, "", nbytes)
 
     records, errors = _rows_parser(source, delimiter, columns, convert, fail_fast)
     warnings = []
@@ -426,3 +430,131 @@ def write_sessions_rows(sessions, path):
                     s.bytes,
                 ]
             )
+
+
+@dataclass
+class _OpenSession:
+    start: int
+    duration: float
+    bytes: int
+    requests: int
+    location: str
+    isp: str
+    service_class: str
+
+    @property
+    def end(self) -> float:
+        return self.start + self.duration
+
+
+def _merge_intervals(items, gap_threshold: float):
+    """Merge per-(user, domain) interval streams into sessions.
+
+    ``items`` yields (user_id, domain, start, duration, bytes, requests,
+    location, isp, service_class) in non-decreasing time order per user.
+    A new interval extends the domain's open session when the pause before
+    it is shorter than ``gap_threshold``.
+    """
+    from usertopics.ingest import ParseError
+    from usertopics.records import SessionRecord
+
+    sessions = []
+    open_by_domain: dict[str, _OpenSession] = {}
+    current_user = None
+
+    def close(user_id, domain, st):
+        try:
+            record = SessionRecord(
+                user_id=user_id,
+                start_time=st.start,
+                duration=st.duration,
+                location=st.location,
+                domain=domain,
+                isp=st.isp,
+                http_requests=st.requests,
+                service_class=st.service_class,
+                bytes=st.bytes,
+            )
+        except ValueError as exc:  # summed bytes or requests beyond float64
+            raise ParseError(f"session of user {user_id!r} on domain {domain!r}: {exc}") from None
+        sessions.append(record)
+
+    def flush(user_id):
+        for domain, st in open_by_domain.items():
+            close(user_id, domain, st)
+        open_by_domain.clear()
+
+    for user_id, domain, start, duration, nbytes, requests, loc, isp, svc in items:
+        if user_id != current_user:
+            if current_user is not None:
+                flush(current_user)
+            current_user = user_id
+        st = open_by_domain.get(domain)
+        if st is not None and start - st.end < gap_threshold:
+            st.duration = (start - st.start) + duration
+            st.bytes += nbytes
+            st.requests += requests
+        else:
+            if st is not None:
+                close(user_id, domain, st)
+            open_by_domain[domain] = _OpenSession(
+                start=start,
+                duration=duration,
+                bytes=nbytes,
+                requests=requests,
+                location=loc,
+                isp=isp,
+                service_class=svc,
+            )
+    if current_user is not None:
+        flush(current_user)
+    sessions.sort(key=lambda s: (s.user_id, s.start_time, s.domain))
+    return sessions
+
+
+def _check_gap(gap_threshold: float) -> None:
+    if not gap_threshold > 0:
+        raise ValueError(f"gap_threshold must be positive, got {gap_threshold}")
+
+
+def sessionize(events, gap_threshold: float = 300.0):
+    """Record-by-record reference for ``ingest.sessionize``.
+
+    ``events`` are SessionRecords of duration 0 (raw events); they are
+    sorted by (user_id, start_time) and merged per domain while the pause
+    stays under ``gap_threshold``. A session whose summed bytes or requests
+    overflow float64 raises ParseError as it closes.
+    """
+    _check_gap(gap_threshold)
+    ordered = sorted(events, key=lambda e: (e.user_id, e.start_time))
+    items = (
+        (e.user_id, e.domain, e.start_time, 0.0, e.bytes, e.http_requests, "", "", "")
+        for e in ordered
+    )
+    return _merge_intervals(items, gap_threshold)
+
+
+def resessionize(sessions, gap_threshold: float = 300.0):
+    """Apply the session merge rule to already-built sessions.
+
+    Sessions are treated as activity intervals; the pause between two
+    sessions is measured from the end of one to the start of the next.
+    Output of :func:`sessionize` maps to itself for the same threshold.
+    """
+    _check_gap(gap_threshold)
+    ordered = sorted(sessions, key=lambda s: (s.user_id, s.start_time))
+    items = (
+        (
+            s.user_id,
+            s.domain,
+            s.start_time,
+            s.duration,
+            s.bytes,
+            s.http_requests,
+            s.location,
+            s.isp,
+            s.service_class,
+        )
+        for s in ordered
+    )
+    return _merge_intervals(items, gap_threshold)

@@ -19,9 +19,8 @@ import pytest
 import usertopics
 from usertopics import cli
 from usertopics.clustering import kmeans, read_assignments, sweep_k
-from usertopics.ingest import build_profile_matrix, resessionize, sessionize
+from usertopics.ingest import build_profile_matrix, sessionize
 from usertopics.lsa import orthonormality_residual, reconstruct, truncated_svd, user_features
-from usertopics.records import RawEvent
 from usertopics.synth import (
     SynthSpec,
     adjusted_rand_index,
@@ -32,7 +31,8 @@ from usertopics.synth import (
 )
 from usertopics.weighting import row_normalize, tfidf
 
-from helpers import matrix_from_dense, random_dense_positive
+import oracles
+from helpers import make_event, matrix_from_dense, random_dense_positive, session_table
 from oracles import dense_to_feature, optimal_inertia, spearman_rho, tfidf_oracle
 
 
@@ -345,16 +345,16 @@ def test_criterion_9_conservation_and_idempotence():
         for _ in range(1000):
             n_events = int(rng.integers(1, 40))
             events = [
-                RawEvent(
-                    user_id=f"u{int(rng.integers(3))}",
-                    timestamp=int(rng.integers(0, 4000)),
+                make_event(
+                    user=f"u{int(rng.integers(3))}",
+                    t=int(rng.integers(0, 4000)),
                     domain=("a.com", "b.com", "c.com")[int(rng.integers(3))],
                     bytes=int(rng.integers(0, 1000)),
-                    http_requests=int(rng.integers(0, 5)),
+                    requests=int(rng.integers(0, 5)),
                 )
                 for _ in range(n_events)
             ]
             gap = float(rng.choice([60.0, 300.0, 900.0]))
-            once = sessionize(events, gap)
-            assert resessionize(once, gap) == once
+            once = sessionize(session_table(events), gap).to_records()
+            assert oracles.resessionize(once, gap) == once
             assert sum(s.bytes for s in once) == sum(e.bytes for e in events)

@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 from usertopics import _store, cli, lsa
+from usertopics.ingest import DEFAULT_GAP_SECONDS, RAW_EVENT_COLUMNS
 from usertopics.matrix import SparseMatrix, csr_from_triplets, read_matrix, write_matrix
 from usertopics.synth import read_truth
+
+from oracles import parse_side_rows, sessionize, write_sessions_rows
 
 SESSION_HEADER = (
     "user_id,start_time,duration_s,location,domain,isp,http_requests,service_class,bytes\n"
@@ -215,6 +218,30 @@ class TestIngestCommand:
         assert err.startswith("data error: session of user 'u1' on domain 'a.com': bytes beyond")
         assert err.count("\n") == 1
 
+    def test_first_closing_merged_session_beyond_float64_named(self, tmp_path, capsys):
+        # u2 on b.com and u1 on c.com both sum beyond float64; u1 comes first,
+        # and of its sessions, the c.com one closes first: at its next session
+        big = 10**308
+        events = tmp_path / "ev.csv"
+        events.write_text(
+            "user_id,timestamp,domain,bytes,http_requests\n"
+            f"u2,2014-09-01T00:00:00Z,b.com,{big},1\n"
+            f"u2,2014-09-01T00:01:00Z,b.com,{big},1\n"
+            f"u1,2014-09-01T00:05:00Z,a.com,{big},1\n"
+            f"u1,2014-09-01T00:06:00Z,c.com,{big},1\n"
+            f"u1,2014-09-01T00:07:00Z,c.com,{big},1\n"
+            f"u1,2014-09-01T00:08:00Z,a.com,{big},1\n"
+            "u1,2014-09-01T02:00:00Z,c.com,1,1\n"
+        )
+        want = "data error: session of user 'u1' on domain 'c.com': bytes beyond"
+        assert run(["ingest", "--workspace", tmp_path / "w", "--raw-events", events]) == 2
+        assert capsys.readouterr().err.startswith(want)
+        # without the later c.com event both u1 sessions close at the user's
+        # end, in the order their domains first appeared
+        events.write_text("".join(events.read_text().splitlines(keepends=True)[:-1]))
+        assert run(["ingest", "--workspace", tmp_path / "w", "--raw-events", events]) == 2
+        assert capsys.readouterr().err.startswith(want.replace("c.com", "a.com"))
+
     @pytest.mark.parametrize(
         "domains, message",
         [
@@ -256,6 +283,36 @@ class TestIngestCommand:
         assert run(["ingest", "--workspace", ws, "--raw-events", events]) == 0
         meta = json.loads((ws / "profile.meta.json").read_text())
         assert [meta["n_users"], meta["n_domains"], meta["nnz"]] == [1, 1, 1]
+        assert json.loads((ws / "ingest_manifest.json").read_text())["results"]["n_sessions"] == 2
+
+    @pytest.mark.parametrize("gap", [None, 86400], ids=["default-gap", "merging-gap"])
+    def test_raw_events_outputs_match_oracle_sessions(self, tmp_path, synth_ws, gap):
+        """Raw events ingest to the bytes that their row-by-row sessions do."""
+        # the synth log as raw events, shuffled: start_time -> timestamp
+        lines = (synth_ws / "sessions.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        np.random.default_rng(0).shuffle(rows)
+        events = tmp_path / "ev.csv"
+        events.write_text(",".join(RAW_EVENT_COLUMNS) + "\n" + "".join(
+            f"{r[0]},{r[1]},{r[4]},{r[8]},{r[6]}\n" for r in rows))
+        records, errors, _ = parse_side_rows(RAW_EVENT_COLUMNS, events)
+        sessions = sessionize(records, gap or DEFAULT_GAP_SECONDS)
+        assert not errors and len(sessions) <= len(rows)
+        if gap:
+            assert len(sessions) < len(rows)
+        write_sessions_rows(sessions, tmp_path / "sessions.csv")
+
+        gap_args = ["--gap", gap] if gap else []
+        raw_ws, sessions_ws = tmp_path / "raw", tmp_path / "sessions"
+        assert run(["ingest", "--workspace", raw_ws, "--raw-events", events, *gap_args]) == 0
+        assert run(["ingest", "--workspace", sessions_ws, "--sessions",
+                    tmp_path / "sessions.csv"]) == 0
+        written = sorted(p.name for p in sessions_ws.glob("profile.*"))
+        assert len(written) == 6
+        for name in [*written, "domain_stats.txt"]:
+            assert (raw_ws / name).read_bytes() == (sessions_ws / name).read_bytes(), name
+        results = json.loads((raw_ws / "ingest_manifest.json").read_text())["results"]
+        assert results["n_sessions"] == len(sessions)
 
 
 class TestClusterCommand:

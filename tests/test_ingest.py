@@ -1,9 +1,10 @@
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from usertopics.ingest import (
     ParseError,
@@ -13,13 +14,12 @@ from usertopics.ingest import (
     parse_raw_events,
     parse_sessions,
     parse_transactions,
-    resessionize,
     sessionize,
     write_sessions_csv,
 )
-from usertopics.records import RawEvent
 
-from helpers import make_event, make_session
+import oracles
+from helpers import make_event, make_session, session_table
 
 SESS_HEADER = "user_id,start_time,duration_s,location,domain,isp,http_requests,service_class,bytes\n"
 
@@ -103,7 +103,7 @@ class TestParseSessions:
     def test_roundtrip_through_writer(self, tmp_path):
         sessions = [make_session(t=1409560000, bytes=5, duration=12.5)]
         path = tmp_path / "s.csv"
-        write_sessions_csv(sessions, path)
+        write_sessions_csv(session_table(sessions), path)
         back = parse_sessions(path)
         assert back.records.to_records() == sessions
 
@@ -279,26 +279,31 @@ class TestNormalizeDomain:
         assert normalize_domain("x.battlenet.com.cn", truncate=True) == "battlenet.com.cn"
 
 
+def merged(events, gap):
+    """Sessions of ``sessionize`` over a table of ``events``, as records."""
+    return sessionize(session_table(events), gap).to_records()
+
+
 class TestSessionize:
     def test_merges_under_gap(self):
         events = [make_event(t=0), make_event(t=240), make_event(t=480)]
-        sessions = sessionize(events, 300)
+        sessions = merged(events, 300)
         assert len(sessions) == 1
         assert sessions[0].duration == 480
         assert sessions[0].start_time == 0
         assert sessions[0].bytes == 30
-        assert sessionize(events[::-1], 300) == sessions  # input order does not matter
+        assert merged(events[::-1], 300) == sessions  # input order does not matter
 
     def test_splits_at_gap(self):
-        sessions = sessionize([make_event(t=0), make_event(t=360)], 300)
+        sessions = merged([make_event(t=0), make_event(t=360)], 300)
         assert len(sessions) == 2
 
     def test_exact_gap_splits(self):
-        sessions = sessionize([make_event(t=0), make_event(t=300)], 300)
+        sessions = merged([make_event(t=0), make_event(t=300)], 300)
         assert len(sessions) == 2
 
     def test_users_never_merge(self):
-        sessions = sessionize(
+        sessions = merged(
             [make_event(user="a", t=0), make_event(user="b", t=0)], 300
         )
         assert len(sessions) == 2
@@ -309,16 +314,16 @@ class TestSessionize:
             make_event(t=60, domain="b.com"),
             make_event(t=120, domain="a.com"),
         ]
-        sessions = sessionize(events, 300)
+        sessions = merged(events, 300)
         assert len(sessions) == 2
         by_domain = {s.domain: s for s in sessions}
         assert by_domain["a.com"].duration == 120
 
     def test_bad_gap(self):
         with pytest.raises(ValueError):
-            sessionize([make_event()], 0)
+            merged([make_event()], 0)
         with pytest.raises(ValueError):
-            sessionize([make_event()], -1)
+            merged([make_event()], -1)
 
     @given(
         st.lists(
@@ -333,12 +338,9 @@ class TestSessionize:
         st.sampled_from([60.0, 300.0, 1000.0]),
     )
     def test_idempotent_on_own_output(self, raw, gap):
-        events = [
-            RawEvent(user_id=u, timestamp=t, domain=d, bytes=b, http_requests=1)
-            for u, t, d, b in raw
-        ]
-        once = sessionize(events, gap)
-        again = resessionize(once, gap)
+        events = [make_event(user=u, t=t, domain=d, bytes=b, requests=1) for u, t, d, b in raw]
+        once = merged(events, gap)
+        again = oracles.resessionize(once, gap)
         assert again == once
 
     @given(
@@ -352,33 +354,86 @@ class TestSessionize:
         )
     )
     def test_bytes_conserved(self, raw):
-        events = [
-            RawEvent(user_id=u, timestamp=t, domain="d.com", bytes=b, http_requests=0)
-            for u, t, b in raw
-        ]
-        sessions = sessionize(events, 300)
+        events = [make_event(user=u, t=t, domain="d.com", bytes=b, requests=0) for u, t, b in raw]
+        sessions = merged(events, 300)
         assert sum(s.bytes for s in sessions) == sum(e.bytes for e in events)
+
+
+# event byte counts: small, beyond int64, near and beyond float64 as a sum
+# (int(max) + 2**969 still converts to float64 max, yet exceeds it)
+EVENT_BYTES = (0, 1, 7, 999, 2**63 - 1, 2**63, 2**70, 10**308, int(sys.float_info.max),
+               int(sys.float_info.max) + 2**969)
+
+
+def _outcome(merge, events, gap):
+    """``merge``'s sessions, or the message of its ParseError."""
+    try:
+        return merge(events, gap)
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestSessionizeDifferential:
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "c"]),
+                # few distinct times: equal timestamps, and pauses equal to the gap
+                st.integers(min_value=0, max_value=12).map(lambda k: 30 * k),
+                st.sampled_from(["x.com", "y.com", "z.com"]),
+                st.sampled_from(EVENT_BYTES),
+                st.sampled_from((0, 1, 3, 10**308)),
+            ),
+            max_size=40,
+        ),
+        st.sampled_from([30.0, 60.0, 90.0, 1e9]),
+    )
+    def test_matches_record_oracle(self, raw, gap):
+        # lists come in any order: the input is unsorted
+        events = [make_event(user=u, t=t, domain=d, bytes=b, requests=r)
+                  for u, t, d, b, r in raw]
+        assert _outcome(merged, events, gap) == _outcome(oracles.sessionize, events, gap)
+
+    @pytest.mark.parametrize(
+        "events, domain",
+        [
+            # both close at the user's end: c.com appeared first, in file order
+            ([("c.com", 0), ("a.com", 0), ("c.com", 60), ("a.com", 60)], "c.com"),
+            # a.com's second session closes at the user's end in a.com's place,
+            # which its first session took, ahead of b.com
+            ([("a.com", 0, 1), ("b.com", 500), ("b.com", 510), ("a.com", 1000),
+              ("a.com", 1010)], "a.com"),
+        ],
+        ids=["first-appearance-in-file-order", "domain-keeps-its-first-place"],
+    )
+    def test_overflow_names_the_first_session_to_close(self, events, domain):
+        events = [make_event(domain=d, t=t, bytes=b[0] if b else 10**308)
+                  for d, t, *b in events]
+        message = f"session of user 'u1' on domain '{domain}': bytes beyond"
+        assert _outcome(oracles.sessionize, events, 300).startswith(message)
+        assert _outcome(merged, events, 300).startswith(message)
 
 
 class TestBuildProfileMatrix:
     def test_sums_metric(self):
         m = build_profile_matrix(
-            [make_session(bytes=100), make_session(bytes=200)], "bytes"
+            session_table([make_session(bytes=100), make_session(bytes=200)]), "bytes"
         )
         assert m.toarray().tolist() == [[300.0]]
 
     def test_session_count_metric(self):
         sessions = [make_session(domain="a.com", t=t) for t in (0, 1, 2)]
         sessions.append(make_session(domain="b.com"))
-        m = build_profile_matrix(sessions, "session_count")
+        m = build_profile_matrix(session_table(sessions), "session_count")
         assert m.toarray().tolist() == [[3.0, 1.0]]
 
     def test_disjoint_users(self):
         m = build_profile_matrix(
-            [
+            session_table([
                 make_session(user="u1", domain="a.com", bytes=5),
                 make_session(user="u2", domain="b.com", bytes=7),
-            ]
+            ])
         )
         assert m.n_users == 2 and m.n_domains == 2 and m.nnz == 2
         dense = m.toarray()
@@ -387,12 +442,12 @@ class TestBuildProfileMatrix:
         assert np.count_nonzero(dense, axis=1).tolist() == [1, 1]
 
     def test_empty_input(self):
-        m = build_profile_matrix([])
+        m = build_profile_matrix(session_table([]))
         assert m.n_users == 0 and m.n_domains == 0 and m.nnz == 0
 
     def test_zero_activity_user_retained(self):
         m = build_profile_matrix(
-            [make_session(user="u1", bytes=0), make_session(user="u2", bytes=9)]
+            session_table([make_session(user="u1", bytes=0), make_session(user="u2", bytes=9)])
         )
         assert m.n_users == 2
         assert m.n_domains == 1
@@ -400,16 +455,16 @@ class TestBuildProfileMatrix:
 
     def test_zero_total_domain_dropped(self):
         m = build_profile_matrix(
-            [
+            session_table([
                 make_session(domain="dead.com", bytes=0),
                 make_session(domain="live.com", bytes=3),
-            ]
+            ])
         )
         assert m.domains == ("live.com",)
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
-            build_profile_matrix([make_session()], "nope")
+            build_profile_matrix(session_table([make_session()]), "nope")
 
     def test_column_count_equals_distinct_domains(self, rng):
         sessions = [
@@ -421,7 +476,7 @@ class TestBuildProfileMatrix:
             )
             for _ in range(40)
         ]
-        m = build_profile_matrix(sessions)
+        m = build_profile_matrix(session_table(sessions))
         assert m.n_domains == len({s.domain for s in sessions})
 
     @given(
@@ -436,7 +491,7 @@ class TestBuildProfileMatrix:
     )
     def test_bytes_conservation(self, raw):
         sessions = [make_session(user=u, domain=d, bytes=b) for u, d, b in raw]
-        m = build_profile_matrix(sessions)
+        m = build_profile_matrix(session_table(sessions))
         assert m.data.sum() == sum(s.bytes for s in sessions)
 
     @given(
@@ -454,10 +509,10 @@ class TestBuildProfileMatrix:
     def test_permutation_invariant_bit_for_bit(self, raw, shuffler):
         sessions = [make_session(user=u, domain=d, bytes=b, t=i)
                     for i, (u, d, b) in enumerate(raw)]
-        m1 = build_profile_matrix(sessions)
+        m1 = build_profile_matrix(session_table(sessions))
         shuffled = list(sessions)
         shuffler.shuffle(shuffled)
-        m2 = build_profile_matrix(shuffled)
+        m2 = build_profile_matrix(session_table(shuffled))
         assert m1.users == m2.users and m1.domains == m2.domains
         assert np.array_equal(m1.data, m2.data)
         assert np.array_equal(m1.indices, m2.indices)
@@ -465,5 +520,5 @@ class TestBuildProfileMatrix:
     def test_duration_metric_uses_fsum(self):
         # fsum makes float accumulation order-independent
         sessions = [make_session(duration=d, t=i) for i, d in enumerate([0.1] * 10)]
-        m = build_profile_matrix(sessions, "duration")
+        m = build_profile_matrix(session_table(sessions), "duration")
         assert m.data[0] == math.fsum([0.1] * 10)

@@ -16,14 +16,13 @@ from usertopics.ingest import (
     PROFILE_METRICS,
     SESSION_COLUMNS,
     ParseError,
-    SessionTable,
     build_profile_matrix,
     parse_sessions,
     write_sessions_csv,
 )
 from usertopics.matrix import matrices_equal
 
-from helpers import field_size_limit, make_session, text_stream, write_row
+from helpers import field_size_limit, make_session, session_table, text_stream, write_row
 from oracles import parse_sessions_rows, profile_oracle, write_sessions_rows
 
 GOOD_ROW = ("u1", "2014-09-01T10:00:00Z", "120.5", "ap1", "News.Example.com", "isp", "5", "web",
@@ -322,13 +321,17 @@ ODD_TIMESTAMPS = (
 
 @st.composite
 def timestamp_columns(draw):
-    """A start_time column: canonical texts of one width, field values beyond
-    their ranges, and now and then an odd value or another width."""
+    """A start_time column: canonical texts of one width or of mixed widths,
+    field values beyond their ranges, and now and then an odd value or
+    another width."""
     suffix = draw(st.sampled_from(CANONICAL_SUFFIXES))
+    mixed = draw(st.booleans())
     texts = []
     for _ in range(draw(st.integers(min_value=1, max_value=12))):
         year, month, day, hour, minute, second = (
             draw(st.integers(min_value=0, max_value=hi)) for hi in (9999, 13, 32, 24, 60, 60))
+        if mixed:
+            suffix = draw(st.sampled_from(CANONICAL_SUFFIXES))
         text = f"{year:04d}-{month:02d}-{day:02d}T{hour:02d}:{minute:02d}:{second:02d}{suffix}"
         if draw(st.integers(min_value=0, max_value=7)) == 0:
             text = draw(st.sampled_from(ODD_TIMESTAMPS))(text)
@@ -370,6 +373,17 @@ class TestTimestampCodec:
         assert epochs.tolist() == [-62135596800, -1, 253402300799,
                                    951782400, 1709164800, 1682812800]
         assert not rejected.any()
+
+    def test_only_the_odd_value_goes_through_parse_timestamp(self):
+        # 2,047 canonical values of all three widths, then one empty string
+        texts = [f"2014-09-01T10:00:{i % 60:02d}{CANONICAL_SUFFIXES[i % 3]}"
+                 for i in range(2047)] + [""]
+        with mock.patch.object(ingest, "parse_timestamp",
+                               wraps=ingest.parse_timestamp) as spy:
+            epochs, rejected = ingest.parse_timestamps(texts)
+        assert spy.call_count == 1
+        assert rejected.tolist() == [False] * 2047 + [True]
+        assert epochs.tolist() == [1409565600 + i % 60 for i in range(2047)] + [0]
 
 
 def test_quote_free_log_is_split_without_csv_reader(tmp_path):
@@ -415,7 +429,7 @@ class TestSessionTable:
             make_session(user="a", domain="y.com", bytes=10**30, t=1),
             make_session(user="b", domain="y.com", bytes=0, t=9),
         ]
-        table = SessionTable.from_records(sessions)
+        table = session_table(sessions)
         assert len(table) == 3
         assert table.to_records() == sessions
         assert table.users == ("b", "a") and table.domains == ("x.com", "y.com")
@@ -432,7 +446,7 @@ class TestSessionTable:
         assert table.vocab["domain"] != tuple(sorted(table.domains))
 
     def test_empty(self):
-        table = SessionTable.from_records([])
+        table = session_table([])
         assert len(table) == 0 and table.to_records() == []
         assert build_profile_matrix(table).n_users == 0
 
@@ -449,10 +463,10 @@ class TestWriter:
     # epochs of 0001-01-01T00:00:00 and 9999-12-31T23:59:59 UTC
     FIRST, LAST = -62135596800, 253402300799
 
-    def written(self, tmp_path, sessions, as_table=True):
-        """Write records as a table (or as given) and through the row oracle."""
+    def written(self, tmp_path, sessions):
+        """Write records as a table and through the row oracle."""
         ours, oracle = tmp_path / "columns.csv", tmp_path / "rows.csv"
-        write_sessions_csv(SessionTable.from_records(sessions) if as_table else sessions, ours)
+        write_sessions_csv(session_table(sessions), ours)
         write_sessions_rows(sessions, oracle)
         assert ours.read_bytes() == oracle.read_bytes()
         return ours.read_text()
@@ -466,14 +480,14 @@ class TestWriter:
     def test_epoch_outside_the_bounds_raises_like_format_timestamp(self, tmp_path, epoch):
         with pytest.raises(ValueError) as expected:
             ingest.format_timestamp(epoch)
-        table = SessionTable.from_records([make_session(t=0), make_session(t=epoch)])
+        table = session_table([make_session(t=0), make_session(t=epoch)])
         with pytest.raises(ValueError, match=f"^{expected.value}$"):
             write_sessions_csv(table, tmp_path / "s.csv")
 
     def test_epoch_beyond_int64_raises_like_format_timestamp(self, tmp_path):
         with pytest.raises((ValueError, OverflowError)) as expected:
             ingest.format_timestamp(2**70)
-        table = SessionTable.from_records([make_session(t=2**70)])
+        table = session_table([make_session(t=2**70)])
         assert table.columns["start_time"].dtype == object
         with pytest.raises(expected.type, match=f"^{expected.value}$"):
             write_sessions_csv(table, tmp_path / "s.csv")
@@ -484,12 +498,12 @@ class TestWriter:
         assert [line.rsplit(",", 1)[1] for line in text.splitlines()[1:]] == [
             str(10**30), str(2**63), "0"]
 
-    def test_record_list_accepted(self, tmp_path):
+    def test_quoted_user_round_trip(self, tmp_path):
         sessions = [
             make_session(user="b", domain="x.com", t=1409560000, duration=12),
             make_session(user='a "quoted", user', domain="y.com", duration=0.1),
         ]
-        text = self.written(tmp_path, sessions, as_table=False)
+        text = self.written(tmp_path, sessions)
         assert '"a ""quoted"", user"' in text
         assert parse_sessions(tmp_path / "columns.csv").records.to_records() == [
             make_session(user="b", domain="x.com", t=1409560000, duration=12.0),
