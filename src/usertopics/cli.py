@@ -194,14 +194,13 @@ def cmd_ingest(args) -> int:
                     f"# n_users: {matrix.n_users}\n# n_domains: {matrix.n_domains}\n"
                     f"# nonzero_median_fraction: {stats.nonzero_median_fraction:.6g}\n"
                 )
-                fh.write("domain,median,n_users_visited,total\n")
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(("domain", "median", "n_users_visited", "total"))
                 pos = {d: j for j, d in enumerate(stats.domains)}
                 for name in ranked:
                     j = pos[name]
-                    fh.write(
-                        f"{name},{stats.median[j]:.6g},{stats.n_visitors[j]},"
-                        f"{stats.total[j]:.6g}\n"
-                    )
+                    writer.writerow((name, f"{stats.median[j]:.6g}", stats.n_visitors[j],
+                                     f"{stats.total[j]:.6g}"))
         _write_manifest(
             workspace / "ingest_manifest.json",
             args,

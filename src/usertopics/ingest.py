@@ -25,11 +25,14 @@ domain or user id that fails its check gets code -1, which flags its row.
 The chunk is encoded before the next one is read, so memory grows with
 the vocabularies and the numeric columns, not with the raw text. At the
 end, each vocabulary is reduced to the values the accepted rows use, in
-first-appearance order. A row that a column check flags is converted once
-more through the per-row :class:`SessionRecord` path. The column checks
-only tell that a row is bad; the per-row path applies the checks in their
-fixed order, so it gives the verdict and the message that parsing the row
-on its own gives, and errors stay identical line for line.
+sorted order: every :class:`SessionTable` keeps its vocabularies sorted,
+so :func:`sessionize` and :func:`build_profile_matrix` order users and
+domains by their codes. A row that a column check flags is converted
+once more through the per-row :class:`SessionRecord` path. The column
+checks only tell that a row is bad; the per-row path applies the checks
+in their fixed order, so it gives the verdict and the message that
+parsing the row on its own gives, and errors stay identical line for
+line.
 
 :func:`sessionize` merges a table of raw events into sessions with array
 operations: a sort by (user, domain, time) and one sum per run of events.
@@ -329,7 +332,8 @@ class SessionTable:
     """Sessions as columns, one per :class:`SessionRecord` field.
 
     String fields hold int64 codes into ``vocab[field]``, whose values are
-    in first-appearance order and each occur in at least one row.
+    strictly increasing and each occur in at least one row, so comparing
+    codes compares names.
     ``start_time``, ``http_requests`` and ``bytes`` are int64 (an integer
     column holds Python ints in an object array when a value does not fit
     in int64); ``duration`` is float64.
@@ -346,17 +350,18 @@ class SessionTable:
             raise ValueError("columns or vocabularies do not match the SessionRecord fields")
         if len({col.shape for col in self.columns.values()}) != 1:
             raise ValueError("columns differ in length")
-        if any(len(set(values)) != len(values) for values in self.vocab.values()):
-            raise ValueError("a vocabulary repeats a value")
+        if any(a >= b for values in self.vocab.values() for a, b in itertools.pairwise(values)):
+            raise ValueError("a vocabulary is not strictly increasing")
 
     @classmethod
     def encoded(cls, columns: dict, names: dict) -> SessionTable:
         """A table from columns whose string fields hold indices into ``names[field]``.
 
-        Each string column is reduced to the names its rows use, in
-        first-appearance order; equal names share one code. The table
-        takes over ``columns``: its string columns are replaced by the
-        reduced codes one by one, so the old ones are freed as it goes.
+        Each string column is reduced to the names its rows use, in sorted
+        order, so code order is name order; equal names share one code.
+        The table takes over ``columns``: its string columns are replaced
+        by the reduced codes one by one, so the old ones are freed as it
+        goes.
         """
         vocab = {}
         for name in _STRING_FIELDS:
@@ -366,12 +371,12 @@ class SessionTable:
                 [first.setdefault(value, i) for i, value in enumerate(values)], dtype=np.int64
             )
             codes = canonical[columns[name]]
-            present, first_row = np.unique(codes, return_index=True)
-            order = present[np.argsort(first_row)]
+            used = np.flatnonzero(np.bincount(codes, minlength=len(values))).tolist()
+            order = sorted(used, key=values.__getitem__)
             recode = np.empty(len(values), dtype=np.int64)
-            recode[order] = np.arange(order.size)
+            recode[order] = np.arange(len(order))
             columns[name] = recode[codes]
-            vocab[name] = tuple(values[i] for i in order.tolist())
+            vocab[name] = tuple(values[i] for i in order)
         return cls(columns=columns, vocab=vocab)
 
     @property
@@ -735,7 +740,8 @@ def parse_transactions(
     """Parse campus-card transactions.
 
     A user's total amount, or the total over all users, beyond the float64
-    range raises ParseError (naming the user), so no report sums to inf.
+    range raises ParseError (naming the user, the first in user_id order),
+    so no report sums to inf.
     """
 
     def convert(row, _report):
@@ -749,8 +755,8 @@ def parse_transactions(
     by_user: dict[str, list[float]] = {}
     for t in report.records:
         by_user.setdefault(t.user_id, []).append(t.amount)
-    for user_id, amounts in by_user.items():
-        _check_total(amounts, f"amount total of user {user_id!r}")
+    for user_id in sorted(by_user):
+        _check_total(by_user[user_id], f"amount total of user {user_id!r}")
     _check_total([t.amount for t in report.records], "amount total over all users")
     return report
 
@@ -830,10 +836,7 @@ def sessionize(events: SessionTable, gap_threshold: float = DEFAULT_GAP_SECONDS)
         # Python ints: no int64 sum can wrap
         sums = np.add.reduceat(cols[name][order].astype(object), firsts)
         sessions[name] = _int_array(sums.tolist())
-    user_rank = _order_positions(_sorted_codes(events.users), len(events.users))
-    domain_rank = _order_positions(_sorted_codes(events.domains), len(events.domains))
-    final = np.lexsort((domain_rank[sessions["domain"]], sessions["start_time"],
-                        user_rank[sessions["user_id"]]))
+    final = np.lexsort((sessions["domain"], sessions["start_time"], sessions["user_id"]))
     table = SessionTable.encoded(
         {name: col[final] for name, col in sessions.items()}, dict(events.vocab)
     )
@@ -847,7 +850,7 @@ def sessionize(events: SessionTable, gap_threshold: float = DEFAULT_GAP_SECONDS)
             else at its user's end, in the order its domain first appeared."""
             ends_early = k + 1 < firsts.size and not new_group[firsts[k + 1]]
             event = firsts[k + 1] if ends_early else group_first[k]
-            return user_rank[user[event]], not ends_early, start[event], order[event]
+            return user[event], not ends_early, start[event], order[event]
 
         position = np.empty(final.size, dtype=np.int64)
         position[final] = np.arange(final.size)
@@ -867,18 +870,6 @@ def sessionize(events: SessionTable, gap_threshold: float = DEFAULT_GAP_SECONDS)
 # --------------------------------------------------------------------------
 
 
-def _sorted_codes(values) -> list[int]:
-    """Codes of ``values`` in lexicographic order of the values."""
-    return sorted(range(len(values)), key=values.__getitem__)
-
-
-def _order_positions(codes, size: int) -> np.ndarray:
-    """pos[code] = rank of ``code`` in ``codes``; -1 for codes not listed."""
-    pos = np.full(size, -1, dtype=np.int64)
-    pos[np.asarray(codes, dtype=np.int64)] = np.arange(len(codes))
-    return pos
-
-
 def build_profile_matrix(sessions: SessionTable, metric: str = "bytes") -> ProfileMatrix:
     """Aggregate a table of sessions into the users-by-domains activity matrix.
 
@@ -887,8 +878,9 @@ def build_profile_matrix(sessions: SessionTable, metric: str = "bytes") -> Profi
     under any permutation of the input. Users whose total activity is zero
     keep their (empty) row; domains with zero total activity are dropped,
     which guarantees every column has at least one visitor. A cell total
-    beyond the float64 range raises ParseError naming the user and domain.
-    Users and domains are indexed in lexicographic order.
+    beyond the float64 range raises ParseError naming the user and domain
+    (of several, the first in (user, domain) order). Users and domains are
+    indexed by their codes, which follow name order.
     """
     if metric not in PROFILE_METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {PROFILE_METRICS}")
@@ -925,12 +917,9 @@ def build_profile_matrix(sessions: SessionTable, metric: str = "bytes") -> Profi
     dropped = len(domains) - len(kept)
     if dropped:
         log.warning("dropping %d domain(s) with zero total %s", dropped, metric)
-    user_order = _sorted_codes(users)
-    kept = sorted(kept, key=domains.__getitem__)
-    rows = _order_positions(user_order, len(users))[cell_users[positive]]
-    cols = _order_positions(kept, len(domains))[cell_domains[positive]]
+    cols = (np.cumsum(active) - 1)[cell_domains[positive]]
     indptr, indices, data = csr_from_triplets(
-        len(users), len(kept), rows, cols, totals[positive]
+        len(users), len(kept), cell_users[positive], cols, totals[positive]
     )
     return ProfileMatrix(
         n_users=len(users),
@@ -938,6 +927,6 @@ def build_profile_matrix(sessions: SessionTable, metric: str = "bytes") -> Profi
         indptr=indptr,
         indices=indices,
         data=data,
-        users=tuple(users[c] for c in user_order),
+        users=users,
         domains=tuple(domains[c] for c in kept),
     )

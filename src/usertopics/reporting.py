@@ -7,6 +7,7 @@ report on identical inputs is bit-identical.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -194,15 +195,14 @@ def spend_distribution(
 def write_topic_report(path: str | Path, report: ClusterTopicReport) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# provenance: {report.provenance}\n")
-        fh.write("cluster,size,label,rank,domain,mean_weight\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("cluster", "size", "label", "rank", "domain", "mean_weight"))
         for g, entries in enumerate(report.top):
             label = report.labels[g] or ""
             if not entries:
-                fh.write(f"{g},{report.sizes[g]},{label},,,\n")
+                writer.writerow((g, report.sizes[g], label, "", "", ""))
             for rank, (domain, weight) in enumerate(entries, start=1):
-                fh.write(
-                    f"{g},{report.sizes[g]},{label},{rank},{domain},{_fmt(weight)}\n"
-                )
+                writer.writerow((g, report.sizes[g], label, rank, domain, _fmt(weight)))
 
 
 def write_gender_report(path: str | Path, report: GenderReport) -> None:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -340,6 +341,27 @@ class TestClusterCommand:
                      "lsa.U.npy", "lsa.sigma.npy", "lsa.V.npy", "lsa.meta.json",
                      "centroids.txt"):
             assert (ingested_ws / name).is_file()
+
+    def test_domains_with_a_comma_or_quote_read_back_as_csv(self, tmp_path, synth_ws):
+        with open(synth_ws / "sessions.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        for row in rows[1:]:
+            row[4] = row[4].replace("dom", 'd,"o', 1)
+        log = tmp_path / "quoted.csv"
+        with open(log, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        ws = tmp_path / "ws"
+        assert run(["ingest", "--workspace", ws, "--sessions", log]) == 0
+        assert run(["cluster", "--workspace", ws, "-M", 4, "-K", 4]) == 0
+        domains = set(read_matrix(ws / "profile").domains)
+        assert all(d.startswith('d,"o') for d in domains)
+        # (file, fields per row, the domain columns)
+        for name, width, columns in (("domain_stats.txt", 4, [0]),
+                                     ("report_topics.txt", 6, [2, 4])):
+            with open(ws / name, newline="") as fh:
+                table = [row for row in csv.reader(fh) if not row[0].startswith("#")]
+            assert {len(row) for row in table} == {width}, name
+            assert {row[j] for row in table[1:] for j in columns} <= domains, name
 
     def test_row_normalized_mode_recorded_and_universal_tops(self, tmp_path):
         spec = write_spec(tmp_path, {"universal_domain": "portal.example"})

@@ -1,10 +1,11 @@
 import io
 import math
+import random
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from usertopics.ingest import (
     ParseError,
@@ -20,6 +21,8 @@ from usertopics.ingest import (
 
 import oracles
 from helpers import make_event, make_session, session_table
+
+MAX_INT_FLOAT = int(sys.float_info.max)
 
 SESS_HEADER = "user_id,start_time,duration_s,location,domain,isp,http_requests,service_class,bytes\n"
 
@@ -223,7 +226,9 @@ class TestParseTransactions:
 
     @pytest.mark.parametrize(
         "users, message",
-        [(("u1", "u1"), "of user 'u1'"), (("u1", "u2"), "over all users")],
+        [(("u1", "u1"), "of user 'u1'"), (("u1", "u2"), "over all users"),
+         # two users overflow: the first in user_id order is named, whatever the row order
+         (("u1", "u2", "u1", "u2"), "of user 'u1'"), (("u2", "u1", "u2", "u1"), "of user 'u1'")],
     )
     def test_total_beyond_float64_raises(self, users, message):
         rows = "".join(f"{u},2014-09-01T10:00:00Z,1e308\n" for u in users)
@@ -499,23 +504,36 @@ class TestBuildProfileMatrix:
             st.tuples(
                 st.sampled_from(["u1", "u2"]),
                 st.sampled_from(["a.com", "b.com"]),
-                st.integers(min_value=1, max_value=1000),
+                # two or three of the large values overflow a cell total
+                st.one_of(
+                    st.integers(min_value=1, max_value=1000),
+                    st.sampled_from([MAX_INT_FLOAT, MAX_INT_FLOAT // 2 + 1]),
+                ),
             ),
             min_size=1,
             max_size=20,
         ),
         st.randoms(use_true_random=False),
     )
+    @example(
+        [("u2", "b.com", MAX_INT_FLOAT)] * 2 + [("u1", "a.com", MAX_INT_FLOAT)] * 2,
+        random.Random(0),
+    )
     def test_permutation_invariant_bit_for_bit(self, raw, shuffler):
+        def outcome(sessions):
+            """The matrix, or the message of the error it raises: ParseError
+            for a cell total, ValueError for a user or domain total."""
+            try:
+                m = build_profile_matrix(session_table(sessions))
+            except (ParseError, ValueError) as exc:
+                return type(exc), str(exc)
+            return m.users, m.domains, m.data.tobytes(), m.indices.tobytes(), m.indptr.tobytes()
+
         sessions = [make_session(user=u, domain=d, bytes=b, t=i)
                     for i, (u, d, b) in enumerate(raw)]
-        m1 = build_profile_matrix(session_table(sessions))
         shuffled = list(sessions)
         shuffler.shuffle(shuffled)
-        m2 = build_profile_matrix(session_table(shuffled))
-        assert m1.users == m2.users and m1.domains == m2.domains
-        assert np.array_equal(m1.data, m2.data)
-        assert np.array_equal(m1.indices, m2.indices)
+        assert outcome(sessions) == outcome(shuffled)
 
     def test_duration_metric_uses_fsum(self):
         # fsum makes float accumulation order-independent

@@ -15,12 +15,15 @@ from usertopics import ingest, synth
 from usertopics.ingest import (
     PROFILE_METRICS,
     SESSION_COLUMNS,
+    _STRING_FIELDS,
     ParseError,
+    SessionTable,
     build_profile_matrix,
     parse_sessions,
     write_sessions_csv,
 )
 from usertopics.matrix import matrices_equal
+from usertopics.records import SessionRecord
 
 from helpers import field_size_limit, make_session, session_table, text_stream, write_row
 from oracles import parse_sessions_rows, profile_oracle, write_sessions_rows
@@ -288,14 +291,14 @@ class TestDifferential:
         assert table.users == ("u1", "u2")
 
     @given(session_logs(), st.sampled_from([1, 3, 2048]))
-    def test_vocabularies_in_first_appearance_order_of_accepted_rows(self, log, chunk_rows):
-        # a value first seen in a rejected row takes its place where an accepted row has it
+    def test_vocabularies_sorted_over_accepted_rows(self, log, chunk_rows):
+        # a value seen only in a rejected row is left out
         text, delimiter = log
         with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
             table = parse_sessions(text_stream(text), delimiter=delimiter).records
         records = table.to_records()
         for name, values in table.vocab.items():
-            assert values == tuple(dict.fromkeys(getattr(r, name) for r in records)), name
+            assert values == tuple(sorted({getattr(r, name) for r in records})), name
 
 
 # one canonical UTC form per width: naive, "Z", "+00:00"
@@ -432,9 +435,10 @@ class TestSessionTable:
         table = session_table(sessions)
         assert len(table) == 3
         assert table.to_records() == sessions
-        assert table.users == ("b", "a") and table.domains == ("x.com", "y.com")
+        assert table.users == ("a", "b") and table.domains == ("x.com", "y.com")
 
-    def test_synth_vocabularies_in_first_appearance_order(self):
+    def test_synth_vocabularies_sorted(self):
+        # the universal domain is also a topic domain: equal names share one code
         spec = synth.SynthSpec(
             n_topics=3, n_domains=30, n_users=12, topic_word=synth.disjoint_topic_word(3, 30),
             sessions_lo=5, sessions_hi=5, universal_domain="dom0004", seed=2,
@@ -442,8 +446,34 @@ class TestSessionTable:
         table, _ = synth.generate(spec)
         records = table.to_records()
         for name, values in table.vocab.items():
-            assert values == tuple(dict.fromkeys(getattr(r, name) for r in records)), name
-        assert table.vocab["domain"] != tuple(sorted(table.domains))
+            assert values == tuple(sorted({getattr(r, name) for r in records})), name
+        assert table.vocab["domain"] != tuple(dict.fromkeys(r.domain for r in records))
+
+    @given(
+        st.lists(st.text(alphabet="aAbB.\u00e9", min_size=1, max_size=3), min_size=1, max_size=8),
+        st.lists(st.integers(min_value=0, max_value=7), max_size=12),
+    )
+    def test_encoded_keeps_the_used_names_in_sorted_order(self, names, picks):
+        # names repeat and some go unused; every string field reads the same list
+        rows = [p % len(names) for p in picks]
+        n = len(rows)
+        columns = {name: np.array(rows, dtype=np.int64) for name in _STRING_FIELDS}
+        columns.update(start_time=np.arange(n, dtype=np.int64), duration=np.zeros(n),
+                       http_requests=np.ones(n, dtype=np.int64),
+                       bytes=np.arange(n, dtype=np.int64))
+        table = SessionTable.encoded(columns, dict.fromkeys(_STRING_FIELDS, tuple(names)))
+        assert table.to_records() == [
+            SessionRecord(names[i], t, 0.0, names[i], names[i], names[i], 1, names[i], t)
+            for t, i in enumerate(rows)
+        ]
+        for values in table.vocab.values():
+            assert values == tuple(sorted({names[i] for i in rows}))
+
+    @pytest.mark.parametrize("users", [("b", "a"), ("a", "a")])
+    def test_vocabulary_not_strictly_increasing_rejected(self, users):
+        table = session_table([make_session(user="a"), make_session(user="b")])
+        with pytest.raises(ValueError, match="^a vocabulary is not strictly increasing$"):
+            SessionTable(columns=table.columns, vocab=dict(table.vocab, user_id=users))
 
     def test_empty(self):
         table = session_table([])
