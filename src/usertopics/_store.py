@@ -1,5 +1,5 @@
 """Workspace file primitives: atomic writes, checked ``.npy`` arrays, JSON
-files and the workspace lock.
+files, text tables and the workspace lock.
 
 Arrays are plain ``.npy`` files (format 1.0, C order, an explicit
 little-endian dtype) written by ``np.save`` without pickling. They are read
@@ -7,6 +7,10 @@ back by matching the header against the one expected for the dtype and
 rank and checking the data length against the file size before any data
 is read, so a mangled header cannot ask for more memory than the file
 holds, and nothing is evaluated or unpickled.
+
+Text tables (index maps, assignments, centroids, reports, logs) go through
+:func:`write_rows`: UTF-8 whatever the locale, LF line ends, CSV quoting,
+and an optional header of ``# `` comment lines.
 
 Every file is written under a temporary name in its target directory and
 moved into place with ``os.replace``: a write cut short leaves the old file
@@ -19,6 +23,8 @@ run has not written yet.
 from __future__ import annotations
 
 import contextlib
+import csv
+import io
 import json
 import logging
 import math
@@ -88,6 +94,15 @@ def write_json(path: Path, obj: dict) -> Path:
     """``obj`` as indented JSON with sorted keys and a final newline."""
     with atomic_file(path) as fh:
         fh.write((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
+    return path
+
+
+def write_rows(path: str | Path, rows, comments=(), delimiter: str = ",") -> Path:
+    """One ``# `` line per comment, then ``rows`` as CSV; UTF-8 with LF line ends."""
+    path = Path(path)
+    with atomic_file(path) as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
+        fh.writelines(f"# {line}\n" for line in comments)
+        csv.writer(fh, delimiter=delimiter, lineterminator="\n").writerows(rows)
     return path
 
 

@@ -3,8 +3,9 @@
 Each command works against a workspace directory with well-known file
 names, writes a JSON manifest recording every parameter plus per-stage
 wall-clock timings, and is deterministic given its configuration and seed
-(timing fields aside). A lock file keeps concurrent writers out of a
-workspace.
+(timing fields aside). The manifest is removed when the command starts and
+written last, so it marks a complete run. A lock file keeps concurrent
+writers out of a workspace.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error.
 Environment overrides: USERTOPICS_SEED (seed default) and USERTOPICS_OUT
@@ -31,7 +32,7 @@ import numpy as np
 from . import __version__, _kernels
 from . import clustering as clus
 from . import ingest, lsa, reporting, synth, weighting
-from ._store import WorkspaceLocked, workspace_lock, write_json
+from ._store import WorkspaceLocked, workspace_lock, write_json, write_rows
 from .matrix import domain_stats, matrix_sidecar, rank_domains, read_matrix, write_matrix
 
 log = logging.getLogger(__name__)
@@ -131,6 +132,7 @@ def cmd_synth(args) -> int:
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise UsageError(f"malformed synth spec {spec_path}: {exc}") from exc
     with workspace_lock(out_dir):
+        (out_dir / "synth_manifest.json").unlink(missing_ok=True)
         watch = _Stopwatch()
         with watch.stage("generate"):
             try:
@@ -175,6 +177,7 @@ def cmd_ingest(args) -> int:
     else:
         path = _require_file(args.sessions, "sessions")
     with workspace_lock(workspace):
+        (workspace / "ingest_manifest.json").unlink(missing_ok=True)
         watch = _Stopwatch()
         try:
             with watch.stage("parse"):
@@ -188,19 +191,15 @@ def cmd_ingest(args) -> int:
             ranked = rank_domains(stats)
         with watch.stage("write"):
             write_matrix(matrix, workspace / PROFILE_PREFIX)
-            stats_path = workspace / "domain_stats.txt"
-            with open(stats_path, "w", newline="\n") as fh:
-                fh.write(
-                    f"# n_users: {matrix.n_users}\n# n_domains: {matrix.n_domains}\n"
-                    f"# nonzero_median_fraction: {stats.nonzero_median_fraction:.6g}\n"
-                )
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(("domain", "median", "n_users_visited", "total"))
-                pos = {d: j for j, d in enumerate(stats.domains)}
-                for name in ranked:
-                    j = pos[name]
-                    writer.writerow((name, f"{stats.median[j]:.6g}", stats.n_visitors[j],
-                                     f"{stats.total[j]:.6g}"))
+            pos = {d: j for j, d in enumerate(stats.domains)}
+            write_rows(
+                workspace / "domain_stats.txt",
+                [("domain", "median", "n_users_visited", "total"),
+                 *((d, f"{stats.median[j]:.6g}", stats.n_visitors[j], f"{stats.total[j]:.6g}")
+                   for d, j in zip(ranked, map(pos.get, ranked)))],
+                comments=(f"n_users: {matrix.n_users}", f"n_domains: {matrix.n_domains}",
+                          f"nonzero_median_fraction: {stats.nonzero_median_fraction:.6g}"),
+            )
         _write_manifest(
             workspace / "ingest_manifest.json",
             args,
@@ -224,7 +223,8 @@ def cmd_ingest(args) -> int:
 
 @contextlib.contextmanager
 def _open_workspace(args):
-    """Load the workspace's profile, then hold the output directory's lock.
+    """Load the workspace's profile, then hold the output directory's lock and
+    remove its manifest, which the command writes again when it completes.
 
     Yields (output directory, profile, stopwatch with the ``load`` stage).
     """
@@ -240,6 +240,7 @@ def _open_workspace(args):
     except (ValueError, OSError) as exc:
         raise DataError(f"corrupt profile matrix under {workspace}: {exc}") from exc
     with workspace_lock(out_dir):
+        (out_dir / "manifest.json").unlink(missing_ok=True)
         yield out_dir, profile, watch
 
 
@@ -352,10 +353,8 @@ def cmd_sweep_k(args) -> int:
         _, _, features, kmeans_kw = _run(args, profile, watch, args.m, args.k_max)
         with watch.stage("sweep"):
             results = clus.sweep_k(features, args.k_min, args.k_max, **kmeans_kw)
-        with open(out_dir / "sweep_k.txt", "w", newline="\n") as fh:
-            fh.write("k,inertia\n")
-            for res in results:
-                fh.write(f"{res.k},{res.inertia:.6g}\n")
+        write_rows(out_dir / "sweep_k.txt",
+                   [("k", "inertia"), *((res.k, f"{res.inertia:.6g}") for res in results)])
         _write_manifest(
             out_dir / "manifest.json",
             args,
@@ -399,11 +398,9 @@ def cmd_bench_m(args) -> int:
                 row[f"{stage}_median_s"] = statistics.median(samples)
             row.update(total_min_s=min(times["total"]), total_max_s=max(times["total"]))
             rows.append(row)
-        with open(out_dir / "bench_m.txt", "w", newline="\n") as fh:
-            fh.write(",".join(rows[0]) + "\n")
-            for row in rows:
-                m, *seconds = row.values()
-                fh.write(f"{m}," + ",".join(f"{t:.6g}" for t in seconds) + "\n")
+        header = list(rows[0])
+        write_rows(out_dir / "bench_m.txt", [header, *(
+            [row["m"], *(f"{row[key]:.6g}" for key in header[1:])] for row in rows)])
         _write_manifest(out_dir / "manifest.json", args, {"rows": rows}, watch, m_list=m_list)
     for row in rows:
         print(

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from ._store import write_json
+from ._store import write_json, write_rows
 
 
 @dataclass(frozen=True)
@@ -277,17 +277,13 @@ def write_clustering(c: Clustering, user_ids, out_dir: str | Path) -> list[Path]
     """Persist assignments (user_id,cluster), centroids and run metadata."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    assign_path = out / "assignments.csv"
-    with open(assign_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "cluster"])
-        for uid, lab in zip(user_ids, c.assignments):
-            writer.writerow([uid, int(lab)])
-    cent_path = out / "centroids.txt"
-    with open(cent_path, "w", newline="\n") as fh:
-        fh.write(f"# k: {c.k}\n# dim: {c.centroids.shape[1]}\n")
-        for row in c.centroids:
-            fh.write(" ".join(repr(float(x)) for x in row) + "\n")
+    assign_path = write_rows(
+        out / "assignments.csv", [("user_id", "cluster"), *zip(user_ids, c.assignments.tolist())]
+    )
+    cent_path = write_rows(
+        out / "centroids.txt", c.centroids.tolist(),  # csv writes a float as its repr
+        comments=(f"k: {c.k}", f"dim: {c.centroids.shape[1]}"), delimiter=" ",
+    )
     meta_path = out / "clustering_meta.json"
     meta = {
         "k": c.k,
@@ -302,7 +298,7 @@ def write_clustering(c: Clustering, user_ids, out_dir: str | Path) -> list[Path]
 
 def read_assignments(path: str | Path) -> dict[str, int]:
     """user -> cluster id from assignments.csv; ValueError on a malformed file."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

@@ -53,6 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._store import write_rows
 from .matrix import ProfileMatrix, csr_from_triplets
 from .records import (
     DemographicRecord,
@@ -794,10 +795,7 @@ def write_sessions_csv(sessions: SessionTable, path) -> None:
     columns["duration"] = map(repr, columns["duration"])
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SESSION_COLUMNS)
-        writer.writerows(zip(*columns.values()))
+    write_rows(path, itertools.chain([SESSION_COLUMNS], zip(*columns.values())))
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._store import atomic_file, load_array, read_sidecar, save_array, write_json
+from ._store import load_array, read_sidecar, save_array, write_json, write_rows
 
 FEATURE_PROVENANCES = ("tfidf", "row_normalized")
 
@@ -228,12 +227,7 @@ def write_matrix(m: SparseMatrix, prefix: str | Path) -> list[Path]:
         for name, dtype in _CSR_ARRAYS
     ]
     for name, keys in (("users", m.users), ("domains", m.domains)):
-        text = io.StringIO()
-        csv.writer(text, lineterminator="\n").writerows(enumerate(keys))
-        path = _file(prefix, f".{name}.txt")
-        with atomic_file(path) as fh:
-            fh.write(text.getvalue().encode())
-        written.append(path)
+        written.append(write_rows(_file(prefix, f".{name}.txt"), enumerate(keys)))
     meta = {
         "n_users": m.n_users,
         "n_domains": m.n_domains,

@@ -7,13 +7,12 @@ report on identical inputs is bit-identical.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._store import write_json
+from ._store import write_json, write_rows
 from .matrix import FeatureMatrix
 from .records import DemographicRecord, TransactionRecord
 
@@ -193,55 +192,45 @@ def spend_distribution(
 
 
 def write_topic_report(path: str | Path, report: ClusterTopicReport) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# provenance: {report.provenance}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("cluster", "size", "label", "rank", "domain", "mean_weight"))
-        for g, entries in enumerate(report.top):
-            label = report.labels[g] or ""
-            if not entries:
-                writer.writerow((g, report.sizes[g], label, "", "", ""))
-            for rank, (domain, weight) in enumerate(entries, start=1):
-                writer.writerow((g, report.sizes[g], label, rank, domain, _fmt(weight)))
+    rows = [("cluster", "size", "label", "rank", "domain", "mean_weight")]
+    for g, entries in enumerate(report.top):
+        label = report.labels[g] or ""
+        if not entries:
+            rows.append((g, report.sizes[g], label, "", "", ""))
+        for rank, (domain, weight) in enumerate(entries, start=1):
+            rows.append((g, report.sizes[g], label, rank, domain, _fmt(weight)))
+    write_rows(path, rows, comments=(f"provenance: {report.provenance}",))
 
 
 def write_gender_report(path: str | Path, report: GenderReport) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("cluster,males,females,unknown,male_fraction\n")
-        for g in range(len(report.males)):
-            frac = report.fractions[g]
-            fh.write(
-                f"{g},{report.males[g]},{report.females[g]},{report.unknown[g]},"
-                f"{_fmt(frac) if frac is not None else ''}\n"
-            )
-        overall = report.overall_fraction
-        fh.write(
-            f"overall,{report.males.sum()},{report.females.sum()},"
-            f"{report.unknown.sum()},{_fmt(overall) if overall is not None else ''}\n"
-        )
+    counts = (report.males, report.females, report.unknown)
+    rows = [
+        (g, *(c[g] for c in counts), "" if frac is None else _fmt(frac))
+        for g, frac in enumerate(report.fractions)
+    ]
+    overall = report.overall_fraction
+    write_rows(path, [
+        ("cluster", "males", "females", "unknown", "male_fraction"),
+        *rows,
+        ("overall", *(c.sum() for c in counts), "" if overall is None else _fmt(overall)),
+    ])
 
 
 def write_birth_year_report(path: str | Path, report: BirthYearReport) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("cluster,birth_year,count,fraction\n")
-        for g in range(report.counts.shape[0]):
-            for i, year in enumerate(report.years):
-                if report.counts[g, i]:
-                    fh.write(
-                        f"{g},{year},{report.counts[g, i]},"
-                        f"{_fmt(report.normalized[g, i])}\n"
-                    )
+    write_rows(path, [
+        ("cluster", "birth_year", "count", "fraction"),
+        *((g, report.years[i], report.counts[g, i], _fmt(report.normalized[g, i]))
+          for g, i in zip(*np.nonzero(report.counts))),
+    ])
 
 
 def write_spend_report(path: str | Path, report: SpendReport) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("cluster,mean_spend,bin_low,bin_high,count\n")
-        for g in range(report.counts.shape[0]):
-            for b in range(report.counts.shape[1]):
-                fh.write(
-                    f"{g},{_fmt(report.means[g])},{_fmt(report.edges[b])},"
-                    f"{_fmt(report.edges[b + 1])},{report.counts[g, b]}\n"
-                )
+    edges = [_fmt(e) for e in report.edges]
+    write_rows(path, [
+        ("cluster", "mean_spend", "bin_low", "bin_high", "count"),
+        *((g, _fmt(report.means[g]), edges[b], edges[b + 1], report.counts[g, b])
+          for g, b in np.ndindex(report.counts.shape)),
+    ])
 
 
 def summary_dict(

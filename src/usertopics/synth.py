@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._store import write_rows
 from .ingest import SessionTable, _int_array
 from .records import _check_domain
 
@@ -189,7 +190,7 @@ class SynthSpec:
 
     @staticmethod
     def from_file(path: str | Path) -> "SynthSpec":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return SynthSpec.from_dict(json.load(fh))
 
 
@@ -303,15 +304,11 @@ def generate(spec: SynthSpec) -> tuple[SessionTable, GroundTruth]:
 def write_truth(truth: GroundTruth, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "topic"])
-        for uid, topic in zip(truth.user_ids, truth.dominant):
-            writer.writerow([uid, int(topic)])
+    write_rows(path, [("user_id", "topic"), *zip(truth.user_ids, truth.dominant.tolist())])
 
 
 def read_truth(path: str | Path) -> dict[str, int]:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header != ["user_id", "topic"]:

@@ -5,11 +5,12 @@ import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from usertopics import _store, cli, lsa
+from usertopics import _store, cli, lsa, reporting
 from usertopics.ingest import DEFAULT_GAP_SECONDS, RAW_EVENT_COLUMNS
 from usertopics.matrix import SparseMatrix, csr_from_triplets, read_matrix, write_matrix
 from usertopics.synth import read_truth
@@ -264,6 +265,18 @@ class TestIngestCommand:
         err = capsys.readouterr().err
         assert err == f"data error: activity total of {message} is beyond the float64 range\n"
 
+    def test_ingest_that_fails_part_way_leaves_no_manifest(self, synth_ws, ingested_ws,
+                                                           monkeypatch):
+        assert (ingested_ws / "ingest_manifest.json").is_file()
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("disk gone")
+
+        monkeypatch.setattr(cli, "write_matrix", fail)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            run(["ingest", "--workspace", ingested_ws, "--sessions", synth_ws / "sessions.csv"])
+        assert not (ingested_ws / "ingest_manifest.json").exists()
+
     @pytest.mark.parametrize("sources", [["--sessions", "s.csv", "--raw-events", "e.csv"], []],
                              ids=["both", "neither"])
     def test_exactly_one_session_source(self, tmp_path, capsys, sources):
@@ -438,6 +451,20 @@ class TestClusterCommand:
         for name in tracked:
             assert (ingested_ws / name).read_bytes() == (keep / name).read_bytes(), name
         assert strip_timings(ingested_ws / "manifest.json") == manifest1
+
+    def test_run_that_fails_part_way_leaves_no_manifest(self, ingested_ws, monkeypatch):
+        argv = ["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4]
+        assert run(argv) == 0
+        assert (ingested_ws / "manifest.json").is_file()
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("disk gone")
+
+        monkeypatch.setattr(reporting, "write_spend_report", fail)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            run(argv)
+        assert not (ingested_ws / "manifest.json").exists()
+        assert (ingested_ws / "report_gender.txt").is_file()  # the partial run's output
 
     def test_lock_blocks_concurrent_runs(self, ingested_ws):
         (ingested_ws / ".lock").touch()
@@ -732,6 +759,41 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and message in err
         assert err.count("\n") == 1
+
+
+def test_non_ascii_names_under_an_ascii_locale(tmp_path):
+    """Workspace text files are UTF-8 whatever the locale's encoding."""
+    rows = [
+        ("u1", "a.com"), ("u1", "c.com"),
+        ("ü2", "a.com"), ("ü2", "bücher.de"),
+        ("u3", "a.com"), ("u3", "bücher.de"),
+        ("u4", "a.com"), ("u4", "c.com"),
+    ]
+    log = tmp_path / "log.csv"
+    log.write_text(
+        SESSION_HEADER + "".join(
+            f"{user},2014-09-01T0{i}:00:00Z,60,lab,{domain},isp,3,web,{100 * (i + 1)}\n"
+            for i, (user, domain) in enumerate(rows)
+        ),
+        encoding="utf-8",
+    )
+    env = dict(os.environ, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    ws = tmp_path / "ws"
+    for argv in (
+        ["ingest", "--workspace", ws, "--sessions", log],
+        ["cluster", "--workspace", ws, "-M", 2, "-K", 2],
+        ["report", "--workspace", ws],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "usertopics.cli", *map(str, argv)],
+            env=env, capture_output=True, text=True, encoding="utf-8", errors="replace",
+        )
+        assert proc.returncode == 0, proc.stderr
+    for name, text in (("domain_stats.txt", "bücher.de"), ("assignments.csv", "ü2"),
+                       ("report_topics.txt", "bücher.de")):
+        assert text in (ws / name).read_bytes().decode("utf-8"), name
 
 
 class TestDefaults:

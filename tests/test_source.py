@@ -1,0 +1,85 @@
+"""Source rules for ``src/usertopics``: one file writer, no unused imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import usertopics
+
+PACKAGE = Path(usertopics.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def opens_for_writing(call: ast.Call) -> bool:
+    """``open(path, mode)`` or ``path.open(mode)`` with a mode that writes."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        position = 1
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        position = 0
+    else:
+        return False
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), None)
+    if mode is None and len(call.args) > position:
+        mode = call.args[position]
+    if mode is None:
+        return False  # the default mode reads
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True  # a mode that is not spelled out may write
+    return any(flag in mode.value for flag in "wax+")
+
+
+def writes(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if opens_for_writing(node) or (
+            isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes")
+        ):
+            found.append(f"line {node.lineno}: {ast.unparse(node)[:80]}")
+    return found
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_store_writes_files(path):
+    if path.name == "_store.py":
+        return
+    assert writes(parse(path)) == [], "write workspace files through _store"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert unused_imports(parse(path)) == []
+
+
+def test_the_rules_catch_what_they_name():
+    tree = ast.parse(
+        "import os\nimport csv\nfrom io import StringIO\n"
+        "open(p)\nopen(p, 'rb')\nopen(p, 'w')\nopen(p, mode='a')\nopen(p, 'r+b')\n"
+        "p.open()\np.open('x')\nopen(p, m)\np.write_text('')\np.write_bytes(b'')\n"
+        "os.sep\n"
+    )
+    assert [entry.split(":")[0] for entry in writes(tree)] == [
+        f"line {n}" for n in (6, 7, 8, 10, 11, 12, 13)
+    ]
+    assert unused_imports(tree) == ["line 2: csv", "line 3: StringIO"]
