@@ -4,7 +4,9 @@ Each kernel has one implementation. The sparse-times-dense products run in
 ``scipy.sparse``; the others are vectorized numpy. ``scipy.sparse`` is
 imported inside the product functions, not at module level: only the
 randomized SVD calls them, and the import costs a few tenths of a second
-that every other command would otherwise pay at start-up.
+that every other command would otherwise pay at start-up. The weighting
+kernels give each stored entry its row share or its natural-log TF weight
+``1 + ln(share)``.
 
 Determinism: results do not depend on the BLAS thread count, so seeded
 runs reproduce bit for bit. The sparse products accumulate each output row
@@ -39,9 +41,9 @@ def _csr(indptr, indices, data, n_cols):
     return csr_array((data, indices, indptr), shape=(indptr.size - 1, n_cols))
 
 
-def tf_values(indptr, data, log_scale):
-    """1 + log(value / row_sum) * log_scale for every stored entry."""
-    return 1.0 + np.log(share_values(indptr, data)) * log_scale
+def tf_values(indptr, data):
+    """1 + ln(value / row_sum) for every stored entry."""
+    return 1.0 + np.log(share_values(indptr, data))
 
 
 def share_values(indptr, data):

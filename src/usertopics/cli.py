@@ -254,7 +254,7 @@ def _run(args, profile, watch: _Stopwatch, m: int, k: int):
     try:
         with watch.stage("weighting"):
             if args.weighting == "tfidf":
-                feature = weighting.tfidf(profile, base=args.log_base)
+                feature = weighting.tfidf(profile)
             else:
                 feature = weighting.row_normalize(profile)
     except ValueError as exc:
@@ -463,9 +463,6 @@ _positive_int = _checked(int, "at least 1", lambda v: v >= 1)
 _positive_float = _checked(float, "positive", lambda v: v > 0)
 _non_negative_int = _checked(int, "at least 0", lambda v: v >= 0)
 _tolerance = _checked(float, "finite and at least 0", lambda v: math.isfinite(v) and v >= 0)
-_log_base = _checked(
-    float, "finite, positive and not 1", lambda v: math.isfinite(v) and v > 0 and v != 1
-)
 
 
 def _add_pipeline_flags(p):
@@ -474,8 +471,6 @@ def _add_pipeline_flags(p):
     p.add_argument("--out-dir", default=_env_out(),
                    help="output directory (default: the workspace)")
     p.add_argument("--weighting", choices=["tfidf", "row_normalized"], default="tfidf")
-    p.add_argument("--log-base", type=_log_base, default=float(np.e),
-                   help="logarithm base for TF and IDF (default: natural)")
     p.add_argument("--scale-features", action="store_true",
                    help="scale user features by the singular values")
     p.add_argument("--restarts", type=_positive_int, default=DEFAULT_RESTARTS)

@@ -1,11 +1,12 @@
 """Sparse users-by-domains matrices, descriptive statistics, and workspace files.
 
 Storage is compressed sparse row (CSR): ``indptr``/``indices``/``data``
-numpy arrays plus user and domain index maps. Only what the weighting and
-factorization stages need is implemented: row scaling and column counts.
-Matrix-block products run in ``scipy.sparse`` over the same three arrays
-(see :mod:`usertopics._kernels`); this module does not import scipy, so
-commands that never multiply do not pay for loading it.
+numpy arrays plus user and domain index maps. Only what the weighting,
+factorization and reporting stages need is implemented: the row of each
+stored entry and column counts. Matrix-block products run in
+``scipy.sparse`` over the same three arrays (see :mod:`usertopics._kernels`);
+this module does not import scipy, so commands that never multiply do not
+pay for loading it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -62,14 +62,10 @@ class SparseMatrix:
     def nnz(self) -> int:
         return int(self.indices.size)
 
-    @cached_property
-    def _csc(self):
-        """Column-major view: (col_indptr, row indices, values), stable order."""
-        rows = np.repeat(np.arange(self.n_users), np.diff(self.indptr))
-        order = np.argsort(self.indices, kind="stable")
-        counts = np.bincount(self.indices, minlength=self.n_domains)
-        col_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        return col_indptr, rows[order], self.data[order]
+    @property
+    def entry_rows(self) -> np.ndarray:
+        """The row of every stored entry, in CSR order."""
+        return np.repeat(np.arange(self.n_users), np.diff(self.indptr))
 
     def column_counts(self) -> np.ndarray:
         """Number of stored entries per column."""
@@ -77,8 +73,7 @@ class SparseMatrix:
 
     def toarray(self) -> np.ndarray:
         dense = np.zeros((self.n_users, self.n_domains))
-        rows = np.repeat(np.arange(self.n_users), np.diff(self.indptr))
-        dense[rows, self.indices] = self.data
+        dense[self.entry_rows, self.indices] = self.data
         return dense
 
 
@@ -91,7 +86,7 @@ class ProfileMatrix(SparseMatrix):
         super().__post_init__()
         if self.data.size and not np.all(self.data > 0):
             raise ValueError("profile matrix entries must be strictly positive")
-        rows = np.repeat(np.arange(self.n_users), np.diff(self.indptr))
+        rows = self.entry_rows
         for kind, keys, pos in (("user", self.users, rows), ("domain", self.domains, self.indices)):
             totals = np.bincount(pos, weights=self.data, minlength=len(keys))
             if not np.isfinite(totals).all():
@@ -171,7 +166,8 @@ def domain_stats(m: SparseMatrix) -> DomainStats:
     totals = np.zeros(n_d)
     visitors = m.column_counts()
     mid = (m.n_users - 1) // 2  # lower-median position
-    col_indptr, _, col_data = m._csc if m.nnz else (np.zeros(n_d + 1, dtype=np.int64), None, np.empty(0))
+    col_indptr = np.concatenate(([0], np.cumsum(visitors)))
+    col_data = m.data[np.argsort(m.indices, kind="stable")]
     for j in range(n_d):
         vals = col_data[col_indptr[j] : col_indptr[j + 1]]
         totals[j] = vals.sum()

@@ -47,8 +47,7 @@ def cluster_topics(
         raise ValueError(f"matrix has {f.n_users} rows but {labels.shape[0]} labels")
     sizes = np.bincount(labels, minlength=k)
     sums = np.zeros((k, f.n_domains))
-    rows = np.repeat(np.arange(f.n_users), np.diff(f.indptr))
-    np.add.at(sums, (labels[rows], f.indices), f.data)
+    np.add.at(sums, (labels[f.entry_rows], f.indices), f.data)
     means = sums / np.maximum(sizes, 1)[:, None]
     top: list[list[tuple[str, float]]] = []
     names: list[str | None] = []

@@ -5,6 +5,7 @@ them live) and enforces its runtime budget.
 """
 
 import contextlib
+import csv
 import json
 import os
 import shutil
@@ -217,7 +218,8 @@ def test_criterion_6_end_to_end_topic_recovery():
 
 
 def test_criterion_7_runtime_vs_rank_trend(tmp_path):
-    """Pipeline runtime grows with the truncation rank (rank correlation)."""
+    """Pipeline runtime grows with the truncation rank (rank correlation of
+    the fastest repeat per M)."""
     with criterion(7, "runtime-vs-rank", budget_s=None):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
@@ -239,12 +241,15 @@ def test_criterion_7_runtime_vs_rank_trend(tmp_path):
             "--repeats", "3", "-K", "8", "--restarts", "2",
             "--max-iter", "60", "--tol", "1e-4",
         ]) == 0
-        lines = (ws / "bench_m.txt").read_text().splitlines()[1:]
-        ms = [int(line.split(",")[0]) for line in lines]
-        medians = [float(line.split(",")[4]) for line in lines]
+        # the fastest repeat per M: a run slowed by other load on the machine
+        # moves a median of three, but not the minimum
+        with open(ws / "bench_m.txt", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        ms = [int(row["m"]) for row in rows]
+        fastest = [float(row["total_min_s"]) for row in rows]
         assert ms == [100, 200, 400, 800]
-        rho = spearman_rho(ms, medians)
-        assert rho >= 0.8, f"spearman {rho:.2f} over medians {medians}"
+        rho = spearman_rho(ms, fastest)
+        assert rho >= 0.8, f"spearman {rho:.2f} over fastest totals {fastest}"
 
 
 TRACKED_OUTPUTS = [

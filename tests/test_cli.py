@@ -826,9 +826,6 @@ class TestDefaults:
             ("cluster", "--restarts=0"),
             ("sweep-k", "--restarts=0"),
             ("bench-m", "--restarts=0"),
-            ("cluster", "--log-base=1"),
-            ("cluster", "--log-base=-2"),
-            ("cluster", "--log-base=nan"),
             ("cluster", "--max-iter=-1"),
             ("cluster", "--tol=-1e-6"),
             ("cluster", "--tol=inf"),

@@ -201,5 +201,5 @@ class TestBackendSelection:
     def test_empty_matrix_kernels(self):
         indptr = np.zeros(1, dtype=np.int64)
         data = np.empty(0)
-        assert _kernels.tf_values(indptr, data, 1.0).size == 0
+        assert _kernels.tf_values(indptr, data).size == 0
         assert _kernels.share_values(indptr, data).size == 0

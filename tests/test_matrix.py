@@ -49,6 +49,20 @@ class TestDomainStats:
         stats = domain_stats(m)
         assert np.array_equal(stats.n_visitors, np.count_nonzero(dense, axis=0))
 
+    def test_columns_without_stored_entries(self):
+        f = tfidf(matrix_from_dense([[400]]))  # the one domain has IDF 0
+        assert f.n_domains == 1 and f.nnz == 0
+        stats = domain_stats(f)
+        assert stats.median.tolist() == [0.0]
+        assert stats.total.tolist() == [0.0]
+        assert stats.n_visitors.tolist() == [0]
+
+
+class TestEntryRows:
+    def test_empty_first_middle_and_last_rows(self):
+        m = matrix_from_dense([[0, 0], [1, 2], [0, 0], [3, 0], [0, 0]])
+        assert m.entry_rows.tolist() == [1, 1, 3]
+
 
 class TestRankDomains:
     def test_descending(self):

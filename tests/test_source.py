@@ -1,14 +1,19 @@
-"""Source rules for ``src/usertopics``: one file writer, no unused imports."""
+"""Source rules for ``src/usertopics``: one file writer, no unused imports,
+and a README that names every command-line option."""
 
+import argparse
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import usertopics
+from usertopics import cli
 
 PACKAGE = Path(usertopics.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def parse(path: Path) -> ast.Module:
@@ -83,3 +88,27 @@ def test_the_rules_catch_what_they_name():
         f"line {n}" for n in (6, 7, 8, 10, 11, 12, 13)
     ]
     assert unused_imports(tree) == ["line 2: csv", "line 3: StringIO"]
+
+
+def undocumented_options(parser: argparse.ArgumentParser, text: str) -> list[str]:
+    """Long options of every subcommand none of whose strings ``text`` names."""
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        f"{name} {action.option_strings[-1]}"
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        if any(opt.startswith("--") for opt in action.option_strings)
+        and "--help" not in action.option_strings
+        and not any(re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", text)
+                    for opt in action.option_strings)
+    ]
+
+
+def test_readme_names_every_option():
+    assert undocumented_options(cli.build_parser(), README.read_text(encoding="utf-8")) == []
+
+
+def test_the_option_rule_catches_what_it_names():
+    missing = undocumented_options(cli.build_parser(), "cluster -K 8 --k-min 1 --workspace-dir x")
+    assert "cluster --k" not in missing and "sweep-k --k-min" not in missing
+    assert "cluster --workspace" in missing  # a longer option does not name it

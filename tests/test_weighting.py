@@ -1,16 +1,15 @@
 import logging
-import math
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
+from usertopics import _kernels
+from usertopics.matrix import ProfileMatrix
 from usertopics.weighting import (
     drop_zero_rows,
     idf,
     negative_fraction,
     row_normalize,
-    tf,
     tfidf,
 )
 
@@ -25,32 +24,29 @@ LN4 = 1.3862943611198906
 LN8 = 2.0794415416798357
 
 
+def tf_row(row):
+    """TF weights of a one-user profile with every entry of ``row`` positive."""
+    m = matrix_from_dense([row])
+    return _kernels.tf_values(m.indptr, m.data)
+
+
 class TestTf:
     def test_single_domain_row(self):
-        t = tf(matrix_from_dense([[400]]))
-        assert t.toarray()[0, 0] == 1.0
+        assert tf_row([400]).tolist() == [1.0]
 
     def test_two_domain_row(self):
-        t = tf(matrix_from_dense([[300, 100]]))
-        assert np.allclose(t.toarray()[0], [TF_075, TF_025], atol=1e-12, rtol=0)
+        assert np.allclose(tf_row([300, 100]), [TF_075, TF_025], atol=1e-12, rtol=0)
 
     def test_three_domain_row(self):
-        t = tf(matrix_from_dense([[100, 100, 200]]))
-        assert np.allclose(t.toarray()[0], [TF_025, TF_025, TF_050], atol=1e-12, rtol=0)
+        assert np.allclose(tf_row([100, 100, 200]), [TF_025, TF_025, TF_050], atol=1e-12, rtol=0)
 
     @given(
         st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=8),
         st.integers(min_value=1, max_value=1000),
     )
     def test_scale_invariance(self, row, c):
-        base = tf(matrix_from_dense([row])).toarray()
-        scaled = tf(matrix_from_dense([[c * v for v in row]])).toarray()
-        assert np.allclose(base, scaled, atol=1e-12, rtol=0)
-
-    def test_base_10_option(self):
-        t = tf(matrix_from_dense([[300, 100]]), base=10)
-        expected = [1 + math.log10(0.75), 1 + math.log10(0.25)]
-        assert np.allclose(t.toarray()[0], expected, atol=1e-12, rtol=0)
+        scaled = tf_row([c * v for v in row])
+        assert np.allclose(tf_row(row), scaled, atol=1e-12, rtol=0)
 
 
 class TestIdf:
@@ -73,6 +69,10 @@ class TestIdf:
         order = np.argsort(n_j)
         assert np.all(np.diff(vec[order]) <= 1e-15)
         assert np.all((vec == 0) == (n_j == m.n_users))
+
+    def test_zero_activity_users_count_in_n_u(self):
+        m = matrix_from_dense([[0, 0], [1, 0], [1, 2], [0, 0]])
+        assert idf(m).tolist() == [np.log(4 / 2), np.log(4 / 1)]
 
 
 class TestTfidf:
@@ -145,6 +145,15 @@ class TestRowNormalize:
 
     def test_provenance(self):
         assert row_normalize(matrix_from_dense([[1]])).provenance == "row_normalized"
+
+    def test_underflowing_share_is_not_stored(self):
+        m = ProfileMatrix(
+            n_users=1, n_domains=2, indptr=np.array([0, 2]), indices=np.array([0, 1]),
+            data=np.array([5e-324, 10.0]), users=("u",), domains=("a", "b"),
+        )
+        f = row_normalize(m)
+        assert f.nnz == 1
+        assert f.indices.tolist() == [1] and f.data.tolist() == [1.0]
 
 
 class TestZeroRows:
