@@ -1,12 +1,12 @@
 """Hot numeric kernels of the weighting, factorization and clustering stages.
 
-Each kernel has one implementation. The sparse-times-dense products run in
-``scipy.sparse``; the others are vectorized numpy. ``scipy.sparse`` is
-imported inside the product functions, not at module level: only the
-randomized SVD calls them, and the import costs a few tenths of a second
-that every other command would otherwise pay at start-up. The weighting
-kernels give each stored entry its row share or its natural-log TF weight
-``1 + ln(share)``.
+Each kernel has one implementation. The sparse-times-dense products call
+scipy's compiled ``csr_matvecs``/``csc_matvecs``, the routines behind
+``csr_array @ dense``; the others are vectorized numpy. The products load
+scipy's ``_sparsetools`` extension file directly, once per process, and never
+import ``scipy.sparse``: that import costs a few tenths of a second, loading
+the one extension under a millisecond. The weighting kernels give each
+stored entry its row share or its natural-log TF weight ``1 + ln(share)``.
 
 Determinism: results do not depend on the BLAS thread count, so seeded
 runs reproduce bit for bit. The sparse products accumulate each output row
@@ -24,9 +24,15 @@ Sparse arguments are raw CSR arrays (``indptr``/``indices`` int64,
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import os
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+
 import numpy as np
 
-# recorded in every manifest: the sparse products run in scipy.sparse
+# recorded in every manifest: the sparse products run in scipy's compiled kernels
 BACKEND = "scipy"
 
 # kmeans_assign: near-tie margin per unit of (d + 4) (eps s + 2**-1074), and
@@ -35,10 +41,24 @@ _TIE_MARGIN = 5.0
 _SCALE_LIMIT = 2.0**1020
 
 
-def _csr(indptr, indices, data, n_cols):
-    from scipy.sparse import csr_array
-
-    return csr_array((data, indices, indptr), shape=(indptr.size - 1, n_cols))
+@functools.cache
+def _sparsetools():
+    """scipy's compiled sparse routines, loaded from the extension file of
+    ``scipy.sparse._sparsetools`` without importing ``scipy`` or ``scipy.sparse``."""
+    name = "scipy.sparse._sparsetools"
+    loaded = name in sys.modules
+    (package,) = importlib.util.find_spec("scipy").submodule_search_locations
+    finder = FileFinder(os.path.join(package, "sparse"), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"no compiled {name} under {package}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not loaded:
+        # loading registers the name; a later ``import scipy.sparse`` that found
+        # it there would not bind its ``_sparsetools`` attribute
+        sys.modules.pop(name, None)
+    return module
 
 
 def tf_values(indptr, data):
@@ -54,14 +74,39 @@ def share_values(indptr, data):
     return data / sums[rows]
 
 
+def _check_csr(indptr, indices, data, n_rows, n_cols):
+    """Refuse arrays that are not an n_rows x n_cols CSR matrix: the compiled
+    routines check dtypes but not sizes, and would index out of bounds."""
+    if not (
+        indptr.shape == (n_rows + 1,)
+        and indptr[0] == 0
+        and indptr[-1] == indices.size == data.size
+        and not (np.diff(indptr) < 0).any()
+        and (indices.size == 0 or 0 <= indices.min() <= indices.max() < n_cols)
+    ):
+        raise ValueError(f"CSR arrays do not form a {n_rows} x {n_cols} matrix")
+
+
 def csr_matmat(indptr, indices, data, dense):
     """CSR @ dense block."""
-    return _csr(indptr, indices, data, dense.shape[0]) @ dense
+    n_rows, (n_cols, width) = indptr.size - 1, dense.shape
+    _check_csr(indptr, indices, data, n_rows, n_cols)
+    out = np.zeros((n_rows, width))
+    _sparsetools().csr_matvecs(
+        n_rows, n_cols, width, indptr, indices, data, dense.ravel(), out.ravel()
+    )
+    return out
 
 
 def csr_tmatmat(indptr, indices, data, n_cols, dense):
-    """CSR.T @ dense block."""
-    return _csr(indptr, indices, data, n_cols).T @ dense
+    """CSR.T @ dense block: the same three arrays read as the CSC of the transpose."""
+    n_rows, width = dense.shape
+    _check_csr(indptr, indices, data, n_rows, n_cols)
+    out = np.zeros((n_cols, width))
+    _sparsetools().csc_matvecs(
+        n_cols, n_rows, width, indptr, indices, data, dense.ravel(), out.ravel()
+    )
+    return out
 
 
 def kmeans_assign(points, centroids):

@@ -2,10 +2,11 @@
 
 Each command works against a workspace directory with well-known file
 names, writes a JSON manifest recording every parameter plus per-stage
-wall-clock timings, and is deterministic given its configuration and seed
-(timing fields aside). The manifest is removed when the command starts and
-written last, so it marks a complete run. A lock file keeps concurrent
-writers out of a workspace.
+wall-clock timings and peak memory, and is deterministic given its
+configuration and seed (timing fields aside). The manifest is removed when
+the command starts and written last, so it marks a complete run. A lock
+file keeps concurrent writers out of a workspace. Each command imports only
+the stage modules it runs, so it pays no start-up time for the others.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error.
 Environment overrides: USERTOPICS_SEED (seed default) and USERTOPICS_OUT
@@ -22,6 +23,7 @@ import json
 import logging
 import math
 import os
+import resource
 import statistics
 import sys
 import time
@@ -30,10 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _kernels
-from . import clustering as clus
-from . import ingest, lsa, reporting, synth, weighting
 from ._store import WorkspaceLocked, workspace_lock, write_json, write_rows
 from .matrix import domain_stats, matrix_sidecar, rank_domains, read_matrix, write_matrix
+from .records import DEFAULT_GAP_SECONDS, PROFILE_METRICS
 
 log = logging.getLogger(__name__)
 
@@ -93,13 +94,14 @@ def _write_manifest(path: Path, args, results: dict, watch: _Stopwatch, **parsed
     """Write a run's manifest: ``params`` holds every parsed argument, updated
     by ``parsed`` (values the command derived, such as bench-m's M list)."""
     params = {key: val for key, val in vars(args).items() if key not in ("func", "command")}
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
     manifest = {
         "command": args.command,
         "version": __version__,
         "kernel_backend": _kernels.BACKEND,
         "params": {**params, **parsed},
         "results": results,
-        "timings": {"stages_s": watch.stages, "total_s": watch.total()},
+        "timings": {"stages_s": watch.stages, "total_s": watch.total(), "peak_rss_mb": rss_mb},
     }
     write_json(path, manifest)
 
@@ -125,6 +127,8 @@ class _Stopwatch:
 
 
 def cmd_synth(args) -> int:
+    from . import ingest, synth
+
     out_dir = Path(args.out_dir)
     spec_path = _require_file(args.spec, "spec")
     try:
@@ -160,6 +164,8 @@ def cmd_synth(args) -> int:
 
 
 def _parse_session_input(args, path: Path):
+    from . import ingest
+
     options = dict(
         delimiter=args.delimiter, fail_fast=args.fail_fast, truncate_domains=args.truncate_domains
     )
@@ -171,6 +177,8 @@ def _parse_session_input(args, path: Path):
 
 
 def cmd_ingest(args) -> int:
+    from . import ingest
+
     workspace = Path(args.workspace)
     if args.raw_events:
         path = _require_file(args.raw_events, "raw events")
@@ -251,6 +259,8 @@ def _run(args, profile, watch: _Stopwatch, m: int, k: int):
     feature matrix, the sign-canonical LSA model, the user features and the
     k-means keyword arguments.
     """
+    from . import lsa, weighting
+
     try:
         with watch.stage("weighting"):
             if args.weighting == "tfidf":
@@ -276,8 +286,11 @@ def _run(args, profile, watch: _Stopwatch, m: int, k: int):
 
 
 def _parse_reports(args):
-    demo = []
-    tx = []
+    demo, tx = [], []
+    if not (args.demographics or args.transactions):
+        return demo, tx
+    from . import ingest
+
     try:
         if args.demographics:
             path = _require_file(args.demographics, "demographics")
@@ -295,6 +308,8 @@ def _parse_reports(args):
 
 
 def _write_reports(out_dir: Path, feature, labels, k: int, demo, tx, top_n: int):
+    from . import reporting
+
     topics = reporting.cluster_topics(feature, labels, k, top_n=top_n)
     gender = reporting.gender_breakdown(labels, k, feature.users, demo)
     birth = reporting.birth_year_distribution(labels, k, feature.users, demo)
@@ -309,6 +324,9 @@ def _write_reports(out_dir: Path, feature, labels, k: int, demo, tx, top_n: int)
 
 
 def cmd_cluster(args) -> int:
+    from . import clustering as clus
+    from . import lsa, weighting
+
     with _open_workspace(args) as (out_dir, profile, watch):
         demo, tx = _parse_reports(args)
         feature, model, features, kmeans_kw = _run(args, profile, watch, args.m, args.k)
@@ -347,6 +365,8 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_sweep_k(args) -> int:
+    from . import clustering as clus
+
     if args.k_min < 1 or args.k_max < args.k_min:
         raise UsageError(f"bad K range [{args.k_min}, {args.k_max}]")
     with _open_workspace(args) as (out_dir, profile, watch):
@@ -375,6 +395,8 @@ BENCH_STAGES = ("weighting", "lsa", "cluster", "total")
 
 
 def cmd_bench_m(args) -> int:
+    from . import clustering as clus
+
     try:
         m_list = [int(tok) for tok in args.m_list.split(",") if tok.strip()]
     except ValueError as exc:
@@ -411,6 +433,8 @@ def cmd_bench_m(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import clustering as clus
+
     workspace = Path(args.workspace)
     out_dir = Path(args.out_dir) if args.out_dir else workspace
     feature_prefix = workspace / FEATURE_PREFIX
@@ -512,9 +536,9 @@ def build_parser() -> _Parser:
     source = p.add_mutually_exclusive_group()  # cmd_ingest requires one of the two
     source.add_argument("--sessions", help="session CSV path")
     source.add_argument("--raw-events", help="raw event CSV path (sessionized on the fly)")
-    p.add_argument("--gap", type=_positive_float, default=ingest.DEFAULT_GAP_SECONDS,
+    p.add_argument("--gap", type=_positive_float, default=DEFAULT_GAP_SECONDS,
                    help="sessionization gap threshold in seconds")
-    p.add_argument("--metric", choices=list(ingest.PROFILE_METRICS), default="bytes")
+    p.add_argument("--metric", choices=list(PROFILE_METRICS), default="bytes")
     p.add_argument("--delimiter", type=_delimiter, default=",")
     p.add_argument("--fail-fast", action="store_true")
     p.add_argument("--truncate-domains", action="store_true",

@@ -56,6 +56,8 @@ import numpy as np
 from ._store import write_rows
 from .matrix import ProfileMatrix, csr_from_triplets
 from .records import (
+    DEFAULT_GAP_SECONDS,
+    PROFILE_METRICS,
     DemographicRecord,
     SessionRecord,
     TransactionRecord,
@@ -80,9 +82,6 @@ DEMOGRAPHIC_COLUMNS = ("user_id", "gender", "birth_year", "enrol_year", "degree_
 TRANSACTION_COLUMNS = ("user_id", "timestamp", "amount")
 RAW_EVENT_COLUMNS = ("user_id", "timestamp", "domain", "bytes", "http_requests")
 
-PROFILE_METRICS = ("bytes", "duration", "requests", "session_count")
-
-DEFAULT_GAP_SECONDS = 300.0
 BIRTH_YEAR_RANGE = (1900, 2100)
 
 # session-log lines read, validated and encoded per chunk

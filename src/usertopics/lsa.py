@@ -11,8 +11,9 @@ Two methods are provided behind one interface:
   projection, and a small dense SVD (Halko, Martinsson and Tropp, SIAM
   Review 2011, section 4). The sparse matrix is never densified on this
   path; only matrix-block products against it are used. They run in
-  ``scipy.sparse`` (see :mod:`usertopics._kernels`), which only this path
-  imports. Deterministic given (matrix, m, seed); the seed feeds a PCG64
+  scipy's compiled CSR routines, which :mod:`usertopics._kernels` loads
+  from their extension file on this path only; ``scipy.sparse`` is never
+  imported. Deterministic given (matrix, m, seed); the seed feeds a PCG64
   generator whose stream is stable across platforms.
 
 The left factor is the per-user topic embedding used for clustering; the

@@ -3,10 +3,10 @@
 Storage is compressed sparse row (CSR): ``indptr``/``indices``/``data``
 numpy arrays plus user and domain index maps. Only what the weighting,
 factorization and reporting stages need is implemented: the row of each
-stored entry and column counts. Matrix-block products run in
-``scipy.sparse`` over the same three arrays (see :mod:`usertopics._kernels`);
-this module does not import scipy, so commands that never multiply do not
-pay for loading it.
+stored entry and column counts. Matrix-block products run in scipy's
+compiled CSR routines over the same three arrays (see
+:mod:`usertopics._kernels`), loaded without importing ``scipy.sparse``;
+this module does not import scipy at all.
 """
 
 from __future__ import annotations

@@ -8,6 +8,11 @@ from dataclasses import dataclass
 
 GENDERS = frozenset({"male", "female", "unknown"})
 
+# per-session values a profile cell can sum, and the sessionization gap; the
+# command-line parser reads both without importing the ingest stage
+PROFILE_METRICS = ("bytes", "duration", "requests", "session_count")
+DEFAULT_GAP_SECONDS = 300.0
+
 # Unicode category Cc: C0 controls, DEL and C1 controls
 _CONTROL_CHAR = re.compile("[\x00-\x1f\x7f-\x9f]")
 

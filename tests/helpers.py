@@ -1,13 +1,19 @@
-"""Shared record factories, small corpus builders and csv text helpers for the tests."""
+"""Shared record factories, small corpus builders, csv text helpers and a
+fresh-interpreter module probe for the tests."""
 
 from __future__ import annotations
 
 import contextlib
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import usertopics
 from usertopics.ingest import (
     _SESSION_FIELDS,
     _STRING_FIELDS,
@@ -107,3 +113,18 @@ def field_size_limit(limit):
         yield
     finally:
         csv.field_size_limit(old)
+
+
+# the modules a command imports only when it runs their stage
+STAGE_MODULES = ("clustering", "ingest", "lsa", "reporting", "synth", "weighting")
+
+
+def loaded_modules(code: str) -> set[str]:
+    """Run ``code`` in a fresh interpreter; return the names it left in sys.modules."""
+    src = str(Path(usertopics.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = f"import sys\n{code}\nprint(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())

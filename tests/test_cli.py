@@ -15,6 +15,7 @@ from usertopics.ingest import DEFAULT_GAP_SECONDS, RAW_EVENT_COLUMNS
 from usertopics.matrix import SparseMatrix, csr_from_triplets, read_matrix, write_matrix
 from usertopics.synth import read_truth
 
+from helpers import STAGE_MODULES, loaded_modules
 from oracles import parse_side_rows, sessionize, write_sessions_rows
 
 SESSION_HEADER = (
@@ -73,6 +74,13 @@ def write_profile(ws, dense):
         domains=tuple(f"d{j}.com" for j in range(dense.shape[1])),
     )
     write_matrix(matrix, ws / "profile")
+
+
+def modules_after_main(argv, setup=""):
+    """Modules that ``setup`` and then ``cli.main(argv)`` leave loaded in a
+    fresh interpreter."""
+    argv = [str(a) for a in argv]
+    return loaded_modules(f"{setup}\nfrom usertopics import cli\nassert cli.main({argv!r}) == 0")
 
 
 def strip_timings(manifest_path):
@@ -452,6 +460,14 @@ class TestClusterCommand:
             assert (ingested_ws / name).read_bytes() == (keep / name).read_bytes(), name
         assert strip_timings(ingested_ws / "manifest.json") == manifest1
 
+    def test_manifest_records_peak_rss(self, synth_ws, ingested_ws):
+        assert run(["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4]) == 0
+        for path in (synth_ws / "synth_manifest.json", ingested_ws / "ingest_manifest.json",
+                     ingested_ws / "manifest.json"):
+            assert json.loads(path.read_text())["timings"]["peak_rss_mb"] > 0, path.name
+            # criterion 8 compares manifests without their timings
+            assert "peak_rss_mb" not in json.dumps(strip_timings(path)), path.name
+
     def test_run_that_fails_part_way_leaves_no_manifest(self, ingested_ws, monkeypatch):
         argv = ["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4]
         assert run(argv) == 0
@@ -794,6 +810,26 @@ def test_non_ascii_names_under_an_ascii_locale(tmp_path):
     for name, text in (("domain_stats.txt", "bücher.de"), ("assignments.csv", "ü2"),
                        ("report_topics.txt", "bücher.de")):
         assert text in (ws / name).read_bytes().decode("utf-8"), name
+
+
+class TestImportFootprint:
+    """A command loads only the stage modules it runs, and never scipy."""
+
+    def test_ingest_loads_no_other_stage(self, tmp_path, synth_ws):
+        argv = ["ingest", "--workspace", tmp_path / "ws", "--sessions", synth_ws / "sessions.csv"]
+        loaded = modules_after_main(argv)
+        others = {f"usertopics.{name}" for name in STAGE_MODULES if name != "ingest"}
+        assert "usertopics.ingest" in loaded
+        assert not ({"scipy", *others} & loaded)
+
+    def test_randomized_cluster_leaves_scipy_unloaded(self, ingested_ws):
+        argv = ["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4]
+        randomized = "from usertopics import lsa\nlsa.EXACT_METHOD_MAX_DIM = 0"  # at any shape
+        loaded = modules_after_main(argv, randomized)
+        manifest = json.loads((ingested_ws / "manifest.json").read_text())
+        assert manifest["results"]["svd_method"] == "randomized"
+        assert "usertopics.lsa" in loaded
+        assert not ({"scipy", "usertopics.ingest", "usertopics.synth"} & loaded)
 
 
 class TestDefaults:

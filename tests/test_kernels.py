@@ -1,10 +1,8 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import STAGE_MODULES, loaded_modules
 from oracles import nearest_centroid_loop
 from usertopics import _kernels
 from usertopics.matrix import SparseMatrix
@@ -32,6 +30,21 @@ def sparse_cases(rng):
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=30))))
     yield indptr.astype(np.int64), cols.astype(np.int64), dense[rows, cols], 20
     yield np.zeros(5, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0), 3
+
+
+def wide_cases(rng):
+    """(indptr, indices, data, n_cols, width): the wide-rank shape (1200 x 1000,
+    3 % dense) with empty first, middle and last rows and columns and values
+    from 1e-5 to 1e5, at widths 210 and 1; then nnz = 0."""
+    dense = rng.random((1200, 1000)) < 0.03
+    dense[[0, 600, 1199]] = False
+    dense[:, [0, 500, 999]] = False
+    rows, cols = np.nonzero(dense)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=1200))))
+    data = 10.0 ** rng.uniform(-5.0, 5.0, size=rows.size)
+    for width in (210, 1):
+        yield indptr.astype(np.int64), cols.astype(np.int64), data, 1000, width
+    yield np.zeros(5, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0), 3, 2
 
 
 def toarray(indptr, indices, data, n_cols):
@@ -93,11 +106,65 @@ class TestSparseProducts:
             loop_tmatmat(indptr, indices, data, 20, tall),
         )
 
+    def test_products_bit_identical_to_scipy_sparse(self, rng):
+        from scipy.sparse import csr_array
+
+        for indptr, indices, data, n_cols, width in wide_cases(rng):
+            a = csr_array((data, indices, indptr), shape=(indptr.size - 1, n_cols))
+            block = rng.standard_normal((n_cols, width))
+            tall = rng.standard_normal((indptr.size - 1, width))
+            out = _kernels.csr_matmat(indptr, indices, data, block)
+            assert out.shape == (a @ block).shape
+            assert out.tobytes() == (a @ block).tobytes()
+            out = _kernels.csr_tmatmat(indptr, indices, data, n_cols, tall)
+            assert out.shape == (a.T @ tall).shape
+            assert out.tobytes() == (a.T @ tall).tobytes()
+
+    def test_products_refuse_out_of_bounds_sizes(self, rng):
+        indptr, indices, data = random_csr(rng)  # 30 x 20, 6 entries a row
+        indices[0] = 19
+        block, tall = np.ones((20, 2)), np.ones((30, 2))
+        bad_indptr = indptr.copy()
+        bad_indptr[1] = 13  # a row of 13 entries, then one of -1
+        for args in (
+            (indptr, indices, data, block[:19]),  # a column index past the block
+            (indptr, indices, data[:-1], block),
+            (indptr, indices[:-1], data[:-1], block),
+            (bad_indptr, indices, data, block),
+        ):
+            with pytest.raises(ValueError, match="do not form"):
+                _kernels.csr_matmat(*args)
+        for args in (
+            (indptr, indices, data, 20, tall[:29]),
+            (indptr, indices, data, 19, tall),
+            (indptr, -indices, data, 20, tall),
+            (bad_indptr, indices, data, 20, tall),
+        ):
+            with pytest.raises(ValueError, match="do not form"):
+                _kernels.csr_tmatmat(*args)
+
+    def test_kernel_leaves_scipy_sparse_importable(self):
+        # the kernel loads scipy's extension file on its own; a later import
+        # of scipy.sparse in the same process must still see it as a submodule
+        loaded = loaded_modules(
+            "import numpy as np\n"
+            "from usertopics import _kernels\n"
+            "indptr, indices = np.array([0, 2, 3]), np.array([0, 2, 1])\n"
+            "data = np.array([1.5, -2.0, 4.0])\n"
+            "block = np.arange(6.0).reshape(3, 2)\n"
+            "out = _kernels.csr_matmat(indptr, indices, data, block)\n"
+            "assert 'scipy' not in sys.modules\n"
+            "import scipy.sparse\n"
+            "assert callable(scipy.sparse._sparsetools.csr_matvecs)\n"
+            "a = scipy.sparse.csr_array((data, indices, indptr), shape=(2, 3))\n"
+            "assert (a @ block).tobytes() == out.tobytes()\n"
+        )
+        assert "scipy.sparse._sparsetools" in loaded
+
     def test_cli_import_leaves_scipy_unloaded(self):
-        code = "import sys, usertopics.cli; print('scipy' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
+        loaded = loaded_modules("import usertopics.cli")
+        assert "usertopics.cli" in loaded
+        assert not {"scipy", *(f"usertopics.{name}" for name in STAGE_MODULES)} & loaded
 
 
 def loop_update(points, labels, k):

@@ -1,5 +1,6 @@
 """Source rules for ``src/usertopics``: one file writer, no unused imports,
-and a README that names every command-line option."""
+no start-up import of scipy or (in ``cli``) of a stage module, and a README
+that names every command-line option."""
 
 import argparse
 import ast
@@ -10,6 +11,8 @@ import pytest
 
 import usertopics
 from usertopics import cli
+
+from helpers import STAGE_MODULES
 
 PACKAGE = Path(usertopics.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -65,6 +68,37 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def start_up_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of every module an import outside a function may load:
+    ``from a import b`` names ``a`` and ``a.b``; relative names keep their dots."""
+    found = []
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue  # runs when called, not when the module is imported
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            sep = "" if base.endswith(".") else "."
+            names = [base, *(base + sep + alias.name for alias in node.names)]
+            found += [(node.lineno, name) for name in names]
+        else:
+            nodes.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def scipy_imports(tree: ast.Module) -> list[str]:
+    return [f"line {line}: {name}" for line, name in start_up_imports(tree)
+            if name.split(".")[0] == "scipy"]
+
+
+def stage_imports(tree: ast.Module) -> list[str]:
+    return [f"line {line}: {name}" for line, name in start_up_imports(tree)
+            if name.lstrip(".").removeprefix("usertopics.") in STAGE_MODULES]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_store_writes_files(path):
     if path.name == "_store.py":
@@ -75,6 +109,15 @@ def test_only_store_writes_files(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(parse(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_start_up_scipy_import(path):
+    assert scipy_imports(parse(path)) == [], "load scipy's kernels in _kernels, when called"
+
+
+def test_cli_imports_stages_per_command():
+    assert stage_imports(parse(PACKAGE / "cli.py")) == [], "import a stage where it runs"
 
 
 def test_the_rules_catch_what_they_name():
@@ -88,6 +131,21 @@ def test_the_rules_catch_what_they_name():
         f"line {n}" for n in (6, 7, 8, 10, 11, 12, 13)
     ]
     assert unused_imports(tree) == ["line 2: csv", "line 3: StringIO"]
+    tree = ast.parse(
+        "import scipy.sparse\nfrom scipy import linalg\nimport scipyx, numpy\n"
+        "from . import clustering as clus, matrix\nfrom .lsa import truncated_svd\n"
+        "import usertopics.synth\nfrom usertopics import weighting\n"
+        "def f():\n    import scipy\n    from . import ingest\n"
+        "class C:\n    from .reporting import x\n"
+        "try:\n    import scipy.linalg\nexcept ImportError:\n    pass\n"
+        "from .records import DEFAULT_GAP_SECONDS\nfrom ._kernels import BACKEND\n"
+    )
+    assert [entry.split(":")[0] for entry in scipy_imports(tree)] == [
+        f"line {n}" for n in (1, 2, 2, 14)
+    ]
+    assert [entry.split(":")[0] for entry in stage_imports(tree)] == [
+        f"line {n}" for n in (4, 5, 6, 7, 12)
+    ]
 
 
 def undocumented_options(parser: argparse.ArgumentParser, text: str) -> list[str]:
