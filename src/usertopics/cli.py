@@ -8,7 +8,8 @@ the command starts and written last, so it marks a complete run. A lock
 file keeps concurrent writers out of a workspace. Each command imports only
 the stage modules it runs, so it pays no start-up time for the others.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data error.
+Exit codes: 0 success, 1 usage or configuration error, 2 data error (bad
+input data, or a file or directory that cannot be read or written).
 Environment overrides: USERTOPICS_SEED (seed default) and USERTOPICS_OUT
 (output directory default).
 """
@@ -144,7 +145,7 @@ def cmd_synth(args) -> int:
             except ValueError as exc:
                 raise UsageError(f"synth spec {spec_path}: {exc}") from exc
         with watch.stage("write"):
-            ingest.write_sessions_csv(sessions, out_dir / "sessions.csv")
+            ingest.write_sessions_csv(sessions, out_dir / "sessions.csv", truth.log_text())
             synth.write_truth(truth, out_dir / "truth.csv")
         _write_manifest(
             out_dir / "synth_manifest.json",
@@ -577,18 +578,20 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
-    )
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (UsageError, WorkspaceLocked) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a path the command cannot create, read or replace
+        path = exc.filename2 or exc.filename
+        message = f"{path}: {exc.strerror}" if path else exc
+        print(f"data error: {message}", file=sys.stderr)
         return 2
 
 

@@ -129,8 +129,8 @@ def _means(pts, labels, k) -> np.ndarray:
 def _lloyd(pts, centroids0, max_iter, tol):
     """Lloyd iterations from given centroids.
 
-    Returns (labels, centroids, inertia, iterations, inertia history,
-    stop reason), the reason as in :class:`LloydRun`.
+    Returns (labels, centroids, inertia, iterations, stop reason), the
+    reason as in :class:`LloydRun`.
     The final centroids are exact cluster means; at an assignment fixed
     point every point also sits with its nearest centroid.
     """
@@ -140,7 +140,6 @@ def _lloyd(pts, centroids0, max_iter, tol):
     centroids = centroids.copy()
     _repair_empty(pts, centroids, labels, sq)
     prev_inertia = float(sq.sum())
-    history = [prev_inertia]
     iterations = 0
     stop_reason = "max_iter"
     for it in range(1, max_iter + 1):
@@ -148,7 +147,6 @@ def _lloyd(pts, centroids0, max_iter, tol):
         new_labels, sq = _kernels.kmeans_assign(pts, centroids)
         _repair_empty(pts, centroids, new_labels, sq)
         cur_inertia = float(sq.sum())
-        history.append(cur_inertia)
         iterations = it
         if np.array_equal(new_labels, labels):
             labels = new_labels
@@ -162,7 +160,7 @@ def _lloyd(pts, centroids0, max_iter, tol):
             break
     final_centroids = _means(pts, labels, k)
     final_inertia = inertia(pts, labels, final_centroids)
-    return labels, final_centroids, final_inertia, iterations, history, stop_reason
+    return labels, final_centroids, final_inertia, iterations, stop_reason
 
 
 def kmeans(
@@ -188,7 +186,7 @@ def kmeans(
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
         centroids0 = kmeanspp_init(pts, k, rng)
-        labels, centroids, inert, iters, _, stop = _lloyd(pts, centroids0, max_iter, tol)
+        labels, centroids, inert, iters, stop = _lloyd(pts, centroids0, max_iter, tol)
         runs.append(LloydRun(seed + r, inert, iters, stop))
         if best is None or inert < best[2]:
             best = (labels, centroids, inert, iters)
@@ -248,7 +246,7 @@ def sweep_k(
             sq = np.einsum("ij,ij->i", diff, diff)
             extra = pts[int(np.argmax(sq))]
             warm0 = np.vstack([prev.centroids, extra[None, :]])
-            labels, centroids, inert, iters, _, stop = _lloyd(pts, warm0, max_iter, tol)
+            labels, centroids, inert, iters, stop = _lloyd(pts, warm0, max_iter, tol)
             runs = best.runs + (LloydRun(None, inert, iters, stop),)
             if inert < best.inertia:
                 best = Clustering(

@@ -16,12 +16,13 @@ transactions parsers convert a chunk's records one by one.
 
 Session logs and raw-event logs, the large inputs, are parsed column by
 column into a :class:`SessionTable`; a raw event is a session of duration
-0 with empty location, isp and service class. Each chunk's columns are
-validated in bulk: timestamps through :func:`parse_timestamps`, the other
-numbers through one ``map`` over the column, the finiteness and sign
-checks as array comparisons. Each string column is encoded to int64 codes
-by a vocabulary that cleans and checks every distinct raw string once; a
-domain or user id that fails its check gets code -1, which flags its row.
+0, and a session log's location, isp and service_class columns are read
+but dropped. Each chunk's columns are validated in bulk: timestamps
+through :func:`parse_timestamps`, the other numbers through one ``map``
+over the column, the finiteness and sign checks as array comparisons.
+Each string column is encoded to int64 codes by a vocabulary that cleans
+and checks every distinct raw string once; a domain or user id that fails
+its check gets code -1, which flags its row.
 The chunk is encoded before the next one is read, so memory grows with
 the vocabularies and the numeric columns, not with the raw text. At the
 end, each vocabulary is reduced to the values the accepted rows use, in
@@ -270,13 +271,16 @@ def _run_parser(source, delimiter, columns, convert, fail_fast) -> ParseReport:
 
 _SESSION_FIELDS = tuple(f.name for f in fields(SessionRecord))
 # dict-encoded fields; the others are numeric
-_STRING_FIELDS = ("user_id", "location", "domain", "isp", "service_class")
-# the session field each RAW_EVENT_COLUMNS column fills, and the text of the others
+_STRING_FIELDS = ("user_id", "domain")
+# the session field each column of a log fills (None: dropped unread), and
+# the text of a field no column fills
+_SESSION_LOG_FIELDS = ("user_id", "start_time", "duration", None, "domain", None,
+                       "http_requests", None, "bytes")
 _RAW_EVENT_FIELDS = ("user_id", "start_time", "domain", "bytes", "http_requests")
-_CONSTANT_FIELDS = {"duration": "0", "location": "", "isp": "", "service_class": ""}
+_CONSTANT_FIELDS = {"duration": "0"}
 # per-row converters of field texts; a parser's "domain" is normalize_domain
-_FIELD_PARSERS = {**dict.fromkeys(_STRING_FIELDS, str.strip), "start_time": parse_timestamp,
-                  "duration": float, "http_requests": int, "bytes": int}
+_FIELD_PARSERS = {"user_id": str.strip, "start_time": parse_timestamp, "duration": float,
+                  "http_requests": int, "bytes": int}
 
 
 def _int_array(values) -> np.ndarray:
@@ -299,9 +303,9 @@ def _bad_activity(duration, http_requests, nbytes) -> np.ndarray:
 class _Vocabulary:
     """Dict-encodes raw texts to int64 codes of their cleaned values.
 
-    ``clean`` turns raw text into the stored value (``str.strip``, say); it
-    runs once per distinct raw text, and a text it rejects with ValueError
-    gets code -1. ``codes`` maps the stored values to their codes.
+    ``clean`` turns raw text into the stored value (a checked user id,
+    say); it runs once per distinct raw text, and a text it rejects with
+    ValueError gets code -1. ``codes`` maps the stored values to codes.
     """
 
     def __init__(self, clean):
@@ -338,8 +342,7 @@ class SessionTable:
     column holds Python ints in an object array when a value does not fit
     in int64); ``duration`` is float64.
 
-    Tables are built by :meth:`encoded`. ``len`` counts the sessions;
-    :meth:`to_records` returns them as :class:`SessionRecord` objects.
+    Tables are built by :meth:`encoded`. ``len`` counts the sessions.
     """
 
     columns: dict[str, np.ndarray]
@@ -417,10 +420,6 @@ class SessionTable:
     def record(self, i: int) -> SessionRecord:
         """Row ``i`` as a SessionRecord, which runs its checks."""
         return SessionRecord(*(self._values(name, [i])[0] for name in _SESSION_FIELDS))
-
-    def to_records(self) -> list[SessionRecord]:
-        columns = [self._values(name) for name in _SESSION_FIELDS]
-        return [SessionRecord(*values) for values in zip(*columns)]
 
     def metric_values(self, metric: str) -> np.ndarray:
         """Per-session float64 value of one of PROFILE_METRICS."""
@@ -587,8 +586,9 @@ class _SessionChunkParser:
     """Validates and encodes chunks of a session or raw-event log, and joins
     the accepted rows into a SessionTable.
 
-    ``fields`` names the session field each file column fills; every other
-    field reads its ``_CONSTANT_FIELDS`` text on each row.
+    ``fields`` names the session field each file column fills, or None for
+    a column that is dropped unread; every other field reads its
+    ``_CONSTANT_FIELDS`` text on each row.
     """
 
     def __init__(self, report: ParseReport, fail_fast: bool, truncate_domains: bool,
@@ -599,9 +599,7 @@ class _SessionChunkParser:
         self.constants = {k: v for k, v in _CONSTANT_FIELDS.items() if k not in fields}
         domain = partial(normalize_domain, truncate=truncate_domains)
         self.parsers = dict(_FIELD_PARSERS, domain=domain)
-        self.vocab = {name: _Vocabulary(str.strip) for name in _STRING_FIELDS}
-        self.vocab["domain"] = _Vocabulary(self._domain)
-        self.vocab["user_id"] = _Vocabulary(self._user_id)
+        self.vocab = {"user_id": _Vocabulary(self._user_id), "domain": _Vocabulary(self._domain)}
         self._parts: dict[str, list[np.ndarray]] = {name: [] for name in _SESSION_FIELDS}
 
     def _domain(self, raw: str) -> str:
@@ -617,7 +615,7 @@ class _SessionChunkParser:
 
     def add(self, chunk: _Chunk, first_line: int) -> None:
         """Parse one chunk whose first record is csv record ``first_line``."""
-        texts = dict(zip(self.fields, chunk.columns))
+        texts = {name: col for name, col in zip(self.fields, chunk.columns) if name}
         texts.update((k, [v] * len(chunk.columns[0])) for k, v in self.constants.items())
         cols = {name: vocab.encode(texts[name]) for name, vocab in self.vocab.items()}
         cols["start_time"], bad = parse_timestamps(texts["start_time"])
@@ -659,7 +657,7 @@ class _SessionChunkParser:
         so a row gives the message that parsing it on its own gives.
         """
         _check_width(row, self.fields)
-        texts = dict(zip(self.fields, row), **self.constants)
+        texts = {name: text for name, text in zip(self.fields, row) if name} | self.constants
         return SessionRecord(**{name: self.parsers[name](text) for name, text in texts.items()})
 
     def build(self) -> SessionTable:
@@ -699,7 +697,7 @@ def parse_sessions(
     blank rows count).
     """
     return _parse_table(
-        source, delimiter, SESSION_COLUMNS, _SESSION_FIELDS, fail_fast, truncate_domains
+        source, delimiter, SESSION_COLUMNS, _SESSION_LOG_FIELDS, fail_fast, truncate_domains
     )
 
 
@@ -778,23 +776,28 @@ def parse_raw_events(
     """Parse a raw-event log (see RAW_EVENT_COLUMNS for the schema).
 
     ``report.records`` is a :class:`SessionTable` of the accepted events in
-    file order, each a session of duration 0 with empty location, isp and
-    service class; errors are numbered as in :func:`parse_sessions`.
+    file order, each a session of duration 0; errors are numbered as in
+    :func:`parse_sessions`.
     """
     return _parse_table(
         source, delimiter, RAW_EVENT_COLUMNS, _RAW_EVENT_FIELDS, fail_fast, truncate_domains
     )
 
 
-def write_sessions_csv(sessions: SessionTable, path) -> None:
+def write_sessions_csv(sessions: SessionTable, path, unread=None) -> None:
     """Write a :class:`SessionTable` column by column, in the format
-    parse_sessions reads back."""
+    parse_sessions reads back. ``unread`` maps a column parse_sessions
+    drops (location, isp, service_class) to the texts of all its rows; the
+    others are written empty."""
     columns = {name: sessions._values(name) for name in _SESSION_FIELDS}
     columns["start_time"] = format_timestamps(sessions.columns["start_time"])
     columns["duration"] = map(repr, columns["duration"])
+    blank = [""] * len(sessions)
+    texts = [columns[name] if name else (unread or {}).get(column, blank)
+             for column, name in zip(SESSION_COLUMNS, _SESSION_LOG_FIELDS)]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_rows(path, itertools.chain([SESSION_COLUMNS], zip(*columns.values())))
+    write_rows(path, itertools.chain([SESSION_COLUMNS], zip(*texts, strict=True)))
 
 
 # --------------------------------------------------------------------------

@@ -136,14 +136,6 @@ def user_features(model: LsaModel, scale: bool = False) -> np.ndarray:
     return model.u.copy()
 
 
-def reconstruct(model: LsaModel) -> np.ndarray:
-    """Dense rank-``m`` approximation of the source matrix.
-
-    The result is a dense N_u x N_d array; mind the memory at scale.
-    """
-    return (model.u * model.sigma[None, :]) @ model.v.T
-
-
 def canonicalize_signs(model: LsaModel) -> LsaModel:
     """Fix the per-triplet sign ambiguity of the decomposition.
 

@@ -120,19 +120,6 @@ def csr_from_triplets(n_rows, n_cols, rows, cols, values):
     return indptr, cols, values
 
 
-def matrices_equal(a: SparseMatrix, b: SparseMatrix) -> bool:
-    return (
-        a.n_users == b.n_users
-        and a.n_domains == b.n_domains
-        and a.users == b.users
-        and a.domains == b.domains
-        and np.array_equal(a.indptr, b.indptr)
-        and np.array_equal(a.indices, b.indices)
-        and np.array_equal(a.data, b.data)
-        and getattr(a, "provenance", None) == getattr(b, "provenance", None)
-    )
-
-
 # --------------------------------------------------------------------------
 # descriptive statistics
 # --------------------------------------------------------------------------

@@ -44,18 +44,14 @@ def _check_user_id(user_id: str) -> None:
 @dataclass(frozen=True)
 class SessionRecord:
     """One aggregated network session of one user on one domain. A raw
-    traffic event is a session of duration 0 with empty location, isp and
-    service class. The checks run in a fixed order, and a bad record's
-    error names the first check it fails."""
+    traffic event is a session of duration 0. The checks run in a fixed
+    order, and a bad record's error names the first check it fails."""
 
     user_id: str
     start_time: int  # epoch seconds, UTC
     duration: float  # seconds
-    location: str
     domain: str
-    isp: str
     http_requests: int
-    service_class: str
     bytes: int
 
     def __post_init__(self):

@@ -7,6 +7,7 @@ report on identical inputs is bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -164,13 +165,15 @@ def spend_distribution(
 ) -> SpendReport:
     """Per-user total spend histogrammed and averaged per cluster.
 
-    Users without transactions count as total 0. Ten equal-width bins span
-    [0, max total] (the last bin is closed so every total lands somewhere).
+    Users without transactions count as total 0. A user's amounts are summed
+    with math.fsum, so the totals do not depend on the transactions' order.
+    Ten equal-width bins span [0, max total] (the last bin is closed so
+    every total lands somewhere).
     """
-    spent: dict[str, float] = {}
+    spent: dict[str, list[float]] = {}
     for t in transactions:
-        spent[t.user_id] = spent.get(t.user_id, 0.0) + t.amount
-    totals = np.array([spent.get(uid, 0.0) for uid in user_ids])
+        spent.setdefault(t.user_id, []).append(t.amount)
+    totals = np.array([math.fsum(spent.get(uid, ())) for uid in user_ids])
     top = float(totals.max()) if totals.size and totals.max() > 0 else 1.0
     edges = np.linspace(0.0, top, 11)
     n_bins = edges.size - 1

@@ -17,7 +17,7 @@ dominate.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -196,11 +196,20 @@ class SynthSpec:
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """Planted per-user labels: dominant topic and full mixture."""
+    """Planted per-user labels: dominant topic and full mixture. It also
+    keeps each session's access point, which only the written log carries."""
 
     user_ids: tuple[str, ...]
     dominant: np.ndarray  # argmax of the mixture, lowest index on ties
     topic_mix: np.ndarray  # n_users x n_topics
+    access_points: np.ndarray  # per session row, in 0..49
+
+    def log_text(self) -> dict:
+        """The texts of the session-log columns the model does not read."""
+        names = [f"ap{j:03d}" for j in range(50)]
+        n = self.access_points.size
+        return {"location": map(names.__getitem__, self.access_points.tolist()),
+                "isp": itertools.repeat("campus", n), "service_class": itertools.repeat("web", n)}
 
 
 def _draw_session_count(spec: SynthSpec, rng: np.random.Generator) -> int:
@@ -280,24 +289,18 @@ def generate(spec: SynthSpec) -> tuple[SessionTable, GroundTruth]:
             "user_id": users,
             "start_time": _BASE_EPOCH + users * 7 + session_idx * 3600,
             "duration": draws["duration"].astype(np.float64),
-            "location": draws["location"],
             "domain": domains,
-            "isp": np.zeros(users.size, dtype=np.int64),
             "http_requests": 1 + draws["requests"],
-            "service_class": np.zeros(users.size, dtype=np.int64),
             "bytes": _int_array(list(map(int, nbytes.tolist()))),
         },
         names={
             "user_id": user_ids,
-            "location": tuple(f"ap{j:03d}" for j in range(50)),
             "domain": (*spec.domain_names, spec.universal_domain),
-            "isp": ("campus",),
-            "service_class": ("web",),
         },
     )
     table.check_rows()
     dominant = np.argmax(mixtures, axis=1).astype(np.int64)
-    truth = GroundTruth(user_ids=user_ids, dominant=dominant, topic_mix=mixtures)
+    truth = GroundTruth(user_ids, dominant, mixtures, access_points=draws["location"])
     return table, truth
 
 
@@ -305,15 +308,6 @@ def write_truth(truth: GroundTruth, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     write_rows(path, [("user_id", "topic"), *zip(truth.user_ids, truth.dominant.tolist())])
-
-
-def read_truth(path: str | Path) -> dict[str, int]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["user_id", "topic"]:
-            raise ValueError(f"{path}: unexpected header {header}")
-        return {row[0]: int(row[1]) for row in reader if row}
 
 
 # --------------------------------------------------------------------------
@@ -358,20 +352,3 @@ def adjusted_rand_index(a, b) -> float:
     if max_index == expected:
         return 1.0
     return float((index - expected) / (max_index - expected))
-
-
-def purity(predicted, truth) -> float:
-    """Fraction of points in the majority truth class of their cluster."""
-    predicted = list(predicted)
-    truth = list(truth)
-    if len(predicted) != len(truth):
-        raise ValueError(f"partition lengths differ: {len(predicted)} vs {len(truth)}")
-    if not predicted:
-        raise ValueError("partitions must be non-empty")
-    overlap: dict[tuple, int] = {}
-    for p, t in zip(predicted, truth):
-        overlap[(p, t)] = overlap.get((p, t), 0) + 1
-    best: dict = {}
-    for (p, _), count in overlap.items():
-        best[p] = max(best.get(p, 0), count)
-    return float(sum(best.values()) / len(predicted))

@@ -30,20 +30,17 @@ def make_session(user="u1", domain="example.com", bytes=100, t=0, duration=60.0,
         user_id=user,
         start_time=t,
         duration=duration,
-        location="ap1",
         domain=domain,
-        isp="isp",
         http_requests=requests,
-        service_class="web",
         bytes=bytes,
     )
 
 
 def make_event(user="u1", t=0, domain="example.com", bytes=10, requests=1):
-    """A raw event: a session of duration 0 with empty location, isp and service class."""
+    """A raw event: a session of duration 0."""
     return SessionRecord(
-        user_id=user, start_time=t, duration=0.0, location="", domain=domain, isp="",
-        http_requests=requests, service_class="", bytes=bytes,
+        user_id=user, start_time=t, duration=0.0, domain=domain, http_requests=requests,
+        bytes=bytes,
     )
 
 

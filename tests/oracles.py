@@ -4,7 +4,8 @@ Everything here is deliberately naive: scalar arithmetic, exhaustive
 enumeration, pair counting, one record per row. None of it shares code
 with the package beyond the record types, the scalar helpers
 ``parse_timestamp`` and ``normalize_domain``, and the constants (the
-``*_COLUMNS`` schemas and ``synth._BASE_EPOCH``).
+``*_COLUMNS`` schemas and ``synth._BASE_EPOCH``). The decoding, comparison
+and recovery helpers at the end serve only the tests.
 """
 
 from __future__ import annotations
@@ -218,7 +219,8 @@ def parse_sessions_rows(source, *, delimiter=",", fail_fast=False, truncate_doma
     """Row-by-row session-log parser: (records, errors).
 
     The reference for ``ingest.parse_sessions``: each row of ``open_rows``
-    becomes one ``SessionRecord``. With ``fail_fast`` the first bad row
+    becomes one ``SessionRecord``; its location, isp and service_class
+    fields are not read. With ``fail_fast`` the first bad row
     raises ``ParseError("line N: ...")``.
     """
     from usertopics.ingest import SESSION_COLUMNS, normalize_domain, parse_timestamp
@@ -229,11 +231,8 @@ def parse_sessions_rows(source, *, delimiter=",", fail_fast=False, truncate_doma
             user_id=row[0].strip(),
             start_time=parse_timestamp(row[1]),
             duration=float(row[2]),
-            location=row[3].strip(),
             domain=normalize_domain(row[4], truncate=truncate_domains),
-            isp=row[5].strip(),
             http_requests=int(row[6]),
-            service_class=row[7].strip(),
             bytes=int(row[8]),
         )
 
@@ -248,7 +247,7 @@ def parse_side_rows(columns, source, *, delimiter=",", fail_fast=False, truncate
     replaces the earlier record with a warning), ``parse_transactions`` (an
     amount total beyond float64, per user or over all users, raises
     ParseError) and ``parse_raw_events`` (each event a SessionRecord of
-    duration 0 with empty location, isp and service class).
+    duration 0).
     """
     from usertopics.ingest import (
         DEMOGRAPHIC_COLUMNS,
@@ -275,7 +274,7 @@ def parse_side_rows(columns, source, *, delimiter=",", fail_fast=False, truncate
         user_id, timestamp, domain, nbytes, requests = (
             row[0].strip(), parse_timestamp(row[1]),
             normalize_domain(row[2], truncate=truncate_domains), int(row[3]), int(row[4]))
-        return SessionRecord(user_id, timestamp, 0.0, "", domain, "", requests, "", nbytes)
+        return SessionRecord(user_id, timestamp, 0.0, domain, requests, nbytes)
 
     records, errors = _rows_parser(source, delimiter, columns, convert, fail_fast)
     warnings = []
@@ -341,17 +340,19 @@ def profile_oracle(sessions, metric="bytes"):
 
 
 def generate_records(spec):
-    """Per-record synth reference: (sessions, dominant topics).
+    """Per-record synth reference: (sessions, dominant topics, log text).
 
     The reference for ``synth.generate``: one generator per user from
     (``spec.seed``, user index), drawn in the same order and sizes, and one
-    ``SessionRecord`` per session.
+    ``SessionRecord`` per session. The log text holds each session's
+    (location, isp, service_class) texts, which synth writes to the log.
     """
     from usertopics.records import SessionRecord
     from usertopics.synth import _BASE_EPOCH
 
     sessions = []
     dominant = []
+    log_text = []
     topic_cum = np.cumsum(spec.topic_word, axis=1)
     log_median = np.log(spec.bytes_median)
     for idx in range(spec.n_users):
@@ -396,19 +397,21 @@ def generate_records(spec):
                     user_id=f"u{idx:05d}",
                     start_time=_BASE_EPOCH + idx * 7 + s_idx * 3600,
                     duration=float(durations[s_idx]),
-                    location=f"ap{int(locations[s_idx]):03d}",
                     domain=domain,
-                    isp="campus",
                     http_requests=int(requests[s_idx]),
-                    service_class="web",
                     bytes=int(nbytes[s_idx]),
                 )
             )
-    return sessions, dominant
+            log_text.append((f"ap{int(locations[s_idx]):03d}", "campus", "web"))
+    return sessions, dominant, log_text
 
 
-def write_sessions_rows(sessions, path):
-    """Row-by-row session-log writer, the reference for ``ingest.write_sessions_csv``."""
+def write_sessions_rows(sessions, path, log_text=None):
+    """Row-by-row session-log writer, the reference for ``ingest.write_sessions_csv``.
+
+    ``log_text`` holds each row's (location, isp, service_class) texts;
+    without it they are empty.
+    """
     from datetime import datetime, timezone
 
     from usertopics.ingest import SESSION_COLUMNS
@@ -416,17 +419,19 @@ def write_sessions_rows(sessions, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SESSION_COLUMNS)
-        for s in sessions:
+        for s, (location, isp, service_class) in zip(
+            sessions, log_text or itertools.repeat(("", "", ""))
+        ):
             writer.writerow(
                 [
                     s.user_id,
                     datetime.fromtimestamp(int(s.start_time), tz=timezone.utc).isoformat(),
                     repr(float(s.duration)),
-                    s.location,
+                    location,
                     s.domain,
-                    s.isp,
+                    isp,
                     s.http_requests,
-                    s.service_class,
+                    service_class,
                     s.bytes,
                 ]
             )
@@ -438,9 +443,6 @@ class _OpenSession:
     duration: float
     bytes: int
     requests: int
-    location: str
-    isp: str
-    service_class: str
 
     @property
     def end(self) -> float:
@@ -450,8 +452,8 @@ class _OpenSession:
 def _merge_intervals(items, gap_threshold: float):
     """Merge per-(user, domain) interval streams into sessions.
 
-    ``items`` yields (user_id, domain, start, duration, bytes, requests,
-    location, isp, service_class) in non-decreasing time order per user.
+    ``items`` yields (user_id, domain, start, duration, bytes, requests) in
+    non-decreasing time order per user.
     A new interval extends the domain's open session when the pause before
     it is shorter than ``gap_threshold``.
     """
@@ -468,11 +470,8 @@ def _merge_intervals(items, gap_threshold: float):
                 user_id=user_id,
                 start_time=st.start,
                 duration=st.duration,
-                location=st.location,
                 domain=domain,
-                isp=st.isp,
                 http_requests=st.requests,
-                service_class=st.service_class,
                 bytes=st.bytes,
             )
         except ValueError as exc:  # summed bytes or requests beyond float64
@@ -484,7 +483,7 @@ def _merge_intervals(items, gap_threshold: float):
             close(user_id, domain, st)
         open_by_domain.clear()
 
-    for user_id, domain, start, duration, nbytes, requests, loc, isp, svc in items:
+    for user_id, domain, start, duration, nbytes, requests in items:
         if user_id != current_user:
             if current_user is not None:
                 flush(current_user)
@@ -498,13 +497,7 @@ def _merge_intervals(items, gap_threshold: float):
             if st is not None:
                 close(user_id, domain, st)
             open_by_domain[domain] = _OpenSession(
-                start=start,
-                duration=duration,
-                bytes=nbytes,
-                requests=requests,
-                location=loc,
-                isp=isp,
-                service_class=svc,
+                start=start, duration=duration, bytes=nbytes, requests=requests
             )
     if current_user is not None:
         flush(current_user)
@@ -528,7 +521,7 @@ def sessionize(events, gap_threshold: float = 300.0):
     _check_gap(gap_threshold)
     ordered = sorted(events, key=lambda e: (e.user_id, e.start_time))
     items = (
-        (e.user_id, e.domain, e.start_time, 0.0, e.bytes, e.http_requests, "", "", "")
+        (e.user_id, e.domain, e.start_time, 0.0, e.bytes, e.http_requests)
         for e in ordered
     )
     return _merge_intervals(items, gap_threshold)
@@ -544,17 +537,69 @@ def resessionize(sessions, gap_threshold: float = 300.0):
     _check_gap(gap_threshold)
     ordered = sorted(sessions, key=lambda s: (s.user_id, s.start_time))
     items = (
-        (
-            s.user_id,
-            s.domain,
-            s.start_time,
-            s.duration,
-            s.bytes,
-            s.http_requests,
-            s.location,
-            s.isp,
-            s.service_class,
-        )
+        (s.user_id, s.domain, s.start_time, s.duration, s.bytes, s.http_requests)
         for s in ordered
     )
     return _merge_intervals(items, gap_threshold)
+
+
+def to_records(table):
+    """A SessionTable's rows as SessionRecords, each string decoded through
+    its vocabulary one value at a time."""
+    from dataclasses import fields
+
+    from usertopics.records import SessionRecord
+
+    columns = []
+    for name in (f.name for f in fields(SessionRecord)):
+        values = table.columns[name].tolist()
+        if name in table.vocab:
+            values = [table.vocab[name][code] for code in values]
+        columns.append(values)
+    return [SessionRecord(*values) for values in zip(*columns)]
+
+
+def matrices_equal(a, b):
+    """Shape, names, CSR arrays and provenance of two sparse matrices all equal."""
+    return (
+        a.n_users == b.n_users
+        and a.n_domains == b.n_domains
+        and a.users == b.users
+        and a.domains == b.domains
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.data, b.data)
+        and getattr(a, "provenance", None) == getattr(b, "provenance", None)
+    )
+
+
+def reconstruct(model):
+    """Dense rank-``m`` approximation U diag(sigma) V^T of an LSA model's source."""
+    return (model.u * model.sigma[None, :]) @ model.v.T
+
+
+def read_truth(path):
+    """``truth.csv`` as {user_id: planted topic}."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != ["user_id", "topic"]:
+            raise ValueError(f"{path}: unexpected header {header}")
+        return {row[0]: int(row[1]) for row in reader if row}
+
+
+def purity(predicted, truth):
+    """Fraction of points in the majority truth class of their cluster."""
+    predicted = list(predicted)
+    truth = list(truth)
+    if len(predicted) != len(truth):
+        raise ValueError(f"partition lengths differ: {len(predicted)} vs {len(truth)}")
+    if not predicted:
+        raise ValueError("partitions must be non-empty")
+    overlap = {}
+    for p, t in zip(predicted, truth):
+        overlap[(p, t)] = overlap.get((p, t), 0) + 1
+    best = {}
+    for (p, _), count in overlap.items():
+        best[p] = max(best.get(p, 0), count)
+    return float(sum(best.values()) / len(predicted))

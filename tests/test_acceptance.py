@@ -21,20 +21,27 @@ import usertopics
 from usertopics import cli
 from usertopics.clustering import kmeans, read_assignments, sweep_k
 from usertopics.ingest import build_profile_matrix, sessionize
-from usertopics.lsa import orthonormality_residual, reconstruct, truncated_svd, user_features
+from usertopics.lsa import orthonormality_residual, truncated_svd, user_features
 from usertopics.synth import (
     SynthSpec,
     adjusted_rand_index,
     disjoint_topic_word,
     generate,
     overlapping_topic_word,
-    read_truth,
 )
 from usertopics.weighting import row_normalize, tfidf
 
 import oracles
 from helpers import make_event, matrix_from_dense, random_dense_positive, session_table
-from oracles import dense_to_feature, optimal_inertia, spearman_rho, tfidf_oracle
+from oracles import (
+    dense_to_feature,
+    optimal_inertia,
+    read_truth,
+    reconstruct,
+    spearman_rho,
+    tfidf_oracle,
+    to_records,
+)
 
 
 @contextlib.contextmanager
@@ -360,6 +367,6 @@ def test_criterion_9_conservation_and_idempotence():
                 for _ in range(n_events)
             ]
             gap = float(rng.choice([60.0, 300.0, 900.0]))
-            once = sessionize(session_table(events), gap).to_records()
+            once = to_records(sessionize(session_table(events), gap))
             assert oracles.resessionize(once, gap) == once
             assert sum(s.bytes for s in once) == sum(e.bytes for e in events)

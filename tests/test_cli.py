@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import re
@@ -13,10 +14,9 @@ import pytest
 from usertopics import _store, cli, lsa, reporting
 from usertopics.ingest import DEFAULT_GAP_SECONDS, RAW_EVENT_COLUMNS
 from usertopics.matrix import SparseMatrix, csr_from_triplets, read_matrix, write_matrix
-from usertopics.synth import read_truth
 
 from helpers import STAGE_MODULES, loaded_modules
-from oracles import parse_side_rows, sessionize, write_sessions_rows
+from oracles import parse_side_rows, read_truth, sessionize, write_sessions_rows
 
 SESSION_HEADER = (
     "user_id,start_time,duration_s,location,domain,isp,http_requests,service_class,bytes\n"
@@ -775,6 +775,50 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and message in err
         assert err.count("\n") == 1
+
+
+# a file each command writes by os.replace
+REPLACED_FILE = {"synth": "truth.csv", "ingest": "domain_stats.txt",
+                 "cluster": "assignments.csv", "report": "report_spend.txt"}
+
+
+class TestUnusableOutputPath:
+    """An output path a command cannot create or replace is a data error:
+    exit 2 and one stderr line naming the path, never a traceback."""
+
+    @staticmethod
+    def argv(command, out, tmp_path, synth_ws, ingested_ws):
+        if command == "synth":
+            return ["synth", "--spec", write_spec(tmp_path), "--out-dir", out]
+        if command == "ingest":
+            return ["ingest", "--workspace", out, "--sessions", synth_ws / "sessions.csv"]
+        if command == "cluster":
+            return ["cluster", "--workspace", ingested_ws, "--out-dir", out, "-M", 4, "-K", 4]
+        return ["report", "--workspace", ingested_ws, "--out-dir", out]
+
+    @pytest.mark.parametrize("command", list(REPLACED_FILE))
+    @pytest.mark.parametrize("case", ["regular file", "below a regular file", "directory in place"])
+    def test_exits_2_with_one_line(self, tmp_path, synth_ws, ingested_ws, capsys, command, case):
+        assert run(["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4]) == 0
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        if case == "regular file":
+            out = path = blocker
+            error = errno.EEXIST
+        elif case == "below a regular file":
+            out = path = blocker / "out"
+            error = errno.ENOTDIR
+        else:
+            out = tmp_path / "out"
+            path = out / REPLACED_FILE[command]
+            path.mkdir(parents=True)
+            error = errno.EISDIR
+        capsys.readouterr()
+        assert run(self.argv(command, out, tmp_path, synth_ws, ingested_ws)) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"data error: {path}: {os.strerror(error)}"]
+        assert "Traceback" not in err
+        assert not (out / ".lock").exists() and path.is_dir() == (case == "directory in place")
 
 
 def test_non_ascii_names_under_an_ascii_locale(tmp_path):

@@ -21,6 +21,7 @@ from usertopics.ingest import (
 
 import oracles
 from helpers import make_event, make_session, session_table
+from oracles import to_records
 
 MAX_INT_FLOAT = int(sys.float_info.max)
 
@@ -38,22 +39,22 @@ class TestParseSessions:
         )
         assert len(rep.records) == 1
         assert rep.n_errors == 0
-        rec = rep.records.to_records()[0]
+        rec = to_records(rep.records)[0]
         assert rec.bytes == 1024
         assert rec.domain == "example.com"
         assert rec.duration == 120.0
 
     def test_empty_input(self):
         rep = parse_sessions(io.StringIO(""))
-        assert rep.records.to_records() == [] and rep.n_errors == 0
+        assert to_records(rep.records) == [] and rep.n_errors == 0
         rep = parse_sessions(io.StringIO(SESS_HEADER))
-        assert rep.records.to_records() == [] and rep.n_errors == 0
+        assert to_records(rep.records) == [] and rep.n_errors == 0
 
     def test_negative_bytes_skipped(self):
         rep = parse_sessions(
             sess_csv("u1,2014-09-01T10:00:00Z,1,ap1,a.com,isp,1,web,-5")
         )
-        assert rep.records.to_records() == []
+        assert to_records(rep.records) == []
         assert rep.n_errors == 1
         assert rep.errors[0][0] == 2  # line number
 
@@ -62,7 +63,7 @@ class TestParseSessions:
         rep = parse_sessions(
             sess_csv(f"u1,2014-09-01T10:00:00Z,{value},ap1,a.com,isp,1,web,5")
         )
-        assert rep.records.to_records() == []
+        assert to_records(rep.records) == []
         assert rep.n_errors == 1
         assert "non-finite duration" in rep.errors[0][1]
 
@@ -72,7 +73,7 @@ class TestParseSessions:
             "u1,2014-09-01T10:00:00Z,1,ap1,a.com,isp,1,web," + str(2**1023),
         ))
         assert rep.errors == [(2, "bytes beyond the float64 range: 401 digits")]
-        assert rep.records.to_records()[0].bytes == 2**1023  # beyond int64, kept exactly
+        assert to_records(rep.records)[0].bytes == 2**1023  # beyond int64, kept exactly
         assert build_profile_matrix(rep.records).data.tolist() == [float(2**1023)]
 
     def test_raw_event_bytes_beyond_float64_skipped(self):
@@ -101,14 +102,14 @@ class TestParseSessions:
             ),
             delimiter=";",
         )
-        assert rep.records.to_records()[0].bytes == 7
+        assert to_records(rep.records)[0].bytes == 7
 
     def test_roundtrip_through_writer(self, tmp_path):
         sessions = [make_session(t=1409560000, bytes=5, duration=12.5)]
         path = tmp_path / "s.csv"
         write_sessions_csv(session_table(sessions), path)
         back = parse_sessions(path)
-        assert back.records.to_records() == sessions
+        assert to_records(back.records) == sessions
 
 
 class TestRejectedValues:
@@ -286,7 +287,7 @@ class TestNormalizeDomain:
 
 def merged(events, gap):
     """Sessions of ``sessionize`` over a table of ``events``, as records."""
-    return sessionize(session_table(events), gap).to_records()
+    return to_records(sessionize(session_table(events), gap))
 
 
 class TestSessionize:

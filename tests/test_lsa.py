@@ -7,13 +7,12 @@ from usertopics.lsa import (
     canonicalize_signs,
     load_model,
     orthonormality_residual,
-    reconstruct,
     save_model,
     truncated_svd,
     user_features,
 )
 
-from oracles import dense_to_feature
+from oracles import dense_to_feature, reconstruct
 
 
 def decay_matrix(rng, n, d, rho=0.7):

@@ -6,7 +6,6 @@ import pytest
 from usertopics.matrix import (
     FeatureMatrix,
     domain_stats,
-    matrices_equal,
     matrix_checksum,
     rank_domains,
     read_matrix,
@@ -15,6 +14,7 @@ from usertopics.matrix import (
 from usertopics.weighting import tfidf
 
 from helpers import matrix_from_dense, random_dense_positive
+from oracles import matrices_equal
 
 CSR_FIELDS = ("n_users", "n_domains", "indptr", "indices", "data", "users", "domains")
 

@@ -29,7 +29,7 @@ from usertopics.ingest import (
 )
 
 from helpers import field_size_limit, text_stream, write_row
-from oracles import parse_side_rows
+from oracles import parse_side_rows, to_records
 
 # values that are bad, odd or borderline in at least one column
 TOKENS = (
@@ -111,7 +111,7 @@ def test_raw_events_rows_all_accounted_for_through_aggregation(text, metric):
         # ProfileMatrix: a user or domain total beyond float64, exit 2 at ingest
         assert "beyond the float64 range" in str(exc)
         return
-    assert matrix.n_users == len({e.user_id for e in report.records.to_records()})
+    assert matrix.n_users == len({e.user_id for e in to_records(report.records)})
 
 
 PARSERS = {
@@ -173,7 +173,7 @@ def test_chunked_parse_matches_row_by_row_reader(columns, data, chunk_rows, fail
         report = PARSERS[columns](stream, **options)
         records = report.records
         if columns == RAW_EVENT_COLUMNS:
-            records = records.to_records()
+            records = to_records(records)
         return records, report.errors, report.warnings
 
     with field_size_limit(limit or csv.field_size_limit()):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,18 @@ class TestSpend:
     def test_histogram_counts_sum_to_cluster_sizes(self):
         rep = spend_distribution(np.array([0, 1, 0]), 2, ["u0", "u2", "unseen"], TX)
         assert rep.counts.sum(axis=1).tolist() == [2, 1]
+
+    def test_totals_independent_of_transaction_order(self, rng):
+        # two-decimal amounts, whose running + sums differ by order in the last bits
+        users = [f"u{i}" for i in range(6)]
+        tx = [TransactionRecord(u, 0, round(float(a), 2))
+              for u in users for a in rng.gamma(2.0, 7.5, size=12)]
+        labels = np.zeros(len(users), dtype=np.int64)
+        want = spend_distribution(labels, 1, users, tx).totals
+        assert want.tolist() == [math.fsum(t.amount for t in tx if t.user_id == u) for u in users]
+        for _ in range(50):
+            shuffled = [tx[i] for i in rng.permutation(len(tx))]
+            assert spend_distribution(labels, 1, users, shuffled).totals.tobytes() == want.tobytes()
 
 
 class TestDeterminism:

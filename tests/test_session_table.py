@@ -22,11 +22,16 @@ from usertopics.ingest import (
     parse_sessions,
     write_sessions_csv,
 )
-from usertopics.matrix import matrices_equal
 from usertopics.records import SessionRecord
 
 from helpers import field_size_limit, make_session, session_table, text_stream, write_row
-from oracles import parse_sessions_rows, profile_oracle, write_sessions_rows
+from oracles import (
+    matrices_equal,
+    parse_sessions_rows,
+    profile_oracle,
+    to_records,
+    write_sessions_rows,
+)
 
 GOOD_ROW = ("u1", "2014-09-01T10:00:00Z", "120.5", "ap1", "News.Example.com", "isp", "5", "web",
             "1024")
@@ -57,6 +62,12 @@ def session_rows(draw):
     width = draw(st.sampled_from([9] * 8 + [0, 1, 8, 10]))
     return (row + ["extra"])[:width]
 
+
+# location, isp and service_class, and texts for them that the parser must not
+# read: quotes and a delimiter, line endings, control characters, non-ASCII, nothing
+UNREAD_COLUMNS = (3, 5, 7)
+UNREAD_TEXTS = ('say "hi", twice', "lab\r\nwing\n", "\x00\x01\x1b\x7f\x85", "Zürich 東京",
+                "", "   ", "\ufeff\u200b")
 
 # values csv.writer quotes: every delimiter, a quote, an empty field, each line ending
 QUOTED_VALUES = ("x,y", "x;y", "x\ty", "x|y", 'say "hi"', "", "two\nlines", "two\r\nlines",
@@ -100,7 +111,7 @@ def _outcome(parse, text, newline="", **kwargs):
 
 def _columnar(source, **kwargs):
     report = parse_sessions(source, **kwargs)
-    return report.errors, report.records.to_records()
+    return report.errors, to_records(report.records)
 
 
 def _rows(source, **kwargs):
@@ -159,14 +170,14 @@ class TestDifferential:
 
     def test_quoted_line_ending_across_a_chunk_boundary(self):
         rows = [list(GOOD_ROW) for _ in range(6)]
-        rows[1][3] = "lab\r\nwing\nb"  # record 3 spans lines 3-5
+        rows[1][0] = "lab\r\nwing\nb"  # record 3 spans lines 3-5
         rows[3][8] = "-1"
         text = log_text(rows)
         for chunk_rows in (1, 2, 3, 4):
             got, want = _parse_both(text, chunk_rows=chunk_rows)
             assert got == want
         assert got[0] == [(5, "negative bytes: -1")]
-        assert got[1][1].location == "lab\r\nwing\nb"
+        assert got[1][1].user_id == "lab\r\nwing\nb"
 
     def test_line_over_the_field_limit_in_the_third_chunk(self):
         rows = [list(GOOD_ROW) for _ in range(7)]
@@ -222,7 +233,7 @@ class TestDifferential:
 
     def test_bom_file_with_quotes_in_the_second_chunk(self, tmp_path):
         rows = [list(GOOD_ROW) for _ in range(6)]
-        rows[4][5] = 'isp "x", inc'
+        rows[4][0] = 'user "x", inc'
         rows[5][2] = "nan"
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbf" + log_text(rows, ending="\r\n").encode("utf-8"))
@@ -230,7 +241,31 @@ class TestDifferential:
             got = _columnar(path)
         assert got == _rows(path)
         assert got[0] == [(7, "non-finite duration: nan")]
-        assert got[1][4].isp == 'isp "x", inc'
+        assert got[1][4].user_id == 'user "x", inc'
+
+    def test_unread_columns_are_unread(self):
+        """Any text in location, isp and service_class parses as blank ones do."""
+        rows = [list(GOOD_ROW) for _ in range(14)]
+        rows[2][8] = "-1"
+        rows[5][0] = " "
+        rows[8] = rows[8][:8]
+        rows[11][4] = "a b.com"
+        rows[12][1] = "2014-02-30T00:00:00"
+        filled, blank = [list(row) for row in rows], [list(row) for row in rows]
+        for i, row in enumerate(filled):
+            for k in UNREAD_COLUMNS:
+                if k < len(row):
+                    row[k] = UNREAD_TEXTS[(i + k) % len(UNREAD_TEXTS)]
+                    blank[i][k] = ""
+        for chunk_rows in (1, 2, 2048):
+            with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+                got, want = (parse_sessions(io.StringIO(log_text(r))) for r in (filled, blank))
+            assert got.errors == want.errors and len(got.errors) == 5
+            assert got.records.vocab == want.records.vocab
+            assert got.records.columns.keys() == want.records.columns.keys()
+            for name, column in got.records.columns.items():
+                assert column.dtype == want.records.columns[name].dtype
+                assert column.tobytes() == want.records.columns[name].tobytes(), name
 
     def test_entirely_quoted_log(self):
         out = io.StringIO()
@@ -254,7 +289,7 @@ class TestDifferential:
         records, errors = parse_sessions_rows(path)
         assert [line for line, _ in report.errors] == [4, 7]
         assert report.errors == errors
-        assert report.records.to_records() == records
+        assert to_records(report.records) == records
 
     def test_read_error_after_bad_row_keeps_fail_fast_order(self):
         # the csv field limit trips on line 4; the bad row on line 2 must win
@@ -275,7 +310,7 @@ class TestDifferential:
         with mock.patch.object(ingest, "_check_domain", strict):
             report = parse_sessions(io.StringIO(text))
         assert report.errors == []
-        assert report.records.to_records() == parse_sessions_rows(io.StringIO(text))[0]
+        assert to_records(report.records) == parse_sessions_rows(io.StringIO(text))[0]
 
     def test_per_row_verdict_wins_over_a_stricter_user_id_check(self):
         rows = [GOOD_ROW, ("u2", *GOOD_ROW[1:]), GOOD_ROW]
@@ -287,7 +322,7 @@ class TestDifferential:
 
         with mock.patch.object(ingest, "_check_user_id", strict):
             table = parse_sessions(io.StringIO(text)).records
-        assert table.to_records() == parse_sessions_rows(io.StringIO(text))[0]
+        assert to_records(table) == parse_sessions_rows(io.StringIO(text))[0]
         assert table.users == ("u1", "u2")
 
     @given(session_logs(), st.sampled_from([1, 3, 2048]))
@@ -296,7 +331,7 @@ class TestDifferential:
         text, delimiter = log
         with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
             table = parse_sessions(text_stream(text), delimiter=delimiter).records
-        records = table.to_records()
+        records = to_records(table)
         for name, values in table.vocab.items():
             assert values == tuple(sorted({getattr(r, name) for r in records})), name
 
@@ -395,9 +430,9 @@ def test_quote_free_log_is_split_without_csv_reader(tmp_path):
         n_topics=2, n_domains=20, n_users=30, topic_word=synth.disjoint_topic_word(2, 20),
         sessions_lo=20, sessions_hi=20, universal_domain="portal.example", seed=5,
     )
-    sessions, _ = synth.generate(spec)
+    sessions, truth = synth.generate(spec)
     path = tmp_path / "sessions.csv"
-    write_sessions_csv(sessions, path)
+    write_sessions_csv(sessions, path, truth.log_text())
     text = path.read_text()
     lines = text.splitlines(keepends=True)
     lines[100] = lines[100].replace(",web,", ',"web",')
@@ -434,7 +469,7 @@ class TestSessionTable:
         ]
         table = session_table(sessions)
         assert len(table) == 3
-        assert table.to_records() == sessions
+        assert to_records(table) == sessions
         assert table.users == ("a", "b") and table.domains == ("x.com", "y.com")
 
     def test_synth_vocabularies_sorted(self):
@@ -444,7 +479,7 @@ class TestSessionTable:
             sessions_lo=5, sessions_hi=5, universal_domain="dom0004", seed=2,
         )
         table, _ = synth.generate(spec)
-        records = table.to_records()
+        records = to_records(table)
         for name, values in table.vocab.items():
             assert values == tuple(sorted({getattr(r, name) for r in records})), name
         assert table.vocab["domain"] != tuple(dict.fromkeys(r.domain for r in records))
@@ -462,8 +497,8 @@ class TestSessionTable:
                        http_requests=np.ones(n, dtype=np.int64),
                        bytes=np.arange(n, dtype=np.int64))
         table = SessionTable.encoded(columns, dict.fromkeys(_STRING_FIELDS, tuple(names)))
-        assert table.to_records() == [
-            SessionRecord(names[i], t, 0.0, names[i], names[i], names[i], 1, names[i], t)
+        assert to_records(table) == [
+            SessionRecord(names[i], t, 0.0, names[i], 1, t)
             for t, i in enumerate(rows)
         ]
         for values in table.vocab.values():
@@ -477,14 +512,14 @@ class TestSessionTable:
 
     def test_empty(self):
         table = session_table([])
-        assert len(table) == 0 and table.to_records() == []
+        assert len(table) == 0 and to_records(table) == []
         assert build_profile_matrix(table).n_users == 0
 
     def test_huge_integers_kept_exactly(self):
         text = ",".join(SESSION_COLUMNS) + "\n" + ",".join(
             GOOD_ROW[:8] + ("99999999999999999999999",)) + "\n"
         report = parse_sessions(io.StringIO(text))
-        assert report.records.to_records()[0].bytes == 99999999999999999999999
+        assert to_records(report.records)[0].bytes == 99999999999999999999999
         matrix = build_profile_matrix(report.records)
         assert matrix.data.tolist() == [float(99999999999999999999999)]
 
@@ -528,6 +563,21 @@ class TestWriter:
         assert [line.rsplit(",", 1)[1] for line in text.splitlines()[1:]] == [
             str(10**30), str(2**63), "0"]
 
+    def test_unread_texts_written_in_their_columns(self, tmp_path):
+        sessions = [make_session(t=0), make_session(user="u2", t=60)]
+        texts = [("ap007", "campus", "web"), ('a "b"', "", "x,y\r\nz")]
+        unread = dict(zip(("location", "isp", "service_class"), zip(*texts)))
+        ours, oracle = tmp_path / "columns.csv", tmp_path / "rows.csv"
+        write_sessions_csv(session_table(sessions), ours, unread)
+        write_sessions_rows(sessions, oracle, texts)
+        assert ours.read_bytes() == oracle.read_bytes()
+        assert ours.read_text().splitlines()[1] == "u1,1970-01-01T00:00:00+00:00,60.0,ap007," \
+            "example.com,campus,1,web,100"
+        assert to_records(parse_sessions(ours).records) == sessions
+        with pytest.raises(ValueError):  # fewer texts than rows
+            write_sessions_csv(session_table(sessions), ours, {"isp": ["campus"]})
+        assert ours.read_bytes() == oracle.read_bytes()
+
     def test_quoted_user_round_trip(self, tmp_path):
         sessions = [
             make_session(user="b", domain="x.com", t=1409560000, duration=12),
@@ -535,7 +585,7 @@ class TestWriter:
         ]
         text = self.written(tmp_path, sessions)
         assert '"a ""quoted"", user"' in text
-        assert parse_sessions(tmp_path / "columns.csv").records.to_records() == [
+        assert to_records(parse_sessions(tmp_path / "columns.csv").records) == [
             make_session(user="b", domain="x.com", t=1409560000, duration=12.0),
             make_session(user='a "quoted", user', domain="y.com", duration=0.1),
         ]
@@ -544,19 +594,19 @@ class TestWriter:
 def test_parse_and_aggregate_memory_per_row():
     """Parse plus aggregate stays within a per-row byte budget.
 
-    The columnar path peaks near 190 bytes per row on this log (2,048-row
-    chunks, tracemalloc on Python 3); one SessionRecord per row, or string
-    columns kept for the whole file, need 700 and more.
+    The columnar path peaks near 160 bytes per row on this log (2,048-row
+    chunks, tracemalloc on Python 3.11); one SessionRecord per row, or
+    string columns kept for the whole file, need 700 and more.
     """
     spec = synth.SynthSpec(
         n_topics=4, n_domains=200, n_users=500,
         topic_word=synth.disjoint_topic_word(4, 200),
         sessions_lo=100, sessions_hi=100, sessions_dist="fixed", seed=3,
     )
-    sessions, _ = synth.generate(spec)
+    sessions, truth = synth.generate(spec)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sessions.csv"
-        write_sessions_csv(sessions, path)
+        write_sessions_csv(sessions, path, truth.log_text())
         del sessions
         tracemalloc.start()
         try:

@@ -16,12 +16,17 @@ from usertopics.synth import (
     disjoint_topic_word,
     generate,
     overlapping_topic_word,
-    purity,
-    read_truth,
     write_truth,
 )
 
-from oracles import ari_pair_counting, generate_records, write_sessions_rows
+from oracles import (
+    ari_pair_counting,
+    generate_records,
+    purity,
+    read_truth,
+    to_records,
+    write_sessions_rows,
+)
 
 
 def spec_with(**kw):
@@ -95,7 +100,7 @@ class TestGenerate:
             sessions_lo=5000,
             sessions_hi=5000,
         )
-        sessions = generate(spec)[0].to_records()
+        sessions = to_records(generate(spec)[0])
         counts = collections.Counter(s.domain for s in sessions)
         total = len(sessions)
         for j, name in enumerate(spec.domain_names):
@@ -113,7 +118,7 @@ class TestGenerate:
             sessions_hi=5000,
         )
         table, truth = generate(spec)
-        sessions = table.to_records()
+        sessions = to_records(table)
         assert np.allclose(truth.topic_mix, 0.5)
         counts = collections.Counter(s.domain for s in sessions)
         total = len(sessions)
@@ -124,12 +129,12 @@ class TestGenerate:
     def test_seeded_bit_identical(self):
         a_sessions, a_truth = generate(spec_with(seed=9))
         b_sessions, b_truth = generate(spec_with(seed=9))
-        assert a_sessions.to_records() == b_sessions.to_records()
+        assert to_records(a_sessions) == to_records(b_sessions)
         assert np.array_equal(a_truth.dominant, b_truth.dominant)
 
     def test_universal_domain_everywhere(self):
         spec = spec_with(universal_domain="portal.example", n_users=10)
-        sessions = generate(spec)[0].to_records()
+        sessions = to_records(generate(spec)[0])
         per_user = collections.defaultdict(set)
         for s in sessions:
             per_user[s.user_id].add(s.domain)
@@ -137,7 +142,7 @@ class TestGenerate:
 
     def test_universal_share_of_sessions(self):
         spec = spec_with(universal_domain="portal.example", sessions_lo=40, sessions_hi=40)
-        sessions = generate(spec)[0].to_records()
+        sessions = to_records(generate(spec)[0])
         per_user = collections.Counter(
             s.user_id for s in sessions if s.domain == "portal.example"
         )
@@ -213,20 +218,20 @@ class TestColumnarGenerate:
     @given(spec=specs())
     def test_matches_per_record_oracle(self, spec):
         table, truth = generate(spec)
-        records, dominant = generate_records(spec)
-        assert table.to_records() == records
+        records, dominant, log_text = generate_records(spec)
+        assert to_records(table) == records
         assert truth.dominant.tolist() == dominant
         assert len(set(table.domains)) == len(table.domains)
         with tempfile.TemporaryDirectory() as tmp:
             ours, oracle = Path(tmp) / "columns.csv", Path(tmp) / "rows.csv"
-            write_sessions_csv(table, ours)
-            write_sessions_rows(records, oracle)
+            write_sessions_csv(table, ours, truth.log_text())
+            write_sessions_rows(records, oracle, log_text)
             assert ours.read_bytes() == oracle.read_bytes()
 
     def test_universal_domain_named_like_a_topic_domain(self):
         table, _ = generate(spec_with(universal_domain="dom0001", n_users=10))
         assert table.domains.count("dom0001") == 1
-        assert table.to_records() == generate_records(spec_with(universal_domain="dom0001", n_users=10))[0]
+        assert to_records(table) == generate_records(spec_with(universal_domain="dom0001", n_users=10))[0]
 
     def test_bytes_beyond_int64_kept_exactly(self, tmp_path):
         table, _ = generate(spec_with(bytes_median=1e300, bytes_sigma=0.0))
