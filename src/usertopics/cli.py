@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__, _kernels
 from ._store import WorkspaceLocked, workspace_lock, write_json, write_rows
 from .matrix import domain_stats, matrix_sidecar, rank_domains, read_matrix, write_matrix
-from .records import DEFAULT_GAP_SECONDS, PROFILE_METRICS
+from .records import DEFAULT_GAP_SECONDS, PROFILE_METRICS, UserTable
 
 log = logging.getLogger(__name__)
 
@@ -287,25 +287,23 @@ def _run(args, profile, watch: _Stopwatch, m: int, k: int):
 
 
 def _parse_reports(args):
-    demo, tx = [], []
-    if not (args.demographics or args.transactions):
-        return demo, tx
-    from . import ingest
+    """The demographics and transactions tables, empty where not given, and
+    each given file's parse counts."""
+    tables = {"demographics": UserTable((), {}), "transactions": UserTable((), {})}
+    counts = {}
+    for name in (name for name in tables if getattr(args, name)):
+        from . import ingest
 
-    try:
-        if args.demographics:
-            path = _require_file(args.demographics, "demographics")
-            demo = ingest.parse_demographics(
-                path, delimiter=args.delimiter, fail_fast=args.fail_fast
-            ).records
-        if args.transactions:
-            path = _require_file(args.transactions, "transactions")
-            tx = ingest.parse_transactions(
-                path, delimiter=args.delimiter, fail_fast=args.fail_fast
-            ).records
-    except ingest.ParseError as exc:
-        raise DataError(str(exc)) from exc
-    return demo, tx
+        parse = {"demographics": ingest.parse_demographics,
+                 "transactions": ingest.parse_transactions}[name]
+        path = _require_file(getattr(args, name), name)
+        try:
+            report = parse(path, delimiter=args.delimiter, fail_fast=args.fail_fast)
+        except ingest.ParseError as exc:
+            raise DataError(str(exc)) from exc
+        tables[name] = report.records
+        counts[name] = {"parse_errors": report.n_errors, "parse_warnings": len(report.warnings)}
+    return tables["demographics"], tables["transactions"], counts
 
 
 def _write_reports(out_dir: Path, feature, labels, k: int, demo, tx, top_n: int):
@@ -329,7 +327,7 @@ def cmd_cluster(args) -> int:
     from . import lsa, weighting
 
     with _open_workspace(args) as (out_dir, profile, watch):
-        demo, tx = _parse_reports(args)
+        demo, tx, side_counts = _parse_reports(args)
         feature, model, features, kmeans_kw = _run(args, profile, watch, args.m, args.k)
         with watch.stage("cluster"):
             result = clus.kmeans(features, args.k, **kmeans_kw)
@@ -355,6 +353,7 @@ def cmd_cluster(args) -> int:
                 "kmeans_runs": [dataclasses.asdict(run) for run in result.runs],
                 "cluster_sizes": [int(s) for s in np.bincount(result.assignments, minlength=result.k)],
                 "labels": topics.labels,
+                **side_counts,
             },
             watch,
         )
@@ -459,7 +458,7 @@ def cmd_report(args) -> int:
     if labels.size and not 0 <= labels.min() <= labels.max() < labels.size:
         raise DataError(f"cluster ids outside [0, {labels.size}) in {assignments_path}")
     k = int(labels.max()) + 1 if labels.size else 1
-    demo, tx = _parse_reports(args)
+    demo, tx, _ = _parse_reports(args)
     with workspace_lock(out_dir):
         _write_reports(out_dir, feature, labels, k, demo, tx, args.top_n)
     print(f"reports regenerated -> {out_dir}")

@@ -12,7 +12,8 @@ Every input file goes through one chunk reader, which reads
 and with no line longer than the csv field limit, holds one csv record
 per line and is split with ``str.split``; any other chunk is read by
 ``csv.reader``, with the same fields as a result. The demographics and
-transactions parsers convert a chunk's records one by one.
+transactions parsers, the small side inputs, convert a chunk's records
+one by one and keep one row per user in a :class:`UserTable`.
 
 Session logs and raw-event logs, the large inputs, are parsed column by
 column into a :class:`SessionTable`; a raw event is a session of duration
@@ -58,10 +59,10 @@ from ._store import write_rows
 from .matrix import ProfileMatrix, csr_from_triplets
 from .records import (
     DEFAULT_GAP_SECONDS,
+    GENDERS,
     PROFILE_METRICS,
-    DemographicRecord,
     SessionRecord,
-    TransactionRecord,
+    UserTable,
     _check_domain,
     _check_user_id,
 )
@@ -101,11 +102,12 @@ class ParseError(Exception):
 class ParseReport:
     """Parsed records plus per-line errors and free-form warnings.
 
-    ``records`` is a list of records, or a :class:`SessionTable` from
-    :func:`parse_sessions` and :func:`parse_raw_events`.
+    ``records`` is a :class:`SessionTable` from :func:`parse_sessions` and
+    :func:`parse_raw_events`, or a :class:`UserTable` from
+    :func:`parse_demographics` and :func:`parse_transactions`.
     """
 
-    records: list = field(default_factory=list)
+    records: SessionTable | UserTable | None = None
     errors: list[tuple[int, str]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
@@ -248,21 +250,19 @@ def _check_width(row, columns) -> None:
         raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
 
 
-def _run_parser(source, delimiter, columns, convert, fail_fast) -> ParseReport:
-    report = ParseReport()
+def _run_parser(source, delimiter, columns, convert, fail_fast, report: ParseReport):
+    """Yield ``convert`` of each good row; a bad row's error goes to ``report``."""
     for chunk, first_line in _chunks(source, delimiter, columns):
         for pos, row in chunk.rows():
             try:
                 _check_width(row, columns)
-                record = convert(row, report)
+                value = convert(row)
             except (ValueError, OverflowError) as exc:
                 if fail_fast:
                     raise ParseError(f"line {first_line + pos}: {exc}") from exc
                 report.errors.append((first_line + pos, str(exc)))
                 continue
-            if record is not None:
-                report.records.append(record)
-    return report
+            yield value
 
 
 # --------------------------------------------------------------------------
@@ -702,10 +702,12 @@ def parse_sessions(
 
 
 def parse_demographics(source, *, delimiter: str = ",", fail_fast: bool = False) -> ParseReport:
-    """Parse user profiles; duplicate user_ids resolve last-wins with a warning."""
-    seen: dict[str, int] = {}
+    """Parse user profiles into a :class:`UserTable` with a ``gender``
+    column of indices into GENDERS and a ``birth_year`` column, 0 where none
+    is given. ``enrol_year`` and ``degree_type`` are checked but not kept.
+    A duplicate user_id resolves last-wins with a warning."""
 
-    def convert(row, report):
+    def convert(row):
         user_id = row[0].strip()
         gender = row[1].strip().lower() or "unknown"
         birth_year = int(row[2]) if row[2].strip() else None
@@ -713,55 +715,68 @@ def parse_demographics(source, *, delimiter: str = ",", fail_fast: bool = False)
             BIRTH_YEAR_RANGE[0] <= birth_year <= BIRTH_YEAR_RANGE[1]
         ):
             raise ValueError(f"birth_year {birth_year} outside plausible range")
-        record = DemographicRecord(
-            user_id=user_id,
-            gender=gender,
-            birth_year=birth_year,
-            enrol_year=int(row[3]) if row[3].strip() else None,
-            degree_type=row[4].strip() or None,
-        )
-        if user_id in seen:
+        if row[3].strip():
+            int(row[3])  # enrol_year
+        if gender not in GENDERS:
+            raise ValueError(f"unknown gender value: {gender!r}")
+        _check_user_id(user_id)
+        return user_id, (GENDERS.index(gender), birth_year or 0)
+
+    report = ParseReport()
+    rows: dict[str, tuple[int, int]] = {}
+    for user_id, values in _run_parser(
+        source, delimiter, DEMOGRAPHIC_COLUMNS, convert, fail_fast, report
+    ):
+        if user_id in rows:
             msg = f"duplicate user_id {user_id!r}: keeping the last row"
             report.warnings.append(msg)
             log.warning(msg)
-            report.records[seen[user_id]] = record
-            return None
-        seen[user_id] = len(report.records)
-        return record
-
-    return _run_parser(source, delimiter, DEMOGRAPHIC_COLUMNS, convert, fail_fast)
+        rows[user_id] = values
+    users = tuple(sorted(rows))
+    columns = np.array([rows[user] for user in users], dtype=np.int64).reshape(len(users), 2)
+    report.records = UserTable(users, {"gender": columns[:, 0], "birth_year": columns[:, 1]})
+    return report
 
 
 def parse_transactions(
     source, *, delimiter: str = ",", fail_fast: bool = False
 ) -> ParseReport:
-    """Parse campus-card transactions.
+    """Parse campus-card transactions into a :class:`UserTable` with an
+    ``amount`` column: each user's total, summed with math.fsum, so it does
+    not depend on the rows' order. Timestamps are checked but not kept.
 
     A user's total amount, or the total over all users, beyond the float64
     range raises ParseError (naming the user, the first in user_id order),
     so no report sums to inf.
     """
 
-    def convert(row, _report):
-        return TransactionRecord(
-            user_id=row[0].strip(),
-            timestamp=parse_timestamp(row[1]),
-            amount=float(row[2]),
-        )
+    def convert(row):
+        user_id = row[0].strip()
+        parse_timestamp(row[1])
+        amount = float(row[2])
+        if not math.isfinite(amount):
+            raise ValueError(f"non-finite amount: {amount}")
+        if amount < 0:
+            raise ValueError(f"negative amount: {amount}")
+        _check_user_id(user_id)
+        return user_id, amount
 
-    report = _run_parser(source, delimiter, TRANSACTION_COLUMNS, convert, fail_fast)
-    by_user: dict[str, list[float]] = {}
-    for t in report.records:
-        by_user.setdefault(t.user_id, []).append(t.amount)
-    for user_id in sorted(by_user):
-        _check_total(by_user[user_id], f"amount total of user {user_id!r}")
-    _check_total([t.amount for t in report.records], "amount total over all users")
+    report = ParseReport()
+    amounts: dict[str, list[float]] = {}
+    for user_id, amount in _run_parser(
+        source, delimiter, TRANSACTION_COLUMNS, convert, fail_fast, report
+    ):
+        amounts.setdefault(user_id, []).append(amount)
+    users = tuple(sorted(amounts))
+    totals = [_total(amounts[user], f"amount total of user {user!r}") for user in users]
+    _total(itertools.chain.from_iterable(amounts.values()), "amount total over all users")
+    report.records = UserTable(users, {"amount": np.array(totals, dtype=np.float64)})
     return report
 
 
-def _check_total(values, what: str) -> None:
+def _total(values, what: str) -> float:
     try:
-        math.fsum(values)
+        return math.fsum(values)
     except OverflowError:
         raise ParseError(f"{what} is beyond the float64 range") from None
 

@@ -1,4 +1,5 @@
-"""Record types shared across the pipeline."""
+"""Record types shared across the pipeline: one checked session, and the
+per-user columns of a side input."""
 
 from __future__ import annotations
 
@@ -6,7 +7,10 @@ import math
 import re
 from dataclasses import dataclass
 
-GENDERS = frozenset({"male", "female", "unknown"})
+import numpy as np
+
+# a UserTable's gender column holds indices into GENDERS
+GENDERS = ("male", "female", "unknown")
 
 # per-session values a profile cell can sum, and the sessionization gap; the
 # command-line parser reads both without importing the ingest stage
@@ -69,33 +73,25 @@ class SessionRecord:
         _check_user_id(self.user_id)
 
 
-@dataclass(frozen=True)
-class DemographicRecord:
-    """Profile row for one user; optional fields are None when absent."""
+@dataclass(frozen=True, eq=False)
+class UserTable:
+    """Per-user columns of a side input: row i of each column belongs to
+    ``users[i]``, and ``users`` are sorted and unique. A table with no
+    users may hold no columns."""
 
-    user_id: str
-    gender: str
-    birth_year: int | None = None
-    enrol_year: int | None = None
-    degree_type: str | None = None
+    users: tuple[str, ...]
+    columns: dict[str, np.ndarray]
 
-    def __post_init__(self):
-        if self.gender not in GENDERS:
-            raise ValueError(f"unknown gender value: {self.gender!r}")
-        _check_user_id(self.user_id)
-
-
-@dataclass(frozen=True)
-class TransactionRecord:
-    """One campus-card transaction."""
-
-    user_id: str
-    timestamp: int  # epoch seconds, UTC
-    amount: float  # non-negative, RMB
-
-    def __post_init__(self):
-        if not math.isfinite(self.amount):
-            raise ValueError(f"non-finite amount: {self.amount}")
-        if self.amount < 0:
-            raise ValueError(f"negative amount: {self.amount}")
-        _check_user_id(self.user_id)
+    def lookup(self, name: str, user_ids, missing) -> np.ndarray:
+        """Column ``name`` at each of ``user_ids``; ``missing`` for a user
+        with no row. Ids compare as Python strings (an object array keeps a
+        trailing NUL that a fixed-width string array drops)."""
+        users = np.array(self.users, dtype=object)
+        keys = np.array(user_ids, dtype=object)
+        pos = np.searchsorted(users, keys)
+        found = pos < users.size
+        found[found] = users[pos[found]] == keys[found]
+        out = np.full(keys.size, missing)
+        if found.any():
+            out[found] = self.columns[name][pos[found]]
+        return out

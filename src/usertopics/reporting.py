@@ -7,7 +7,6 @@ report on identical inputs is bit-identical.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from ._store import write_json, write_rows
 from .matrix import FeatureMatrix
-from .records import DemographicRecord, TransactionRecord
+from .records import GENDERS, UserTable
 
 
 def _fmt(x: float) -> str:
@@ -82,15 +81,8 @@ class GenderReport:
     overall_fraction: float | None
 
 
-def _gender_map(demographics) -> dict[str, str]:
-    mapping: dict[str, str] = {}
-    for rec in demographics:
-        mapping[rec.user_id] = rec.gender
-    return mapping
-
-
 def gender_breakdown(
-    labels: np.ndarray, k: int, user_ids, demographics: list[DemographicRecord]
+    labels: np.ndarray, k: int, user_ids, demographics: UserTable
 ) -> GenderReport:
     """Male fraction per cluster and overall.
 
@@ -98,18 +90,9 @@ def gender_breakdown(
     excluded from the fraction denominator and reported separately. A
     cluster with no known genders gets fraction None, not zero.
     """
-    genders = _gender_map(demographics)
-    males = np.zeros(k, dtype=np.int64)
-    females = np.zeros(k, dtype=np.int64)
-    unknown = np.zeros(k, dtype=np.int64)
-    for uid, lab in zip(user_ids, labels):
-        g = genders.get(uid, "unknown")
-        if g == "male":
-            males[lab] += 1
-        elif g == "female":
-            females[lab] += 1
-        else:
-            unknown[lab] += 1
+    codes = demographics.lookup("gender", user_ids, GENDERS.index("unknown"))
+    counts = np.bincount(codes * k + labels, minlength=len(GENDERS) * k)
+    males, females, unknown = counts.reshape(len(GENDERS), k)
     fractions: list[float | None] = []
     for g in range(k):
         known = males[g] + females[g]
@@ -133,23 +116,17 @@ class BirthYearReport:
 
 
 def birth_year_distribution(
-    labels: np.ndarray, k: int, user_ids, demographics: list[DemographicRecord]
+    labels: np.ndarray, k: int, user_ids, demographics: UserTable
 ) -> BirthYearReport:
     """Counts per (cluster, birth year); missing years are excluded."""
-    by_user = {rec.user_id: rec.birth_year for rec in demographics}
-    pairs = [
-        (int(lab), by_user[uid])
-        for uid, lab in zip(user_ids, labels)
-        if by_user.get(uid) is not None
-    ]
-    years = tuple(sorted({year for _, year in pairs}))
-    pos = {y: i for i, y in enumerate(years)}
-    counts = np.zeros((k, len(years)), dtype=np.int64)
-    for lab, year in pairs:
-        counts[lab, pos[year]] += 1
+    years = demographics.lookup("birth_year", user_ids, 0)
+    given = years != 0
+    values, pos = np.unique(years[given], return_inverse=True)
+    counts = np.bincount(labels[given] * values.size + pos, minlength=k * values.size)
+    counts = counts.reshape(k, values.size)
     row_totals = counts.sum(axis=1)
     normalized = counts / np.maximum(row_totals, 1)[:, None]
-    return BirthYearReport(years=years, counts=counts, normalized=normalized)
+    return BirthYearReport(years=tuple(values.tolist()), counts=counts, normalized=normalized)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,19 +138,14 @@ class SpendReport:
 
 
 def spend_distribution(
-    labels: np.ndarray, k: int, user_ids, transactions: list[TransactionRecord]
+    labels: np.ndarray, k: int, user_ids, transactions: UserTable
 ) -> SpendReport:
     """Per-user total spend histogrammed and averaged per cluster.
 
-    Users without transactions count as total 0. A user's amounts are summed
-    with math.fsum, so the totals do not depend on the transactions' order.
-    Ten equal-width bins span [0, max total] (the last bin is closed so
-    every total lands somewhere).
+    Users without transactions count as total 0. Ten equal-width bins span
+    [0, max total] (the last bin is closed so every total lands somewhere).
     """
-    spent: dict[str, list[float]] = {}
-    for t in transactions:
-        spent.setdefault(t.user_id, []).append(t.amount)
-    totals = np.array([math.fsum(spent.get(uid, ())) for uid in user_ids])
+    totals = transactions.lookup("amount", user_ids, 0.0)
     top = float(totals.max()) if totals.size and totals.max() > 0 else 1.0
     edges = np.linspace(0.0, top, 11)
     n_bins = edges.size - 1

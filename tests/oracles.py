@@ -2,7 +2,7 @@
 
 Everything here is deliberately naive: scalar arithmetic, exhaustive
 enumeration, pair counting, one record per row. None of it shares code
-with the package beyond the record types, the scalar helpers
+with the package beyond the record and report types, the scalar helpers
 ``parse_timestamp`` and ``normalize_domain``, and the constants (the
 ``*_COLUMNS`` schemas and ``synth._BASE_EPOCH``). The decoding, comparison
 and recovery helpers at the end serve only the tests.
@@ -239,15 +239,39 @@ def parse_sessions_rows(source, *, delimiter=",", fail_fast=False, truncate_doma
     return _rows_parser(source, delimiter, SESSION_COLUMNS, convert, fail_fast)
 
 
+@dataclass(frozen=True)
+class DemographicRow:
+    """One accepted demographics row; optional fields are None when absent."""
+
+    user_id: str
+    gender: str
+    birth_year: int | None
+    enrol_year: int | None
+    degree_type: str | None
+
+
+@dataclass(frozen=True)
+class TransactionRow:
+    """One accepted transactions row."""
+
+    user_id: str
+    timestamp: int
+    amount: float
+
+
+GENDER_NAMES = ("male", "female", "unknown")
+
+
 def parse_side_rows(columns, source, *, delimiter=",", fail_fast=False, truncate_domains=False):
     """Row-by-row demographics, transactions or raw-event parser, picked by
     ``columns``: (records, errors, warnings).
 
     The reference for ``ingest.parse_demographics`` (a repeated user_id
     replaces the earlier record with a warning), ``parse_transactions`` (an
-    amount total beyond float64, per user or over all users, raises
-    ParseError) and ``parse_raw_events`` (each event a SessionRecord of
-    duration 0).
+    amount total beyond float64, per user in user_id order or over all
+    users, raises ParseError) and ``parse_raw_events`` (each event a
+    SessionRecord of duration 0). Side rows become a ``DemographicRow`` or
+    a ``TransactionRow``; :func:`side_table` reduces them per user.
     """
     from usertopics.ingest import (
         DEMOGRAPHIC_COLUMNS,
@@ -256,7 +280,7 @@ def parse_side_rows(columns, source, *, delimiter=",", fail_fast=False, truncate
         normalize_domain,
         parse_timestamp,
     )
-    from usertopics.records import DemographicRecord, SessionRecord, TransactionRecord
+    from usertopics.records import SessionRecord
 
     def optional_int(text):
         return int(text) if text.strip() else None
@@ -266,15 +290,25 @@ def parse_side_rows(columns, source, *, delimiter=",", fail_fast=False, truncate
             birth_year = optional_int(row[2])
             if birth_year is not None and not 1900 <= birth_year <= 2100:
                 raise ValueError(f"birth_year {birth_year} outside plausible range")
-            return DemographicRecord(row[0].strip(), row[1].strip().lower() or "unknown",
-                                     birth_year, optional_int(row[3]), row[4].strip() or None)
-        if columns == TRANSACTION_COLUMNS:
-            return TransactionRecord(row[0].strip(), parse_timestamp(row[1]), float(row[2]))
-        # a raw event: fields converted in file order, then a session of duration 0
-        user_id, timestamp, domain, nbytes, requests = (
-            row[0].strip(), parse_timestamp(row[1]),
-            normalize_domain(row[2], truncate=truncate_domains), int(row[3]), int(row[4]))
-        return SessionRecord(user_id, timestamp, 0.0, domain, requests, nbytes)
+            record = DemographicRow(row[0].strip(), row[1].strip().lower() or "unknown",
+                                    birth_year, optional_int(row[3]), row[4].strip() or None)
+            if record.gender not in GENDER_NAMES:
+                raise ValueError(f"unknown gender value: {record.gender!r}")
+        elif columns == TRANSACTION_COLUMNS:
+            record = TransactionRow(row[0].strip(), parse_timestamp(row[1]), float(row[2]))
+            if not math.isfinite(record.amount):
+                raise ValueError(f"non-finite amount: {record.amount}")
+            if record.amount < 0:
+                raise ValueError(f"negative amount: {record.amount}")
+        else:
+            # a raw event: fields converted in file order, then a session of duration 0
+            user_id, timestamp, domain, nbytes, requests = (
+                row[0].strip(), parse_timestamp(row[1]),
+                normalize_domain(row[2], truncate=truncate_domains), int(row[3]), int(row[4]))
+            return SessionRecord(user_id, timestamp, 0.0, domain, requests, nbytes)
+        if not record.user_id.strip():
+            raise ValueError("empty user_id")
+        return record
 
     records, errors = _rows_parser(source, delimiter, columns, convert, fail_fast)
     warnings = []
@@ -289,7 +323,7 @@ def parse_side_rows(columns, source, *, delimiter=",", fail_fast=False, truncate
         by_user = {}
         for t in records:
             by_user.setdefault(t.user_id, []).append(t.amount)
-        sums = [(f"amount total of user {user!r}", a) for user, a in by_user.items()]
+        sums = [(f"amount total of user {user!r}", a) for user, a in sorted(by_user.items())]
         sums.append(("amount total over all users", [t.amount for t in records]))
         for what, amounts in sums:
             try:
@@ -297,6 +331,98 @@ def parse_side_rows(columns, source, *, delimiter=",", fail_fast=False, truncate
             except OverflowError:
                 raise ParseError(f"{what} is beyond the float64 range") from None
     return records, errors, warnings
+
+
+def side_table(columns, records):
+    """The UserTable that parse_demographics or parse_transactions (picked
+    by ``columns``) keeps of the records ``parse_side_rows`` accepts: one row
+    per user, users sorted; a gender index into GENDER_NAMES and a birth
+    year (0 for none), or the math.fsum total of the user's amounts."""
+    from usertopics.ingest import DEMOGRAPHIC_COLUMNS
+    from usertopics.records import UserTable
+
+    if columns == DEMOGRAPHIC_COLUMNS:
+        last = {r.user_id: r for r in records}
+        users = sorted(last)
+        return UserTable(tuple(users), {
+            "gender": np.array([GENDER_NAMES.index(last[u].gender) for u in users],
+                               dtype=np.int64),
+            "birth_year": np.array([last[u].birth_year or 0 for u in users], dtype=np.int64),
+        })
+    amounts = {}
+    for t in records:
+        amounts.setdefault(t.user_id, []).append(t.amount)
+    users = sorted(amounts)
+    totals = [math.fsum(amounts[u]) for u in users]
+    return UserTable(tuple(users), {"amount": np.array(totals, dtype=np.float64)})
+
+
+def gender_breakdown_join(labels, k, user_ids, demographics):
+    """reporting.gender_breakdown over DemographicRows, joined through a dict."""
+    from usertopics.reporting import GenderReport
+
+    genders = {rec.user_id: rec.gender for rec in demographics}
+    males = np.zeros(k, dtype=np.int64)
+    females = np.zeros(k, dtype=np.int64)
+    unknown = np.zeros(k, dtype=np.int64)
+    for uid, lab in zip(user_ids, labels):
+        g = genders.get(uid, "unknown")
+        if g == "male":
+            males[lab] += 1
+        elif g == "female":
+            females[lab] += 1
+        else:
+            unknown[lab] += 1
+    fractions = []
+    for g in range(k):
+        known = males[g] + females[g]
+        fractions.append(float(males[g] / known) if known else None)
+    total_known = int(males.sum() + females.sum())
+    overall = float(males.sum() / total_known) if total_known else None
+    return GenderReport(males=males, females=females, unknown=unknown, fractions=fractions,
+                        overall_fraction=overall)
+
+
+def birth_year_distribution_join(labels, k, user_ids, demographics):
+    """reporting.birth_year_distribution over DemographicRows, joined through a dict."""
+    from usertopics.reporting import BirthYearReport
+
+    by_user = {rec.user_id: rec.birth_year for rec in demographics}
+    pairs = [
+        (int(lab), by_user[uid])
+        for uid, lab in zip(user_ids, labels)
+        if by_user.get(uid) is not None
+    ]
+    years = tuple(sorted({year for _, year in pairs}))
+    pos = {y: i for i, y in enumerate(years)}
+    counts = np.zeros((k, len(years)), dtype=np.int64)
+    for lab, year in pairs:
+        counts[lab, pos[year]] += 1
+    row_totals = counts.sum(axis=1)
+    normalized = counts / np.maximum(row_totals, 1)[:, None]
+    return BirthYearReport(years=years, counts=counts, normalized=normalized)
+
+
+def spend_distribution_join(labels, k, user_ids, transactions):
+    """reporting.spend_distribution over TransactionRows, joined through a
+    dict and summed per user with math.fsum."""
+    from usertopics.reporting import SpendReport
+
+    spent = {}
+    for t in transactions:
+        spent.setdefault(t.user_id, []).append(t.amount)
+    totals = np.array([math.fsum(spent.get(uid, ())) for uid in user_ids])
+    top = float(totals.max()) if totals.size and totals.max() > 0 else 1.0
+    edges = np.linspace(0.0, top, 11)
+    n_bins = edges.size - 1
+    pos = np.clip(np.searchsorted(edges, totals, side="right") - 1, 0, n_bins - 1)
+    counts = np.zeros((k, n_bins), dtype=np.int64)
+    np.add.at(counts, (labels, pos), 1)
+    sums = np.zeros(k)
+    np.add.at(sums, labels, totals)
+    sizes = np.bincount(labels, minlength=k)
+    means = sums / np.maximum(sizes, 1)
+    return SpendReport(edges=edges, counts=counts, means=means, totals=totals)
 
 
 def profile_oracle(sessions, metric="bytes"):

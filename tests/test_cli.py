@@ -410,6 +410,24 @@ class TestClusterCommand:
         assert min(r["inertia"] for r in runs) == results["inertia"]
         assert results["iterations_run"] in [r["iterations"] for r in runs]
 
+    def test_manifest_counts_side_file_rejections(self, tmp_path, ingested_ws):
+        demo = tmp_path / "demo.csv"
+        demo.write_text("user_id,gender,birth_year,enrol_year,degree_type\n"
+                        "u00000,male,1995,,\nu00001,other,1995,,\nu00000,female,1996,,\n")
+        tx = tmp_path / "tx.csv"
+        tx.write_text("user_id,timestamp,amount\n"
+                      "u00000,2014-09-01T00:00:00Z,12.5\nu00001,2014-09-01T00:00:00Z,-1\n")
+        argv = ["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4]
+        assert run([*argv, "--demographics", demo, "--transactions", tx]) == 0
+        results = json.loads((ingested_ws / "manifest.json").read_text())["results"]
+        assert results["demographics"] == {"parse_errors": 1, "parse_warnings": 1}
+        assert results["transactions"] == {"parse_errors": 1, "parse_warnings": 0}
+        gender = json.loads((ingested_ws / "summary.json").read_text())["gender"]
+        assert gender["overall_male_fraction"] == 0.0  # u00000's last row: female
+        assert run(argv) == 0
+        results = json.loads((ingested_ws / "manifest.json").read_text())["results"]
+        assert "demographics" not in results and "transactions" not in results
+
     def test_manifest_stop_reason_max_iter(self, ingested_ws):
         argv = ["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4,
                 "--restarts", 2, "--max-iter", 0]

@@ -18,6 +18,7 @@ from usertopics.ingest import (
     sessionize,
     write_sessions_csv,
 )
+from usertopics.records import GENDERS
 
 import oracles
 from helpers import make_event, make_session, session_table
@@ -143,7 +144,7 @@ class TestRejectedValues:
     )
     def test_blank_user_id_in_other_parsers(self, parse, text):
         rep = parse(io.StringIO(text))
-        assert rep.errors == [(2, "empty user_id")] and len(rep.records) == 0
+        assert rep.errors == [(2, "empty user_id")] and rep.records.users == ()
 
     @pytest.mark.parametrize("char", ["\x00", "\x7f", "\x9f"])
     def test_control_character_in_domain(self, char):
@@ -158,72 +159,93 @@ class TestRejectedValues:
         assert rep.errors == [(2, message)]
 
 
+DEMO_HEADER = "user_id,gender,birth_year,enrol_year,degree_type\n"
+TX_HEADER = "user_id,timestamp,amount\n"
+
+
+def genders(table):
+    return [GENDERS[code] for code in table.columns["gender"].tolist()]
+
+
 class TestParseDemographics:
     def test_field_mapping(self):
-        rep = parse_demographics(
-            io.StringIO(
-                "user_id,gender,birth_year,enrol_year,degree_type\n"
-                "u1,male,1995,2013,undergraduate\n"
-            )
-        )
-        assert len(rep.records) == 1
-        rec = rep.records[0]
-        assert rec.birth_year == 1995 and rec.gender == "male"
+        rep = parse_demographics(io.StringIO(DEMO_HEADER + "u1,male,1995,2013,undergraduate\n"))
+        assert rep.records.users == ("u1",)
+        assert rep.records.columns["birth_year"].tolist() == [1995]
+        assert genders(rep.records) == ["male"]
 
     def test_duplicate_last_wins(self):
         rep = parse_demographics(
-            io.StringIO(
-                "user_id,gender,birth_year,enrol_year,degree_type\n"
-                "u1,male,1995,2013,u\n"
-                "u1,female,1996,2013,u\n"
-            )
+            io.StringIO(DEMO_HEADER + "u1,male,1995,2013,u\n" + "u1,female,1996,2013,u\n")
         )
-        assert len(rep.records) == 1
-        assert rep.records[0].gender == "female"
-        assert len(rep.warnings) == 1
+        assert rep.records.users == ("u1",)
+        assert genders(rep.records) == ["female"]
+        assert rep.records.columns["birth_year"].tolist() == [1996]
+        assert rep.warnings == ["duplicate user_id 'u1': keeping the last row"]
 
     def test_implausible_birth_year(self):
-        rep = parse_demographics(
-            io.StringIO(
-                "user_id,gender,birth_year,enrol_year,degree_type\nu1,male,1492,,\n"
-            )
-        )
-        assert rep.records == []
+        rep = parse_demographics(io.StringIO(DEMO_HEADER + "u1,male,1492,,\n"))
+        assert rep.records.users == ()
         assert rep.n_errors == 1
 
+    def test_birth_year_zero_and_unknown_gender_rejected(self):
+        rep = parse_demographics(io.StringIO(DEMO_HEADER + "u1,male,0,,\nu2,other,1995,,\n"))
+        assert rep.records.users == ()
+        assert rep.errors == [(2, "birth_year 0 outside plausible range"),
+                              (3, "unknown gender value: 'other'")]
+
     def test_missing_fields_become_none(self):
-        rep = parse_demographics(
-            io.StringIO("user_id,gender,birth_year,enrol_year,degree_type\nu1,,,,\n")
-        )
-        rec = rep.records[0]
-        assert rec.gender == "unknown"
-        assert rec.birth_year is None and rec.degree_type is None
+        # no gender reads "unknown"; no birth year is stored as 0
+        rep = parse_demographics(io.StringIO(DEMO_HEADER + "u1,,,,\n"))
+        assert genders(rep.records) == ["unknown"]
+        assert rep.records.columns["birth_year"].tolist() == [0]
+
+    def test_columns_sorted_by_user(self):
+        rep = parse_demographics(io.StringIO(
+            DEMO_HEADER + "u2,female,1996,,\nu1\x00,male,,,\nu1,male,1990,,\nu10,,2001,,\n"))
+        assert rep.records.users == ("u1", "u1\x00", "u10", "u2")
+        assert genders(rep.records) == ["male", "male", "unknown", "female"]
+        assert rep.records.columns["birth_year"].tolist() == [1990, 0, 2001, 1996]
 
 
 class TestParseTransactions:
     def test_amount(self):
-        rep = parse_transactions(
-            io.StringIO("user_id,timestamp,amount\nu1,2014-09-01T10:00:00Z,12.50\n")
-        )
-        assert rep.records[0].amount == 12.5
+        rep = parse_transactions(io.StringIO(TX_HEADER + "u1,2014-09-01T10:00:00Z,12.50\n"))
+        assert rep.records.users == ("u1",)
+        assert rep.records.columns["amount"].tolist() == [12.5]
 
     def test_empty(self):
-        rep = parse_transactions(io.StringIO("user_id,timestamp,amount\n"))
-        assert rep.records == []
+        rep = parse_transactions(io.StringIO(TX_HEADER))
+        assert rep.records.users == ()
+        assert rep.records.columns["amount"].dtype == np.float64
+        assert rep.records.columns["amount"].size == 0
 
     def test_negative_amount_error(self):
-        rep = parse_transactions(
-            io.StringIO("user_id,timestamp,amount\nu1,2014-09-01T10:00:00Z,-1\n")
-        )
-        assert rep.records == [] and rep.n_errors == 1
+        rep = parse_transactions(io.StringIO(TX_HEADER + "u1,2014-09-01T10:00:00Z,-1\n"))
+        assert rep.records.users == () and rep.n_errors == 1
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_amount_error(self, value):
-        rep = parse_transactions(
-            io.StringIO(f"user_id,timestamp,amount\nu1,2014-09-01T10:00:00Z,{value}\n")
-        )
-        assert rep.records == [] and rep.n_errors == 1
+        rep = parse_transactions(io.StringIO(TX_HEADER + f"u1,2014-09-01T10:00:00Z,{value}\n"))
+        assert rep.records.users == () and rep.n_errors == 1
         assert "non-finite amount" in rep.errors[0][1]
+
+    def test_totals_independent_of_transaction_order(self, rng):
+        # two-decimal amounts, whose running + sums differ by order in the last bits
+        users = [f"u{i}" for i in range(6)]
+        rows = [f"{u},2014-09-01T10:00:00Z,{round(float(a), 2)!r}\n"
+                for u in users for a in rng.gamma(2.0, 7.5, size=12)]
+        want = parse_transactions(io.StringIO(TX_HEADER + "".join(rows))).records
+        assert want.users == tuple(users)
+        assert want.columns["amount"].tolist() == [
+            math.fsum(float(r.split(",")[2]) for r in rows if r.startswith(f"{u},"))
+            for u in users
+        ]
+        for _ in range(50):
+            shuffled = "".join(rows[i] for i in rng.permutation(len(rows)))
+            got = parse_transactions(io.StringIO(TX_HEADER + shuffled)).records
+            assert got.users == want.users
+            assert got.columns["amount"].tobytes() == want.columns["amount"].tobytes()
 
     @pytest.mark.parametrize(
         "users, message",

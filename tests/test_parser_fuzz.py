@@ -1,7 +1,8 @@
 """Mangled rows for the demographics, transactions and raw-event parsers.
 
-Every data row must end as a record, a counted error (or, for
-demographics, a counted duplicate) or a ParseError for the whole input;
+Every data row must end as a record (for the side inputs, a user's row or
+a share of a user's total), a counted error (or, for demographics, a
+counted duplicate) or a ParseError for the whole input;
 no other exception may escape. Raw events go on through sessionize and
 build_profile_matrix, whose sums may only fail with a data error. The
 parsers read their files in chunks; they must give what a row-by-row
@@ -29,7 +30,7 @@ from usertopics.ingest import (
 )
 
 from helpers import field_size_limit, text_stream, write_row
-from oracles import parse_side_rows, to_records
+from oracles import parse_side_rows, side_table, to_records
 
 # values that are bad, odd or borderline in at least one column
 TOKENS = (
@@ -87,14 +88,20 @@ def _parse(parse, text):
 def test_demographics_rows_all_accounted_for(text):
     report = _parse(parse_demographics, text)
     if report is not None:
-        assert len(report.records) + report.n_errors + len(report.warnings) == _data_rows(text)
+        n_users = len(report.records.users)
+        assert n_users + report.n_errors + len(report.warnings) == _data_rows(text)
 
 
 @given(mangled_logs(TRANSACTION_COLUMNS))
 def test_transactions_rows_all_accounted_for(text):
+    # the table keeps per-user totals, not rows: the rows the reference
+    # accepts must be the ones not counted as errors, and sum to the totals
     report = _parse(parse_transactions, text)
     if report is not None:
-        assert len(report.records) + report.n_errors == _data_rows(text)
+        accepted, _, _ = parse_side_rows(TRANSACTION_COLUMNS, io.StringIO(text))
+        assert len(accepted) + report.n_errors == _data_rows(text)
+        assert table_bytes(report.records) == table_bytes(
+            side_table(TRANSACTION_COLUMNS, accepted))
 
 
 @given(mangled_logs(RAW_EVENT_COLUMNS), st.sampled_from(["bytes", "requests", "session_count"]))
@@ -148,6 +155,11 @@ def side_logs(draw, columns):
     return out.getvalue(), delimiter
 
 
+def table_bytes(table):
+    """A UserTable's users and each column as (dtype, bytes)."""
+    return table.users, {name: (col.dtype.str, col.tobytes()) for name, col in table.columns.items()}
+
+
 def _outcome(parse, text, newline):
     """What ``parse`` returns for a stream over ``text``, or its ParseError message."""
     try:
@@ -171,16 +183,30 @@ def test_chunked_parse_matches_row_by_row_reader(columns, data, chunk_rows, fail
 
     def chunked(stream):
         report = PARSERS[columns](stream, **options)
-        records = report.records
         if columns == RAW_EVENT_COLUMNS:
-            records = to_records(records)
-        return records, report.errors, report.warnings
+            return to_records(report.records), report.errors, report.warnings
+        return table_bytes(report.records), report.errors, report.warnings
+
+    def row_by_row(stream):
+        records, errors, warnings = parse_side_rows(columns, stream, **options)
+        if columns == RAW_EVENT_COLUMNS:
+            return records, errors, warnings
+        return table_bytes(side_table(columns, records)), errors, warnings
 
     with field_size_limit(limit or csv.field_size_limit()):
         with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
             got = _outcome(chunked, text, newline)
-        want = _outcome(lambda stream: parse_side_rows(columns, stream, **options), text, newline)
+        want = _outcome(row_by_row, text, newline)
     assert got == want
+
+
+def test_overflowing_users_named_in_user_id_order():
+    # u3's rows come first, but u1 is the first overflowing user in user_id order
+    text = "user_id,timestamp,amount\n" + "".join(
+        f"{u},2014-09-01T10:00:00Z,1e308\n" for u in ("u3", "u3", "u1", "u1"))
+    message = "amount total of user 'u1' is beyond the float64 range"
+    assert _outcome(parse_transactions, text, "") == message
+    assert _outcome(lambda s: parse_side_rows(TRANSACTION_COLUMNS, s), text, "") == message
 
 
 def test_quoted_record_across_chunks_then_a_field_over_the_limit():
@@ -197,7 +223,9 @@ def test_quoted_record_across_chunks_then_a_field_over_the_limit():
             report = parse_transactions(text_stream(text))
             with field_size_limit(60):
                 over_limit = _outcome(parse_transactions, text, "")
-        assert [t.user_id for t in report.records] == ["u1", "u\r\n2", "u1"]
+        # accepted: records 2 and 5 of u1, and record 3
+        assert report.records.users == ("u\r\n2", "u1")
+        assert report.records.columns["amount"].tolist() == [12.5, 25.0]
         assert [line for line, _ in report.errors] == [4, 6]
         assert report.errors[0] == (4, "negative amount: -1.0")
         assert over_limit == "line 6: field larger than field limit (60)"

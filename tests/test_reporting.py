@@ -1,12 +1,19 @@
-import math
+import csv
+import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from usertopics.clustering import kmeans
-from usertopics.ingest import build_profile_matrix
+from usertopics.ingest import (
+    DEMOGRAPHIC_COLUMNS,
+    TRANSACTION_COLUMNS,
+    build_profile_matrix,
+    parse_demographics,
+    parse_transactions,
+)
 from usertopics.lsa import truncated_svd, user_features
-from usertopics.records import DemographicRecord, TransactionRecord
 from usertopics.reporting import (
     birth_year_distribution,
     cluster_topics,
@@ -17,7 +24,13 @@ from usertopics.reporting import (
 from usertopics.synth import SynthSpec, disjoint_topic_word, generate
 from usertopics.weighting import row_normalize, tfidf
 
-from oracles import dense_to_feature
+from oracles import (
+    birth_year_distribution_join,
+    dense_to_feature,
+    gender_breakdown_join,
+    parse_side_rows,
+    spend_distribution_join,
+)
 
 
 def labels_and_k(labels, k=None):
@@ -100,14 +113,20 @@ class TestClusterTopics:
         assert top_domain_union(rep) == ["d0000", "d0001"]
 
 
-DEMO = [
-    DemographicRecord("u0", "male", 1995),
-    DemographicRecord("u1", "male", 1995),
-    DemographicRecord("u2", "female", 1996),
-    DemographicRecord("u3", "female"),
-    DemographicRecord("u4", "male", 1990),
-    DemographicRecord("u5", "unknown"),
-]
+def side_text(columns, rows):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([columns, *rows])
+    return out.getvalue()
+
+
+DEMO = parse_demographics(io.StringIO(side_text(DEMOGRAPHIC_COLUMNS, [
+    ("u0", "male", "1995", "", ""),
+    ("u1", "male", "1995", "", ""),
+    ("u2", "female", "1996", "", ""),
+    ("u3", "female", "", "", ""),
+    ("u4", "male", "1990", "", ""),
+    ("u5", "unknown", "", "", ""),
+]))).records
 
 
 class TestGenderBreakdown:
@@ -145,11 +164,11 @@ class TestBirthYears:
         assert np.allclose(rep.normalized.sum(axis=1), [1.0, 1.0])
 
 
-TX = [
-    TransactionRecord("u0", 0, 10.0),
-    TransactionRecord("u0", 1, 15.0),
-    TransactionRecord("u2", 2, 40.0),
-]
+TX = parse_transactions(io.StringIO(side_text(TRANSACTION_COLUMNS, [
+    ("u0", "1970-01-01T00:00:00Z", "10.0"),
+    ("u0", "1970-01-01T00:00:01Z", "15.0"),
+    ("u2", "1970-01-01T00:00:02Z", "40.0"),
+]))).records
 
 
 class TestSpend:
@@ -165,18 +184,6 @@ class TestSpend:
         rep = spend_distribution(np.array([0, 1, 0]), 2, ["u0", "u2", "unseen"], TX)
         assert rep.counts.sum(axis=1).tolist() == [2, 1]
 
-    def test_totals_independent_of_transaction_order(self, rng):
-        # two-decimal amounts, whose running + sums differ by order in the last bits
-        users = [f"u{i}" for i in range(6)]
-        tx = [TransactionRecord(u, 0, round(float(a), 2))
-              for u in users for a in rng.gamma(2.0, 7.5, size=12)]
-        labels = np.zeros(len(users), dtype=np.int64)
-        want = spend_distribution(labels, 1, users, tx).totals
-        assert want.tolist() == [math.fsum(t.amount for t in tx if t.user_id == u) for u in users]
-        for _ in range(50):
-            shuffled = [tx[i] for i in rng.permutation(len(tx))]
-            assert spend_distribution(labels, 1, users, shuffled).totals.tobytes() == want.tobytes()
-
 
 class TestDeterminism:
     def test_reports_bit_identical(self, rng):
@@ -187,3 +194,59 @@ class TestDeterminism:
         b = cluster_topics(f, labels, 3)
         assert np.array_equal(a.mean_weights, b.mean_weights)
         assert a.top == b.top and a.labels == b.labels
+
+
+# ids that sort next to each other, differ only by a trailing NUL, or are not ASCII
+JOIN_USERS = ("u1", "u1\x00", "u10", "u2", "é", "ü2", "用户")
+
+
+def report_fields(report) -> dict:
+    """A report's fields, each array as (dtype, shape, bytes)."""
+    return {
+        name: (value.dtype.str, value.shape, value.tobytes())
+        if isinstance(value, np.ndarray) else value
+        for name, value in vars(report).items()
+    }
+
+
+@st.composite
+def joined_side_inputs(draw):
+    """(clustered user ids in any order, labels, k, demographics text,
+    transactions text). The side files may list users that were not
+    clustered, miss clustered ones, and repeat a user."""
+    users = draw(st.lists(st.sampled_from(JOIN_USERS), unique=True))
+    k = draw(st.integers(min_value=1, max_value=3))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=len(users), max_size=len(users)))
+    demo = draw(st.lists(st.tuples(
+        st.sampled_from(JOIN_USERS), st.sampled_from(["male", "female", "unknown", "", "FEMALE"]),
+        st.sampled_from(["", "1990", "1995", "2001"]), st.just(""), st.just("")), max_size=12))
+    tx = draw(st.lists(st.tuples(
+        st.sampled_from(JOIN_USERS), st.just("2014-09-01T10:00:00Z"),
+        st.sampled_from(["0", "0.1", "1.5", "12.25", "3", "1e-5", "7.3"])), max_size=20))
+    return (users, np.array(labels, dtype=np.int64), k,
+            side_text(DEMOGRAPHIC_COLUMNS, demo), side_text(TRANSACTION_COLUMNS, tx))
+
+
+@given(joined_side_inputs())
+@example((["u1", "u1\x00", "é", "u3"], np.array([0, 1, 1, 0]), 2,
+          side_text(DEMOGRAPHIC_COLUMNS, [("u1\x00", "male", "1990", "", ""),
+                                          ("u1", "female", "1995", "", ""),
+                                          ("é", "male", "", "", ""), ("é", "female", "2001", "", ""),
+                                          ("only-here", "male", "1990", "", "")]),
+          side_text(TRANSACTION_COLUMNS, [("u1", "2014-09-01T10:00:00Z", "0.1"),
+                                          ("u1\x00", "2014-09-01T10:00:00Z", "7.3"),
+                                          ("u1", "2014-09-01T10:00:00Z", "0.2"),
+                                          ("only-here", "2014-09-01T10:00:00Z", "3")])))
+def test_reports_over_tables_match_record_joins(inputs):
+    users, labels, k, demo_text, tx_text = inputs
+    demo = parse_demographics(io.StringIO(demo_text)).records
+    tx = parse_transactions(io.StringIO(tx_text)).records
+    demo_rows = parse_side_rows(DEMOGRAPHIC_COLUMNS, io.StringIO(demo_text))[0]
+    tx_rows = parse_side_rows(TRANSACTION_COLUMNS, io.StringIO(tx_text))[0]
+    for report, join, table, rows in (
+        (gender_breakdown, gender_breakdown_join, demo, demo_rows),
+        (birth_year_distribution, birth_year_distribution_join, demo, demo_rows),
+        (spend_distribution, spend_distribution_join, tx, tx_rows),
+    ):
+        got = report(labels, k, tuple(users), table)
+        assert report_fields(got) == report_fields(join(labels, k, users, rows)), report.__name__

@@ -1,10 +1,12 @@
 """Source rules for ``src/usertopics``: one file writer, no unused imports,
-no start-up import of scipy or (in ``cli``) of a stage module, and a README
-that names every command-line option."""
+no start-up import of scipy or (in ``cli``) of a stage module, no
+top-level function or class that nothing names, and a README that names
+every command-line option."""
 
 import argparse
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,10 @@ from helpers import STAGE_MODULES
 PACKAGE = Path(usertopics.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 README = Path(__file__).resolve().parents[1] / "README.md"
+PIPEBENCH = Path(__file__).resolve().parents[1] / "pipebench"
+# kept with no caller for the open provenance and manifest work
+# (ROADMAP items 2 and 3)
+UNREFERENCED_ALLOWED = {"lsa.load_model", "lsa.orthonormality_residual"}
 
 
 def parse(path: Path) -> ast.Module:
@@ -146,6 +152,61 @@ def test_the_rules_catch_what_they_name():
     assert [entry.split(":")[0] for entry in stage_imports(tree)] == [
         f"line {n}" for n in (4, 5, 6, 7, 12)
     ]
+
+
+def names_used(tree: ast.AST) -> Counter:
+    """Every name the code under ``tree`` uses: variables, attributes,
+    imported names and the ``function`` of ``"module:function"`` strings."""
+    used = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            used[node.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if match := re.fullmatch(r"[\w.]+:(\w+)", node.value):
+                used[match[1]] += 1
+    return used
+
+
+def unreferenced(modules: dict[str, ast.Module], others: list[ast.Module]) -> list[str]:
+    """``module.name`` of each top-level function or class of ``modules``
+    that no code names outside its own definition, in ``modules`` or in
+    ``others``."""
+    used = sum((names_used(tree) for tree in [*modules.values(), *others]), Counter())
+    return [
+        f"{module}.{node.name}"
+        for module, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and used[node.name] == names_used(node)[node.name]
+    ]
+
+
+def test_every_definition_is_named_somewhere():
+    modules = {path.stem: parse(path) for path in MODULES}
+    others = [parse(path) for path in sorted(PIPEBENCH.glob("*.py"))]
+    # equality, so an allowed name is dropped from the list once it has a caller
+    assert set(unreferenced(modules, others)) == UNREFERENCED_ALLOWED
+
+
+def test_the_reference_rule_catches_what_it_names():
+    modules = {
+        "a": ast.parse(
+            "def unused():\n    pass\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "def called():\n    pass\n"
+            "class Attr:\n    pass\n"
+            "def traced():\n    pass\n"
+            "def imported():\n    pass\n"
+            "x = called()\n"
+        ),
+        "b": ast.parse("from .a import imported\nimport a\na.Attr\n"),
+    }
+    others = [ast.parse("LAYERS = ('pkg.a:traced', 'unused')\n")]
+    assert unreferenced(modules, others) == ["a.unused", "a.recursive"]
 
 
 def undocumented_options(parser: argparse.ArgumentParser, text: str) -> list[str]:
