@@ -12,11 +12,15 @@ Determinism: results do not depend on the BLAS thread count, so seeded
 runs reproduce bit for bit. The sparse products accumulate each output row
 over the stored entries in CSR order, which is the order the reference loop
 ``out[i] += data[p] * dense[indices[p]]`` over ``p`` uses; the other
-reductions run in a fixed serial order too. The one BLAS product,
-the nearest-centroid candidates of ``kmeans_assign``, may be summed in any
-order; it only proposes labels, each accepted under a rounding bound that
+reductions run in a fixed serial order too. Of the BLAS products, the
+nearest-centroid candidates of ``kmeans_assign`` may be summed in any
+order; they only propose labels, each accepted under a rounding bound that
 holds for every order (see there), and the returned distances are serial
-sums.
+sums. The factorizations of :mod:`usertopics.lsa` (QR, SVD and their dense
+products) round differently on different thread counts, so they run under
+:func:`one_blas_thread`; their bits are independent of the thread count
+only where numpy's OpenBLAS is found (see :func:`_openblas_threads`), and
+elsewhere the BLAS keeps its own count.
 
 Sparse arguments are raw CSR arrays (``indptr``/``indices`` int64,
 ``data`` float64); dense arguments must be C-contiguous float64.
@@ -24,11 +28,13 @@ Sparse arguments are raw CSR arrays (``indptr``/``indices`` int64,
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import importlib.util
 import os
 import sys
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from pathlib import Path
 
 import numpy as np
 
@@ -61,6 +67,57 @@ def _sparsetools():
     return module
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy links, through
+    ctypes, or None where no ``*openblas*`` library in ``numpy.libs``
+    exports ``scipy_openblas_{get,set}_num_threads64_``."""
+    import ctypes
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))  # the copy numpy already loaded
+        except OSError:
+            continue
+        get = getattr(handle, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(handle, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body on one OpenBLAS thread and restore the previous count on
+    exit, also on an exception. Does nothing where OpenBLAS is not found.
+
+    A dense LAPACK or BLAS call splits its work by thread count, and each
+    split rounds differently; pinned to one thread, its bits do not depend
+    on the count the process started with. The cost of one thread is
+    measured in :mod:`usertopics.lsa`.
+    """
+    functions = _openblas_threads()
+    if functions is None:
+        yield
+        return
+    get, set_ = functions
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
+def svd_blas_threads():
+    """The BLAS thread count :func:`one_blas_thread` runs on: 1, or None where
+    the library could not be asked."""
+    return None if _openblas_threads() is None else 1
+
+
 def tf_values(indptr, data):
     """1 + ln(value / row_sum) for every stored entry."""
     return 1.0 + np.log(share_values(indptr, data))
@@ -87,22 +144,36 @@ def _check_csr(indptr, indices, data, n_rows, n_cols):
         raise ValueError(f"CSR arrays do not form a {n_rows} x {n_cols} matrix")
 
 
-def csr_matmat(indptr, indices, data, dense):
-    """CSR @ dense block."""
+def _zeroed(out, shape, dense):
+    """A zero float64 block of ``shape``: ``out`` zeroed in place, or a new one.
+    The compiled routines add into the block they are given."""
+    if out is None:
+        return np.zeros(shape)
+    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 block of shape {shape}")
+    if np.may_share_memory(out, dense):
+        raise ValueError("out overlaps the dense operand")
+    out.fill(0.0)
+    return out
+
+
+def csr_matmat(indptr, indices, data, dense, out=None):
+    """CSR @ dense block, into ``out`` (overwritten) if given; returns the block."""
     n_rows, (n_cols, width) = indptr.size - 1, dense.shape
     _check_csr(indptr, indices, data, n_rows, n_cols)
-    out = np.zeros((n_rows, width))
+    out = _zeroed(out, (n_rows, width), dense)
     _sparsetools().csr_matvecs(
         n_rows, n_cols, width, indptr, indices, data, dense.ravel(), out.ravel()
     )
     return out
 
 
-def csr_tmatmat(indptr, indices, data, n_cols, dense):
-    """CSR.T @ dense block: the same three arrays read as the CSC of the transpose."""
+def csr_tmatmat(indptr, indices, data, n_cols, dense, out=None):
+    """CSR.T @ dense block: the same three arrays read as the CSC of the
+    transpose. Into ``out`` (overwritten) if given; returns the block."""
     n_rows, width = dense.shape
     _check_csr(indptr, indices, data, n_rows, n_cols)
-    out = np.zeros((n_cols, width))
+    out = _zeroed(out, (n_cols, width), dense)
     _sparsetools().csc_matvecs(
         n_cols, n_rows, width, indptr, indices, data, dense.ravel(), out.ravel()
     )

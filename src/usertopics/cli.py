@@ -348,6 +348,7 @@ def cmd_cluster(args) -> int:
                 "dropped_zero_users": profile.n_users - feature.n_users,
                 "negative_weight_fraction": weighting.negative_fraction(feature),
                 "svd_method": model.method,
+                "svd_blas_threads": _kernels.svd_blas_threads(),
                 "inertia": result.inertia,
                 "iterations_run": result.iterations_run,
                 "kmeans_runs": [dataclasses.asdict(run) for run in result.runs],
@@ -379,10 +380,9 @@ def cmd_sweep_k(args) -> int:
             out_dir / "manifest.json",
             args,
             {
+                "svd_blas_threads": _kernels.svd_blas_threads(),
                 "inertia": {str(r.k): r.inertia for r in results},
-                "kmeans_runs": {
-                    str(r.k): [dataclasses.asdict(run) for run in r.runs] for r in results
-                },
+                "kmeans_runs": {str(r.k): [dataclasses.asdict(x) for x in r.runs] for r in results},
             },
             watch,
         )
@@ -423,7 +423,8 @@ def cmd_bench_m(args) -> int:
         header = list(rows[0])
         write_rows(out_dir / "bench_m.txt", [header, *(
             [row["m"], *(f"{row[key]:.6g}" for key in header[1:])] for row in rows)])
-        _write_manifest(out_dir / "manifest.json", args, {"rows": rows}, watch, m_list=m_list)
+        results = {"rows": rows, "svd_blas_threads": _kernels.svd_blas_threads()}
+        _write_manifest(out_dir / "manifest.json", args, results, watch, m_list=m_list)
     for row in rows:
         print(
             f"M={row['m']:4d}  total median {row['total_median_s']:.3f}s "

@@ -16,6 +16,15 @@ Two methods are provided behind one interface:
   imported. Deterministic given (matrix, m, seed); the seed feeds a PCG64
   generator whose stream is stable across platforms.
 
+Both methods run their LAPACK and BLAS calls on one OpenBLAS thread
+(:func:`usertopics._kernels.one_blas_thread`): a dense factorization split
+over more threads rounds differently, so the factors would depend on the
+core count. Pinned, they do not, wherever numpy's OpenBLAS is found; where
+it is not, the BLAS keeps its own thread count and that guarantee does not
+hold. Measured on a 2-core host, one thread is also faster at the
+benchmark's shapes (a 1200 x 210 QR takes 24 ms instead of 39 ms), and
+11-19 % slower for the QR and small SVD of criterion 7's 5000 x 810 sketch.
+
 The left factor is the per-user topic embedding used for clustering; the
 right factor relates domains to topics. Unscaled left vectors weight all
 topics equally, the scaled variant (columns multiplied by the singular
@@ -83,46 +92,46 @@ def truncated_svd(f: FeatureMatrix, m: int, method: str = "auto", seed: int = 0)
         dense_bytes = f.n_users * f.n_domains * 8
         small = max_rank <= EXACT_METHOD_MAX_DIM and dense_bytes <= EXACT_METHOD_MAX_BYTES
         method = "exact" if small else "randomized"
-    checksum = matrix_checksum(f)
-    if method == "exact":
-        u_full, s_full, vt_full = np.linalg.svd(f.toarray(), full_matrices=False)
-        u, s, vt = u_full[:, :m], s_full[:m], vt_full[:m]
-        model_seed = None
-    elif method == "randomized":
-        u, s, vt = _randomized_svd(f, m, seed)
-        model_seed = seed
-    else:
+    if method not in ("exact", "randomized"):
         raise ValueError(f"unknown method: {method!r}")
+    checksum = matrix_checksum(f)
+    with _kernels.one_blas_thread():
+        if method == "exact":
+            u_full, s_full, vt_full = np.linalg.svd(f.toarray(), full_matrices=False)
+            u, s, vt = u_full[:, :m], s_full[:m], vt_full[:m]
+        else:
+            u, s, vt = _randomized_svd(f, m, seed)
     return LsaModel(
         u=np.ascontiguousarray(u),
         sigma=np.ascontiguousarray(s),
         v=np.ascontiguousarray(vt.T),
         m=m,
         method=method,
-        seed=model_seed,
+        seed=seed if method == "randomized" else None,
         source_checksum=checksum,
     )
 
 
 def _randomized_svd(f, m, seed):
-    rng = np.random.default_rng(seed)
-    width = min(m + OVERSAMPLE, min(f.n_users, f.n_domains))
-    sketch = rng.standard_normal((f.n_domains, width))
-    y = _kernels.csr_matmat(f.indptr, f.indices, f.data, np.ascontiguousarray(sketch))
+    """(u, s, vt) of rank m. One N_d x w and one N_u x w block hold the
+    sketch and every sparse product; each QR factor is dropped once used."""
+    csr = (f.indptr, f.indices, f.data)
+    width = min(m + OVERSAMPLE, f.n_users, f.n_domains)
+    domain_block = np.empty((f.n_domains, width))
+    np.random.default_rng(seed).standard_normal(out=domain_block)
+    user_block = _kernels.csr_matmat(*csr, domain_block)
     for _ in range(POWER_ITERS):
-        q, _ = np.linalg.qr(y)
-        z = _kernels.csr_tmatmat(
-            f.indptr, f.indices, f.data, f.n_domains, np.ascontiguousarray(q)
-        )
-        y = _kernels.csr_matmat(f.indptr, f.indices, f.data, np.ascontiguousarray(z))
-    q, _ = np.linalg.qr(y)
+        q = np.linalg.qr(user_block)[0]
+        _kernels.csr_tmatmat(*csr, f.n_domains, q, out=domain_block)
+        del q
+        _kernels.csr_matmat(*csr, domain_block, out=user_block)
+    q = np.linalg.qr(user_block)[0]
+    del user_block
     # b = q.T @ f, computed through the transposed sparse product
-    bt = _kernels.csr_tmatmat(
-        f.indptr, f.indices, f.data, f.n_domains, np.ascontiguousarray(q)
-    )
-    u_small, s, vt = np.linalg.svd(bt.T, full_matrices=False)
-    u = q @ u_small
-    return u[:, :m], s[:m], vt[:m]
+    _kernels.csr_tmatmat(*csr, f.n_domains, q, out=domain_block)
+    u_small, s, vt = np.linalg.svd(domain_block.T, full_matrices=False)
+    del domain_block
+    return q @ u_small[:, :m], s[:m], vt[:m]
 
 
 def user_features(model: LsaModel, scale: bool = False) -> np.ndarray:
@@ -143,14 +152,9 @@ def canonicalize_signs(model: LsaModel) -> LsaModel:
     largest-magnitude entry of the v column is positive (ties break at the
     lowest index). Idempotent; the reconstruction is unchanged.
     """
-    u = model.u.copy()
-    v = model.v.copy()
-    for k in range(model.m):
-        idx = int(np.argmax(np.abs(v[:, k])))
-        if v[idx, k] < 0:
-            v[:, k] = -v[:, k]
-            u[:, k] = -u[:, k]
-    return replace(model, u=u, v=v)
+    top = np.argmax(np.abs(model.v), axis=0)
+    signs = np.where(model.v[top, np.arange(model.m)] < 0, -1.0, 1.0)
+    return replace(model, u=model.u * signs, v=model.v * signs)
 
 
 def orthonormality_residual(mat: np.ndarray) -> float:

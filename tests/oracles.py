@@ -704,6 +704,18 @@ def reconstruct(model):
     return (model.u * model.sigma[None, :]) @ model.v.T
 
 
+def canonicalize_signs_loop(u, v):
+    """Per triplet k: flip u[:, k] and v[:, k] when the largest-magnitude
+    entry of v[:, k] (the first on a tie) is negative. Returns copies."""
+    u, v = u.copy(), v.copy()
+    for k in range(v.shape[1]):
+        idx = int(np.argmax(np.abs(v[:, k])))
+        if v[idx, k] < 0:
+            v[:, k] = -v[:, k]
+            u[:, k] = -u[:, k]
+    return u, v
+
+
 def read_truth(path):
     """``truth.csv`` as {user_id: planted topic}."""
     with open(path, newline="", encoding="utf-8") as fh:

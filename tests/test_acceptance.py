@@ -270,21 +270,22 @@ TRACKED_OUTPUTS = [
 
 
 CRITERION_8_CLUSTER = ["cluster", "-M", "4", "-K", "4", "--seed", "17"]
+CRITERION_8_SPEC = {
+    "n_topics": 4,
+    "n_domains": 60,
+    "n_users": 300,
+    "sessions": {"dist": "fixed", "lo": 40},
+    "seed": 81,
+}
 
 
-def criterion_8_workspace(tmp_path):
-    """Synthesize and ingest the criterion-8 corpus; returns the workspace."""
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({
-        "n_topics": 4,
-        "n_domains": 60,
-        "n_users": 300,
-        "sessions": {"dist": "fixed", "lo": 40},
-        "seed": 81,
-    }))
+def synth_workspace(tmp_path, spec):
+    """Synthesize and ingest the corpus of ``spec``; returns the workspace."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
     synth_out = tmp_path / "synth"
     ws = tmp_path / "ws"
-    assert cli.main(["synth", "--spec", str(spec), "--out-dir", str(synth_out)]) == 0
+    assert cli.main(["synth", "--spec", str(spec_path), "--out-dir", str(synth_out)]) == 0
     assert cli.main([
         "ingest", "--workspace", str(ws),
         "--sessions", str(synth_out / "sessions.csv"),
@@ -295,7 +296,7 @@ def criterion_8_workspace(tmp_path):
 def test_criterion_8_cluster_determinism(tmp_path):
     """Identical config + seed: bit-identical outputs, manifest aside."""
     with criterion(8, "determinism", budget_s=120.0):
-        ws = criterion_8_workspace(tmp_path)
+        ws = synth_workspace(tmp_path, CRITERION_8_SPEC)
         args = CRITERION_8_CLUSTER + ["--workspace", str(ws)]
         assert cli.main(args) == 0
         keep = tmp_path / "first_run"
@@ -312,27 +313,48 @@ def test_criterion_8_cluster_determinism(tmp_path):
         assert manifest1 == manifest2
 
 
+# (spec, cluster arguments): the criterion-8 corpus, then one corpus per SVD
+# path large enough for OpenBLAS to split the factorization over two
+# threads; unpinned, their factors differ between one thread and two
+BLAS_THREAD_SESSIONS = {"sessions": {"dist": "fixed", "lo": 30}}
+BLAS_THREAD_CASES = {
+    "criterion-8": (CRITERION_8_SPEC, CRITERION_8_CLUSTER),
+    "exact": (
+        {**CRITERION_8_SPEC, **BLAS_THREAD_SESSIONS, "n_users": 600, "n_domains": 300},
+        ["cluster", "-M", "20", "-K", "4", "--seed", "17"],
+    ),
+    "randomized": (
+        {**CRITERION_8_SPEC, **BLAS_THREAD_SESSIONS, "n_users": 700, "n_domains": 600,
+         "seed": 82},
+        ["cluster", "-M", "150", "-K", "4", "--seed", "17"],
+    ),
+}
+
+
 def test_cluster_outputs_independent_of_blas_threads(tmp_path):
-    """The criterion-8 run gives the same bytes on one BLAS thread as on the default."""
-    ws = criterion_8_workspace(tmp_path)
+    """Each corpus gives the same bytes on one OpenBLAS thread as on two."""
     package_root = str(Path(usertopics.__file__).resolve().parents[1])
-    outputs = []
-    for threads in ("1", None):
-        env = dict(os.environ)
-        env.pop("OPENBLAS_NUM_THREADS", None)
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-        out = tmp_path / f"threads_{threads or 'default'}"
-        argv = CRITERION_8_CLUSTER + ["--workspace", str(ws), "--out-dir", str(out)]
-        proc = subprocess.run(
-            [sys.executable, "-m", "usertopics.cli", *argv],
-            env=env, capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(out)
-    for name in TRACKED_OUTPUTS:
-        assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
+    for case, (spec, cluster_args) in BLAS_THREAD_CASES.items():
+        (tmp_path / case).mkdir()
+        ws = synth_workspace(tmp_path / case, spec)
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [package_root, env.get("PYTHONPATH")])
+            )
+            out = tmp_path / case / f"threads_{threads}"
+            argv = cluster_args + ["--workspace", str(ws), "--out-dir", str(out)]
+            proc = subprocess.run(
+                [sys.executable, "-m", "usertopics.cli", *argv],
+                env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out)
+        for name in TRACKED_OUTPUTS:
+            assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), (
+                case, name
+            )
 
 
 def test_criterion_9_conservation_and_idempotence():

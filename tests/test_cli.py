@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from usertopics import _store, cli, lsa, reporting
+from usertopics import _kernels, _store, cli, lsa, reporting
 from usertopics.ingest import DEFAULT_GAP_SECONDS, RAW_EVENT_COLUMNS
 from usertopics.matrix import SparseMatrix, csr_from_triplets, read_matrix, write_matrix
 
@@ -675,6 +675,18 @@ class TestPipelineRunner:
             expected["m_list"] = [4]
         assert params == expected
         assert "scale_features" in params
+
+    @pytest.mark.parametrize("command", sorted(PIPELINE_ARGV))
+    def test_manifest_records_svd_blas_threads(self, ingested_ws, monkeypatch, command):
+        argv = [*PIPELINE_ARGV[command], "--workspace", ingested_ws]
+        pinned = None if _kernels._openblas_threads() is None else 1
+        assert run(argv) == 0
+        results = json.loads((ingested_ws / "manifest.json").read_text())["results"]
+        assert results["svd_blas_threads"] == pinned
+        monkeypatch.setattr(_kernels, "_openblas_threads", lambda: None)
+        assert run(argv) == 0
+        results = json.loads((ingested_ws / "manifest.json").read_text())["results"]
+        assert results["svd_blas_threads"] is None
 
     def test_bench_k_beyond_weighted_users_exits_1(self, ingested_ws, capsys):
         argv = ["bench-m", "--workspace", ingested_ws, "--m-list", "4", "-K", 10_000]

@@ -120,6 +120,27 @@ class TestSparseProducts:
             assert out.shape == (a.T @ tall).shape
             assert out.tobytes() == (a.T @ tall).tobytes()
 
+    def test_products_into_out_block(self, rng):
+        indptr, indices, data = random_csr(rng)  # 30 x 20
+        block, tall = rng.standard_normal((20, 7)), rng.standard_normal((30, 7))
+        for product, args, shape in (
+            (_kernels.csr_matmat, (indptr, indices, data, block), (30, 7)),
+            (_kernels.csr_tmatmat, (indptr, indices, data, 20, tall), (20, 7)),
+        ):
+            out = np.full(shape, np.nan)  # overwritten, not added to
+            assert product(*args, out=out) is out
+            assert out.tobytes() == product(*args).tobytes()
+            for bad in (
+                np.zeros((shape[0] + 1, shape[1])),
+                np.zeros(shape, dtype=np.float32),
+                np.zeros(shape[::-1]).T,
+            ):
+                with pytest.raises(ValueError, match="C-contiguous float64"):
+                    product(*args, out=bad)
+        square = np.eye(3)
+        with pytest.raises(ValueError, match="overlaps"):
+            _kernels.csr_matmat(np.arange(4), np.arange(3), np.ones(3), square, out=square)
+
     def test_products_refuse_out_of_bounds_sizes(self, rng):
         indptr, indices, data = random_csr(rng)  # 30 x 20, 6 entries a row
         indices[0] = 19
@@ -259,6 +280,45 @@ class TestKmeansKernels:
             assert sums.shape == (k, d) and counts.dtype == np.int64
             assert np.array_equal(sums, want_sums), (n, d, k)
             assert np.array_equal(counts, want_counts)
+
+
+class TestOneBlasThread:
+    @pytest.fixture()
+    def openblas(self):
+        functions = _kernels._openblas_threads()
+        if functions is None:
+            pytest.skip("numpy's OpenBLAS not found")
+        get, set_ = functions
+        previous = get()
+        set_(2)
+        yield get
+        set_(previous)
+
+    def test_pins_one_thread_and_restores_on_exit(self, openblas):
+        with _kernels.one_blas_thread():
+            assert openblas() == 1
+        assert openblas() == 2
+        assert _kernels.svd_blas_threads() == 1
+
+    def test_restores_on_exception(self, openblas):
+        with pytest.raises(KeyError):
+            with _kernels.one_blas_thread():
+                assert openblas() == 1
+                raise KeyError("x")
+        assert openblas() == 2
+
+    def test_no_op_where_lookup_finds_nothing(self, openblas, monkeypatch):
+        monkeypatch.setattr(_kernels, "_openblas_threads", lambda: None)
+        with _kernels.one_blas_thread():
+            assert openblas() == 2
+        assert openblas() == 2
+        assert _kernels.svd_blas_threads() is None
+
+    def test_lookup_without_openblas_finds_nothing(self, tmp_path, monkeypatch):
+        (tmp_path / "numpy.libs").mkdir()
+        (tmp_path / "numpy.libs" / "libopenblas-stub.so").write_bytes(b"not a library")
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        assert _kernels._openblas_threads.__wrapped__() is None
 
 
 class TestBackendSelection:

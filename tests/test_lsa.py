@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, strategies as st
 
-from usertopics import lsa
+from usertopics import _kernels, lsa
 from usertopics.lsa import (
     canonicalize_signs,
     load_model,
@@ -12,7 +13,7 @@ from usertopics.lsa import (
     user_features,
 )
 
-from oracles import dense_to_feature, reconstruct
+from oracles import canonicalize_signs_loop, dense_to_feature, reconstruct
 
 
 def decay_matrix(rng, n, d, rho=0.7):
@@ -80,6 +81,30 @@ class TestTruncatedSvd:
         f = dense_to_feature(np.diag([3.0, 2.0, 0.0]))
         model = truncated_svd(f, 3, method="exact")
         assert model.sigma[2] <= 1e-12
+
+    @pytest.mark.parametrize("method", ["exact", "randomized"])
+    def test_factorizations_run_on_one_blas_thread(self, rng, monkeypatch, method):
+        functions = _kernels._openblas_threads()
+        if functions is None:
+            pytest.skip("numpy's OpenBLAS not found")
+        get, set_ = functions
+        f = dense_to_feature(decay_matrix(rng, 40, 30))
+        seen = []
+        for name in ("qr", "svd"):
+            def spy(*args, _call=getattr(np.linalg, name), **kwargs):
+                seen.append(get())
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        previous = get()
+        set_(2)
+        try:
+            truncated_svd(f, 5, method=method)
+            assert get() == 2
+        finally:
+            set_(previous)
+        assert len(seen) == (1 if method == "exact" else lsa.POWER_ITERS + 2)
+        assert set(seen) == {1}
 
 
 class TestUserFeatures:
@@ -176,6 +201,23 @@ class TestCanonicalizeSigns:
         once = canonicalize_signs(truncated_svd(f, 4, method="exact"))
         twice = canonicalize_signs(once)
         assert np.array_equal(once.u, twice.u) and np.array_equal(once.v, twice.v)
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 5),
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, np.inf, -np.inf]),
+                 min_size=30, max_size=30),
+        st.lists(st.floats(allow_nan=False), min_size=30, max_size=30),
+    )
+    def test_bit_identical_to_column_loop(self, n_domains, m, v_values, u_values):
+        # a few repeated magnitudes of both signs, so ties on |v| are common
+        v = np.array(v_values[: n_domains * m]).reshape(n_domains, m)
+        u = np.array(u_values[: 6 * m]).reshape(6, m)
+        model = lsa.LsaModel(u=u, sigma=np.zeros(m), v=v, m=m, method="exact", seed=None)
+        canon = canonicalize_signs(model)
+        want_u, want_v = canonicalize_signs_loop(u, v)
+        assert canon.u.tobytes() == want_u.tobytes()
+        assert canon.v.tobytes() == want_v.tobytes()
 
     def test_reconstruction_unchanged(self, rng):
         f = dense_to_feature(decay_matrix(rng, 15, 10))

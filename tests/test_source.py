@@ -1,5 +1,5 @@
 """Source rules for ``src/usertopics``: one file writer, no unused imports,
-no start-up import of scipy or (in ``cli``) of a stage module, no
+no start-up import of scipy, ctypes or (in ``cli``) of a stage module, no
 top-level function or class that nothing names, and a README that names
 every command-line option."""
 
@@ -95,9 +95,13 @@ def start_up_imports(tree: ast.Module) -> list[tuple[int, str]]:
     return sorted(found)
 
 
-def scipy_imports(tree: ast.Module) -> list[str]:
+def start_up_imports_of(tree: ast.Module, package: str) -> list[str]:
     return [f"line {line}: {name}" for line, name in start_up_imports(tree)
-            if name.split(".")[0] == "scipy"]
+            if name.split(".")[0] == package]
+
+
+def scipy_imports(tree: ast.Module) -> list[str]:
+    return start_up_imports_of(tree, "scipy")
 
 
 def stage_imports(tree: ast.Module) -> list[str]:
@@ -120,6 +124,11 @@ def test_no_unused_module_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_start_up_scipy_import(path):
     assert scipy_imports(parse(path)) == [], "load scipy's kernels in _kernels, when called"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_start_up_ctypes_import(path):
+    assert start_up_imports_of(parse(path), "ctypes") == [], "import ctypes where it is called"
 
 
 def test_cli_imports_stages_per_command():
@@ -145,9 +154,13 @@ def test_the_rules_catch_what_they_name():
         "class C:\n    from .reporting import x\n"
         "try:\n    import scipy.linalg\nexcept ImportError:\n    pass\n"
         "from .records import DEFAULT_GAP_SECONDS\nfrom ._kernels import BACKEND\n"
+        "import ctypes\nfrom ctypes import CDLL\nimport ctypesx\ndef g():\n    import ctypes\n"
     )
     assert [entry.split(":")[0] for entry in scipy_imports(tree)] == [
         f"line {n}" for n in (1, 2, 2, 14)
+    ]
+    assert [entry.split(":")[0] for entry in start_up_imports_of(tree, "ctypes")] == [
+        f"line {n}" for n in (19, 20, 20)
     ]
     assert [entry.split(":")[0] for entry in stage_imports(tree)] == [
         f"line {n}" for n in (4, 5, 6, 7, 12)
