@@ -1,4 +1,4 @@
-"""Command-line pipeline: synth, ingest, cluster, sweep-k, bench-m, report.
+"""Command-line pipeline: synth, ingest, cluster, sweep-k, bench-m.
 
 Each command works against a workspace directory with well-known file
 names, writes a JSON manifest recording every parameter plus per-stage
@@ -270,6 +270,8 @@ def _run(args, profile, watch: _Stopwatch, m: int, k: int):
                 feature = weighting.row_normalize(profile)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
+    if feature.nnz == 0:  # e.g. every user visits every domain, so every IDF is 0
+        raise DataError(f"the {args.weighting} feature matrix stores no entries")
     limit = min(feature.n_users, feature.n_domains)
     if not 1 <= m <= limit:
         raise UsageError(f"M={m} outside [1, {limit}] for this matrix")
@@ -433,39 +435,6 @@ def cmd_bench_m(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    from . import clustering as clus
-
-    workspace = Path(args.workspace)
-    out_dir = Path(args.out_dir) if args.out_dir else workspace
-    feature_prefix = workspace / FEATURE_PREFIX
-    if not matrix_sidecar(feature_prefix).is_file():
-        raise DataError(f"no clustered feature matrix under {workspace}")
-    try:
-        feature = read_matrix(feature_prefix)
-    except (ValueError, OSError) as exc:
-        raise DataError(f"corrupt feature matrix under {workspace}: {exc}") from exc
-    assignments_path = workspace / "assignments.csv"
-    if not assignments_path.is_file():
-        raise DataError(f"no assignments file under {workspace}")
-    try:
-        mapping = clus.read_assignments(assignments_path)
-    except (ValueError, OSError) as exc:
-        raise DataError(f"corrupt assignments file: {exc}") from exc
-    try:
-        labels = np.array([mapping[u] for u in feature.users], dtype=np.int64)
-    except KeyError as exc:
-        raise DataError(f"assignments missing user {exc}") from exc
-    if labels.size and not 0 <= labels.min() <= labels.max() < labels.size:
-        raise DataError(f"cluster ids outside [0, {labels.size}) in {assignments_path}")
-    k = int(labels.max()) + 1 if labels.size else 1
-    demo, tx, _ = _parse_reports(args)
-    with workspace_lock(out_dir):
-        _write_reports(out_dir, feature, labels, k, demo, tx, args.top_n)
-    print(f"reports regenerated -> {out_dir}")
-    return 0
-
-
 # --------------------------------------------------------------------------
 # argument wiring
 # --------------------------------------------------------------------------
@@ -514,14 +483,6 @@ def _delimiter(text: str) -> str:
     return text
 
 
-def _add_report_flags(p):
-    p.add_argument("--demographics", help="demographics CSV path")
-    p.add_argument("--transactions", help="transactions CSV path")
-    p.add_argument("--top-n", type=_positive_int, default=10)
-    p.add_argument("--delimiter", type=_delimiter, default=",")
-    p.add_argument("--fail-fast", action="store_true")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="usertopics", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -550,7 +511,11 @@ def build_parser() -> _Parser:
     p.add_argument("-M", "--m", dest="m", type=int, default=DEFAULT_M)
     p.add_argument("-K", "--k", dest="k", type=int, default=DEFAULT_K)
     _add_pipeline_flags(p)
-    _add_report_flags(p)
+    p.add_argument("--demographics", help="demographics CSV path")
+    p.add_argument("--transactions", help="transactions CSV path")
+    p.add_argument("--top-n", type=_positive_int, default=10)
+    p.add_argument("--delimiter", type=_delimiter, default=",")
+    p.add_argument("--fail-fast", action="store_true")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("sweep-k", help="inertia for a range of cluster counts")
@@ -567,12 +532,6 @@ def build_parser() -> _Parser:
     p.add_argument("-K", "--k", dest="k", type=int, default=DEFAULT_K)
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_bench_m)
-
-    p = sub.add_parser("report", help="regenerate reports from a clustered workspace")
-    p.add_argument("--workspace", required=True)
-    p.add_argument("--out-dir", default=_env_out())
-    _add_report_flags(p)
-    p.set_defaults(func=cmd_report)
 
     return parser
 

@@ -17,7 +17,6 @@ reproduce bit for bit and restarts may execute in any order.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -292,23 +291,3 @@ def write_clustering(c: Clustering, user_ids, out_dir: str | Path) -> list[Path]
     }
     write_json(meta_path, meta)
     return [assign_path, cent_path, meta_path]
-
-
-def read_assignments(path: str | Path) -> dict[str, int]:
-    """user -> cluster id from assignments.csv; ValueError on a malformed file."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header != ["user_id", "cluster"]:
-                raise ValueError(f"{path}: unexpected header {header}")
-            mapping = {}
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise ValueError(f"{path}: line {line_no}: expected 2 fields, got {len(row)}")
-                mapping[row[0]] = int(row[1])
-        except csv.Error as exc:  # e.g. a field over the csv size limit
-            raise ValueError(f"{path}: {exc}") from exc
-        return mapping

@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from ._store import load_array, read_sidecar, save_array, write_json
+from ._store import save_array, write_json
 from .matrix import FeatureMatrix, matrix_checksum
 
 log = logging.getLogger(__name__)
@@ -173,8 +173,7 @@ def orthonormality_residual(mat: np.ndarray) -> float:
 # matrix_checksum of the feature matrix the model was computed from. As
 # for matrices, the sidecar is removed first and written last.
 
-_FACTORS = (("U", "u", 2), ("sigma", "sigma", 1), ("V", "v", 2))
-_META_FIELDS = {"m": int, "method": str, "seed": (int, type(None)), "source_checksum": str}
+_FACTORS = (("U", "u"), ("sigma", "sigma"), ("V", "v"))
 
 
 def save_model(model: LsaModel, prefix: str | Path) -> list[Path]:
@@ -184,7 +183,7 @@ def save_model(model: LsaModel, prefix: str | Path) -> list[Path]:
     sidecar.unlink(missing_ok=True)
     paths = [
         save_array(prefix.with_name(f"{prefix.name}.{name}.npy"), getattr(model, attr), "<f8")
-        for name, attr, _ in _FACTORS
+        for name, attr in _FACTORS
     ]
     meta = {
         "m": model.m,
@@ -194,31 +193,3 @@ def save_model(model: LsaModel, prefix: str | Path) -> list[Path]:
     }
     paths.append(write_json(sidecar, meta))
     return paths
-
-
-def load_model(prefix: str | Path) -> LsaModel:
-    """Load a model written by :func:`save_model`.
-
-    Raises ValueError for files that do not hold a valid model (wrong dtype,
-    shape or length, non-finite factors, an unknown method) and OSError for
-    missing or unreadable files.
-    """
-    prefix = Path(prefix)
-    meta = read_sidecar(prefix.with_name(prefix.name + ".meta.json"), _META_FIELDS)
-    if meta["method"] not in ("exact", "randomized"):
-        raise ValueError(f"{prefix.name}: unknown method {meta['method']!r:.80}")
-    u, sigma, v = (
-        load_array(prefix.with_name(f"{prefix.name}.{name}.npy"), "<f8", ndim)
-        for name, _, ndim in _FACTORS
-    )
-    if not all(np.isfinite(arr).all() for arr in (u, sigma, v)):
-        raise ValueError(f"{prefix.name}: non-finite factor entries")
-    return LsaModel(
-        u=u,
-        sigma=sigma,
-        v=v,
-        m=meta["m"],
-        method=meta["method"],
-        seed=meta["seed"],
-        source_checksum=meta["source_checksum"],
-    )

@@ -19,7 +19,7 @@ import pytest
 
 import usertopics
 from usertopics import cli
-from usertopics.clustering import kmeans, read_assignments, sweep_k
+from usertopics.clustering import kmeans, sweep_k
 from usertopics.ingest import build_profile_matrix, sessionize
 from usertopics.lsa import orthonormality_residual, truncated_svd, user_features
 from usertopics.synth import (
@@ -36,7 +36,6 @@ from helpers import make_event, matrix_from_dense, random_dense_positive, sessio
 from oracles import (
     dense_to_feature,
     optimal_inertia,
-    read_truth,
     reconstruct,
     spearman_rho,
     tfidf_oracle,

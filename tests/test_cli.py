@@ -339,13 +339,13 @@ class TestIngestCommand:
 
 class TestClusterCommand:
     def test_recovers_planted_topics(self, tmp_path, synth_ws, ingested_ws):
-        from usertopics.clustering import read_assignments
         from usertopics.synth import adjusted_rand_index
 
         assert run([
             "cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4, "--seed", 7,
         ]) == 0
-        pred = read_assignments(ingested_ws / "assignments.csv")
+        with open(ingested_ws / "assignments.csv", newline="", encoding="utf-8") as fh:
+            pred = {row["user_id"]: int(row["cluster"]) for row in csv.DictReader(fh)}
         truth = read_truth(synth_ws / "truth.csv")
         users = sorted(pred)
         ari = adjusted_rand_index([pred[u] for u in users], [truth[u] for u in users])
@@ -703,6 +703,14 @@ class TestPipelineRunner:
         assert capsys.readouterr().err == "data error: matrix has a domain no user visited\n"
 
     @pytest.mark.parametrize("command", sorted(PIPELINE_ARGV))
+    def test_feature_matrix_with_no_entries_exits_2(self, tmp_path, capsys, command):
+        ws = tmp_path / "ws"
+        write_profile(ws, np.ones((3, 3)))  # every user visits every domain: every IDF is 0
+        assert run([*PIPELINE_ARGV[command], "--workspace", ws]) == 2
+        assert capsys.readouterr().err == "data error: the tfidf feature matrix stores no entries\n"
+        assert not (ws / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", sorted(PIPELINE_ARGV))
     def test_svd_failure_exits_2(self, ingested_ws, capsys, monkeypatch, command):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
@@ -736,15 +744,10 @@ class TestPipelineRunner:
         results = json.loads((ingested_ws / "manifest.json").read_text())["results"]
         assert results["svd_method"] == "randomized"
 
-    @pytest.mark.parametrize("command", ["cluster", "report"])
-    def test_spend_total_beyond_float64_exits_2(self, tmp_path, ingested_ws, capsys, command):
+    def test_spend_total_beyond_float64_exits_2(self, tmp_path, ingested_ws, capsys):
         tx = tmp_path / "tx.csv"
         tx.write_text("user_id,timestamp,amount\n" + "u00000,2014-09-01T00:00:00Z,1e308\n" * 2)
-        argv = [command, "--workspace", ingested_ws, "--transactions", tx]
-        if command == "report":
-            assert run(["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4]) == 0
-        else:
-            argv += ["-M", 4, "-K", 4]
+        argv = ["cluster", "--workspace", ingested_ws, "--transactions", tx, "-M", 4, "-K", 4]
         written = {p.name: p.read_bytes() for p in ingested_ws.iterdir() if p.is_file()}
         capsys.readouterr()
         assert run(argv) == 2
@@ -763,53 +766,8 @@ class TestPipelineRunner:
         assert err.count("\n") == 1
 
 
-class TestReportCommand:
-    def test_regenerates_identical_reports(self, tmp_path, ingested_ws):
-        assert run(["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4]) == 0
-        out = tmp_path / "rep"
-        assert run(["report", "--workspace", ingested_ws, "--out-dir", out]) == 0
-        for name in ("report_topics.txt", "summary.json"):
-            assert (out / name).read_bytes() == (ingested_ws / name).read_bytes()
-
-    def test_truncated_feature_matrix_exits_2(self, ingested_ws, capsys):
-        assert run(["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4]) == 0
-        path = ingested_ws / "feature.data.npy"
-        path.write_bytes(path.read_bytes()[:300])
-        assert run(["report", "--workspace", ingested_ws]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("data error: corrupt feature matrix")
-        assert err.count("\n") == 1
-
-    @pytest.mark.parametrize(
-        "row, message",
-        [
-            ("{u}", "expected 2 fields, got 1"),
-            ("{u},one", "invalid literal"),
-            ("{u},0,7", "expected 2 fields, got 3"),
-            ("{u},-1", "cluster ids outside"),
-            ("{u},99999", "cluster ids outside"),
-            ('{u},"' + "9" * 200_000 + '"', "field larger than field limit"),
-            (None, "unexpected header None"),
-        ],
-    )
-    def test_mangled_assignments_exit_2(self, ingested_ws, capsys, row, message):
-        assert run(["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4]) == 0
-        path = ingested_ws / "assignments.csv"
-        lines = path.read_text().splitlines(keepends=True)
-        if row is None:
-            lines = []  # empty file, header gone too
-        else:
-            lines[1] = row.format(u=lines[1].split(",")[0]) + "\n"  # first data row
-        path.write_text("".join(lines))
-        assert run(["report", "--workspace", ingested_ws]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("data error:") and message in err
-        assert err.count("\n") == 1
-
-
 # a file each command writes by os.replace
-REPLACED_FILE = {"synth": "truth.csv", "ingest": "domain_stats.txt",
-                 "cluster": "assignments.csv", "report": "report_spend.txt"}
+REPLACED_FILE = {"synth": "truth.csv", "ingest": "domain_stats.txt", "cluster": "assignments.csv"}
 
 
 class TestUnusableOutputPath:
@@ -822,14 +780,11 @@ class TestUnusableOutputPath:
             return ["synth", "--spec", write_spec(tmp_path), "--out-dir", out]
         if command == "ingest":
             return ["ingest", "--workspace", out, "--sessions", synth_ws / "sessions.csv"]
-        if command == "cluster":
-            return ["cluster", "--workspace", ingested_ws, "--out-dir", out, "-M", 4, "-K", 4]
-        return ["report", "--workspace", ingested_ws, "--out-dir", out]
+        return ["cluster", "--workspace", ingested_ws, "--out-dir", out, "-M", 4, "-K", 4]
 
     @pytest.mark.parametrize("command", list(REPLACED_FILE))
     @pytest.mark.parametrize("case", ["regular file", "below a regular file", "directory in place"])
     def test_exits_2_with_one_line(self, tmp_path, synth_ws, ingested_ws, capsys, command, case):
-        assert run(["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4]) == 0
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         if case == "regular file":
@@ -874,7 +829,6 @@ def test_non_ascii_names_under_an_ascii_locale(tmp_path):
     for argv in (
         ["ingest", "--workspace", ws, "--sessions", log],
         ["cluster", "--workspace", ws, "-M", 2, "-K", 2],
-        ["report", "--workspace", ws],
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "usertopics.cli", *map(str, argv)],
@@ -920,7 +874,7 @@ class TestDefaults:
     def test_usage_error_exit_code(self):
         assert cli.main(["cluster"]) == 1  # missing --workspace
 
-    @pytest.mark.parametrize("command", ["ingest", "cluster", "report"])
+    @pytest.mark.parametrize("command", ["ingest", "cluster"])
     @pytest.mark.parametrize("delimiter", ["::", ""])
     def test_bad_delimiter_is_usage_error(self, tmp_path, capsys, command, delimiter):
         argv = [command, "--workspace", tmp_path / "ws", f"--delimiter={delimiter}"]
@@ -940,7 +894,7 @@ class TestDefaults:
             ("cluster", "--tol=-1e-6"),
             ("cluster", "--tol=inf"),
             ("cluster", "--top-n=-1"),
-            ("report", "--top-n=0"),
+            ("cluster", "--top-n=0"),
             ("bench-m", "--repeats=0"),
             ("ingest", "--gap=nan"),
             ("cluster", "--seed=-1"),

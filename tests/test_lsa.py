@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,7 +8,6 @@ from hypothesis import given, strategies as st
 from usertopics import _kernels, lsa
 from usertopics.lsa import (
     canonicalize_signs,
-    load_model,
     orthonormality_residual,
     save_model,
     truncated_svd,
@@ -232,9 +233,9 @@ class TestModelIO:
         f = dense_to_feature(decay_matrix(rng, 12, 9))
         model = truncated_svd(f, 3, method="randomized", seed=4)
         save_model(model, tmp_path / "m")
-        back = load_model(tmp_path / "m")
-        assert np.array_equal(back.u, model.u)
-        assert np.array_equal(back.sigma, model.sigma)
-        assert np.array_equal(back.v, model.v)
-        assert back.method == "randomized" and back.seed == 4
-        assert back.source_checksum == model.source_checksum
+        for name, arr in (("U", model.u), ("sigma", model.sigma), ("V", model.v)):
+            back = np.load(tmp_path / f"m.{name}.npy", allow_pickle=False)
+            assert back.dtype.str == "<f8" and np.array_equal(back, arr)
+        meta = json.loads((tmp_path / "m.meta.json").read_text())
+        assert meta == {"m": 3, "method": "randomized", "seed": 4,
+                        "source_checksum": model.source_checksum}

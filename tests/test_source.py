@@ -1,7 +1,7 @@
 """Source rules for ``src/usertopics``: one file writer, no unused imports,
 no start-up import of scipy, ctypes or (in ``cli``) of a stage module, no
 top-level function or class that nothing names, and a README that names
-every command-line option."""
+every command-line option and lists exactly the parser's commands."""
 
 import argparse
 import ast
@@ -20,9 +20,8 @@ PACKAGE = Path(usertopics.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 README = Path(__file__).resolve().parents[1] / "README.md"
 PIPEBENCH = Path(__file__).resolve().parents[1] / "pipebench"
-# kept with no caller for the open provenance and manifest work
-# (ROADMAP items 2 and 3)
-UNREFERENCED_ALLOWED = {"lsa.load_model", "lsa.orthonormality_residual"}
+# kept with no caller for the open manifest work (ROADMAP item 3)
+UNREFERENCED_ALLOWED = {"lsa.orthonormality_residual"}
 
 
 def parse(path: Path) -> ast.Module:
@@ -222,12 +221,16 @@ def test_the_reference_rule_catches_what_it_names():
     assert unreferenced(modules, others) == ["a.unused", "a.recursive"]
 
 
+def subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices
+
+
 def undocumented_options(parser: argparse.ArgumentParser, text: str) -> list[str]:
     """Long options of every subcommand none of whose strings ``text`` names."""
-    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return [
         f"{name} {action.option_strings[-1]}"
-        for name, sub in commands.choices.items()
+        for name, sub in subcommands(parser).items()
         for action in sub._actions
         if any(opt.startswith("--") for opt in action.option_strings)
         and "--help" not in action.option_strings
@@ -244,3 +247,24 @@ def test_the_option_rule_catches_what_it_names():
     missing = undocumented_options(cli.build_parser(), "cluster -K 8 --k-min 1 --workspace-dir x")
     assert "cluster --k" not in missing and "sweep-k --k-min" not in missing
     assert "cluster --workspace" in missing  # a longer option does not name it
+
+
+def table_commands(text: str) -> list[str]:
+    """The commands in the first column of the table under ``## Commands``."""
+    section = text.partition("\n## Commands\n")[2].partition("\n## ")[0]
+    return re.findall(r"^\| `([\w-]+)`", section, flags=re.MULTILINE)
+
+
+def test_readme_command_table_lists_every_command():
+    table = table_commands(README.read_text(encoding="utf-8"))
+    assert sorted(table) == sorted(subcommands(cli.build_parser()))
+
+
+def test_the_command_rule_catches_what_it_names():
+    text = (
+        "## Install\n| `setup` | not a command row |\n"
+        "## Commands\n| command | does |\n|---|---|\n"
+        "| `synth` | x |\n| `report` | gone |\nsee `ingest`\n"
+        "## Tests\n| `sweep-k` | after the section |\n"
+    )
+    assert table_commands(text) == ["synth", "report"]

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from usertopics import cli
-from usertopics.lsa import load_model
 
 SPEC = {
     "n_topics": 3,
@@ -26,8 +25,6 @@ PROFILE_FILES = [
     "profile.indptr.npy", "profile.indices.npy", "profile.data.npy",
     "profile.users.txt", "profile.domains.txt", "profile.meta.json",
 ]
-FEATURE_FILES = [name.replace("profile", "feature") for name in PROFILE_FILES]
-LSA_FILES = ["lsa.U.npy", "lsa.sigma.npy", "lsa.V.npy", "lsa.meta.json"]
 
 
 def run(argv):
@@ -157,16 +154,9 @@ def test_every_command_rejects_a_truncated_profile(ws, command):
     assert_one_line_data_error(*run([*command, "--workspace", ws]), "corrupt profile matrix")
 
 
-def test_report_rejects_a_mangled_feature_matrix(ws):
-    resave(ws / "feature.data.npy", np.load(ws / "feature.data.npy").astype("<f4"))
-    assert_one_line_data_error(*run(["report", "--workspace", ws]), "corrupt feature matrix")
-
-
 def test_missing_sidecar_is_no_matrix(ws):
     (ws / "profile.meta.json").unlink()
     assert_one_line_data_error(*run([*CLUSTER, "--workspace", ws]), "no ingested profile matrix")
-    (ws / "feature.meta.json").unlink()
-    assert_one_line_data_error(*run(["report", "--workspace", ws]), "no clustered feature matrix")
 
 
 def test_text_workspace_must_be_reingested(ws):
@@ -211,53 +201,24 @@ def corrupt(ws: Path, name: str, cut, bit):
 
 
 @settings(max_examples=60)
-@given(damage=corruptions(PROFILE_FILES + FEATURE_FILES))
+@given(damage=corruptions(PROFILE_FILES))
 def test_truncated_or_bit_flipped_workspace_never_tracebacks(clustered, damage):
     with tempfile.TemporaryDirectory() as tmp:
         ws = Path(tmp) / "ws"
         shutil.copytree(clustered, ws)
         corrupt(ws, *damage)
-        command = ["report"] if damage[0].startswith("feature") else CLUSTER
-        rc, err = run([*command, "--workspace", ws])
+        rc, err = run([*CLUSTER, "--workspace", ws])
         assert rc in (0, 2), err
         if rc == 2:
             assert err.startswith("data error:") and err.count("\n") == 1, err
 
 
-@settings(max_examples=60)
-@given(damage=corruptions(LSA_FILES))
-def test_truncated_or_bit_flipped_model_is_rejected_or_valid(clustered, damage):
-    with tempfile.TemporaryDirectory() as tmp:
-        ws = Path(tmp) / "ws"
-        shutil.copytree(clustered, ws)
-        corrupt(ws, *damage)
-        try:
-            model = load_model(ws / "lsa")
-        except ValueError:
-            return
-        for arr in (model.u, model.sigma, model.v):
-            assert np.isfinite(arr).all()
-
-
-@pytest.mark.parametrize("name", ["lsa.U.npy", "lsa.sigma.npy", "lsa.V.npy"])
-def test_non_finite_factor_rejected(ws, name):
-    arr = np.load(ws / name)
-    arr.reshape(-1)[0] = np.inf
-    resave(ws / name, arr)
-    with pytest.raises(ValueError, match="non-finite"):
-        load_model(ws / "lsa")
-
-
-def test_fortran_ordered_factor_rejected(ws):
-    resave(ws / "lsa.U.npy", np.asfortranarray(np.load(ws / "lsa.U.npy")))
-    with pytest.raises(ValueError, match="C-order"):
-        load_model(ws / "lsa")
-
-
 def test_model_files_are_plain_npy(clustered):
     meta = json.loads((clustered / "lsa.meta.json").read_text())
     assert sorted(meta) == ["m", "method", "seed", "source_checksum"]
-    model = load_model(clustered / "lsa")
-    for name, arr in (("U", model.u), ("sigma", model.sigma), ("V", model.v)):
+    feature = json.loads((clustered / "feature.meta.json").read_text())
+    m = meta["m"]
+    shapes = {"U": (feature["n_users"], m), "sigma": (m,), "V": (feature["n_domains"], m)}
+    for name, shape in shapes.items():
         raw = np.load(clustered / f"lsa.{name}.npy", allow_pickle=False)
-        assert raw.dtype.str == "<f8" and np.array_equal(raw, arr)
+        assert raw.dtype.str == "<f8" and raw.shape == shape and np.isfinite(raw).all()
