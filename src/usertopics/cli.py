@@ -34,7 +34,9 @@ import numpy as np
 
 from . import __version__, _kernels
 from ._store import WorkspaceLocked, workspace_lock, write_json, write_rows
-from .matrix import domain_stats, matrix_sidecar, rank_domains, read_matrix, write_matrix
+from .matrix import (
+    domain_stats, matrix_checksum, matrix_sidecar, rank_domains, read_matrix, write_matrix,
+)
 from .records import DEFAULT_GAP_SECONDS, PROFILE_METRICS, UserTable
 
 log = logging.getLogger(__name__)
@@ -220,6 +222,7 @@ def cmd_ingest(args) -> int:
                 "parse_errors": report.n_errors,
                 "parse_warnings": len(report.warnings),
                 "nonzero_median_fraction": stats.nonzero_median_fraction,
+                "profile_checksum": matrix_checksum(matrix),
             },
             watch,
         )
@@ -230,12 +233,29 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+def _recorded_checksum(workspace: Path) -> str:
+    """``results.profile_checksum`` of the workspace's ingest manifest."""
+    path = workspace / "ingest_manifest.json"
+    try:
+        checksum = json.loads(path.read_bytes())["results"]["profile_checksum"]
+    except FileNotFoundError:
+        raise DataError(f"no ingest manifest under {workspace}: run ingest again") from None
+    except (ValueError, RecursionError, KeyError, TypeError):
+        checksum = None
+    if not isinstance(checksum, str):
+        raise DataError(f"{path} records no results.profile_checksum: run ingest again")
+    return checksum
+
+
 @contextlib.contextmanager
 def _open_workspace(args):
-    """Load the workspace's profile, then hold the output directory's lock and
-    remove its manifest, which the command writes again when it completes.
+    """Load the workspace's profile and check its :func:`matrix_checksum`
+    against the one ``ingest_manifest.json`` records, then hold the output
+    directory's lock and remove its manifest, which the command writes again
+    when it completes. A missing manifest or a mismatch is a data error.
 
-    Yields (output directory, profile, stopwatch with the ``load`` stage).
+    Yields (output directory, profile, its checksum, stopwatch with the
+    ``load`` stage).
     """
     workspace = Path(args.workspace)
     out_dir = Path(args.out_dir) if args.out_dir else workspace
@@ -243,14 +263,17 @@ def _open_workspace(args):
     if not matrix_sidecar(prefix).is_file():
         raise DataError(f"no ingested profile matrix under {workspace}")
     watch = _Stopwatch()
-    try:
-        with watch.stage("load"):
+    with watch.stage("load"):
+        try:
             profile = read_matrix(prefix)
-    except (ValueError, OSError) as exc:
-        raise DataError(f"corrupt profile matrix under {workspace}: {exc}") from exc
+        except (ValueError, OSError) as exc:
+            raise DataError(f"corrupt profile matrix under {workspace}: {exc}") from exc
+        checksum = _recorded_checksum(workspace)
+        if matrix_checksum(profile) != checksum:
+            raise DataError(f"profile matrix under {workspace} does not match its ingest manifest")
     with workspace_lock(out_dir):
         (out_dir / "manifest.json").unlink(missing_ok=True)
-        yield out_dir, profile, watch
+        yield out_dir, profile, checksum, watch
 
 
 def _run(args, profile, watch: _Stopwatch, m: int, k: int):
@@ -328,7 +351,7 @@ def cmd_cluster(args) -> int:
     from . import clustering as clus
     from . import lsa, weighting
 
-    with _open_workspace(args) as (out_dir, profile, watch):
+    with _open_workspace(args) as (out_dir, profile, checksum, watch):
         demo, tx, side_counts = _parse_reports(args)
         feature, model, features, kmeans_kw = _run(args, profile, watch, args.m, args.k)
         with watch.stage("cluster"):
@@ -341,12 +364,17 @@ def cmd_cluster(args) -> int:
             write_matrix(feature, out_dir / FEATURE_PREFIX)
             lsa.save_model(model, out_dir / LSA_PREFIX)
             clus.write_clustering(result, feature.users, out_dir)
+        # LAPACK's rank cut-off: sigma_i above sigma_1 * max(N_u, N_d) * eps
+        cutoff = model.sigma[0] * max(feature.n_users, feature.n_domains) * np.finfo(float).eps
         _write_manifest(
             out_dir / "manifest.json",
             args,
             {
+                "profile_checksum": checksum,
                 "n_users": feature.n_users,
                 "n_domains": feature.n_domains,
+                "feature_nnz": feature.nnz,
+                "numerical_rank": int(np.count_nonzero(model.sigma > cutoff)),
                 "dropped_zero_users": profile.n_users - feature.n_users,
                 "negative_weight_fraction": weighting.negative_fraction(feature),
                 "svd_method": model.method,
@@ -372,7 +400,7 @@ def cmd_sweep_k(args) -> int:
 
     if args.k_min < 1 or args.k_max < args.k_min:
         raise UsageError(f"bad K range [{args.k_min}, {args.k_max}]")
-    with _open_workspace(args) as (out_dir, profile, watch):
+    with _open_workspace(args) as (out_dir, profile, checksum, watch):
         _, _, features, kmeans_kw = _run(args, profile, watch, args.m, args.k_max)
         with watch.stage("sweep"):
             results = clus.sweep_k(features, args.k_min, args.k_max, **kmeans_kw)
@@ -382,6 +410,7 @@ def cmd_sweep_k(args) -> int:
             out_dir / "manifest.json",
             args,
             {
+                "profile_checksum": checksum,
                 "svd_blas_threads": _kernels.svd_blas_threads(),
                 "inertia": {str(r.k): r.inertia for r in results},
                 "kmeans_runs": {str(r.k): [dataclasses.asdict(x) for x in r.runs] for r in results},
@@ -406,7 +435,7 @@ def cmd_bench_m(args) -> int:
     if not m_list:
         raise UsageError("empty M list")
     rows = []
-    with _open_workspace(args) as (out_dir, profile, watch):
+    with _open_workspace(args) as (out_dir, profile, checksum, watch):
         for m in m_list:
             times = {stage: [] for stage in BENCH_STAGES}
             for _ in range(args.repeats):
@@ -425,7 +454,8 @@ def cmd_bench_m(args) -> int:
         header = list(rows[0])
         write_rows(out_dir / "bench_m.txt", [header, *(
             [row["m"], *(f"{row[key]:.6g}" for key in header[1:])] for row in rows)])
-        results = {"rows": rows, "svd_blas_threads": _kernels.svd_blas_threads()}
+        results = {"rows": rows, "svd_blas_threads": _kernels.svd_blas_threads(),
+                   "profile_checksum": checksum}
         _write_manifest(out_dir / "manifest.json", args, results, watch, m_list=m_list)
     for row in rows:
         print(

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from ._store import write_json, write_rows
+from ._store import write_rows
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class LloydRun:
 
 @dataclass(frozen=True, eq=False)
 class Clustering:
-    """One k-means solution: assignments, centroids and run parameters.
+    """One k-means solution: assignments, centroids and inertia.
 
     ``runs`` holds every Lloyd run the solution was chosen from, in order.
     """
@@ -52,9 +52,7 @@ class Clustering:
     assignments: np.ndarray  # per-point cluster index in [0, k)
     centroids: np.ndarray  # k x dim
     inertia: float
-    restarts: int
     iterations_run: int
-    seed: int
     runs: tuple[LloydRun, ...] = ()
 
     def __post_init__(self):
@@ -190,16 +188,7 @@ def kmeans(
         if best is None or inert < best[2]:
             best = (labels, centroids, inert, iters)
     labels, centroids, inert, iters = best
-    return Clustering(
-        k=k,
-        assignments=labels,
-        centroids=centroids,
-        inertia=inert,
-        restarts=restarts,
-        iterations_run=iters,
-        seed=seed,
-        runs=tuple(runs),
-    )
+    return Clustering(k, labels, centroids, inert, iters, tuple(runs))
 
 
 def inertia(points, assignments, centroids) -> float:
@@ -248,16 +237,7 @@ def sweep_k(
             labels, centroids, inert, iters, stop = _lloyd(pts, warm0, max_iter, tol)
             runs = best.runs + (LloydRun(None, inert, iters, stop),)
             if inert < best.inertia:
-                best = Clustering(
-                    k=k,
-                    assignments=labels,
-                    centroids=centroids,
-                    inertia=inert,
-                    restarts=restarts,
-                    iterations_run=iters,
-                    seed=seed,
-                    runs=runs,
-                )
+                best = Clustering(k, labels, centroids, inert, iters, runs)
             else:
                 best = replace(best, runs=runs)
         results.append(best)
@@ -271,7 +251,11 @@ def sweep_k(
 
 
 def write_clustering(c: Clustering, user_ids, out_dir: str | Path) -> list[Path]:
-    """Persist assignments (user_id,cluster), centroids and run metadata."""
+    """Persist assignments (user_id,cluster) and centroids; returns their paths.
+
+    The run's parameters, inertia and iteration counts go to the command's
+    manifest, not to a file of their own.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     assign_path = write_rows(
@@ -281,13 +265,4 @@ def write_clustering(c: Clustering, user_ids, out_dir: str | Path) -> list[Path]
         out / "centroids.txt", c.centroids.tolist(),  # csv writes a float as its repr
         comments=(f"k: {c.k}", f"dim: {c.centroids.shape[1]}"), delimiter=" ",
     )
-    meta_path = out / "clustering_meta.json"
-    meta = {
-        "k": c.k,
-        "seed": c.seed,
-        "restarts": c.restarts,
-        "inertia": c.inertia,
-        "iterations_run": c.iterations_run,
-    }
-    write_json(meta_path, meta)
-    return [assign_path, cent_path, meta_path]
+    return [assign_path, cent_path]

@@ -885,6 +885,11 @@ def sessionize(events: SessionTable, gap_threshold: float = DEFAULT_GAP_SECONDS)
 # --------------------------------------------------------------------------
 
 
+# multi-row cells whose values build_profile_matrix turns into Python floats at
+# once, so that the float objects never span the whole value column
+_FSUM_BLOCK_CELLS = 4096
+
+
 def build_profile_matrix(sessions: SessionTable, metric: str = "bytes") -> ProfileMatrix:
     """Aggregate a table of sessions into the users-by-domains activity matrix.
 
@@ -905,25 +910,28 @@ def build_profile_matrix(sessions: SessionTable, metric: str = "bytes") -> Profi
     order = np.argsort(user_codes * len(domains) + domain_codes, kind="stable")
     user_codes, domain_codes = user_codes[order], domain_codes[order]
     values = sessions.metric_values(metric)[order]
-    first = np.ones(order.size, dtype=bool)
+    del order
+    first = np.ones(values.size, dtype=bool)
     first[1:] = (user_codes[1:] != user_codes[:-1]) | (domain_codes[1:] != domain_codes[:-1])
     starts = np.flatnonzero(first)
-    ends = np.append(starts[1:], order.size)
+    ends = np.append(starts[1:], values.size)
     totals = values[starts]
     multi = np.flatnonzero(ends - starts > 1)
-    if multi.size:
-        flat = values.tolist()
-        cell = 0  # first row of the cell being summed
-        try:
-            totals[multi] = [
-                math.fsum(flat[(cell := a) : b])
-                for a, b in zip(starts[multi].tolist(), ends[multi].tolist())
+    cell = 0  # first row of the cell being summed
+    try:
+        for block in range(0, multi.size, _FSUM_BLOCK_CELLS):
+            cells = multi[block : block + _FSUM_BLOCK_CELLS]
+            lo = int(starts[cells[0]])
+            flat = values[lo : ends[cells[-1]]].tolist()
+            totals[cells] = [
+                math.fsum(flat[(cell := a) - lo : b - lo])
+                for a, b in zip(starts[cells].tolist(), ends[cells].tolist())
             ]
-        except OverflowError:
-            raise ParseError(
-                f"{metric} total of user {users[user_codes[cell]]!r} on domain "
-                f"{domains[domain_codes[cell]]!r} is beyond the float64 range"
-            ) from None
+    except OverflowError:
+        raise ParseError(
+            f"{metric} total of user {users[user_codes[cell]]!r} on domain "
+            f"{domains[domain_codes[cell]]!r} is beyond the float64 range"
+        ) from None
     cell_users, cell_domains = user_codes[starts], domain_codes[starts]
     positive = totals > 0
     active = np.zeros(len(domains), dtype=bool)

@@ -29,6 +29,9 @@ The left factor is the per-user topic embedding used for clustering; the
 right factor relates domains to topics. Unscaled left vectors weight all
 topics equally, the scaled variant (columns multiplied by the singular
 values) preserves the matrix geometry; see :func:`user_features`.
+
+:func:`save_model` writes the three factors as plain ``.npy`` arrays and
+nothing else; the command's manifest records the method, rank and seed.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from ._store import save_array, write_json
-from .matrix import FeatureMatrix, matrix_checksum
+from ._store import save_array
+from .matrix import FeatureMatrix
 
 log = logging.getLogger(__name__)
 
@@ -61,8 +64,6 @@ class LsaModel:
     v: np.ndarray
     m: int
     method: str
-    seed: int | None
-    source_checksum: str = ""
 
     def __post_init__(self):
         if self.u.shape[1] != self.m or self.v.shape[1] != self.m:
@@ -94,7 +95,6 @@ def truncated_svd(f: FeatureMatrix, m: int, method: str = "auto", seed: int = 0)
         method = "exact" if small else "randomized"
     if method not in ("exact", "randomized"):
         raise ValueError(f"unknown method: {method!r}")
-    checksum = matrix_checksum(f)
     with _kernels.one_blas_thread():
         if method == "exact":
             u_full, s_full, vt_full = np.linalg.svd(f.toarray(), full_matrices=False)
@@ -107,8 +107,6 @@ def truncated_svd(f: FeatureMatrix, m: int, method: str = "auto", seed: int = 0)
         v=np.ascontiguousarray(vt.T),
         m=m,
         method=method,
-        seed=seed if method == "randomized" else None,
-        source_checksum=checksum,
     )
 
 
@@ -168,10 +166,7 @@ def orthonormality_residual(mat: np.ndarray) -> float:
 # --------------------------------------------------------------------------
 #
 # A model under prefix P is P.U.npy (N_u x M), P.sigma.npy (M) and P.V.npy
-# (N_d x M), all <f8, and the sidecar P.meta.json with the rank m, method,
-# seed (null for the exact method) and source_checksum, the
-# matrix_checksum of the feature matrix the model was computed from. As
-# for matrices, the sidecar is removed first and written last.
+# (N_d x M), all <f8.
 
 _FACTORS = (("U", "u"), ("sigma", "sigma"), ("V", "v"))
 
@@ -179,17 +174,7 @@ _FACTORS = (("U", "u"), ("sigma", "sigma"), ("V", "v"))
 def save_model(model: LsaModel, prefix: str | Path) -> list[Path]:
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    sidecar = prefix.with_name(prefix.name + ".meta.json")
-    sidecar.unlink(missing_ok=True)
-    paths = [
+    return [
         save_array(prefix.with_name(f"{prefix.name}.{name}.npy"), getattr(model, attr), "<f8")
         for name, attr in _FACTORS
     ]
-    meta = {
-        "m": model.m,
-        "method": model.method,
-        "seed": model.seed,
-        "source_checksum": model.source_checksum,
-    }
-    paths.append(write_json(sidecar, meta))
-    return paths

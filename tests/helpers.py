@@ -112,6 +112,22 @@ def field_size_limit(limit):
         csv.field_size_limit(old)
 
 
+# the profile matrix files ingest writes
+PROFILE_FILES = (
+    "profile.indptr.npy", "profile.indices.npy", "profile.data.npy",
+    "profile.users.txt", "profile.domains.txt", "profile.meta.json",
+)
+
+# the files a cluster run writes besides its manifest; criterion 8 tracks them
+CLUSTER_OUTPUTS = (
+    "feature.indptr.npy", "feature.indices.npy", "feature.data.npy",
+    "feature.meta.json", "feature.users.txt", "feature.domains.txt",
+    "lsa.U.npy", "lsa.sigma.npy", "lsa.V.npy",
+    "assignments.csv", "centroids.txt",
+    "report_topics.txt", "report_gender.txt", "report_birth_years.txt",
+    "report_spend.txt", "summary.json",
+)
+
 # the modules a command imports only when it runs their stage
 STAGE_MODULES = ("clustering", "ingest", "lsa", "reporting", "synth", "weighting")
 

@@ -32,7 +32,13 @@ from usertopics.synth import (
 from usertopics.weighting import row_normalize, tfidf
 
 import oracles
-from helpers import make_event, matrix_from_dense, random_dense_positive, session_table
+from helpers import (
+    CLUSTER_OUTPUTS,
+    make_event,
+    matrix_from_dense,
+    random_dense_positive,
+    session_table,
+)
 from oracles import (
     dense_to_feature,
     optimal_inertia,
@@ -258,16 +264,6 @@ def test_criterion_7_runtime_vs_rank_trend(tmp_path):
         assert rho >= 0.8, f"spearman {rho:.2f} over fastest totals {fastest}"
 
 
-TRACKED_OUTPUTS = [
-    "feature.indptr.npy", "feature.indices.npy", "feature.data.npy",
-    "feature.meta.json", "feature.users.txt", "feature.domains.txt",
-    "lsa.U.npy", "lsa.sigma.npy", "lsa.V.npy", "lsa.meta.json",
-    "assignments.csv", "centroids.txt", "clustering_meta.json",
-    "report_topics.txt", "report_gender.txt", "report_birth_years.txt",
-    "report_spend.txt", "summary.json",
-]
-
-
 CRITERION_8_CLUSTER = ["cluster", "-M", "4", "-K", "4", "--seed", "17"]
 CRITERION_8_SPEC = {
     "n_topics": 4,
@@ -300,12 +296,12 @@ def test_criterion_8_cluster_determinism(tmp_path):
         assert cli.main(args) == 0
         keep = tmp_path / "first_run"
         keep.mkdir()
-        for name in TRACKED_OUTPUTS:
+        for name in CLUSTER_OUTPUTS:
             shutil.copy(ws / name, keep / name)
         manifest1 = json.loads((ws / "manifest.json").read_text())
         manifest1.pop("timings")
         assert cli.main(args) == 0
-        for name in TRACKED_OUTPUTS:
+        for name in CLUSTER_OUTPUTS:
             assert (ws / name).read_bytes() == (keep / name).read_bytes(), name
         manifest2 = json.loads((ws / "manifest.json").read_text())
         manifest2.pop("timings")
@@ -350,7 +346,7 @@ def test_cluster_outputs_independent_of_blas_threads(tmp_path):
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append(out)
-        for name in TRACKED_OUTPUTS:
+        for name in CLUSTER_OUTPUTS:
             assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), (
                 case, name
             )

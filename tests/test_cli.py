@@ -13,9 +13,15 @@ import pytest
 
 from usertopics import _kernels, _store, cli, lsa, reporting
 from usertopics.ingest import DEFAULT_GAP_SECONDS, RAW_EVENT_COLUMNS
-from usertopics.matrix import SparseMatrix, csr_from_triplets, read_matrix, write_matrix
+from usertopics.matrix import (
+    SparseMatrix,
+    csr_from_triplets,
+    matrix_checksum,
+    read_matrix,
+    write_matrix,
+)
 
-from helpers import STAGE_MODULES, loaded_modules
+from helpers import CLUSTER_OUTPUTS, PROFILE_FILES, STAGE_MODULES, loaded_modules
 from oracles import parse_side_rows, read_truth, sessionize, write_sessions_rows
 
 SESSION_HEADER = (
@@ -60,7 +66,8 @@ def ingested_ws(tmp_path, synth_ws):
 
 
 def write_profile(ws, dense):
-    """Write ``dense`` as the workspace's profile, bypassing the ProfileMatrix checks."""
+    """Write ``dense`` as the workspace's profile, bypassing the ProfileMatrix
+    checks, with the ingest manifest that vouches for it."""
     dense = np.asarray(dense, dtype=np.float64)
     rows, cols = np.nonzero(dense)
     indptr, indices, data = csr_from_triplets(*dense.shape, rows, cols, dense[rows, cols])
@@ -74,6 +81,8 @@ def write_profile(ws, dense):
         domains=tuple(f"d{j}.com" for j in range(dense.shape[1])),
     )
     write_matrix(matrix, ws / "profile")
+    results = {"profile_checksum": matrix_checksum(matrix)}
+    (ws / "ingest_manifest.json").write_text(json.dumps({"results": results}))
 
 
 def modules_after_main(argv, setup=""):
@@ -153,9 +162,7 @@ class TestIngestCommand:
         ws1, ws2 = tmp_path / "w1", tmp_path / "w2"
         for ws in (ws1, ws2):
             assert run(["ingest", "--workspace", ws, "--sessions", synth_ws / "sessions.csv"]) == 0
-        for name in ("profile.indptr.npy", "profile.indices.npy", "profile.data.npy",
-                     "profile.meta.json", "profile.users.txt", "profile.domains.txt",
-                     "domain_stats.txt"):
+        for name in [*PROFILE_FILES, "domain_stats.txt"]:
             assert (ws1 / name).read_bytes() == (ws2 / name).read_bytes()
 
     def test_field_over_csv_limit_exits_2(self, tmp_path, synth_ws, capsys):
@@ -357,11 +364,29 @@ class TestClusterCommand:
         assert manifest["params"]["weighting"] == "tfidf"
         assert manifest["results"]["n_users"] == SPEC["n_users"]
         assert "timings" in manifest
-        for name in ("report_topics.txt", "report_gender.txt",
-                     "report_birth_years.txt", "report_spend.txt", "summary.json",
-                     "lsa.U.npy", "lsa.sigma.npy", "lsa.V.npy", "lsa.meta.json",
-                     "centroids.txt"):
-            assert (ingested_ws / name).is_file()
+        # ingest's files, cluster's files and the two manifests: nothing else
+        assert sorted(p.name for p in ingested_ws.iterdir()) == sorted([
+            *PROFILE_FILES, "domain_stats.txt", "ingest_manifest.json",
+            *CLUSTER_OUTPUTS, "manifest.json",
+        ])
+
+    def test_manifests_name_the_profile(self, ingested_ws):
+        ingest = json.loads((ingested_ws / "ingest_manifest.json").read_text())["results"]
+        checksum = matrix_checksum(read_matrix(ingested_ws / "profile"))
+        assert ingest["profile_checksum"] == checksum
+        for command, argv in PIPELINE_ARGV.items():
+            assert run([*argv, "--workspace", ingested_ws]) == 0
+            results = json.loads((ingested_ws / "manifest.json").read_text())["results"]
+            assert results["profile_checksum"] == checksum, command
+
+    def test_manifest_records_numerical_rank(self, tmp_path):
+        ws = tmp_path / "ws"
+        # two pairs of identical users: the TF-IDF feature matrix has rank 2
+        write_profile(ws, [[3, 1, 0, 0], [3, 1, 0, 0], [0, 0, 2, 5], [0, 0, 2, 5]])
+        assert run(["cluster", "--workspace", ws, "-M", 3, "-K", 2]) == 0
+        results = json.loads((ws / "manifest.json").read_text())["results"]
+        assert results["numerical_rank"] == 2
+        assert results["feature_nnz"] == 8
 
     def test_domains_with_a_comma_or_quote_read_back_as_csv(self, tmp_path, synth_ws):
         with open(synth_ws / "sessions.csv", newline="") as fh:
@@ -462,19 +487,11 @@ class TestClusterCommand:
         assert run(args) == 0
         keep = tmp_path / "copy"
         keep.mkdir()
-        tracked = [
-            "feature.indptr.npy", "feature.indices.npy", "feature.data.npy",
-            "feature.meta.json", "feature.users.txt", "feature.domains.txt",
-            "lsa.U.npy", "lsa.sigma.npy", "lsa.V.npy", "lsa.meta.json",
-            "assignments.csv", "centroids.txt", "clustering_meta.json",
-            "report_topics.txt", "report_gender.txt", "report_birth_years.txt",
-            "report_spend.txt", "summary.json",
-        ]
-        for name in tracked:
+        for name in CLUSTER_OUTPUTS:
             shutil.copy(ingested_ws / name, keep / name)
         manifest1 = strip_timings(ingested_ws / "manifest.json")
         assert run(args) == 0
-        for name in tracked:
+        for name in CLUSTER_OUTPUTS:
             assert (ingested_ws / name).read_bytes() == (keep / name).read_bytes(), name
         assert strip_timings(ingested_ws / "manifest.json") == manifest1
 

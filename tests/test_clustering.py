@@ -168,7 +168,5 @@ class TestClusteringType:
                 assignments=np.array([0, 2]),
                 centroids=np.zeros((2, 1)),
                 inertia=0.0,
-                restarts=1,
                 iterations_run=1,
-                seed=0,
             )

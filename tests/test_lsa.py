@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -214,7 +212,7 @@ class TestCanonicalizeSigns:
         # a few repeated magnitudes of both signs, so ties on |v| are common
         v = np.array(v_values[: n_domains * m]).reshape(n_domains, m)
         u = np.array(u_values[: 6 * m]).reshape(6, m)
-        model = lsa.LsaModel(u=u, sigma=np.zeros(m), v=v, m=m, method="exact", seed=None)
+        model = lsa.LsaModel(u=u, sigma=np.zeros(m), v=v, m=m, method="exact")
         canon = canonicalize_signs(model)
         want_u, want_v = canonicalize_signs_loop(u, v)
         assert canon.u.tobytes() == want_u.tobytes()
@@ -232,10 +230,9 @@ class TestModelIO:
     def test_roundtrip(self, tmp_path, rng):
         f = dense_to_feature(decay_matrix(rng, 12, 9))
         model = truncated_svd(f, 3, method="randomized", seed=4)
-        save_model(model, tmp_path / "m")
-        for name, arr in (("U", model.u), ("sigma", model.sigma), ("V", model.v)):
-            back = np.load(tmp_path / f"m.{name}.npy", allow_pickle=False)
+        paths = save_model(model, tmp_path / "m")
+        assert paths == [tmp_path / f"m.{name}.npy" for name in ("U", "sigma", "V")]
+        assert sorted(tmp_path.iterdir()) == sorted(paths)  # no sidecar
+        for path, arr in zip(paths, (model.u, model.sigma, model.v)):
+            back = np.load(path, allow_pickle=False)
             assert back.dtype.str == "<f8" and np.array_equal(back, arr)
-        meta = json.loads((tmp_path / "m.meta.json").read_text())
-        assert meta == {"m": 3, "method": "randomized", "seed": 4,
-                        "source_checksum": model.source_checksum}

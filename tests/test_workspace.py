@@ -1,8 +1,11 @@
-"""Binary workspace files: corrupt, mangled or half-written files exit 2 with one line."""
+"""Binary workspace files: corrupt, mangled, half-written or mismatched files
+exit 2 with one line."""
 
 import contextlib
+import errno
 import io
 import json
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -13,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from usertopics import cli
 
+from helpers import PROFILE_FILES
+
 SPEC = {
     "n_topics": 3,
     "n_domains": 20,
@@ -21,9 +26,10 @@ SPEC = {
     "seed": 5,
 }
 CLUSTER = ["cluster", "-M", "3", "-K", "3", "--restarts", "2"]
-PROFILE_FILES = [
-    "profile.indptr.npy", "profile.indices.npy", "profile.data.npy",
-    "profile.users.txt", "profile.domains.txt", "profile.meta.json",
+COMMANDS = [
+    CLUSTER,
+    ["sweep-k", "-M", "3", "--k-min", "2", "--k-max", "3", "--restarts", "1"],
+    ["bench-m", "--m-list", "3", "--repeats", "1", "-K", "2", "--restarts", "1"],
 ]
 
 
@@ -143,11 +149,7 @@ def test_mangled_profile_exits_2(ws, case):
     assert_one_line_data_error(*run([*CLUSTER, "--workspace", ws]), "corrupt profile matrix")
 
 
-@pytest.mark.parametrize("command", [
-    [*CLUSTER],
-    ["sweep-k", "-M", "3", "--k-min", "2", "--k-max", "3", "--restarts", "1"],
-    ["bench-m", "--m-list", "3", "--repeats", "1", "-K", "2", "--restarts", "1"],
-])
+@pytest.mark.parametrize("command", COMMANDS)
 def test_every_command_rejects_a_truncated_profile(ws, command):
     path = ws / "profile.indices.npy"
     path.write_bytes(path.read_bytes()[:-5])
@@ -214,11 +216,78 @@ def test_truncated_or_bit_flipped_workspace_never_tracebacks(clustered, damage):
 
 
 def test_model_files_are_plain_npy(clustered):
-    meta = json.loads((clustered / "lsa.meta.json").read_text())
-    assert sorted(meta) == ["m", "method", "seed", "source_checksum"]
     feature = json.loads((clustered / "feature.meta.json").read_text())
-    m = meta["m"]
+    m = np.load(clustered / "lsa.sigma.npy", allow_pickle=False).shape[0]
+    assert m == int(CLUSTER[CLUSTER.index("-M") + 1])
     shapes = {"U": (feature["n_users"], m), "sigma": (m,), "V": (feature["n_domains"], m)}
     for name, shape in shapes.items():
         raw = np.load(clustered / f"lsa.{name}.npy", allow_pickle=False)
         assert raw.dtype.str == "<f8" and raw.shape == shape and np.isfinite(raw).all()
+
+
+# --------------------------------------------------------------------------
+# provenance: the profile must be the one ingest_manifest.json records
+# --------------------------------------------------------------------------
+
+
+def reingest(clustered, ws, *extra):
+    """Ingest the log of the ``clustered`` workspace into ``ws``."""
+    log = clustered.parent / "synth" / "sessions.csv"
+    return run(["ingest", "--workspace", ws, "--sessions", log, *extra])
+
+
+def files(ws):
+    return {p.name: p.read_bytes() for p in ws.iterdir()}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_needs_the_ingest_manifest(ws, command):
+    (ws / "ingest_manifest.json").unlink()
+    before = files(ws)
+    rc, err = run([*command, "--workspace", ws])
+    assert_one_line_data_error(rc, err, f"no ingest manifest under {ws}")
+    assert files(ws) == before
+
+
+NO_CHECKSUM = {
+    "garbage": "\xff{oops",
+    "an array": "[1, 2]",
+    "no results": "{}",
+    "results an array": '{"results": [1]}',
+    "no checksum": '{"results": {}}',
+    "checksum a number": '{"results": {"profile_checksum": 7}}',
+    "nested too deep": "[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_CHECKSUM))
+def test_ingest_manifest_without_a_checksum_exits_2(ws, case):
+    (ws / "ingest_manifest.json").write_text(NO_CHECKSUM[case], encoding="latin-1")
+    rc, err = run([*CLUSTER, "--workspace", ws])
+    assert_one_line_data_error(rc, err, f"{ws / 'ingest_manifest.json'} records no")
+
+
+def test_profile_of_another_ingest_exits_2(clustered, ws, tmp_path):
+    other = tmp_path / "other"
+    assert reingest(clustered, other, "--metric", "requests")[0] == 0
+    assert run([*CLUSTER, "--workspace", other])[0] == 0  # valid in its own workspace
+    for name in PROFILE_FILES:
+        shutil.copy(other / name, ws / name)
+    rc, err = run([*CLUSTER, "--workspace", ws])
+    assert_one_line_data_error(rc, err, f"profile matrix under {ws} does not match")
+
+
+def test_profile_of_an_ingest_that_failed_after_writing_it_exits_2(clustered, ws, monkeypatch):
+    write_rows = cli.write_rows
+
+    def disk_full(path, *args, **kwargs):
+        if path.name == "domain_stats.txt":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        return write_rows(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "write_rows", disk_full)
+    rc, err = reingest(clustered, ws, "--metric", "requests")
+    assert rc == 2 and os.strerror(errno.ENOSPC) in err
+    assert (ws / "profile.meta.json").is_file()  # the new profile is complete
+    rc, err = run([*CLUSTER, "--workspace", ws])
+    assert_one_line_data_error(rc, err, f"no ingest manifest under {ws}")
