@@ -10,8 +10,7 @@ the stage modules it runs, so it pays no start-up time for the others.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error (bad
 input data, or a file or directory that cannot be read or written).
-Environment overrides: USERTOPICS_SEED (seed default) and USERTOPICS_OUT
-(output directory default).
+Environment override: USERTOPICS_OUT (output directory default).
 """
 
 from __future__ import annotations
@@ -35,7 +34,8 @@ import numpy as np
 from . import __version__, _kernels
 from ._store import WorkspaceLocked, workspace_lock, write_json, write_rows
 from .matrix import (
-    domain_stats, matrix_checksum, matrix_sidecar, rank_domains, read_matrix, write_matrix,
+    FEATURE_PROVENANCES, domain_stats, matrix_checksum, matrix_sidecar, rank_domains,
+    read_matrix, write_matrix,
 )
 from .records import DEFAULT_GAP_SECONDS, PROFILE_METRICS, UserTable
 
@@ -68,16 +68,6 @@ class DataError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 instead of argparse's 2
         raise UsageError(message)
-
-
-def _env_seed() -> int:
-    raw = os.environ.get("USERTOPICS_SEED", "").strip()
-    if raw:
-        try:
-            return _non_negative_int(raw)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise UsageError(f"USERTOPICS_SEED must be an integer >= 0, got {raw!r}") from exc
-    return 0
 
 
 def _env_out() -> str | None:
@@ -136,7 +126,7 @@ def cmd_synth(args) -> int:
     spec_path = _require_file(args.spec, "spec")
     try:
         spec = synth.SynthSpec.from_file(spec_path)
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise UsageError(f"malformed synth spec {spec_path}: {exc}") from exc
     with workspace_lock(out_dir):
         (out_dir / "synth_manifest.json").unlink(missing_ok=True)
@@ -438,18 +428,21 @@ def cmd_bench_m(args) -> int:
     with _open_workspace(args) as (out_dir, profile, checksum, watch):
         for m in m_list:
             times = {stage: [] for stage in BENCH_STAGES}
+            cpu = []  # process CPU seconds, all threads: steadier than wall time under load
             for _ in range(args.repeats):
-                rep = _Stopwatch()
+                rep, cpu0 = _Stopwatch(), time.process_time()
                 _, _, features, kmeans_kw = _run(args, profile, rep, m, args.k)
                 with rep.stage("cluster"):
                     clus.kmeans(features, args.k, **kmeans_kw)
                 for stage, seconds in rep.stages.items():
                     times[stage].append(seconds)
                 times["total"].append(rep.total())
+                cpu.append(time.process_time() - cpu0)
             row = {"m": m}
             for stage, samples in times.items():
                 row[f"{stage}_median_s"] = statistics.median(samples)
-            row.update(total_min_s=min(times["total"]), total_max_s=max(times["total"]))
+            row.update(total_min_s=min(times["total"]), total_max_s=max(times["total"]),
+                       total_cpu_min_s=min(cpu), total_cpu_max_s=max(cpu))
             rows.append(row)
         header = list(rows[0])
         write_rows(out_dir / "bench_m.txt", [header, *(
@@ -494,14 +487,13 @@ def _add_pipeline_flags(p):
     p.add_argument("--workspace", required=True, help="ingested workspace")
     p.add_argument("--out-dir", default=_env_out(),
                    help="output directory (default: the workspace)")
-    p.add_argument("--weighting", choices=["tfidf", "row_normalized"], default="tfidf")
+    p.add_argument("--weighting", choices=FEATURE_PROVENANCES, default="tfidf")
     p.add_argument("--scale-features", action="store_true",
                    help="scale user features by the singular values")
     p.add_argument("--restarts", type=_positive_int, default=DEFAULT_RESTARTS)
     p.add_argument("--max-iter", type=_non_negative_int, default=DEFAULT_MAX_ITER)
     p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-    p.add_argument("--seed", type=_non_negative_int, default=_env_seed(),
-                   help="random seed (env: USERTOPICS_SEED)")
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="random seed")
 
 
 def _delimiter(text: str) -> str:

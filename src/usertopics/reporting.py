@@ -207,45 +207,40 @@ def write_spend_report(path: str | Path, report: SpendReport) -> None:
     ])
 
 
+def _json6(x: float | None) -> float | None:
+    """``x`` rounded to the 6 significant digits the text reports show."""
+    return None if x is None else float(_fmt(x))
+
+
 def summary_dict(
     topics: ClusterTopicReport,
-    gender: GenderReport | None = None,
-    birth: BirthYearReport | None = None,
-    spend: SpendReport | None = None,
+    gender: GenderReport,
+    birth: BirthYearReport,
+    spend: SpendReport,
 ) -> dict:
     """Combined machine-readable summary of all reports."""
-    out: dict = {
+    return {
         "provenance": topics.provenance,
         "cluster_sizes": [int(s) for s in topics.sizes],
         "labels": topics.labels,
         "top_domains": [
-            [{"domain": d, "mean_weight": float(f"{w:.6g}")} for d, w in entries]
+            [{"domain": d, "mean_weight": _json6(w)} for d, w in entries]
             for entries in topics.top
         ],
         "top_domain_union": top_domain_union(topics),
-    }
-    if gender is not None:
-        out["gender"] = {
-            "male_fraction_per_cluster": [
-                None if f is None else float(f"{f:.6g}") for f in gender.fractions
-            ],
-            "overall_male_fraction": (
-                None
-                if gender.overall_fraction is None
-                else float(f"{gender.overall_fraction:.6g}")
-            ),
-        }
-    if birth is not None:
-        out["birth_years"] = {
+        "gender": {
+            "male_fraction_per_cluster": [_json6(f) for f in gender.fractions],
+            "overall_male_fraction": _json6(gender.overall_fraction),
+        },
+        "birth_years": {
             "years": list(birth.years),
             "counts": birth.counts.tolist(),
-        }
-    if spend is not None:
-        out["spend"] = {
-            "edges": [float(f"{e:.6g}") for e in spend.edges],
-            "mean_per_cluster": [float(f"{m:.6g}") for m in spend.means],
-        }
-    return out
+        },
+        "spend": {
+            "edges": [_json6(e) for e in spend.edges],
+            "mean_per_cluster": [_json6(m) for m in spend.means],
+        },
+    }
 
 
 def write_summary(path: str | Path, summary: dict) -> None:

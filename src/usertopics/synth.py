@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -68,6 +68,34 @@ def overlapping_topic_word(
     return mat
 
 
+def _tuple_or_none(value):
+    return tuple(value) if value else None
+
+
+def _as_given(value):
+    return value
+
+
+# JSON spec key (a dot reads one object down) -> the SynthSpec field it sets
+# and the conversion of its value
+_SPEC_KEYS = {
+    "n_topics": ("n_topics", int),
+    "n_domains": ("n_domains", int),
+    "n_users": ("n_users", int),
+    "user_topic_mode": ("user_topic_mode", _as_given),
+    "fixed_mixture": ("fixed_mixture", _tuple_or_none),
+    "mixed_concentration": ("mixed_concentration", float),
+    "sessions.dist": ("sessions_dist", _as_given),
+    "sessions.lo": ("sessions_lo", int),
+    "sessions.hi": ("sessions_hi", int),
+    "bytes_median": ("bytes_median", float),
+    "bytes_sigma": ("bytes_sigma", float),
+    "universal_domain": ("universal_domain", _as_given),
+    "universal_share": ("universal_share", float),
+    "seed": ("seed", int),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class SynthSpec:
     """Parameters of the generative corpus."""
@@ -87,7 +115,6 @@ class SynthSpec:
     universal_domain: str | None = None
     universal_share: float = 0.3
     seed: int = 0
-    domain_names: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         if self.user_topic_mode not in USER_TOPIC_MODES:
@@ -121,42 +148,37 @@ class SynthSpec:
             raise ValueError("bad byte distribution parameters")
         if not 0 < self.mixed_concentration < math.inf:  # NaN fails too
             raise ValueError("mixed_concentration must be a positive finite number")
-        if not self.domain_names:
-            object.__setattr__(
-                self,
-                "domain_names",
-                tuple(f"dom{j:04d}" for j in range(self.n_domains)),
-            )
-        elif len(self.domain_names) != self.n_domains:
-            raise ValueError("domain_names must cover n_domains")
+
+    @property
+    def domain_names(self) -> tuple[str, ...]:
+        """The names of the ``n_domains`` topic domains: ``dom0000``, ``dom0001``, ..."""
+        return tuple(f"dom{j:04d}" for j in range(self.n_domains))
 
     @staticmethod
     def from_dict(raw: dict) -> "SynthSpec":
-        """Build a spec from the JSON configuration layout (see from_file)."""
-        known = {
-            "n_topics",
-            "n_domains",
-            "n_users",
-            "topics",
-            "user_topic_mode",
-            "fixed_mixture",
-            "mixed_concentration",
-            "sessions",
-            "bytes_median",
-            "bytes_sigma",
-            "universal_domain",
-            "universal_share",
-            "seed",
-        }
-        unknown = set(raw) - known
+        """Build a spec from the JSON configuration layout (see from_file).
+
+        Each key of ``_SPEC_KEYS`` that ``raw`` gives sets its field; a key
+        left out keeps the field's default, except that ``sessions.hi``
+        defaults to ``sessions.lo``. ``topics`` picks the topic-word matrix.
+        """
+        if not isinstance(raw, dict):
+            raise ValueError("a synth spec is a JSON object")
+        topics, sessions = raw.get("topics", {}), raw.get("sessions", {})
+        if not isinstance(topics, dict) or not isinstance(sessions, dict):
+            raise ValueError("spec keys topics and sessions must be JSON objects")
+        unknown = set(raw) - {key.partition(".")[0] for key in _SPEC_KEYS} - {"topics"}
         if unknown:
             raise ValueError(f"unknown spec keys: {sorted(unknown)}")
         for key in ("n_topics", "n_domains", "n_users"):
             if key not in raw:
                 raise ValueError(f"missing spec key: {key}")
-        n_topics = int(raw["n_topics"])
-        n_domains = int(raw["n_domains"])
-        topics = raw.get("topics", {"kind": "disjoint"})
+        given = {**raw, **{f"sessions.{key}": value for key, value in sessions.items()}}
+        if "sessions.lo" in given:
+            given.setdefault("sessions.hi", given["sessions.lo"])
+        fields = {name: convert(given[key])
+                  for key, (name, convert) in _SPEC_KEYS.items() if key in given}
+        n_topics, n_domains = fields["n_topics"], fields["n_domains"]
         kind = topics.get("kind", "disjoint")
         if kind == "disjoint":
             topic_word = disjoint_topic_word(n_topics, n_domains)
@@ -168,25 +190,7 @@ class SynthSpec:
             topic_word = np.asarray(topics["rows"], dtype=np.float64)
         else:
             raise ValueError(f"unknown topics kind: {kind!r}")
-        sessions = raw.get("sessions", {})
-        fixed_mixture = raw.get("fixed_mixture")
-        return SynthSpec(
-            n_topics=n_topics,
-            n_domains=n_domains,
-            n_users=int(raw["n_users"]),
-            topic_word=topic_word,
-            user_topic_mode=raw.get("user_topic_mode", "hard"),
-            fixed_mixture=tuple(fixed_mixture) if fixed_mixture else None,
-            mixed_concentration=float(raw.get("mixed_concentration", 1.0)),
-            sessions_dist=sessions.get("dist", "fixed"),
-            sessions_lo=int(sessions.get("lo", 60)),
-            sessions_hi=int(sessions.get("hi", sessions.get("lo", 60))),
-            bytes_median=float(raw.get("bytes_median", 1e4)),
-            bytes_sigma=float(raw.get("bytes_sigma", 1.5)),
-            universal_domain=raw.get("universal_domain"),
-            universal_share=float(raw.get("universal_share", 0.3)),
-            seed=int(raw.get("seed", 0)),
-        )
+        return SynthSpec(topic_word=topic_word, **fields)
 
     @staticmethod
     def from_file(path: str | Path) -> "SynthSpec":

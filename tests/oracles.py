@@ -481,6 +481,7 @@ def generate_records(spec):
     log_text = []
     topic_cum = np.cumsum(spec.topic_word, axis=1)
     log_median = np.log(spec.bytes_median)
+    names = spec.domain_names
     for idx in range(spec.n_users):
         rng = np.random.default_rng((spec.seed, idx))
         mixture = np.zeros(spec.n_topics)
@@ -508,7 +509,7 @@ def generate_records(spec):
         domains = []
         for t, r in zip(topics.tolist(), rvals.tolist()):
             j = min(int(np.searchsorted(topic_cum[t], r, side="right")), spec.n_domains - 1)
-            domains.append(spec.domain_names[j])
+            domains.append(names[j])
         domains.extend([spec.universal_domain] * n_universal)
         nbytes = np.maximum(
             1,

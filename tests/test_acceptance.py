@@ -231,7 +231,7 @@ def test_criterion_6_end_to_end_topic_recovery():
 
 def test_criterion_7_runtime_vs_rank_trend(tmp_path):
     """Pipeline runtime grows with the truncation rank (rank correlation of
-    the fastest repeat per M)."""
+    the least CPU time of the repeats per M)."""
     with criterion(7, "runtime-vs-rank", budget_s=None):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
@@ -253,15 +253,16 @@ def test_criterion_7_runtime_vs_rank_trend(tmp_path):
             "--repeats", "3", "-K", "8", "--restarts", "2",
             "--max-iter", "60", "--tol", "1e-4",
         ]) == 0
-        # the fastest repeat per M: a run slowed by other load on the machine
-        # moves a median of three, but not the minimum
+        # the least CPU time of three repeats per M: other load on the machine
+        # stretches a repeat's wall time, but hardly the CPU time it spends
         with open(ws / "bench_m.txt", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         ms = [int(row["m"]) for row in rows]
-        fastest = [float(row["total_min_s"]) for row in rows]
+        cpu = [float(row["total_cpu_min_s"]) for row in rows]
+        wall = [float(row["total_min_s"]) for row in rows]
         assert ms == [100, 200, 400, 800]
-        rho = spearman_rho(ms, fastest)
-        assert rho >= 0.8, f"spearman {rho:.2f} over fastest totals {fastest}"
+        rho = spearman_rho(ms, cpu)
+        assert rho >= 0.8, f"spearman {rho:.2f} over CPU minima {cpu} (wall minima {wall})"
 
 
 CRITERION_8_CLUSTER = ["cluster", "-M", "4", "-K", "4", "--seed", "17"]

@@ -133,14 +133,34 @@ class TestSynthCommand:
                "usage error: malformed synth spec .*: "
                "mixed_concentration must be a positive finite number")
               for value in (-1, float("nan"), 0)),
+            *(({key: value}, "usage error: malformed synth spec .*: "
+               "spec keys topics and sessions must be JSON objects")
+              for key, value in (("topics", []), ("sessions", "x"))),
+            # text in place of a dict: the whole spec file
+            *(pytest.param(text, "usage error: malformed synth spec .*: "
+                           "cannot convert float infinity to integer", id=f"{key}-1e400")
+              for key, text in (("sessions.lo", '{"n_topics": 4, "n_domains": 40, '
+                                 '"n_users": 80, "sessions": {"lo": 1e400}}'),
+                                ("n_topics", '{"n_topics": 1e400, "n_domains": 40, '
+                                 '"n_users": 80}'))),
+            pytest.param("[" * 100_000 + "]" * 100_000,
+                         "usage error: malformed synth spec .*: maximum recursion depth exceeded",
+                         id="arrays-100000-deep"),
+            pytest.param('"x"', "usage error: malformed synth spec .*: a synth spec is a JSON object",
+                         id="string-spec"),
         ],
     )
     def test_bad_spec_exits_1_before_writing(self, tmp_path, capsys, extra, message):
-        spec = write_spec(tmp_path, extra)
+        if isinstance(extra, str):
+            spec = tmp_path / "spec.json"
+            spec.write_text(extra)
+        else:
+            spec = write_spec(tmp_path, extra)
         out = tmp_path / "o"
         assert run(["synth", "--spec", spec, "--out-dir", out]) == 1
         err = capsys.readouterr().err
         assert re.match(message, err) and err.count("\n") == 1
+        assert "Traceback" not in err
         assert not out.exists() or list(out.iterdir()) == []
 
 
@@ -924,17 +944,15 @@ class TestDefaults:
         assert err.count("\n") == 1
         assert not (tmp_path / "ws").exists()
 
-    def test_env_seed_override(self, monkeypatch):
-        monkeypatch.setenv("USERTOPICS_SEED", "99")
-        parser = cli.build_parser()
-        assert parser.parse_args(["cluster", "--workspace", "x"]).seed == 99
-
-    def test_negative_env_seed_is_usage_error(self, monkeypatch, capsys):
+    def test_seed_comes_from_the_flag_alone(self, tmp_path, monkeypatch, synth_ws):
         monkeypatch.setenv("USERTOPICS_SEED", "-5")
-        assert cli.main(["cluster", "--workspace", "x"]) == 1
-        assert capsys.readouterr().err == (
-            "usage error: USERTOPICS_SEED must be an integer >= 0, got '-5'\n"
-        )
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        ws = tmp_path / "ws"
+        assert run(["ingest", "--workspace", ws, "--sessions", synth_ws / "sessions.csv"]) == 0
+        assert run(["cluster", "--workspace", ws, "-M", "3", "-K", "3"]) == 0
+        assert json.loads((ws / "manifest.json").read_text())["params"]["seed"] == 0
 
     def test_env_out_dir_override(self, monkeypatch):
         monkeypatch.setenv("USERTOPICS_OUT", "/tmp/elsewhere")

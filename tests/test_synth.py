@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import hashlib
 import json
 import tempfile
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from usertopics import cli
 from usertopics.ingest import write_sessions_csv
 from usertopics.synth import (
+    _SPEC_KEYS,
     SynthSpec,
     adjusted_rand_index,
     disjoint_topic_word,
@@ -43,6 +45,27 @@ def spec_with(**kw):
     return SynthSpec(**base)
 
 
+MINIMAL_SPEC = {"n_topics": 2, "n_domains": 10, "n_users": 3}
+
+# JSON spec key -> (a value other than its default, the field it sets, the field's value)
+SPEC_KEY_CASES = {
+    "n_topics": (5, "n_topics", 5),
+    "n_domains": (12, "n_domains", 12),
+    "n_users": ("7", "n_users", 7),
+    "user_topic_mode": ("mixed", "user_topic_mode", "mixed"),
+    "fixed_mixture": ([0.25, 0.75], "fixed_mixture", (0.25, 0.75)),
+    "mixed_concentration": (2, "mixed_concentration", 2.0),
+    "sessions.dist": ("uniform", "sessions_dist", "uniform"),
+    "sessions.lo": (7, "sessions_lo", 7),
+    "sessions.hi": (90, "sessions_hi", 90),
+    "bytes_median": (5, "bytes_median", 5.0),
+    "bytes_sigma": (0.5, "bytes_sigma", 0.5),
+    "universal_domain": ("portal.example", "universal_domain", "portal.example"),
+    "universal_share": (0.1, "universal_share", 0.1),
+    "seed": (9, "seed", 9),
+}
+
+
 class TestSpecValidation:
     def test_rows_must_be_stochastic(self):
         bad = disjoint_topic_word(2, 10)
@@ -70,6 +93,29 @@ class TestSpecValidation:
         assert np.allclose(spec.topic_word.sum(axis=1), 1.0)
         raw["topics"] = {"kind": "matrix", "rows": [[0.5, 0.5] + [0.0] * 8] * 2}
         assert SynthSpec.from_dict(raw).topic_word[0, 0] == 0.5
+
+    def test_from_dict_left_out_keys_keep_defaults(self):
+        spec = SynthSpec.from_dict(MINIMAL_SPEC)
+        for f in dataclasses.fields(SynthSpec):
+            if f.default is not dataclasses.MISSING:
+                assert getattr(spec, f.name) == f.default, f.name
+        assert SynthSpec.from_dict({**MINIMAL_SPEC, "sessions": {"lo": 7}}).sessions_hi == 7
+
+    @pytest.mark.parametrize("key", list(SPEC_KEY_CASES))
+    def test_from_dict_key_sets_its_field(self, key):
+        value, name, expected = SPEC_KEY_CASES[key]
+        outer, _, inner = key.partition(".")
+        raw = {**MINIMAL_SPEC, outer: {inner: value} if inner else value}
+        assert getattr(SynthSpec.from_dict(raw), name) == expected
+        assert getattr(SynthSpec.from_dict(MINIMAL_SPEC), name) != expected
+
+    def test_every_spec_key_has_a_case(self):
+        assert set(SPEC_KEY_CASES) == set(_SPEC_KEYS)
+
+    def test_domain_names_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            spec_with(domain_names=tuple("abcdefghij"))
+        assert spec_with().domain_names == tuple(f"dom{j:04d}" for j in range(10))
 
     def test_json_file(self, tmp_path):
         path = tmp_path / "spec.json"
