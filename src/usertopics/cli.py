@@ -210,6 +210,7 @@ def cmd_ingest(args) -> int:
                 "n_domains": matrix.n_domains,
                 "nnz": matrix.nnz,
                 "parse_errors": report.n_errors,
+                "parse_errors_by_kind": dict(report.errors_by_code),
                 "parse_warnings": len(report.warnings),
                 "nonzero_median_fraction": stats.nonzero_median_fraction,
                 "profile_checksum": matrix_checksum(matrix),

@@ -18,23 +18,20 @@ one by one and keep one row per user in a :class:`UserTable`.
 Session logs and raw-event logs, the large inputs, are parsed column by
 column into a :class:`SessionTable`; a raw event is a session of duration
 0, and a session log's location, isp and service_class columns are read
-but dropped. Each chunk's columns are validated in bulk: timestamps
+but dropped. Each chunk's columns are converted in bulk: timestamps
 through :func:`parse_timestamps`, the other numbers through one ``map``
-over the column, the finiteness and sign checks as array comparisons.
-Each string column is encoded to int64 codes by a vocabulary that cleans
-and checks every distinct raw string once; a domain or user id that fails
-its check gets code -1, which flags its row.
+over the column. Each string column is encoded to int64 codes by a
+vocabulary that cleans and checks every distinct raw string once; a domain
+or user id that fails its check gets code -1.
 The chunk is encoded before the next one is read, so memory grows with
 the vocabularies and the numeric columns, not with the raw text. At the
 end, each vocabulary is reduced to the values the accepted rows use, in
 sorted order: every :class:`SessionTable` keeps its vocabularies sorted,
 so :func:`sessionize` and :func:`build_profile_matrix` order users and
-domains by their codes. A row that a column check flags is converted
-once more through the per-row :class:`SessionRecord` path. The column
-checks only tell that a row is bad; the per-row path applies the checks
-in their fixed order, so it gives the verdict and the message that
-parsing the row on its own gives, and errors stay identical line for
-line.
+domains by their codes. A bad row's error is the first check it fails in
+one ordered table of exact tests over the converted columns,
+``_ROW_CHECKS``: it gets that check's code, and the message that parsing
+the row on its own gives, so errors match a row-by-row parse line for line.
 
 :func:`sessionize` merges a table of raw events into sessions with array
 operations: a sort by (user, domain, time) and one sum per run of events.
@@ -46,8 +43,8 @@ import csv
 import itertools
 import logging
 import math
-import sys
-from dataclasses import dataclass, field, fields
+from collections import Counter
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -61,7 +58,6 @@ from .records import (
     DEFAULT_GAP_SECONDS,
     GENDERS,
     PROFILE_METRICS,
-    SessionRecord,
     UserTable,
     _check_domain,
     _check_user_id,
@@ -104,12 +100,14 @@ class ParseReport:
 
     ``records`` is a :class:`SessionTable` from :func:`parse_sessions` and
     :func:`parse_raw_events`, or a :class:`UserTable` from
-    :func:`parse_demographics` and :func:`parse_transactions`.
+    :func:`parse_demographics` and :func:`parse_transactions`. The session
+    parsers count errors by check code (see ``_ROW_CHECKS``) in ``errors_by_code``.
     """
 
     records: SessionTable | UserTable | None = None
     errors: list[tuple[int, str]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+    errors_by_code: Counter[str] = field(default_factory=Counter)
 
     @property
     def n_errors(self) -> int:
@@ -245,17 +243,13 @@ def _is_blank(row) -> bool:
     return not row or (len(row) == 1 and not row[0].strip())
 
 
-def _check_width(row, columns) -> None:
-    if len(row) != len(columns):
-        raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
-
-
 def _run_parser(source, delimiter, columns, convert, fail_fast, report: ParseReport):
     """Yield ``convert`` of each good row; a bad row's error goes to ``report``."""
     for chunk, first_line in _chunks(source, delimiter, columns):
         for pos, row in chunk.rows():
             try:
-                _check_width(row, columns)
+                if len(row) != len(columns):
+                    raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
                 value = convert(row)
             except (ValueError, OverflowError) as exc:
                 if fail_fast:
@@ -269,7 +263,7 @@ def _run_parser(source, delimiter, columns, convert, fail_fast, report: ParseRep
 # columnar session table
 # --------------------------------------------------------------------------
 
-_SESSION_FIELDS = tuple(f.name for f in fields(SessionRecord))
+_SESSION_FIELDS = ("user_id", "start_time", "duration", "domain", "http_requests", "bytes")
 # dict-encoded fields; the others are numeric
 _STRING_FIELDS = ("user_id", "domain")
 # the session field each column of a log fills (None: dropped unread), and
@@ -278,9 +272,9 @@ _SESSION_LOG_FIELDS = ("user_id", "start_time", "duration", None, "domain", None
                        "http_requests", None, "bytes")
 _RAW_EVENT_FIELDS = ("user_id", "start_time", "domain", "bytes", "http_requests")
 _CONSTANT_FIELDS = {"duration": "0"}
-# per-row converters of field texts; a parser's "domain" is normalize_domain
-_FIELD_PARSERS = {"user_id": str.strip, "start_time": parse_timestamp, "duration": float,
-                  "http_requests": int, "bytes": int}
+# converters of the numeric fields' texts
+_FIELD_PARSERS = {"start_time": parse_timestamp, "duration": float, "http_requests": int,
+                  "bytes": int}
 
 
 def _int_array(values) -> np.ndarray:
@@ -291,13 +285,43 @@ def _int_array(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _bad_activity(duration, http_requests, nbytes) -> np.ndarray:
-    """Rows that may fail a SessionRecord number check: a non-finite or
-    negative duration, a negative count or one beyond the float64 range."""
-    bad = ~np.isfinite(duration) | (duration < 0)
-    for col in (http_requests, nbytes):
-        bad |= (col < 0) | (col > sys.float_info.max)
-    return bad
+def _negative(col: np.ndarray) -> np.ndarray:
+    return col < 0
+
+
+def _beyond_float64(col: np.ndarray) -> np.ndarray:
+    """Integers float() rounds to inf: from halfway between float64's largest and 2**1024."""
+    return col >= 2**1024 - 2**970
+
+
+def _float_range_error(name: str, value: int) -> str:
+    return f"{name} beyond the float64 range: {len(str(value))} digits"
+
+
+# The session-row checks as (code, field, test, message), in the order that
+# names a bad row's error: a row's error is the first check it fails, and a
+# row of the wrong width fails field_count before them all. ``test`` maps a
+# converted column to its failing rows, and ``message`` a failing value to
+# the error. A test of None is the field's conversion from text; conversions
+# run in the order their fields stand in the file (a raw event's bytes before
+# its http_requests). A message of None is the one the text was rejected
+# with, by its conversion or by its vocabulary (which codes it -1).
+_ROW_CHECKS = (
+    ("bad_timestamp", "start_time", None, None),
+    ("bad_duration", "duration", None, None),
+    ("bad_http_requests", "http_requests", None, None),
+    ("bad_bytes", "bytes", None, None),
+    ("non_finite_duration", "duration", lambda col: ~np.isfinite(col),
+     "non-finite duration: {}".format),
+    ("negative_duration", "duration", _negative, "negative duration: {}".format),
+    ("negative_bytes", "bytes", _negative, "negative bytes: {}".format),
+    ("negative_http_requests", "http_requests", _negative, "negative http_requests: {}".format),
+    ("bytes_beyond_float64", "bytes", _beyond_float64, partial(_float_range_error, "bytes")),
+    ("http_requests_beyond_float64", "http_requests", _beyond_float64,
+     partial(_float_range_error, "http_requests")),
+    ("bad_domain", "domain", _negative, None),
+    ("empty_user_id", "user_id", _negative, None),
+)
 
 
 class _Vocabulary:
@@ -305,16 +329,15 @@ class _Vocabulary:
 
     ``clean`` turns raw text into the stored value (a checked user id,
     say); it runs once per distinct raw text, and a text it rejects with
-    ValueError gets code -1. ``codes`` maps the stored values to codes.
+    ValueError gets code -1 and keeps the message in ``rejected``.
+    ``codes`` maps the stored values to codes.
     """
 
     def __init__(self, clean):
         self.codes: dict[str, int] = {}  # stored value -> code
+        self.rejected: dict[str, str] = {}  # raw text -> message
         self._clean = clean
         self._raw: dict[str, int] = {}  # raw text -> code, or -1
-
-    def add(self, value: str) -> int:
-        return self.codes.setdefault(value, len(self.codes))
 
     def encode(self, texts: list[str]) -> np.ndarray:
         raw = self._raw
@@ -325,15 +348,16 @@ class _Vocabulary:
         for text in dict.fromkeys(texts):
             if text not in raw:
                 try:
-                    raw[text] = self.add(self._clean(text))
-                except ValueError:
+                    raw[text] = self.codes.setdefault(self._clean(text), len(self.codes))
+                except ValueError as exc:
                     raw[text] = -1
+                    self.rejected[text] = str(exc)
         return np.fromiter(map(raw.__getitem__, texts), np.int64, len(texts))
 
 
 @dataclass(frozen=True, eq=False)
 class SessionTable:
-    """Sessions as columns, one per :class:`SessionRecord` field.
+    """Sessions as columns, one per session field (``_SESSION_FIELDS``).
 
     String fields hold int64 codes into ``vocab[field]``, whose values are
     strictly increasing and each occur in at least one row, so comparing
@@ -350,7 +374,7 @@ class SessionTable:
 
     def __post_init__(self):
         if set(self.columns) != set(_SESSION_FIELDS) or set(self.vocab) != set(_STRING_FIELDS):
-            raise ValueError("columns or vocabularies do not match the SessionRecord fields")
+            raise ValueError("columns or vocabularies do not match the session fields")
         if len({col.shape for col in self.columns.values()}) != 1:
             raise ValueError("columns differ in length")
         if any(a >= b for values in self.vocab.values() for a, b in itertools.pairwise(values)):
@@ -393,33 +417,12 @@ class SessionTable:
     def __len__(self) -> int:
         return int(self.columns["user_id"].size)
 
-    def _values(self, name: str, rows=slice(None)) -> list:
+    def _values(self, name: str) -> list:
         """One column's values as Python objects, strings decoded."""
-        values = self.columns[name][rows]
+        values = self.columns[name]
         if name in self.vocab:
             values = np.array(self.vocab[name], dtype=object)[values]
         return values.tolist()
-
-    def check_rows(self) -> None:
-        """Apply the :class:`SessionRecord` checks in bulk, for a table built
-        from columns rather than from records or a parse.
-
-        The number checks run over the columns, the domain and user_id
-        checks once per vocabulary value. A failing row raises the
-        ValueError its record would.
-        """
-        cols = self.columns
-        flagged = _bad_activity(cols["duration"], cols["http_requests"], cols["bytes"])
-        for i in np.flatnonzero(flagged).tolist():
-            self.record(i)
-        for domain in self.domains:
-            _check_domain(domain)
-        for user_id in self.users:
-            _check_user_id(user_id)
-
-    def record(self, i: int) -> SessionRecord:
-        """Row ``i`` as a SessionRecord, which runs its checks."""
-        return SessionRecord(*(self._values(name, [i])[0] for name in _SESSION_FIELDS))
 
     def metric_values(self, metric: str) -> np.ndarray:
         """Per-session float64 value of one of PROFILE_METRICS."""
@@ -434,20 +437,29 @@ class SessionTable:
 # --------------------------------------------------------------------------
 
 
-def _convert_column(texts, convert, bad: np.ndarray, fill) -> list:
-    """``convert`` over a column; a value that raises is flagged in ``bad``."""
+def _convert_column(texts, convert, array) -> tuple[np.ndarray, np.ndarray]:
+    """``array`` of ``convert`` over a column, and the mask of the values
+    that raise, which read 0."""
+    bad = np.zeros(len(texts), dtype=bool)
     try:
-        return list(map(convert, texts))
+        values = list(map(convert, texts))
     except (ValueError, OverflowError):
-        pass
-    out = []
-    for i, text in enumerate(texts):
-        try:
-            out.append(convert(text))
-        except (ValueError, OverflowError):
-            bad[i] = True
-            out.append(fill)
-    return out
+        values = []
+        for i, text in enumerate(texts):
+            try:
+                values.append(convert(text))
+            except (ValueError, OverflowError):
+                bad[i] = True
+                values.append(0)
+    return array(values), bad
+
+
+def _conversion_error(convert, text: str) -> str:
+    """The message of the error ``convert(text)`` raises, for a text it rejects."""
+    try:
+        convert(text)
+    except (ValueError, OverflowError) as exc:
+        return str(exc)
 
 
 class _Chunk(NamedTuple):
@@ -597,77 +609,59 @@ class _SessionChunkParser:
         self.fail_fast = fail_fast
         self.fields = fields
         self.constants = {k: v for k, v in _CONSTANT_FIELDS.items() if k not in fields}
-        domain = partial(normalize_domain, truncate=truncate_domains)
-        self.parsers = dict(_FIELD_PARSERS, domain=domain)
-        self.vocab = {"user_id": _Vocabulary(self._user_id), "domain": _Vocabulary(self._domain)}
-        self._parts: dict[str, list[np.ndarray]] = {name: [] for name in _SESSION_FIELDS}
-
-    def _domain(self, raw: str) -> str:
-        domain = self.parsers["domain"](raw)
-        _check_domain(domain)
-        return domain
-
-    @staticmethod
-    def _user_id(raw: str) -> str:
-        user_id = raw.strip()
-        _check_user_id(user_id)
-        return user_id
+        normalize = partial(normalize_domain, truncate=truncate_domains)
+        self.vocab = {"user_id": _Vocabulary(lambda raw: _check_user_id(raw.strip())),
+                      "domain": _Vocabulary(lambda raw: _check_domain(normalize(raw)))}
+        # the conversions in file order, a constant field's last, then the other checks
+        rank = {name: k for k, name in enumerate((*fields, *self.constants))}
+        self.checks = sorted(_ROW_CHECKS, key=lambda c: math.inf if c[2] else rank[c[1]])
+        # an empty part per field gives a log without rows its column types
+        self._parts = {name: [np.empty(0, np.float64 if name == "duration" else np.int64)]
+                       for name in _SESSION_FIELDS}
 
     def add(self, chunk: _Chunk, first_line: int) -> None:
         """Parse one chunk whose first record is csv record ``first_line``."""
         texts = {name: col for name, col in zip(self.fields, chunk.columns) if name}
         texts.update((k, [v] * len(chunk.columns[0])) for k, v in self.constants.items())
         cols = {name: vocab.encode(texts[name]) for name, vocab in self.vocab.items()}
-        cols["start_time"], bad = parse_timestamps(texts["start_time"])
-        cols["duration"] = np.array(_convert_column(texts["duration"], float, bad, 0.0))
-        for name in ("http_requests", "bytes"):
-            cols[name] = _int_array(_convert_column(texts[name], int, bad, 0))
-        bad |= _bad_activity(cols["duration"], cols["http_requests"], cols["bytes"])
-        bad |= (cols["domain"] < 0) | (cols["user_id"] < 0)
-        flagged = [(chunk.positions[j], j) for j in np.flatnonzero(bad).tolist()]
-        flagged += [(pos, -1) for pos in chunk.odd]
-        self._convert_flagged(chunk, first_line, sorted(flagged), bad, cols)
+        failed = {}
+        cols["start_time"], failed["start_time"] = parse_timestamps(texts["start_time"])
+        for name, array in (("duration", partial(np.array, dtype=np.float64)),
+                            ("http_requests", _int_array), ("bytes", _int_array)):
+            cols[name], failed[name] = _convert_column(texts[name], _FIELD_PARSERS[name], array)
+        masks = [test(cols[name]) if test else failed[name] for _, name, test, _ in self.checks]
+        bad = np.logical_or.reduce(masks)
+        if chunk.odd or bad.any():
+            self._reject(chunk, first_line, texts, cols, np.argmax(masks, axis=0), bad)
         keep = ~bad
         for name, values in cols.items():
             self._parts[name].append(values[keep])
 
-    def _convert_flagged(self, chunk: _Chunk, first_line, flagged, bad, cols) -> None:
-        """Run flagged rows, as (record index, column index or -1 for an odd
-        row), through the per-row path."""
-        for pos, j in flagged:
-            line_no = first_line + pos
-            row = chunk.odd[pos] if j < 0 else [col[j] for col in chunk.columns]
-            try:
-                record = self._record(row)
-            except (ValueError, OverflowError) as exc:
-                if self.fail_fast:
-                    raise ParseError(f"line {line_no}: {exc}") from exc
-                self.report.errors.append((line_no, str(exc)))
-                continue
-            # a column check was stricter than the record's: keep the row as converted
-            bad[j] = False
-            for name, values in cols.items():
-                value = getattr(record, name)
-                values[j] = self.vocab[name].add(value) if name in self.vocab else value
-
-    def _record(self, row) -> SessionRecord:
-        """One csv row to a validated SessionRecord; raises ValueError if bad.
-
-        The fields convert in file order, then the record runs its checks,
-        so a row gives the message that parsing it on its own gives.
-        """
-        _check_width(row, self.fields)
-        texts = {name: text for name, text in zip(self.fields, row) if name} | self.constants
-        return SessionRecord(**{name: self.parsers[name](text) for name, text in texts.items()})
+    def _reject(self, chunk: _Chunk, first_line, texts, cols, first, bad) -> None:
+        """Report a chunk's bad rows in file order: each odd row fails
+        field_count, and column row j the check ``first[j]`` indexes."""
+        rejected = [(pos, "field_count", f"expected {len(self.fields)} fields, got {len(row)}")
+                    for pos, row in chunk.odd.items()]
+        for j in np.flatnonzero(bad).tolist():
+            code, name, _, describe = self.checks[first[j]]
+            if describe:
+                message = describe(cols[name].item(j))
+            elif name in self.vocab:
+                message = self.vocab[name].rejected[texts[name][j]]
+            else:
+                message = _conversion_error(_FIELD_PARSERS[name], texts[name][j])
+            rejected.append((chunk.positions[j], code, message))
+        for pos, code, message in sorted(rejected):
+            if self.fail_fast:
+                raise ParseError(f"line {first_line + pos}: {message}")
+            self.report.errors.append((first_line + pos, message))
+            self.report.errors_by_code[code] += 1
 
     def build(self) -> SessionTable:
         columns = {}
         for name, parts in self._parts.items():
-            if parts:
-                columns[name] = np.concatenate(parts)
-                parts.clear()  # hold one column twice at most, not the whole table
-            else:
-                columns[name] = np.empty(0, dtype=np.float64 if name == "duration" else np.int64)
+            columns[name] = np.concatenate(parts)
+            parts.clear()  # hold one column twice at most, not the whole table
         names = {name: tuple(vocab.codes) for name, vocab in self.vocab.items()}
         return SessionTable.encoded(columns, names)
 
@@ -851,12 +845,8 @@ def sessionize(events: SessionTable, gap_threshold: float = DEFAULT_GAP_SECONDS)
         # Python ints: no int64 sum can wrap
         sums = np.add.reduceat(cols[name][order].astype(object), firsts)
         sessions[name] = _int_array(sums.tolist())
-    final = np.lexsort((sessions["domain"], sessions["start_time"], sessions["user_id"]))
-    table = SessionTable.encoded(
-        {name: col[final] for name, col in sessions.items()}, dict(events.vocab)
-    )
-    limit = sys.float_info.max
-    too_big = (sessions["bytes"] > limit) | (sessions["http_requests"] > limit)
+    too_big_bytes = _beyond_float64(sessions["bytes"])
+    too_big = too_big_bytes | _beyond_float64(sessions["http_requests"])
     if too_big.any():
         group_first = np.maximum.accumulate(np.where(new_group[firsts], firsts, 0))
 
@@ -867,17 +857,16 @@ def sessionize(events: SessionTable, gap_threshold: float = DEFAULT_GAP_SECONDS)
             event = firsts[k + 1] if ends_early else group_first[k]
             return user[event], not ends_early, start[event], order[event]
 
-        position = np.empty(final.size, dtype=np.int64)
-        position[final] = np.arange(final.size)
-        for k in sorted(np.flatnonzero(too_big).tolist(), key=closes_at):
-            try:
-                table.record(int(position[k]))
-            except ValueError as exc:
-                raise ParseError(
-                    f"session of user {events.users[user[firsts[k]]]!r} on domain "
-                    f"{events.domains[domain[firsts[k]]]!r}: {exc}"
-                ) from None
-    return table
+        k = min(np.flatnonzero(too_big).tolist(), key=closes_at)
+        name = "bytes" if too_big_bytes[k] else "http_requests"
+        raise ParseError(
+            f"session of user {events.users[user[firsts[k]]]!r} on domain "
+            f"{events.domains[domain[firsts[k]]]!r}: "
+            + _float_range_error(name, sessions[name].item(k))
+        )
+    final = np.lexsort((sessions["domain"], sessions["start_time"], sessions["user_id"]))
+    return SessionTable.encoded({name: col[final] for name, col in sessions.items()},
+                                dict(events.vocab))
 
 
 # --------------------------------------------------------------------------

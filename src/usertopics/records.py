@@ -1,9 +1,8 @@
-"""Record types shared across the pipeline: one checked session, and the
-per-user columns of a side input."""
+"""Shared by the pipeline: the domain and user id checks, and the per-user
+columns of a side input."""
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -21,15 +20,8 @@ DEFAULT_GAP_SECONDS = 300.0
 _CONTROL_CHAR = re.compile("[\x00-\x1f\x7f-\x9f]")
 
 
-def _check_float_range(name: str, value: int) -> None:
-    """Integer counts become float64 activity values; reject any that overflow."""
-    try:
-        float(value)
-    except OverflowError:
-        raise ValueError(f"{name} beyond the float64 range: {len(str(value))} digits") from None
-
-
-def _check_domain(domain: str) -> None:
+def _check_domain(domain: str) -> str:
+    """Return ``domain``, or raise ValueError for the first domain check it fails."""
     if not domain:
         raise ValueError("domain must be non-empty")
     if any(ch.isspace() for ch in domain):
@@ -38,39 +30,13 @@ def _check_domain(domain: str) -> None:
         raise ValueError(f"domain contains a control character: {domain!r}")
     if "://" in domain:
         raise ValueError(f"domain carries a scheme prefix: {domain!r}")
+    return domain
 
 
-def _check_user_id(user_id: str) -> None:
+def _check_user_id(user_id: str) -> str:
     if not user_id.strip():
         raise ValueError("empty user_id")
-
-
-@dataclass(frozen=True)
-class SessionRecord:
-    """One aggregated network session of one user on one domain. A raw
-    traffic event is a session of duration 0. The checks run in a fixed
-    order, and a bad record's error names the first check it fails."""
-
-    user_id: str
-    start_time: int  # epoch seconds, UTC
-    duration: float  # seconds
-    domain: str
-    http_requests: int
-    bytes: int
-
-    def __post_init__(self):
-        if not math.isfinite(self.duration):
-            raise ValueError(f"non-finite duration: {self.duration}")
-        if self.duration < 0:
-            raise ValueError(f"negative duration: {self.duration}")
-        if self.bytes < 0:
-            raise ValueError(f"negative bytes: {self.bytes}")
-        if self.http_requests < 0:
-            raise ValueError(f"negative http_requests: {self.http_requests}")
-        _check_float_range("bytes", self.bytes)
-        _check_float_range("http_requests", self.http_requests)
-        _check_domain(self.domain)
-        _check_user_id(self.user_id)
+    return user_id
 
 
 @dataclass(frozen=True, eq=False)

@@ -76,23 +76,30 @@ def _as_given(value):
     return value
 
 
+def _whole(value) -> int:
+    """int() of a JSON number or string, refusing a number with a fraction."""
+    if int(value) != value and not isinstance(value, str):
+        raise ValueError(f"not a whole number: {value!r}")
+    return int(value)
+
+
 # JSON spec key (a dot reads one object down) -> the SynthSpec field it sets
 # and the conversion of its value
 _SPEC_KEYS = {
-    "n_topics": ("n_topics", int),
-    "n_domains": ("n_domains", int),
-    "n_users": ("n_users", int),
+    "n_topics": ("n_topics", _whole),
+    "n_domains": ("n_domains", _whole),
+    "n_users": ("n_users", _whole),
     "user_topic_mode": ("user_topic_mode", _as_given),
     "fixed_mixture": ("fixed_mixture", _tuple_or_none),
     "mixed_concentration": ("mixed_concentration", float),
     "sessions.dist": ("sessions_dist", _as_given),
-    "sessions.lo": ("sessions_lo", int),
-    "sessions.hi": ("sessions_hi", int),
+    "sessions.lo": ("sessions_lo", _whole),
+    "sessions.hi": ("sessions_hi", _whole),
     "bytes_median": ("bytes_median", float),
     "bytes_sigma": ("bytes_sigma", float),
     "universal_domain": ("universal_domain", _as_given),
     "universal_share": ("universal_share", float),
-    "seed": ("seed", int),
+    "seed": ("seed", _whole),
 }
 
 
@@ -135,8 +142,11 @@ class SynthSpec:
                 raise ValueError("fixed_mixture must be a length-T non-negative vector")
             if abs(mix.sum() - 1.0) > 1e-9:
                 raise ValueError("fixed_mixture must sum to 1 within 1e-9")
-        if self.sessions_lo < 1 or self.sessions_hi < self.sessions_lo:
-            raise ValueError("bad sessions_per_user range")
+        if not 1 <= self.sessions_lo <= self.sessions_hi < 2**63:  # numpy draws int64 counts
+            raise ValueError("sessions.lo and sessions.hi must satisfy 1 <= lo <= hi < 2**63, "
+                             f"got {self.sessions_lo} and {self.sessions_hi}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.universal_share < 1.0:
             raise ValueError("universal_share must lie in [0, 1)")
         if self.universal_domain is not None:
@@ -170,23 +180,28 @@ class SynthSpec:
         unknown = set(raw) - {key.partition(".")[0] for key in _SPEC_KEYS} - {"topics"}
         if unknown:
             raise ValueError(f"unknown spec keys: {sorted(unknown)}")
-        for key in ("n_topics", "n_domains", "n_users"):
-            if key not in raw:
-                raise ValueError(f"missing spec key: {key}")
         given = {**raw, **{f"sessions.{key}": value for key, value in sessions.items()}}
         if "sessions.lo" in given:
             given.setdefault("sessions.hi", given["sessions.lo"])
-        fields = {name: convert(given[key])
-                  for key, (name, convert) in _SPEC_KEYS.items() if key in given}
+        fields = {}
+        for key, (name, convert) in _SPEC_KEYS.items():
+            if key in given:
+                try:
+                    fields[name] = convert(given[key])
+                except (ValueError, TypeError, OverflowError) as exc:
+                    raise ValueError(f"{key}: {exc}") from None
+            elif name in ("n_topics", "n_domains", "n_users"):
+                raise ValueError(f"missing spec key: {key}")
         n_topics, n_domains = fields["n_topics"], fields["n_domains"]
         kind = topics.get("kind", "disjoint")
         if kind == "disjoint":
             topic_word = disjoint_topic_word(n_topics, n_domains)
         elif kind == "overlap":
-            topic_word = overlapping_topic_word(
-                n_topics, n_domains, float(topics.get("share", 0.2))
-            )
+            share = float(topics.get("share", 0.2))
+            topic_word = overlapping_topic_word(n_topics, n_domains, share)
         elif kind == "matrix":
+            if "rows" not in topics:
+                raise ValueError("missing spec key: topics.rows")
             topic_word = np.asarray(topics["rows"], dtype=np.float64)
         else:
             raise ValueError(f"unknown topics kind: {kind!r}")
@@ -297,12 +312,8 @@ def generate(spec: SynthSpec) -> tuple[SessionTable, GroundTruth]:
             "http_requests": 1 + draws["requests"],
             "bytes": _int_array(list(map(int, nbytes.tolist()))),
         },
-        names={
-            "user_id": user_ids,
-            "domain": (*spec.domain_names, spec.universal_domain),
-        },
+        names={"user_id": user_ids, "domain": (*spec.domain_names, spec.universal_domain)},
     )
-    table.check_rows()
     dominant = np.argmax(mixtures, axis=1).astype(np.int64)
     truth = GroundTruth(user_ids, dominant, mixtures, access_points=draws["location"])
     return table, truth

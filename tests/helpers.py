@@ -21,7 +21,8 @@ from usertopics.ingest import (
     _int_array,
     build_profile_matrix,
 )
-from usertopics.records import SessionRecord
+
+from oracles import SessionRecord
 
 
 def make_session(user="u1", domain="example.com", bytes=100, t=0, duration=60.0,

@@ -1,11 +1,14 @@
 """Independent reference computations the implementation is checked against.
 
 Everything here is deliberately naive: scalar arithmetic, exhaustive
-enumeration, pair counting, one record per row. None of it shares code
-with the package beyond the record and report types, the scalar helpers
-``parse_timestamp`` and ``normalize_domain``, and the constants (the
-``*_COLUMNS`` schemas and ``synth._BASE_EPOCH``). The decoding, comparison
-and recovery helpers at the end serve only the tests.
+enumeration, pair counting, one record per row. The session record,
+:class:`SessionRecord`, lives here: it runs the session-row checks one
+row at a time, in their fixed order, and is the reference the columnar
+checks of ``ingest`` are compared against. None of this shares code with
+the package beyond the report types, the domain and user id checks, the
+scalar helpers ``parse_timestamp`` and ``normalize_domain``, and the
+constants (the ``*_COLUMNS`` schemas and ``synth._BASE_EPOCH``). The
+decoding, comparison and recovery helpers at the end serve only the tests.
 """
 
 from __future__ import annotations
@@ -13,12 +16,50 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal, getcontext
 
 import numpy as np
 
+from usertopics.records import _check_domain, _check_user_id
+
 getcontext().prec = 60
+
+
+def _check_float_range(name: str, value: int) -> None:
+    """Integer counts become float64 activity values; reject any that overflow."""
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{name} beyond the float64 range: {len(str(value))} digits") from None
+
+
+@dataclass(frozen=True)
+class SessionRecord:
+    """One aggregated network session of one user on one domain. A raw
+    traffic event is a session of duration 0. The checks run in a fixed
+    order, and a bad record's error names the first check it fails."""
+
+    user_id: str
+    start_time: int  # epoch seconds, UTC
+    duration: float  # seconds
+    domain: str
+    http_requests: int
+    bytes: int
+
+    def __post_init__(self):
+        if not math.isfinite(self.duration):
+            raise ValueError(f"non-finite duration: {self.duration}")
+        if self.duration < 0:
+            raise ValueError(f"negative duration: {self.duration}")
+        if self.bytes < 0:
+            raise ValueError(f"negative bytes: {self.bytes}")
+        if self.http_requests < 0:
+            raise ValueError(f"negative http_requests: {self.http_requests}")
+        _check_float_range("bytes", self.bytes)
+        _check_float_range("http_requests", self.http_requests)
+        _check_domain(self.domain)
+        _check_user_id(self.user_id)
 
 
 def tf_oracle(dense_row):
@@ -224,7 +265,6 @@ def parse_sessions_rows(source, *, delimiter=",", fail_fast=False, truncate_doma
     raises ``ParseError("line N: ...")``.
     """
     from usertopics.ingest import SESSION_COLUMNS, normalize_domain, parse_timestamp
-    from usertopics.records import SessionRecord
 
     def convert(row):
         return SessionRecord(
@@ -280,7 +320,6 @@ def parse_side_rows(columns, source, *, delimiter=",", fail_fast=False, truncate
         normalize_domain,
         parse_timestamp,
     )
-    from usertopics.records import SessionRecord
 
     def optional_int(text):
         return int(text) if text.strip() else None
@@ -473,7 +512,6 @@ def generate_records(spec):
     ``SessionRecord`` per session. The log text holds each session's
     (location, isp, service_class) texts, which synth writes to the log.
     """
-    from usertopics.records import SessionRecord
     from usertopics.synth import _BASE_EPOCH
 
     sessions = []
@@ -585,7 +623,6 @@ def _merge_intervals(items, gap_threshold: float):
     it is shorter than ``gap_threshold``.
     """
     from usertopics.ingest import ParseError
-    from usertopics.records import SessionRecord
 
     sessions = []
     open_by_domain: dict[str, _OpenSession] = {}
@@ -673,10 +710,6 @@ def resessionize(sessions, gap_threshold: float = 300.0):
 def to_records(table):
     """A SessionTable's rows as SessionRecords, each string decoded through
     its vocabulary one value at a time."""
-    from dataclasses import fields
-
-    from usertopics.records import SessionRecord
-
     columns = []
     for name in (f.name for f in fields(SessionRecord)):
         values = table.columns[name].tolist()

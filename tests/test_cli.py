@@ -148,6 +148,13 @@ class TestSynthCommand:
                          id="arrays-100000-deep"),
             pytest.param('"x"', "usage error: malformed synth spec .*: a synth spec is a JSON object",
                          id="string-spec"),
+            ({"seed": -1}, "usage error: malformed synth spec .*: seed must be non-negative, got -1"),
+            ({"seed": 1.5}, "usage error: malformed synth spec .*: seed: not a whole number: 1.5"),
+            ({"sessions": {"dist": "uniform", "lo": 1, "hi": 10**20}},
+             r"usage error: malformed synth spec .*: sessions.lo and sessions.hi must satisfy "
+             r"1 <= lo <= hi < 2\*\*63, got 1 and 100000000000000000000"),
+            ({"topics": {"kind": "matrix"}},
+             "usage error: malformed synth spec .*: missing spec key: topics.rows"),
         ],
     )
     def test_bad_spec_exits_1_before_writing(self, tmp_path, capsys, extra, message):
@@ -162,6 +169,15 @@ class TestSynthCommand:
         assert re.match(message, err) and err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists() or list(out.iterdir()) == []
+
+    def test_seed_given_as_text(self, tmp_path):
+        outs = [tmp_path / "number", tmp_path / "text"]
+        for out, seed in zip(outs, (7, "7")):
+            spec = write_spec(tmp_path, {"seed": seed}, name=f"{out.name}.json")
+            assert run(["synth", "--spec", spec, "--out-dir", out]) == 0
+            manifest = json.loads((out / "synth_manifest.json").read_text())
+            assert manifest["params"]["seed"] == 7
+        assert (outs[0] / "sessions.csv").read_bytes() == (outs[1] / "sessions.csv").read_bytes()
 
 
 class TestIngestCommand:
@@ -202,6 +218,34 @@ class TestIngestCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error: line 2: field larger than field limit")
         assert err.count("\n") == 1
+
+    def test_manifest_counts_parse_errors_by_kind(self, tmp_path, synth_ws):
+        lines = (synth_ws / "sessions.csv").read_text().splitlines(keepends=True)
+        rows = [line.rstrip("\n").split(",") for line in lines[1:6]]
+        rows[0][2] = "nan"
+        rows[1][8] = "-1"
+        rows[2] = rows[2][:8]
+        rows[3][1] = "2014-02-30T00:00:00"
+        rows[4][2], rows[4][8] = "inf", "-1"  # non-finite duration comes first
+        log = tmp_path / "dirty.csv"
+        log.write_text("".join([lines[0], *(",".join(row) + "\n" for row in rows), *lines[6:]]))
+        events = tmp_path / "events.csv"
+        events.write_text("user_id,timestamp,domain,bytes,http_requests\n"
+                          "u1,2014-09-01T10:00:00Z,a.com,10,2\n"
+                          "u1,2014-09-01T10:00:00Z,a b.com,10,2\n"
+                          "u1,2014-09-01T10:00:00Z,a.com,x,y\n"
+                          " ,2014-09-01T10:00:00Z,a.com,10,2\n")
+        want = {
+            "--sessions": (log, {"non_finite_duration": 2, "negative_bytes": 1,
+                                 "field_count": 1, "bad_timestamp": 1}),
+            "--raw-events": (events, {"bad_domain": 1, "bad_bytes": 1, "empty_user_id": 1}),
+        }
+        for flag, (path, kinds) in want.items():
+            ws = tmp_path / flag.strip("-")
+            assert run(["ingest", "--workspace", ws, flag, path]) == 0
+            results = json.loads((ws / "ingest_manifest.json").read_text())["results"]
+            assert results["parse_errors_by_kind"] == kinds
+            assert results["parse_errors"] == sum(kinds.values())
 
     def test_bytes_beyond_float64_counted(self, tmp_path, synth_ws, capsys):
         log = tmp_path / "huge.csv"

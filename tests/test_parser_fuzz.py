@@ -184,6 +184,7 @@ def test_chunked_parse_matches_row_by_row_reader(columns, data, chunk_rows, fail
     def chunked(stream):
         report = PARSERS[columns](stream, **options)
         if columns == RAW_EVENT_COLUMNS:
+            assert sum(report.errors_by_code.values()) == report.n_errors
             return to_records(report.records), report.errors, report.warnings
         return table_bytes(report.records), report.errors, report.warnings
 

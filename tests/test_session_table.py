@@ -14,20 +14,31 @@ from hypothesis import given, settings, strategies as st
 from usertopics import ingest, synth
 from usertopics.ingest import (
     PROFILE_METRICS,
+    RAW_EVENT_COLUMNS,
     SESSION_COLUMNS,
     _STRING_FIELDS,
     ParseError,
     SessionTable,
     build_profile_matrix,
+    parse_raw_events,
     parse_sessions,
+    sessionize,
     write_sessions_csv,
 )
-from usertopics.records import SessionRecord
 
-from helpers import field_size_limit, make_session, session_table, text_stream, write_row
+from helpers import (
+    field_size_limit,
+    make_event,
+    make_session,
+    session_table,
+    text_stream,
+    write_row,
+)
 from oracles import (
+    SessionRecord,
     matrices_equal,
     parse_sessions_rows,
+    parse_side_rows,
     profile_oracle,
     to_records,
     write_sessions_rows,
@@ -152,10 +163,12 @@ class TestDifferential:
         if isinstance(got, str):
             return
         with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
-            table = parse_sessions(
+            report = parse_sessions(
                 text_stream(text, newline), delimiter=delimiter, truncate_domains=truncate
-            ).records
+            )
+        table = report.records
         assert len(table) == len(want[1])
+        assert sum(report.errors_by_code.values()) == report.n_errors == len(want[0])
         for metric in PROFILE_METRICS:
             got = build_profile_matrix(table, metric)
             assert matrices_equal(got, profile_oracle(want[1], metric)), metric
@@ -300,31 +313,6 @@ class TestDifferential:
         with pytest.raises(ParseError, match="line 4: field larger than field limit"):
             parse_sessions(io.StringIO(text))
 
-    def test_per_row_verdict_wins_over_a_stricter_column_check(self):
-        # a column check that flags a row the record accepts keeps the row
-        text = ",".join(SESSION_COLUMNS) + "\n" + ",".join(GOOD_ROW) + "\n"
-
-        def strict(domain):
-            raise ValueError("stricter than SessionRecord")
-
-        with mock.patch.object(ingest, "_check_domain", strict):
-            report = parse_sessions(io.StringIO(text))
-        assert report.errors == []
-        assert to_records(report.records) == parse_sessions_rows(io.StringIO(text))[0]
-
-    def test_per_row_verdict_wins_over_a_stricter_user_id_check(self):
-        rows = [GOOD_ROW, ("u2", *GOOD_ROW[1:]), GOOD_ROW]
-        text = log_text(rows)
-
-        def strict(user_id):
-            if user_id == "u1":
-                raise ValueError("stricter than SessionRecord")
-
-        with mock.patch.object(ingest, "_check_user_id", strict):
-            table = parse_sessions(io.StringIO(text)).records
-        assert to_records(table) == parse_sessions_rows(io.StringIO(text))[0]
-        assert table.users == ("u1", "u2")
-
     @given(session_logs(), st.sampled_from([1, 3, 2048]))
     def test_vocabularies_sorted_over_accepted_rows(self, log, chunk_rows):
         # a value seen only in a rejected row is left out
@@ -334,6 +322,96 @@ class TestDifferential:
         records = to_records(table)
         for name, values in table.vocab.items():
             assert values == tuple(sorted({getattr(r, name) for r in records})), name
+
+
+# the least integer float() rounds to inf
+FLOAT64_OVERFLOW = 2**1024 - 2**970
+
+# per check code, a session-log row that fails that check alone: (column, text)
+# replaced in GOOD_ROW, or a width
+ONE_FAULT = {
+    "field_count": 8,
+    "bad_timestamp": (1, "2014-02-30T00:00:00"),
+    "bad_duration": (2, "abc"),
+    "bad_http_requests": (6, "1.5"),
+    "bad_bytes": (8, "1e3"),
+    "non_finite_duration": (2, "nan"),
+    "negative_duration": (2, "-0.5"),
+    "negative_bytes": (8, "-1"),
+    "negative_http_requests": (6, "-5"),
+    "bytes_beyond_float64": (8, str(FLOAT64_OVERFLOW)),
+    "http_requests_beyond_float64": (6, "9" * 400),
+    "bad_domain": (4, "a b.com"),
+    "empty_user_id": (0, " "),
+}
+
+
+def _with(row, *faults):
+    row = list(row)
+    for column, text in faults:
+        row[column] = text
+    return row
+
+
+class TestRowChecks:
+    """One code per check; a row's error is the first check it fails."""
+
+    def test_every_code_has_a_case(self):
+        codes = ["field_count", *(code for code, *_ in ingest._ROW_CHECKS)]
+        assert list(ONE_FAULT) == codes
+
+    @pytest.mark.parametrize("code", list(ONE_FAULT))
+    def test_row_failing_one_check(self, code):
+        fault = ONE_FAULT[code]
+        row = GOOD_ROW[:fault] if isinstance(fault, int) else _with(GOOD_ROW, fault)
+        text = log_text([GOOD_ROW, row])
+        report = parse_sessions(io.StringIO(text))
+        records, errors = parse_sessions_rows(io.StringIO(text))
+        assert len(errors) == 1 and errors[0][0] == 3
+        assert report.errors == errors
+        assert report.errors_by_code == {code: 1}
+        assert to_records(report.records) == records
+
+    @pytest.mark.parametrize(
+        "faults, code, message",
+        [
+            (((2, "nan"), (8, "-5")), "non_finite_duration", "non-finite duration: nan"),
+            (((1, "bad"), (0, "")), "bad_timestamp", "Invalid isoformat string: 'bad'"),
+            (((8, "-1"), (6, "-1"), (4, "")), "negative_bytes", "negative bytes: -1"),
+        ],
+        ids=["nan-duration-and-negative-bytes", "bad-timestamp-and-blank-user",
+             "negative-bytes-requests-and-empty-domain"],
+    )
+    def test_first_failed_check_names_the_row(self, faults, code, message):
+        text = log_text([_with(GOOD_ROW, *faults)])
+        report = parse_sessions(io.StringIO(text))
+        assert report.errors == parse_sessions_rows(io.StringIO(text))[1] == [(2, message)]
+        assert report.errors_by_code == {code: 1}
+
+    def test_raw_event_converts_bytes_before_http_requests(self):
+        text = "user_id,timestamp,domain,bytes,http_requests\nu1,2014-09-01T10:00:00Z,a.com,x,y\n"
+        report = parse_raw_events(io.StringIO(text))
+        _, errors, _ = parse_side_rows(RAW_EVENT_COLUMNS, io.StringIO(text))
+        assert report.errors == errors == [(2, "invalid literal for int() with base 10: 'x'")]
+        assert report.errors_by_code == {"bad_bytes": 1}
+
+    def test_float64_boundary_in_a_session_log(self):
+        rows = [_with(GOOD_ROW, (8, str(n))) for n in (FLOAT64_OVERFLOW - 1, FLOAT64_OVERFLOW)]
+        report = parse_sessions(io.StringIO(log_text(rows)))
+        assert [r.bytes for r in to_records(report.records)] == [FLOAT64_OVERFLOW - 1]
+        assert report.errors == [(3, "bytes beyond the float64 range: 309 digits")]
+        assert report.errors_by_code == {"bytes_beyond_float64": 1}
+
+    def test_float64_boundary_in_a_merged_session(self):
+        half = FLOAT64_OVERFLOW // 2
+        below = [make_event(t=0, bytes=half), make_event(t=60, bytes=half - 1)]
+        (session,) = to_records(sessionize(session_table(below)))
+        assert session.bytes == FLOAT64_OVERFLOW - 1
+        at = [make_event(t=0, bytes=half), make_event(t=60, bytes=half)]
+        with pytest.raises(ParseError) as exc:
+            sessionize(session_table(at))
+        assert str(exc.value) == ("session of user 'u1' on domain 'example.com': "
+                                  "bytes beyond the float64 range: 309 digits")
 
 
 # one canonical UTC form per width: naive, "Z", "+00:00"
