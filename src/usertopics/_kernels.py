@@ -18,9 +18,9 @@ order; they only propose labels, each accepted under a rounding bound that
 holds for every order (see there), and the returned distances are serial
 sums. The factorizations of :mod:`usertopics.lsa` (QR, SVD and their dense
 products) round differently on different thread counts, so they run under
-:func:`one_blas_thread`; their bits are independent of the thread count
-only where numpy's OpenBLAS is found (see :func:`_openblas_threads`), and
-elsewhere the BLAS keeps its own count.
+:func:`one_blas_thread` (k-means does too, for speed); their bits are
+independent of the thread count only where numpy's OpenBLAS is found (see
+:func:`_openblas_threads`), and elsewhere the BLAS keeps its own count.
 
 Sparse arguments are raw CSR arrays (``indptr``/``indices`` int64,
 ``data`` float64); dense arguments must be C-contiguous float64.

@@ -8,7 +8,7 @@ rank and checking the data length against the file size before any data
 is read, so a mangled header cannot ask for more memory than the file
 holds, and nothing is evaluated or unpickled.
 
-Text tables (index maps, assignments, centroids, reports, logs) go through
+Text tables (assignments, centroids, reports, logs) go through
 :func:`write_rows`: UTF-8 whatever the locale, LF line ends, CSV quoting,
 and an optional header of ``# `` comment lines.
 
@@ -109,7 +109,10 @@ def write_rows(path: str | Path, rows, comments=(), delimiter: str = ",") -> Pat
 def read_sidecar(path: Path, fields: dict) -> dict:
     """JSON object with exactly the keys of ``fields``, each of the given type(s)."""
     with open(path, "rb") as fh:
-        meta = json.loads(fh.read())
+        try:
+            meta = json.loads(fh.read())
+        except RecursionError:
+            raise ValueError(f"{path.name}: JSON nested too deep") from None
     if not isinstance(meta, dict) or set(meta) != set(fields):
         raise ValueError(f"{path.name}: expected the keys {sorted(fields)}")
     for key, types in fields.items():

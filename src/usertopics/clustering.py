@@ -12,7 +12,10 @@ farthest from its assigned centroid.
 
 Randomness comes from numpy's PCG64 generator, whose stream for a given
 seed is stable across platforms; restart ``r`` uses ``seed + r``, so runs
-reproduce bit for bit and restarts may execute in any order.
+reproduce bit for bit and restarts may execute in any order. K-means runs
+on one OpenBLAS thread (:func:`usertopics._kernels.one_blas_thread`), which
+changes no label: on a 2-core host two threads at times stalled the
+``kmeans_assign`` GEMM (1200 x 200, K = 10: 8.0 ms a call, 0.75 ms on one).
 """
 
 from __future__ import annotations
@@ -180,13 +183,14 @@ def kmeans(
         raise ValueError("restarts must be at least 1")
     best = None
     runs = []
-    for r in range(restarts):
-        rng = np.random.default_rng(seed + r)
-        centroids0 = kmeanspp_init(pts, k, rng)
-        labels, centroids, inert, iters, stop = _lloyd(pts, centroids0, max_iter, tol)
-        runs.append(LloydRun(seed + r, inert, iters, stop))
-        if best is None or inert < best[2]:
-            best = (labels, centroids, inert, iters)
+    with _kernels.one_blas_thread():
+        for r in range(restarts):
+            rng = np.random.default_rng(seed + r)
+            centroids0 = kmeanspp_init(pts, k, rng)
+            labels, centroids, inert, iters, stop = _lloyd(pts, centroids0, max_iter, tol)
+            runs.append(LloydRun(seed + r, inert, iters, stop))
+            if best is None or inert < best[2]:
+                best = (labels, centroids, inert, iters)
     labels, centroids, inert, iters = best
     return Clustering(k, labels, centroids, inert, iters, tuple(runs))
 
@@ -227,21 +231,22 @@ def sweep_k(
         raise ValueError(f"bad k range [{k_min}, {k_max}] for {pts.shape[0]} points")
     results: list[Clustering] = []
     prev: Clustering | None = None
-    for k in range(k_min, k_max + 1):
-        best = kmeans(pts, k, restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
-        if prev is not None:
-            diff = pts - prev.centroids[prev.assignments]
-            sq = np.einsum("ij,ij->i", diff, diff)
-            extra = pts[int(np.argmax(sq))]
-            warm0 = np.vstack([prev.centroids, extra[None, :]])
-            labels, centroids, inert, iters, stop = _lloyd(pts, warm0, max_iter, tol)
-            runs = best.runs + (LloydRun(None, inert, iters, stop),)
-            if inert < best.inertia:
-                best = Clustering(k, labels, centroids, inert, iters, runs)
-            else:
-                best = replace(best, runs=runs)
-        results.append(best)
-        prev = best
+    with _kernels.one_blas_thread():
+        for k in range(k_min, k_max + 1):
+            best = kmeans(pts, k, restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
+            if prev is not None:
+                diff = pts - prev.centroids[prev.assignments]
+                sq = np.einsum("ij,ij->i", diff, diff)
+                extra = pts[int(np.argmax(sq))]
+                warm0 = np.vstack([prev.centroids, extra[None, :]])
+                labels, centroids, inert, iters, stop = _lloyd(pts, warm0, max_iter, tol)
+                runs = best.runs + (LloydRun(None, inert, iters, stop),)
+                if inert < best.inertia:
+                    best = Clustering(k, labels, centroids, inert, iters, runs)
+                else:
+                    best = replace(best, runs=runs)
+            results.append(best)
+            prev = best
     return results
 
 

@@ -1,7 +1,7 @@
 """Sparse users-by-domains matrices, descriptive statistics, and workspace files.
 
 Storage is compressed sparse row (CSR): ``indptr``/``indices``/``data``
-numpy arrays plus user and domain index maps. Only what the weighting,
+numpy arrays plus the user and domain names. Only what the weighting,
 factorization and reporting stages need is implemented: the row of each
 stored entry and column counts. Matrix-block products run in scipy's
 compiled CSR routines over the same three arrays (see
@@ -11,7 +11,6 @@ this module does not import scipy at all.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass
@@ -19,14 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ._store import load_array, read_sidecar, save_array, write_json, write_rows
+from ._store import load_array, read_sidecar, save_array, write_json
 
 FEATURE_PROVENANCES = ("tfidf", "row_normalized")
 
 
 @dataclass(frozen=True, eq=False)
 class SparseMatrix:
-    """CSR matrix over (user row, domain column) with index maps.
+    """CSR matrix over (user row, domain column) with the names of both.
 
     Immutable after construction; statistics and products are read-only and
     safe to share across workers.
@@ -42,11 +41,11 @@ class SparseMatrix:
 
     def __post_init__(self):
         if len(self.users) != self.n_users or len(self.domains) != self.n_domains:
-            raise ValueError("index maps do not cover the matrix shape")
+            raise ValueError("user and domain names do not cover the matrix shape")
         if len(set(self.users)) != self.n_users:
-            raise ValueError("duplicate user ids in index map")
+            raise ValueError("duplicate user ids")
         if len(set(self.domains)) != self.n_domains:
-            raise ValueError("duplicate domains in index map")
+            raise ValueError("duplicate domains")
         if self.indptr.shape != (self.n_users + 1,):
             raise ValueError("indptr length must be n_users + 1")
         if self.indptr[0] != 0 or self.indptr[-1] != self.indices.size:
@@ -180,15 +179,16 @@ def rank_domains(stats: DomainStats) -> list[str]:
 # workspace files
 # --------------------------------------------------------------------------
 #
-# A matrix under prefix P is six files: the CSR arrays P.indptr.npy,
-# P.indices.npy (both <i8) and P.data.npy (<f8); the index maps
-# P.users.txt and P.domains.txt, two-column "index,key" CSV; and the
-# sidecar P.meta.json with n_users, n_domains, nnz and provenance (null
-# for a profile matrix). The writer removes the old sidecar first and
-# writes the new one last, so a write cut short reads as no matrix.
+# A matrix under prefix P is four files: the CSR arrays P.indptr.npy,
+# P.indices.npy (both <i8) and P.data.npy (<f8), and the sidecar
+# P.meta.json with n_users, n_domains, nnz, provenance (null for a profile
+# matrix), and the names: users and domains, JSON arrays in row and column
+# order. The writer removes the old sidecar first and writes the new one
+# last, so a write cut short reads as no matrix.
 
 _CSR_ARRAYS = (("indptr", "<i8"), ("indices", "<i8"), ("data", "<f8"))
-_META_FIELDS = {"n_users": int, "n_domains": int, "nnz": int, "provenance": (str, type(None))}
+_META_FIELDS = {"n_users": int, "n_domains": int, "nnz": int, "provenance": (str, type(None)),
+                "users": list, "domains": list}
 
 
 def _file(prefix: Path, suffix: str) -> Path:
@@ -209,33 +209,16 @@ def write_matrix(m: SparseMatrix, prefix: str | Path) -> list[Path]:
         save_array(_file(prefix, f".{name}.npy"), getattr(m, name), dtype)
         for name, dtype in _CSR_ARRAYS
     ]
-    for name, keys in (("users", m.users), ("domains", m.domains)):
-        written.append(write_rows(_file(prefix, f".{name}.txt"), enumerate(keys)))
     meta = {
         "n_users": m.n_users,
         "n_domains": m.n_domains,
         "nnz": m.nnz,
         "provenance": getattr(m, "provenance", None),
+        "users": m.users,
+        "domains": m.domains,
     }
     written.append(write_json(sidecar, meta))
     return written
-
-
-def _read_index(path: Path, expect: int) -> tuple[str, ...]:
-    keys: list[str] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            for row in csv.reader(fh):
-                if not row:
-                    continue
-                if len(row) != 2 or row[0] != str(len(keys)):
-                    raise ValueError(f"{path.name}: bad index map row {len(keys) + 1}")
-                keys.append(row[1])
-        except csv.Error as exc:
-            raise ValueError(f"{path.name}: {exc}") from exc
-    if len(keys) != expect:
-        raise ValueError(f"{path.name}: expected {expect} entries, found {len(keys)}")
-    return tuple(keys)
 
 
 def _check_sorted_rows(m: SparseMatrix) -> None:
@@ -253,10 +236,18 @@ def read_matrix(prefix: str | Path) -> SparseMatrix:
     Returns a FeatureMatrix when the sidecar names a provenance, otherwise a
     ProfileMatrix. Raises ValueError for files that do not hold a valid
     matrix (wrong dtype, shape or length, non-finite values, unsorted rows,
-    bad index maps) and OSError for missing or unreadable files.
+    names that are not UTF-8 strings) and OSError for missing or unreadable
+    files.
     """
     prefix = Path(prefix)
-    meta = read_sidecar(matrix_sidecar(prefix), _META_FIELDS)
+    sidecar = matrix_sidecar(prefix)
+    meta = read_sidecar(sidecar, _META_FIELDS)
+    names = {key: tuple(meta[key]) for key in ("users", "domains")}
+    for key, keys in names.items():
+        try:  # a JSON "\ud800" escape reads as a lone surrogate, which UTF-8 cannot encode
+            "".join(keys).encode()
+        except (TypeError, UnicodeEncodeError) as exc:
+            raise ValueError(f"{sidecar.name}: bad {key}: {exc}") from None
     indptr, indices, data = (
         load_array(_file(prefix, f".{name}.npy"), dtype, ndim=1) for name, dtype in _CSR_ARRAYS
     )
@@ -270,8 +261,7 @@ def read_matrix(prefix: str | Path) -> SparseMatrix:
         indptr=indptr,
         indices=indices,
         data=data,
-        users=_read_index(_file(prefix, ".users.txt"), meta["n_users"]),
-        domains=_read_index(_file(prefix, ".domains.txt"), meta["n_domains"]),
+        **names,
     )
     if meta["provenance"] is not None:
         m = FeatureMatrix(provenance=meta["provenance"], **common)
@@ -282,7 +272,7 @@ def read_matrix(prefix: str | Path) -> SparseMatrix:
 
 
 def matrix_checksum(m: SparseMatrix) -> str:
-    """sha256 over a canonical header, the little-endian CSR arrays and the index maps."""
+    """sha256 over a canonical header, the little-endian CSR arrays and the names."""
     h = hashlib.sha256()
     prov = getattr(m, "provenance", "")
     h.update(f"csr\n{prov}\n{m.n_users} {m.n_domains} {m.nnz}\n".encode())

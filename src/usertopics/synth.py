@@ -152,6 +152,8 @@ class SynthSpec:
         if self.universal_domain is not None:
             if not isinstance(self.universal_domain, str):
                 raise ValueError("universal_domain must be a string")
+            if self.universal_domain in self.domain_names:
+                raise ValueError(f"universal_domain {self.universal_domain!r} is a topic domain")
             if self.universal_domain:
                 _check_domain(self.universal_domain)
         if not (self.bytes_median > 0 and self.bytes_sigma >= 0):  # NaN fails too
@@ -264,18 +266,22 @@ def generate(spec: SynthSpec) -> tuple[SessionTable, GroundTruth]:
         else:
             alpha = np.full(spec.n_topics, spec.mixed_concentration)
             mixtures[idx] = rng.dirichlet(alpha)
-        n_sessions = counts[idx] = _draw_session_count(spec, rng)
-        if spec.universal_domain:
-            n_universal[idx] = max(1, int(round(spec.universal_share * n_sessions)))
-        n_topic_sessions = n_sessions - n_universal[idx]
-        parts["topic"].append(
-            np.searchsorted(np.cumsum(mixtures[idx]), rng.random(n_topic_sessions), side="right")
-        )
-        parts["word"].append(rng.random(n_topic_sessions))
-        parts["size"].append(rng.standard_normal(n_sessions))
-        parts["duration"].append(rng.integers(30, 900, size=n_sessions))
-        parts["location"].append(rng.integers(0, 50, size=n_sessions))
-        parts["requests"].append(rng.poisson(4.0, size=n_sessions))
+        try:  # a count numpy cannot draw, or whose draws cannot be held, names its key
+            n_sessions = counts[idx] = _draw_session_count(spec, rng)
+            if spec.universal_domain:
+                n_universal[idx] = max(1, int(round(spec.universal_share * n_sessions)))
+            n_topic = n_sessions - n_universal[idx]
+            parts["topic"].append(
+                np.searchsorted(np.cumsum(mixtures[idx]), rng.random(n_topic), side="right")
+            )
+            parts["word"].append(rng.random(n_topic))
+            parts["size"].append(rng.standard_normal(n_sessions))
+            parts["duration"].append(rng.integers(30, 900, size=n_sessions))
+            parts["location"].append(rng.integers(0, 50, size=n_sessions))
+            parts["requests"].append(rng.poisson(4.0, size=n_sessions))
+        except (ValueError, MemoryError) as exc:
+            key = "sessions.hi" if spec.sessions_dist == "uniform" else "sessions.lo"
+            raise ValueError(f"{key}: cannot draw the sessions of user {idx}: {exc}") from None
     draws = {name: np.concatenate(arrays) for name, arrays in parts.items()}
     users = np.repeat(np.arange(spec.n_users), counts)
     first_row = np.concatenate([[0], np.cumsum(counts)[:-1]])

@@ -13,6 +13,7 @@ change the geometry the factorization stage sees. Use
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,16 +41,8 @@ def drop_zero_rows(m: ProfileMatrix) -> tuple[ProfileMatrix, tuple[str, ...]]:
     )
     kept_users = tuple(u for u, k in zip(m.users, keep) if k)
     # an empty row owns no entries, so every stored entry stays
-    filtered = ProfileMatrix(
-        n_users=len(kept_users),
-        n_domains=m.n_domains,
-        indptr=np.concatenate(([0], np.cumsum(row_nnz[keep]))).astype(np.int64),
-        indices=m.indices,
-        data=m.data,
-        users=kept_users,
-        domains=m.domains,
-    )
-    return filtered, dropped
+    indptr = np.concatenate(([0], np.cumsum(row_nnz[keep]))).astype(np.int64)
+    return replace(m, n_users=len(kept_users), indptr=indptr, users=kept_users), dropped
 
 
 def _feature(m: SparseMatrix, values: np.ndarray, provenance: str) -> FeatureMatrix:

@@ -115,14 +115,13 @@ def field_size_limit(limit):
 
 # the profile matrix files ingest writes
 PROFILE_FILES = (
-    "profile.indptr.npy", "profile.indices.npy", "profile.data.npy",
-    "profile.users.txt", "profile.domains.txt", "profile.meta.json",
+    "profile.indptr.npy", "profile.indices.npy", "profile.data.npy", "profile.meta.json",
 )
 
 # the files a cluster run writes besides its manifest; criterion 8 tracks them
 CLUSTER_OUTPUTS = (
     "feature.indptr.npy", "feature.indices.npy", "feature.data.npy",
-    "feature.meta.json", "feature.users.txt", "feature.domains.txt",
+    "feature.meta.json",
     "lsa.U.npy", "lsa.sigma.npy", "lsa.V.npy",
     "assignments.csv", "centroids.txt",
     "report_topics.txt", "report_gender.txt", "report_birth_years.txt",

@@ -155,6 +155,18 @@ class TestSynthCommand:
              r"1 <= lo <= hi < 2\*\*63, got 1 and 100000000000000000000"),
             ({"topics": {"kind": "matrix"}},
              "usage error: malformed synth spec .*: missing spec key: topics.rows"),
+            # session counts of 10**15 or more fail at once; smaller ones may start allocating
+            *(({"sessions": sessions}, f"usage error: synth spec .*: {key}: cannot draw the "
+               f"sessions of user 0: {reason}")
+              for sessions, key, reason in (
+                  ({"dist": "poisson", "lo": 1e18}, "sessions.lo", "Unable to allocate"),
+                  ({"dist": "poisson", "lo": 9223372036854775000}, "sessions.lo",
+                   "lam value too large"),
+                  ({"dist": "fixed", "lo": 10**18}, "sessions.lo", "Unable to allocate"),
+                  ({"dist": "uniform", "lo": 10**15, "hi": 10**18}, "sessions.hi",
+                   "Unable to allocate"))),
+            ({"universal_domain": "dom0001"},
+             "usage error: malformed synth spec .*: universal_domain 'dom0001' is a topic domain"),
         ],
     )
     def test_bad_spec_exits_1_before_writing(self, tmp_path, capsys, extra, message):
@@ -401,7 +413,7 @@ class TestIngestCommand:
         assert run(["ingest", "--workspace", sessions_ws, "--sessions",
                     tmp_path / "sessions.csv"]) == 0
         written = sorted(p.name for p in sessions_ws.glob("profile.*"))
-        assert len(written) == 6
+        assert len(written) == 4
         for name in [*written, "domain_stats.txt"]:
             assert (raw_ws / name).read_bytes() == (sessions_ws / name).read_bytes(), name
         results = json.loads((raw_ws / "ingest_manifest.json").read_text())["results"]

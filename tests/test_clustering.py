@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from usertopics import _kernels
 from usertopics.clustering import (
     Clustering,
     _lloyd,
@@ -158,6 +159,33 @@ class TestSweepK:
         pts = rng.standard_normal((5, 2))
         results = sweep_k(pts, 3, 3, restarts=3, seed=0)
         assert len(results) == 1 and results[0].k == 3
+
+
+@pytest.mark.parametrize("run", [
+    lambda pts: kmeans(pts, 3, restarts=2, seed=4),
+    lambda pts: sweep_k(pts, 1, 3, restarts=2, seed=4),
+], ids=["kmeans", "sweep_k"])
+def test_kmeans_runs_on_one_blas_thread(rng, monkeypatch, run):
+    functions = _kernels._openblas_threads()
+    if functions is None:
+        pytest.skip("numpy's OpenBLAS not found")
+    get, set_ = functions
+    assign = _kernels.kmeans_assign
+    seen = []
+
+    def spy(*args):
+        seen.append(get())
+        return assign(*args)
+
+    monkeypatch.setattr(_kernels, "kmeans_assign", spy)
+    previous = get()
+    set_(2)
+    try:
+        run(rng.standard_normal((60, 4)))
+        assert get() == 2
+    finally:
+        set_(previous)
+    assert seen and set(seen) == {1}
 
 
 class TestClusteringType:

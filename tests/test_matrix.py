@@ -105,7 +105,7 @@ class TestMatrixIO:
         paths_a = write_matrix(m, tmp_path / "a")
         paths_b = write_matrix(m, tmp_path / "b")
         assert [p.name[1:] for p in paths_a] == [p.name[1:] for p in paths_b]
-        assert len(paths_a) == 6
+        assert len(paths_a) == 4
         for a, b in zip(paths_a, paths_b):
             assert a.read_bytes() == b.read_bytes(), a.name
         assert sorted(tmp_path.iterdir()) == sorted(paths_a + paths_b)  # no temporaries left

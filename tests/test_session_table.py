@@ -551,10 +551,10 @@ class TestSessionTable:
         assert table.users == ("a", "b") and table.domains == ("x.com", "y.com")
 
     def test_synth_vocabularies_sorted(self):
-        # the universal domain is also a topic domain: equal names share one code
+        # the universal domain sorts first but appears after each user's topic sessions
         spec = synth.SynthSpec(
             n_topics=3, n_domains=30, n_users=12, topic_word=synth.disjoint_topic_word(3, 30),
-            sessions_lo=5, sessions_hi=5, universal_domain="dom0004", seed=2,
+            sessions_lo=5, sessions_hi=5, universal_domain="a.portal", seed=2,
         )
         table, _ = synth.generate(spec)
         records = to_records(table)

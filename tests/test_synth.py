@@ -129,6 +129,8 @@ class TestSpecValidation:
             ("http://a.com", "domain carries a scheme prefix"),
             ("a\x00.com", "domain contains a control character"),
             (5, "universal_domain must be a string"),
+            ("dom0001", "universal_domain 'dom0001' is a topic domain"),
+            ("dom0009", "universal_domain 'dom0009' is a topic domain"),
         ],
     )
     def test_bad_universal_domain(self, domain, message):
@@ -237,9 +239,7 @@ def specs(draw):
         weights = np.array(draw(st.lists(st.integers(1, 4), min_size=n_topics, max_size=n_topics)))
         fixed_mixture = tuple((weights / weights.sum()).tolist())
     lo = draw(st.integers(1, 8))
-    universal = draw(st.sampled_from([None, "portal.example", "topic"]))
-    if universal == "topic":  # the name of a topic domain
-        universal = f"dom{draw(st.integers(0, n_domains - 1)):04d}"
+    universal = draw(st.sampled_from([None, "portal.example"]))
     return SynthSpec(
         n_topics=n_topics,
         n_domains=n_domains,
@@ -275,9 +275,10 @@ class TestColumnarGenerate:
             assert ours.read_bytes() == oracle.read_bytes()
 
     def test_universal_domain_named_like_a_topic_domain(self):
-        table, _ = generate(spec_with(universal_domain="dom0001", n_users=10))
-        assert table.domains.count("dom0001") == 1
-        assert to_records(table) == generate_records(spec_with(universal_domain="dom0001", n_users=10))[0]
+        with pytest.raises(ValueError, match="universal_domain 'dom0001' is a topic domain"):
+            spec_with(universal_domain="dom0001", n_users=10)
+        table, _ = generate(spec_with(universal_domain="dom0010", n_users=10))  # one past the last
+        assert table.domains[-1] == "dom0010" and len(set(table.domains)) == 11
 
     def test_bytes_beyond_int64_kept_exactly(self, tmp_path):
         table, _ = generate(spec_with(bytes_median=1e300, bytes_sigma=0.0))
@@ -317,38 +318,30 @@ INGEST_SHA = {
     ("campus-logs", 7): {
         "domain_stats.txt": "da2d27ba4c7b7139b55633c096263c9163b1cb9ef06e053377fe078a114493fc",
         "profile.data.npy": "da2e66966aa884ed16bc043c00f8704cd3160f7a84595e00972f78a10f1afee1",
-        "profile.domains.txt": "31979cc96d3ae1e7c21ffac6fb10c216425dd57831ab0c9f42d7d530757f6cdc",
         "profile.indices.npy": "3418d7747fbb868909df46c67e952b2fa3426badcd529146a8427e4592547ac4",
         "profile.indptr.npy": "c60725f39bd242b677c2af021ea23507b09d5ed431d75424301ac9b3e92793b6",
-        "profile.meta.json": "2465277110dc2274e0d63b536a3916130eac1b9be3cc99a6022f1e17ca1e335d",
-        "profile.users.txt": "642946714777410228eab3d57cfd71a5e6f0b35860b0c98705090f879758c6c9",
+        "profile.meta.json": "51e8f68cfc9e995f045a072ee330ac8050069707e65e05f3e6ab2068c028263d",
     },
     ("campus-logs", 905): {
         "domain_stats.txt": "92db63505fac5ccfaf05933b530b223bf4f405f903b5a72826e42dbbde7ded02",
         "profile.data.npy": "be0e8c33db31a690b35952c448c705d3a6d889396fd0264e798dc4630bc42051",
-        "profile.domains.txt": "31979cc96d3ae1e7c21ffac6fb10c216425dd57831ab0c9f42d7d530757f6cdc",
         "profile.indices.npy": "2f227293660e9ff65f3285197db5ab4031bc250c0572b643061c8cfdd3a0e5d8",
         "profile.indptr.npy": "b4b84d774e64255769fdeb4024ee949efa5550a8e5fc1126fe05d951320bd845",
-        "profile.meta.json": "9cb43e7fcf73fb7e037fca9287c514c9ab8652107a1c6f6f0ecd6fbdd0dc4535",
-        "profile.users.txt": "642946714777410228eab3d57cfd71a5e6f0b35860b0c98705090f879758c6c9",
+        "profile.meta.json": "bcb33186866887a0941234dbc08b1cd9bafc16f90cf1f810d5db48cc28c7aac8",
     },
     ("wide-rank", 7): {
         "domain_stats.txt": "ad2eb58d2cf7bf91389c6f0183fedc9bf5834b252f617bd340b2b22890fe4357",
         "profile.data.npy": "97788080c2c6239ecef2a011ebdf4a978864ec158479a277ee94e83b7b4530a8",
-        "profile.domains.txt": "0de0aa0817cfc018a5f084a31eab169ba0afb84de581a3ffcc1be9c560daff83",
         "profile.indices.npy": "a3caa0e506add18c4d503809919557b0ab84191cff7a966fcc818ded49b0a7d4",
         "profile.indptr.npy": "90ff1e6701181beb5ff15c21c6cc52c3b6c9777f70df2b05cdbf5306bbbf0110",
-        "profile.meta.json": "9d7b71cbdc3937e8f723786fe6018d95189cd84cf672fc4db6318a3e45dca14f",
-        "profile.users.txt": "b791e86c85fd3da0f2793dc19c4853d4f29b1abf837432c4606660eba1eb03c3",
+        "profile.meta.json": "b80b66d19ad57aaa4b36ae61b1c7d94026c4962399ce65ce69204d07fad51bc4",
     },
     ("wide-rank", 905): {
         "domain_stats.txt": "a08cbccd854996014bcce8926689d93d44a1ea2a57e6cc2f8c861ff5f0960199",
         "profile.data.npy": "480666e09a8d4d8bca90b318c656dfd9b11c921a0db488a827be2cd1424f1564",
-        "profile.domains.txt": "0de0aa0817cfc018a5f084a31eab169ba0afb84de581a3ffcc1be9c560daff83",
         "profile.indices.npy": "d4ef0194b6277c15aae13bdc0c5c5d3096281b047ccdec13bbc0be34c01b42cd",
         "profile.indptr.npy": "0d4f6a82fcb5f4eae69adb784a505b48b2eb0f602ff9284f9c84c8ef26c9a155",
-        "profile.meta.json": "bd0358d1609f637efb566dc0fb2f4499a2a07e1ea03bbbafb7ae3d1bae4386e4",
-        "profile.users.txt": "b791e86c85fd3da0f2793dc19c4853d4f29b1abf837432c4606660eba1eb03c3",
+        "profile.meta.json": "bfd26a8811de6a25081c48fb0737a636c79bf9140998a865e76fa5474ce139d8",
     },
 }
 

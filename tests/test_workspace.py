@@ -93,6 +93,15 @@ def edit_meta(**changes):
     return edit
 
 
+def edit_names(key, change):
+    """Mangler: change the sidecar's list of names under ``key``."""
+    def edit(ws):
+        names = json.loads((ws / "profile.meta.json").read_text())[key]
+        edit_meta(**{key: change(names)})(ws)
+
+    return edit
+
+
 def edit_first_long_row(change):
     """Mangler: change the column indices of the first row with two or more entries."""
     def edit(ws):
@@ -129,17 +138,15 @@ MANGLE = {
     "sidecar n_users a bool": edit_meta(n_users=True),
     "sidecar nnz disagrees": edit_meta(nnz=1),
     "sidecar bad provenance": edit_meta(provenance="made_up"),
-    "users map short": edit_bytes(
-        "profile.users.txt", lambda b: b[: b.rstrip(b"\n").rfind(b"\n") + 1]),
-    "users map out of order": edit_bytes(
-        "profile.users.txt", lambda b: b.replace(b"0,", b"7,", 1)),
-    "users map field too large": edit_bytes(
-        "profile.users.txt", lambda b: b'0,"' + b"u" * 200_000 + b'"\n'),
-    "domains map three fields": edit_bytes(
-        "profile.domains.txt", lambda b: b.replace(b"\n", b",x\n", 1)),
-    "domains map not utf-8": edit_bytes("profile.domains.txt", lambda b: b"0,\xff\xfe\n"),
+    "sidecar nested too deep": edit_bytes(
+        "profile.meta.json", lambda b: b"[" * 200_000 + b"]" * 200_000),
+    "sidecar without names": edit_meta(users=..., domains=...),
+    "users not a list": edit_meta(users="u00000"),
+    "domain not a string": edit_names("domains", lambda names: [7, *names[1:]]),
+    "user a lone surrogate": edit_names("users", lambda names: ["\ud800", *names[1:]]),
+    "users one short": edit_names("users", lambda names: names[:-1]),
+    "duplicate domain": edit_names("domains", lambda names: [names[1], *names[1:]]),
     "data file missing": lambda ws: (ws / "profile.data.npy").unlink(),
-    "users map missing": lambda ws: (ws / "profile.users.txt").unlink(),
 }
 
 
