@@ -126,7 +126,7 @@ def cmd_synth(args) -> int:
     spec_path = _require_file(args.spec, "spec")
     try:
         spec = synth.SynthSpec.from_file(spec_path)
-    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError, MemoryError) as exc:
         raise UsageError(f"malformed synth spec {spec_path}: {exc}") from exc
     with workspace_lock(out_dir):
         (out_dir / "synth_manifest.json").unlink(missing_ok=True)
@@ -134,7 +134,7 @@ def cmd_synth(args) -> int:
         with watch.stage("generate"):
             try:
                 sessions, truth = synth.generate(spec)
-            except ValueError as exc:
+            except (ValueError, MemoryError) as exc:
                 raise UsageError(f"synth spec {spec_path}: {exc}") from exc
         with watch.stage("write"):
             ingest.write_sessions_csv(sessions, out_dir / "sessions.csv", truth.log_text())

@@ -1,25 +1,24 @@
 """Synthetic session corpora with planted topic structure, plus recovery
 metrics.
 
-Each synthetic user carries a topic mixture; every session draws a topic
-from that mixture and a domain from the topic's word distribution, so the
-marginal domain probability is the mixture-weighted sum of the per-topic
-distributions. Session byte counts are log-normal to mimic the heavy tail
-of real traffic. Generation is per-user independent given derived seeds
-and therefore reproducible bit for bit and order-stable.
+Each synthetic user is planted in one topic; every topic session draws a
+domain from that topic's word distribution. Session byte counts are
+log-normal (median :data:`BYTES_MEDIAN`, log-space standard deviation
+:data:`BYTES_SIGMA`) to mimic the heavy tail of real traffic. Generation
+is per-user independent given derived seeds and therefore reproducible
+bit for bit and order-stable.
 
-The optional universal domain is injected into every user's traffic (30%
-of sessions by default). It reproduces the portal-site situation where one
-domain is visited by everybody: inverse-document-frequency weighting
-assigns it exactly zero weight, while plain row normalization lets it
-dominate.
+The optional universal domain is injected into every user's traffic
+(:data:`UNIVERSAL_SHARE` of its sessions). It reproduces the portal-site
+situation where one domain is visited by everybody: inverse-document-
+frequency weighting assigns it exactly zero weight, while plain row
+normalization lets it dominate.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -27,13 +26,15 @@ from pathlib import Path
 import numpy as np
 
 from ._store import write_rows
-from .ingest import SessionTable, _int_array
+from .ingest import SessionTable
 from .records import _check_domain
 
 _BASE_EPOCH = int(datetime(2014, 9, 1, tzinfo=timezone.utc).timestamp())
 
 SESSION_DISTRIBUTIONS = ("fixed", "poisson", "uniform")
-USER_TOPIC_MODES = ("hard", "mixed")
+BYTES_MEDIAN = 1e4
+BYTES_SIGMA = 1.5  # log-space standard deviation of session bytes
+UNIVERSAL_SHARE = 0.3  # the universal domain's share of each user's sessions
 
 
 def disjoint_topic_word(n_topics: int, n_domains: int) -> np.ndarray:
@@ -68,17 +69,13 @@ def overlapping_topic_word(
     return mat
 
 
-def _tuple_or_none(value):
-    return tuple(value) if value else None
-
-
 def _as_given(value):
     return value
 
 
 def _whole(value) -> int:
-    """int() of a JSON number or string, refusing a number with a fraction."""
-    if int(value) != value and not isinstance(value, str):
+    """int() of a JSON number or string, refusing a boolean or a number with a fraction."""
+    if isinstance(value, bool) or (int(value) != value and not isinstance(value, str)):
         raise ValueError(f"not a whole number: {value!r}")
     return int(value)
 
@@ -89,18 +86,14 @@ _SPEC_KEYS = {
     "n_topics": ("n_topics", _whole),
     "n_domains": ("n_domains", _whole),
     "n_users": ("n_users", _whole),
-    "user_topic_mode": ("user_topic_mode", _as_given),
-    "fixed_mixture": ("fixed_mixture", _tuple_or_none),
-    "mixed_concentration": ("mixed_concentration", float),
     "sessions.dist": ("sessions_dist", _as_given),
     "sessions.lo": ("sessions_lo", _whole),
     "sessions.hi": ("sessions_hi", _whole),
-    "bytes_median": ("bytes_median", float),
-    "bytes_sigma": ("bytes_sigma", float),
     "universal_domain": ("universal_domain", _as_given),
-    "universal_share": ("universal_share", float),
     "seed": ("seed", _whole),
 }
+# every key a spec may give: those of _SPEC_KEYS and the two that pick the topic-word matrix
+_ACCEPTED_KEYS = frozenset({*_SPEC_KEYS, "topics.kind", "topics.share"})
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,21 +104,13 @@ class SynthSpec:
     n_domains: int
     n_users: int
     topic_word: np.ndarray  # T x W, rows sum to 1
-    user_topic_mode: str = "hard"
-    fixed_mixture: tuple[float, ...] | None = None  # mixed mode: share one p_t
-    mixed_concentration: float = 1.0  # mixed mode: Dirichlet concentration
     sessions_dist: str = "fixed"
     sessions_lo: int = 60
     sessions_hi: int = 60
-    bytes_median: float = 1e4
-    bytes_sigma: float = 1.5  # log-space standard deviation
     universal_domain: str | None = None
-    universal_share: float = 0.3
     seed: int = 0
 
     def __post_init__(self):
-        if self.user_topic_mode not in USER_TOPIC_MODES:
-            raise ValueError(f"unknown user_topic_mode: {self.user_topic_mode!r}")
         if self.sessions_dist not in SESSION_DISTRIBUTIONS:
             raise ValueError(f"unknown sessions_dist: {self.sessions_dist!r}")
         if self.n_topics < 1 or self.n_domains < 1 or self.n_users < 1:
@@ -136,19 +121,11 @@ class SynthSpec:
             raise ValueError("topic_word entries must be non-negative")
         if np.abs(self.topic_word.sum(axis=1) - 1.0).max() > 1e-9:
             raise ValueError("topic_word rows must sum to 1 within 1e-9")
-        if self.fixed_mixture is not None:
-            mix = np.asarray(self.fixed_mixture)
-            if mix.shape != (self.n_topics,) or np.any(mix < 0):
-                raise ValueError("fixed_mixture must be a length-T non-negative vector")
-            if abs(mix.sum() - 1.0) > 1e-9:
-                raise ValueError("fixed_mixture must sum to 1 within 1e-9")
         if not 1 <= self.sessions_lo <= self.sessions_hi < 2**63:  # numpy draws int64 counts
             raise ValueError("sessions.lo and sessions.hi must satisfy 1 <= lo <= hi < 2**63, "
                              f"got {self.sessions_lo} and {self.sessions_hi}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not 0.0 <= self.universal_share < 1.0:
-            raise ValueError("universal_share must lie in [0, 1)")
         if self.universal_domain is not None:
             if not isinstance(self.universal_domain, str):
                 raise ValueError("universal_domain must be a string")
@@ -156,10 +133,6 @@ class SynthSpec:
                 raise ValueError(f"universal_domain {self.universal_domain!r} is a topic domain")
             if self.universal_domain:
                 _check_domain(self.universal_domain)
-        if not (self.bytes_median > 0 and self.bytes_sigma >= 0):  # NaN fails too
-            raise ValueError("bad byte distribution parameters")
-        if not 0 < self.mixed_concentration < math.inf:  # NaN fails too
-            raise ValueError("mixed_concentration must be a positive finite number")
 
     @property
     def domain_names(self) -> tuple[str, ...]:
@@ -173,16 +146,20 @@ class SynthSpec:
         Each key of ``_SPEC_KEYS`` that ``raw`` gives sets its field; a key
         left out keeps the field's default, except that ``sessions.hi``
         defaults to ``sessions.lo``. ``topics`` picks the topic-word matrix.
+        A key not in ``_ACCEPTED_KEYS``, top-level or nested, is refused.
         """
         if not isinstance(raw, dict):
             raise ValueError("a synth spec is a JSON object")
         topics, sessions = raw.get("topics", {}), raw.get("sessions", {})
         if not isinstance(topics, dict) or not isinstance(sessions, dict):
             raise ValueError("spec keys topics and sessions must be JSON objects")
-        unknown = set(raw) - {key.partition(".")[0] for key in _SPEC_KEYS} - {"topics"}
+        nested = {f"{outer}.{key}": value for outer in ("topics", "sessions")
+                  for key, value in raw.get(outer, {}).items()}
+        unknown = set(raw) - {key.partition(".")[0] for key in _ACCEPTED_KEYS}
+        unknown |= set(nested) - _ACCEPTED_KEYS
         if unknown:
             raise ValueError(f"unknown spec keys: {sorted(unknown)}")
-        given = {**raw, **{f"sessions.{key}": value for key, value in sessions.items()}}
+        given = {**raw, **nested}
         if "sessions.lo" in given:
             given.setdefault("sessions.hi", given["sessions.lo"])
         fields = {}
@@ -201,10 +178,6 @@ class SynthSpec:
         elif kind == "overlap":
             share = float(topics.get("share", 0.2))
             topic_word = overlapping_topic_word(n_topics, n_domains, share)
-        elif kind == "matrix":
-            if "rows" not in topics:
-                raise ValueError("missing spec key: topics.rows")
-            topic_word = np.asarray(topics["rows"], dtype=np.float64)
         else:
             raise ValueError(f"unknown topics kind: {kind!r}")
         return SynthSpec(topic_word=topic_word, **fields)
@@ -217,12 +190,11 @@ class SynthSpec:
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """Planted per-user labels: dominant topic and full mixture. It also
-    keeps each session's access point, which only the written log carries."""
+    """Planted per-user topics. It also keeps each session's access point,
+    which only the written log carries."""
 
     user_ids: tuple[str, ...]
-    dominant: np.ndarray  # argmax of the mixture, lowest index on ties
-    topic_mix: np.ndarray  # n_users x n_topics
+    dominant: np.ndarray  # the planted topic of each user
     access_points: np.ndarray  # per session row, in 0..49
 
     def log_text(self) -> dict:
@@ -246,34 +218,23 @@ def generate(spec: SynthSpec) -> tuple[SessionTable, GroundTruth]:
 
     Each user draws from an independent generator derived from
     (``spec.seed``, user index), so output never depends on generation
-    order. The per-user draws are joined into columns once; a byte draw
-    beyond the float64 range raises ValueError.
+    order. The per-user draws are joined into columns once.
     """
-    user_ids = tuple(f"u{idx:05d}" for idx in range(spec.n_users))
-    mixtures = np.zeros((spec.n_users, spec.n_topics))
+    dominant = np.empty(spec.n_users, dtype=np.int64)
     counts = np.empty(spec.n_users, dtype=np.int64)
     n_universal = np.zeros(spec.n_users, dtype=np.int64)
     parts: dict[str, list[np.ndarray]] = {
-        name: [] for name in ("topic", "word", "size", "duration", "location", "requests")
+        name: [] for name in ("word", "size", "duration", "location", "requests")
     }
     for idx in range(spec.n_users):
         rng = np.random.default_rng((spec.seed, idx))
-        if spec.user_topic_mode == "hard":
-            topic = int(rng.integers(spec.n_topics))
-            mixtures[idx, topic] = 1.0
-        elif spec.fixed_mixture is not None:
-            mixtures[idx] = np.asarray(spec.fixed_mixture)
-        else:
-            alpha = np.full(spec.n_topics, spec.mixed_concentration)
-            mixtures[idx] = rng.dirichlet(alpha)
+        dominant[idx] = rng.integers(spec.n_topics)
         try:  # a count numpy cannot draw, or whose draws cannot be held, names its key
             n_sessions = counts[idx] = _draw_session_count(spec, rng)
             if spec.universal_domain:
-                n_universal[idx] = max(1, int(round(spec.universal_share * n_sessions)))
+                n_universal[idx] = max(1, int(round(UNIVERSAL_SHARE * n_sessions)))
             n_topic = n_sessions - n_universal[idx]
-            parts["topic"].append(
-                np.searchsorted(np.cumsum(mixtures[idx]), rng.random(n_topic), side="right")
-            )
+            rng.random(n_topic)  # unused; without it every later draw, and so every corpus, shifts
             parts["word"].append(rng.random(n_topic))
             parts["size"].append(rng.standard_normal(n_sessions))
             parts["duration"].append(rng.integers(30, 900, size=n_sessions))
@@ -287,8 +248,8 @@ def generate(spec: SynthSpec) -> tuple[SessionTable, GroundTruth]:
     first_row = np.concatenate([[0], np.cumsum(counts)[:-1]])
     session_idx = np.arange(users.size) - np.repeat(first_row, counts)
 
-    # topic sessions draw a domain from their topic's word distribution
-    topics = draws["topic"].clip(0, spec.n_topics - 1)
+    # topic sessions draw a domain from their user's topic's word distribution
+    topics = np.repeat(dominant, counts - n_universal)
     topic_domains = np.empty(topics.size, dtype=np.int64)
     topic_cum = np.cumsum(spec.topic_word, axis=1)
     for t in np.unique(topics):
@@ -299,16 +260,9 @@ def generate(spec: SynthSpec) -> tuple[SessionTable, GroundTruth]:
     domains[session_idx < (counts - n_universal)[users]] = topic_domains.clip(
         0, spec.n_domains - 1
     )
-
-    with np.errstate(over="ignore"):
-        size = np.exp(np.log(spec.bytes_median) + spec.bytes_sigma * draws["size"])
-    if not np.isfinite(size).all():
-        raise ValueError(
-            f"byte draw beyond the float64 range (bytes_median {spec.bytes_median!r}, "
-            f"bytes_sigma {spec.bytes_sigma!r})"
-        )
-    nbytes = np.maximum(1, np.rint(size))
-
+    # numpy's standard normal draws stay within ±13.8, so a byte count stays below 10**13
+    size = np.exp(np.log(BYTES_MEDIAN) + BYTES_SIGMA * draws["size"])
+    user_ids = tuple(f"u{idx:05d}" for idx in range(spec.n_users))
     table = SessionTable.encoded(
         columns={
             "user_id": users,
@@ -316,13 +270,11 @@ def generate(spec: SynthSpec) -> tuple[SessionTable, GroundTruth]:
             "duration": draws["duration"].astype(np.float64),
             "domain": domains,
             "http_requests": 1 + draws["requests"],
-            "bytes": _int_array(list(map(int, nbytes.tolist()))),
+            "bytes": np.maximum(1, np.rint(size)).astype(np.int64),
         },
         names={"user_id": user_ids, "domain": (*spec.domain_names, spec.universal_domain)},
     )
-    dominant = np.argmax(mixtures, axis=1).astype(np.int64)
-    truth = GroundTruth(user_ids, dominant, mixtures, access_points=draws["location"])
-    return table, truth
+    return table, GroundTruth(user_ids, dominant, access_points=draws["location"])
 
 
 def write_truth(truth: GroundTruth, path: str | Path) -> None:

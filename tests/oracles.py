@@ -512,24 +512,17 @@ def generate_records(spec):
     ``SessionRecord`` per session. The log text holds each session's
     (location, isp, service_class) texts, which synth writes to the log.
     """
-    from usertopics.synth import _BASE_EPOCH
+    from usertopics.synth import _BASE_EPOCH, BYTES_MEDIAN, BYTES_SIGMA, UNIVERSAL_SHARE
 
     sessions = []
     dominant = []
     log_text = []
     topic_cum = np.cumsum(spec.topic_word, axis=1)
-    log_median = np.log(spec.bytes_median)
     names = spec.domain_names
     for idx in range(spec.n_users):
         rng = np.random.default_rng((spec.seed, idx))
-        mixture = np.zeros(spec.n_topics)
-        if spec.user_topic_mode == "hard":
-            mixture[int(rng.integers(spec.n_topics))] = 1.0
-        elif spec.fixed_mixture is not None:
-            mixture[:] = spec.fixed_mixture
-        else:
-            mixture[:] = rng.dirichlet(np.full(spec.n_topics, spec.mixed_concentration))
-        dominant.append(int(np.argmax(mixture)))
+        topic = int(rng.integers(spec.n_topics))
+        dominant.append(topic)
         if spec.sessions_dist == "fixed":
             n_sessions = spec.sessions_lo
         elif spec.sessions_dist == "poisson":
@@ -537,21 +530,19 @@ def generate_records(spec):
         else:
             n_sessions = int(rng.integers(spec.sessions_lo, spec.sessions_hi + 1))
         n_universal = (
-            max(1, int(round(spec.universal_share * n_sessions))) if spec.universal_domain else 0
+            max(1, int(round(UNIVERSAL_SHARE * n_sessions))) if spec.universal_domain else 0
         )
         n_topic_sessions = n_sessions - n_universal
-        topics = np.searchsorted(
-            np.cumsum(mixture), rng.random(n_topic_sessions), side="right"
-        ).clip(0, spec.n_topics - 1)
+        rng.random(n_topic_sessions)  # drawn and unused, as in synth.generate
         rvals = rng.random(n_topic_sessions)
         domains = []
-        for t, r in zip(topics.tolist(), rvals.tolist()):
-            j = min(int(np.searchsorted(topic_cum[t], r, side="right")), spec.n_domains - 1)
+        for r in rvals.tolist():
+            j = min(int(np.searchsorted(topic_cum[topic], r, side="right")), spec.n_domains - 1)
             domains.append(names[j])
         domains.extend([spec.universal_domain] * n_universal)
         nbytes = np.maximum(
             1,
-            np.rint(np.exp(log_median + spec.bytes_sigma * rng.standard_normal(n_sessions))),
+            np.rint(np.exp(np.log(BYTES_MEDIAN) + BYTES_SIGMA * rng.standard_normal(n_sessions))),
         )
         durations = rng.integers(30, 900, size=n_sessions)
         locations = rng.integers(0, 50, size=n_sessions)

@@ -125,13 +125,14 @@ class TestSynthCommand:
         [
             ({"universal_domain": "bad domain"},
              "usage error: malformed synth spec .*: domain contains whitespace: 'bad domain'"),
-            ({"bytes_median": 1e308, "bytes_sigma": 3},
-             "usage error: synth spec .*: byte draw beyond the float64 range"),
+            # keys of removed settings are unknown
+            ({"bytes_median": 1e308, "bytes_sigma": 3}, "usage error: malformed synth spec .*: "
+             r"unknown spec keys: \['bytes_median', 'bytes_sigma'\]"),
             ({"bytes_median": float("nan")},
-             "usage error: malformed synth spec .*: bad byte distribution parameters"),
+             r"usage error: malformed synth spec .*: unknown spec keys: \['bytes_median'\]"),
             *(({"user_topic_mode": "mixed", "mixed_concentration": value},
                "usage error: malformed synth spec .*: "
-               "mixed_concentration must be a positive finite number")
+               r"unknown spec keys: \['mixed_concentration', 'user_topic_mode'\]")
               for value in (-1, float("nan"), 0)),
             *(({key: value}, "usage error: malformed synth spec .*: "
                "spec keys topics and sessions must be JSON objects")
@@ -153,8 +154,8 @@ class TestSynthCommand:
             ({"sessions": {"dist": "uniform", "lo": 1, "hi": 10**20}},
              r"usage error: malformed synth spec .*: sessions.lo and sessions.hi must satisfy "
              r"1 <= lo <= hi < 2\*\*63, got 1 and 100000000000000000000"),
-            ({"topics": {"kind": "matrix"}},
-             "usage error: malformed synth spec .*: missing spec key: topics.rows"),
+            ({"topics": {"kind": "matrix", "rows": [[0.5, 0.5] + [0.0] * 38] * 4}},
+             r"usage error: malformed synth spec .*: unknown spec keys: \['topics.rows'\]"),
             # session counts of 10**15 or more fail at once; smaller ones may start allocating
             *(({"sessions": sessions}, f"usage error: synth spec .*: {key}: cannot draw the "
                f"sessions of user 0: {reason}")
@@ -167,6 +168,23 @@ class TestSynthCommand:
                    "Unable to allocate"))),
             ({"universal_domain": "dom0001"},
              "usage error: malformed synth spec .*: universal_domain 'dom0001' is a topic domain"),
+            # a typo inside topics or sessions names its dotted key
+            ({"sessions": {"dist": "poisson", "l0": 3}},
+             r"usage error: malformed synth spec .*: unknown spec keys: \['sessions.l0'\]"),
+            ({"topics": {"kind": "overlap", "shar": 0.5}},
+             r"usage error: malformed synth spec .*: unknown spec keys: \['topics.shar'\]"),
+            ({"sessions.lo": 5},
+             r"usage error: malformed synth spec .*: unknown spec keys: \['sessions.lo'\]"),
+            # a JSON boolean is not a count
+            *(({key: value}, f"usage error: malformed synth spec .*: {key}: "
+               f"not a whole number: {value}")
+              for key, value in (("n_topics", True), ("n_users", True), ("seed", False))),
+            ({"sessions": {"lo": True}},
+             "usage error: malformed synth spec .*: sessions.lo: not a whole number: True"),
+            # counts of 10**13 fail to allocate at once, in from_dict and in generate
+            ({"n_domains": 10**13},
+             "usage error: malformed synth spec .*: Unable to allocate"),
+            ({"n_users": 10**13}, "usage error: synth spec .*: Unable to allocate"),
         ],
     )
     def test_bad_spec_exits_1_before_writing(self, tmp_path, capsys, extra, message):

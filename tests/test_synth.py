@@ -52,16 +52,10 @@ SPEC_KEY_CASES = {
     "n_topics": (5, "n_topics", 5),
     "n_domains": (12, "n_domains", 12),
     "n_users": ("7", "n_users", 7),
-    "user_topic_mode": ("mixed", "user_topic_mode", "mixed"),
-    "fixed_mixture": ([0.25, 0.75], "fixed_mixture", (0.25, 0.75)),
-    "mixed_concentration": (2, "mixed_concentration", 2.0),
     "sessions.dist": ("uniform", "sessions_dist", "uniform"),
     "sessions.lo": (7, "sessions_lo", 7),
     "sessions.hi": (90, "sessions_hi", 90),
-    "bytes_median": (5, "bytes_median", 5.0),
-    "bytes_sigma": (0.5, "bytes_sigma", 0.5),
     "universal_domain": ("portal.example", "universal_domain", "portal.example"),
-    "universal_share": (0.1, "universal_share", 0.1),
     "seed": (9, "seed", 9),
 }
 
@@ -73,14 +67,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             spec_with(topic_word=bad)
 
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            spec_with(user_topic_mode="soft")
-
-    def test_bad_share(self):
-        with pytest.raises(ValueError):
-            spec_with(universal_share=1.5)
-
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             SynthSpec.from_dict({"n_topics": 2, "n_domains": 4, "n_users": 2, "bogus": 1})
@@ -91,8 +77,6 @@ class TestSpecValidation:
         raw["topics"] = {"kind": "overlap", "share": 0.2}
         spec = SynthSpec.from_dict(raw)
         assert np.allclose(spec.topic_word.sum(axis=1), 1.0)
-        raw["topics"] = {"kind": "matrix", "rows": [[0.5, 0.5] + [0.0] * 8] * 2}
-        assert SynthSpec.from_dict(raw).topic_word[0, 0] == 0.5
 
     def test_from_dict_left_out_keys_keep_defaults(self):
         spec = SynthSpec.from_dict(MINIMAL_SPEC)
@@ -108,6 +92,18 @@ class TestSpecValidation:
         raw = {**MINIMAL_SPEC, outer: {inner: value} if inner else value}
         assert getattr(SynthSpec.from_dict(raw), name) == expected
         assert getattr(SynthSpec.from_dict(MINIMAL_SPEC), name) != expected
+
+    @pytest.mark.parametrize("key", ["user_topic_mode", "fixed_mixture", "mixed_concentration",
+                                     "bytes_median", "bytes_sigma", "universal_share",
+                                     "topics.rows"])
+    def test_from_dict_refuses_a_removed_key(self, key):
+        outer, _, inner = key.partition(".")
+        raw = {**MINIMAL_SPEC, outer: {inner: 1} if inner else 1}
+        with pytest.raises(ValueError, match=rf"unknown spec keys: \['{key}'\]"):
+            SynthSpec.from_dict(raw)
+        if not inner:  # the field behind the key is gone too
+            with pytest.raises(TypeError):
+                spec_with(**{key: 1})
 
     def test_every_spec_key_has_a_case(self):
         assert set(SPEC_KEY_CASES) == set(_SPEC_KEYS)
@@ -155,25 +151,6 @@ class TestGenerate:
             empirical = counts[name] / total
             assert abs(empirical - spec.topic_word[0, j]) <= 0.01
 
-    def test_mixture_identity(self):
-        # fixed p_t = [0.5, 0.5] over disjoint supports: the domain marginal
-        # is the even blend of the two topic rows
-        spec = spec_with(
-            user_topic_mode="mixed",
-            fixed_mixture=(0.5, 0.5),
-            n_users=20,
-            sessions_lo=5000,
-            sessions_hi=5000,
-        )
-        table, truth = generate(spec)
-        sessions = to_records(table)
-        assert np.allclose(truth.topic_mix, 0.5)
-        counts = collections.Counter(s.domain for s in sessions)
-        total = len(sessions)
-        expected = 0.5 * spec.topic_word[0] + 0.5 * spec.topic_word[1]
-        for j, name in enumerate(spec.domain_names):
-            assert abs(counts[name] / total - expected[j]) <= 0.01
-
     def test_seeded_bit_identical(self):
         a_sessions, a_truth = generate(spec_with(seed=9))
         b_sessions, b_truth = generate(spec_with(seed=9))
@@ -197,9 +174,13 @@ class TestGenerate:
         assert all(count == 12 for count in per_user.values())  # 30% of 40
 
     def test_hard_mode_one_hot(self):
-        _, truth = generate(spec_with(n_users=30))
-        assert np.array_equal(truth.topic_mix.max(axis=1), np.ones(30))
-        assert np.array_equal(truth.dominant, truth.topic_mix.argmax(axis=1))
+        # disjoint topics: every session of a user lies in its planted topic's block
+        spec = spec_with(n_users=30)
+        table, truth = generate(spec)
+        assert set(truth.dominant.tolist()) == {0, 1}
+        for s in to_records(table):
+            topic = truth.dominant[truth.user_ids.index(s.user_id)]
+            assert spec.topic_word[topic, spec.domain_names.index(s.domain)] > 0
 
     def test_overlapping_topics_share_pool(self):
         tw = overlapping_topic_word(2, 12, 0.25)
@@ -217,8 +198,7 @@ class TestGenerate:
 
 @st.composite
 def specs(draw):
-    """Small specs of every kind: topic layout, user topics, session counts,
-    universal domain and byte scale."""
+    """Small specs of every kind: topic layout, session counts and universal domain."""
     n_topics = draw(st.integers(1, 4))
     n_domains = draw(st.integers(n_topics + 1, 12))
     layout = draw(st.sampled_from(["disjoint", "overlap", "matrix"]))
@@ -233,11 +213,6 @@ def specs(draw):
         ).reshape(n_topics, n_domains)
         weights[:, 0] += 1  # every row has mass
         topic_word = weights / weights.sum(axis=1, keepdims=True)
-    mode = draw(st.sampled_from(["hard", "mixed", "fixed_mixture"]))
-    fixed_mixture = None
-    if mode == "fixed_mixture":
-        weights = np.array(draw(st.lists(st.integers(1, 4), min_size=n_topics, max_size=n_topics)))
-        fixed_mixture = tuple((weights / weights.sum()).tolist())
     lo = draw(st.integers(1, 8))
     universal = draw(st.sampled_from([None, "portal.example"]))
     return SynthSpec(
@@ -245,16 +220,10 @@ def specs(draw):
         n_domains=n_domains,
         n_users=draw(st.integers(1, 6)),
         topic_word=topic_word,
-        user_topic_mode="hard" if mode == "hard" else "mixed",
-        fixed_mixture=fixed_mixture,
-        mixed_concentration=draw(st.sampled_from([0.3, 1.0, 5.0])),
         sessions_dist=draw(st.sampled_from(["fixed", "poisson", "uniform"])),
         sessions_lo=lo,
         sessions_hi=lo + draw(st.integers(0, 8)),
-        bytes_median=draw(st.sampled_from([1.0, 1e4, 1e18, 1e300])),
-        bytes_sigma=draw(st.sampled_from([0.0, 0.5, 2.0])),
         universal_domain=universal,
-        universal_share=draw(st.sampled_from([0.0, 0.3, 0.9])),
         seed=draw(st.integers(0, 2**32)),
     )
 
@@ -279,19 +248,6 @@ class TestColumnarGenerate:
             spec_with(universal_domain="dom0001", n_users=10)
         table, _ = generate(spec_with(universal_domain="dom0010", n_users=10))  # one past the last
         assert table.domains[-1] == "dom0010" and len(set(table.domains)) == 11
-
-    def test_bytes_beyond_int64_kept_exactly(self, tmp_path):
-        table, _ = generate(spec_with(bytes_median=1e300, bytes_sigma=0.0))
-        nbytes = table.columns["bytes"].tolist()
-        assert len(set(nbytes)) == 1 and nbytes[0] == int(np.exp(np.log(1e300)))
-        write_sessions_csv(table, tmp_path / "s.csv")
-        rows = (tmp_path / "s.csv").read_text().splitlines()[1:]
-        assert {row.rsplit(",", 1)[1] for row in rows} == {str(nbytes[0])}
-        assert len(str(nbytes[0])) == 300
-
-    def test_byte_draw_beyond_float64_raises(self):
-        with pytest.raises(ValueError, match="byte draw beyond the float64 range"):
-            generate(spec_with(bytes_median=1e308, bytes_sigma=3.0))
 
 
 # the pipebench workloads' smoke_spec, and sha256 of the synth outputs for them
