@@ -9,8 +9,8 @@ is read, so a mangled header cannot ask for more memory than the file
 holds, and nothing is evaluated or unpickled.
 
 Text tables (assignments, centroids, reports, logs) go through
-:func:`write_rows`: UTF-8 whatever the locale, LF line ends, CSV quoting,
-and an optional header of ``# `` comment lines.
+:func:`write_rows`: UTF-8 whatever the locale, LF line ends, CSV quoting by
+:func:`quote`, and an optional header of ``# `` comment lines.
 
 Every file is written under a temporary name in its target directory and
 moved into place with ``os.replace``: a write cut short leaves the old file
@@ -23,7 +23,6 @@ run has not written yet.
 from __future__ import annotations
 
 import contextlib
-import csv
 import io
 import json
 import logging
@@ -97,12 +96,40 @@ def write_json(path: Path, obj: dict) -> Path:
     return path
 
 
+def quote(text: str, delimiter: str = ",") -> str:
+    """``text`` as a CSV field: in quotes, its quotes doubled, if it holds the
+    delimiter, a quote, CR or LF. csv.writer leaves a lone CR unquoted, and
+    csv.reader then ends the record there."""
+    if delimiter in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _field(value, delimiter: str) -> str:
+    """A value as csv.writer writes it: None empty, a float by its repr, else str()."""
+    text = "" if value is None else float.__repr__(value) if isinstance(value, float) else str(value)
+    return quote(text, delimiter)
+
+
 def write_rows(path: str | Path, rows, comments=(), delimiter: str = ",") -> Path:
-    """One ``# `` line per comment, then ``rows`` as CSV; UTF-8 with LF line ends."""
+    """One ``# `` line per comment, then ``rows`` as CSV; UTF-8 with LF line ends.
+
+    A row of one empty field is written ``""``, as csv.writer does, so that
+    it does not read as a blank line.
+    """
     path = Path(path)
     with atomic_file(path) as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
         fh.writelines(f"# {line}\n" for line in comments)
-        csv.writer(fh, delimiter=delimiter, lineterminator="\n").writerows(rows)
+        for row in rows:
+            fields = [_field(value, delimiter) for value in row]
+            fh.write((delimiter.join(fields) or '""' * len(fields)) + "\n")
+    return path
+
+
+def write_sidecar(path: Path, obj: dict) -> Path:
+    """``obj`` as compact JSON with sorted keys and a final newline."""
+    with atomic_file(path) as fh:
+        fh.write((json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n").encode())
     return path
 
 

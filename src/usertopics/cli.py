@@ -217,10 +217,8 @@ def cmd_ingest(args) -> int:
             },
             watch,
         )
-    print(
-        f"ingested {matrix.n_users} users x {matrix.n_domains} domains "
-        f"({matrix.nnz} entries, {report.n_errors} bad rows) -> {workspace}"
-    )
+    print(f"ingested {matrix.n_users} users x {matrix.n_domains} domains "
+          f"({matrix.nnz} entries, {report.n_errors} bad rows) -> {workspace}")
     return 0
 
 
@@ -357,32 +355,25 @@ def cmd_cluster(args) -> int:
             clus.write_clustering(result, feature.users, out_dir)
         # LAPACK's rank cut-off: sigma_i above sigma_1 * max(N_u, N_d) * eps
         cutoff = model.sigma[0] * max(feature.n_users, feature.n_domains) * np.finfo(float).eps
-        _write_manifest(
-            out_dir / "manifest.json",
-            args,
-            {
-                "profile_checksum": checksum,
-                "n_users": feature.n_users,
-                "n_domains": feature.n_domains,
-                "feature_nnz": feature.nnz,
-                "numerical_rank": int(np.count_nonzero(model.sigma > cutoff)),
-                "dropped_zero_users": profile.n_users - feature.n_users,
-                "negative_weight_fraction": weighting.negative_fraction(feature),
-                "svd_method": model.method,
-                "svd_blas_threads": _kernels.svd_blas_threads(),
-                "inertia": result.inertia,
-                "iterations_run": result.iterations_run,
-                "kmeans_runs": [dataclasses.asdict(run) for run in result.runs],
-                "cluster_sizes": [int(s) for s in np.bincount(result.assignments, minlength=result.k)],
-                "labels": topics.labels,
-                **side_counts,
-            },
-            watch,
-        )
-    print(
-        f"clustered {feature.n_users} users into K={args.k} (M={args.m}, "
-        f"{args.weighting}); inertia {result.inertia:.6g} -> {out_dir}"
-    )
+        _write_manifest(out_dir / "manifest.json", args, {
+            "profile_checksum": checksum,
+            "n_users": feature.n_users,
+            "n_domains": feature.n_domains,
+            "feature_nnz": feature.nnz,
+            "numerical_rank": int(np.count_nonzero(model.sigma > cutoff)),
+            "dropped_zero_users": profile.n_users - feature.n_users,
+            "negative_weight_fraction": weighting.negative_fraction(feature),
+            "svd_method": model.method,
+            "svd_blas_threads": _kernels.svd_blas_threads(),
+            "inertia": result.inertia,
+            "iterations_run": result.iterations_run,
+            "kmeans_runs": [dataclasses.asdict(run) for run in result.runs],
+            "cluster_sizes": [int(s) for s in np.bincount(result.assignments, minlength=result.k)],
+            "labels": topics.labels,
+            **side_counts,
+        }, watch)
+    print(f"clustered {feature.n_users} users into K={args.k} (M={args.m}, "
+          f"{args.weighting}); inertia {result.inertia:.6g} -> {out_dir}")
     return 0
 
 
@@ -397,17 +388,12 @@ def cmd_sweep_k(args) -> int:
             results = clus.sweep_k(features, args.k_min, args.k_max, **kmeans_kw)
         write_rows(out_dir / "sweep_k.txt",
                    [("k", "inertia"), *((res.k, f"{res.inertia:.6g}") for res in results)])
-        _write_manifest(
-            out_dir / "manifest.json",
-            args,
-            {
-                "profile_checksum": checksum,
-                "svd_blas_threads": _kernels.svd_blas_threads(),
-                "inertia": {str(r.k): r.inertia for r in results},
-                "kmeans_runs": {str(r.k): [dataclasses.asdict(x) for x in r.runs] for r in results},
-            },
-            watch,
-        )
+        _write_manifest(out_dir / "manifest.json", args, {
+            "profile_checksum": checksum,
+            "svd_blas_threads": _kernels.svd_blas_threads(),
+            "inertia": {str(r.k): r.inertia for r in results},
+            "kmeans_runs": {str(r.k): [dataclasses.asdict(x) for x in r.runs] for r in results},
+        }, watch)
     for res in results:
         print(f"K={res.k:3d}  inertia={res.inertia:.6g}")
     return 0
@@ -452,10 +438,8 @@ def cmd_bench_m(args) -> int:
                    "profile_checksum": checksum}
         _write_manifest(out_dir / "manifest.json", args, results, watch, m_list=m_list)
     for row in rows:
-        print(
-            f"M={row['m']:4d}  total median {row['total_median_s']:.3f}s "
-            f"(min {row['total_min_s']:.3f}s, max {row['total_max_s']:.3f}s)"
-        )
+        print(f"M={row['m']:4d}  total median {row['total_median_s']:.3f}s "
+              f"(min {row['total_min_s']:.3f}s, max {row['total_max_s']:.3f}s)")
     return 0
 
 

@@ -163,14 +163,8 @@ def _lloyd(pts, centroids0, max_iter, tol):
     return labels, final_centroids, final_inertia, iterations, stop_reason
 
 
-def kmeans(
-    points,
-    k: int,
-    restarts: int = 10,
-    max_iter: int = 300,
-    tol: float = 1e-6,
-    seed: int = 0,
-) -> Clustering:
+def kmeans(points, k: int, restarts: int = 10, max_iter: int = 300, tol: float = 1e-6,
+           seed: int = 0) -> Clustering:
     """Best-of-``restarts`` k-means++ solution (minimal inertia wins).
 
     Ties between restarts resolve to the earliest one, so the result is a
@@ -208,15 +202,8 @@ def inertia(points, assignments, centroids) -> float:
     return float(np.einsum("ij,ij->", diff, diff))
 
 
-def sweep_k(
-    points,
-    k_min: int,
-    k_max: int,
-    restarts: int = 10,
-    max_iter: int = 300,
-    tol: float = 1e-6,
-    seed: int = 0,
-) -> list[Clustering]:
+def sweep_k(points, k_min: int, k_max: int, restarts: int = 10, max_iter: int = 300,
+            tol: float = 1e-6, seed: int = 0) -> list[Clustering]:
     """Best clustering for every k in [k_min, k_max].
 
     Besides the fresh k-means++ runs, each k is also warm-started from the

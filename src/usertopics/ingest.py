@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._store import write_rows
+from ._store import atomic_file, quote
 from .matrix import ProfileMatrix, csr_from_triplets
 from .records import (
     DEFAULT_GAP_SECONDS,
@@ -84,6 +84,8 @@ BIRTH_YEAR_RANGE = (1900, 2100)
 
 # session-log lines read, validated and encoded per chunk
 CHUNK_ROWS = 2048
+# session-log rows formatted and written per block
+WRITE_BLOCK_ROWS = 8192
 
 # naive common second-level suffixes for the registrable-domain heuristic
 _COMMON_SLD = frozenset({"com", "net", "org", "edu", "gov", "ac", "co"})
@@ -156,15 +158,23 @@ _EPOCH_RANGE = (-62135596800, 253402300799)
 def format_timestamps(epochs: np.ndarray) -> list[str]:
     """:func:`format_timestamp` over an integer column, byte for byte.
 
-    Epochs outside the datetime range, or held as Python ints, go through
+    The date is found by the inverse of :func:`_days_from_civil`, and the
+    digits of date and time are written into one byte matrix. Epochs
+    outside the datetime range, or held as Python ints, go through
     :func:`format_timestamp` one by one, so they raise its error.
     """
     if epochs.dtype == object or (
         epochs.size and (epochs.min() < _EPOCH_RANGE[0] or epochs.max() > _EPOCH_RANGE[1])
     ):
         return list(map(format_timestamp, epochs.tolist()))
-    text = np.datetime_as_string(epochs.astype("datetime64[s]"), unit="s").tolist()
-    return [t + "+00:00" for t in text]
+    days, seconds = np.divmod(epochs, 86400)
+    year, month, day = _civil_from_days(days.astype(np.int32))
+    minutes, second = np.divmod(seconds.astype(np.int32), 60)
+    pairs = np.stack([year // 100, year % 100, month, day, minutes // 60, minutes % 60, second],
+                     axis=1)
+    chars = np.tile(_TIMESTAMP_TEMPLATE, (epochs.size, 1))
+    chars[:, _DIGIT_POS] = np.take(_TWO_DIGITS, pairs).view(np.uint8)
+    return chars.tobytes().decode("ascii").split()  # one line each, no other whitespace
 
 
 # text width -> suffix of the canonical UTC forms: naive, "Z" and "+00:00"
@@ -174,6 +184,9 @@ _DIGIT_POS = (0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18)
 _SEPARATOR_POS = (4, 7, 10, 13, 16)
 _SEPARATORS = np.frombuffer(b"--T::", dtype=np.uint8)
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+# the two ASCII digits of 0..99, each pair read as one uint16
+_TWO_DIGITS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
+_TIMESTAMP_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00+00:00\n", dtype=np.uint8)
 
 
 def _days_from_civil(year, month, day):
@@ -183,6 +196,18 @@ def _days_from_civil(year, month, day):
     yoe = y - era * 400
     doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
     return era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+
+
+def _civil_from_days(days):
+    """(year, month, day) of days since 1970-01-01: the inverse of _days_from_civil."""
+    z = days + 719468
+    era = z // 146097
+    doe = z - era * 146097
+    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)
+    mp = (5 * doy + 2) // 153
+    month = np.where(mp < 10, mp + 3, mp - 9)
+    return yoe + era * 400 + (month <= 2), month, doy - (153 * mp + 2) // 5 + 1
 
 
 def _decode_canonical(chars: np.ndarray, suffix: bytes) -> tuple[np.ndarray, np.ndarray]:
@@ -416,13 +441,6 @@ class SessionTable:
 
     def __len__(self) -> int:
         return int(self.columns["user_id"].size)
-
-    def _values(self, name: str) -> list:
-        """One column's values as Python objects, strings decoded."""
-        values = self.columns[name]
-        if name in self.vocab:
-            values = np.array(self.vocab[name], dtype=object)[values]
-        return values.tolist()
 
     def metric_values(self, metric: str) -> np.ndarray:
         """Per-session float64 value of one of PROFILE_METRICS."""
@@ -677,13 +695,8 @@ def _parse_table(source, delimiter, columns, fields, fail_fast, truncate_domains
     return report
 
 
-def parse_sessions(
-    source,
-    *,
-    delimiter: str = ",",
-    fail_fast: bool = False,
-    truncate_domains: bool = False,
-) -> ParseReport:
+def parse_sessions(source, *, delimiter: str = ",", fail_fast: bool = False,
+                   truncate_domains: bool = False) -> ParseReport:
     """Parse a session log (see SESSION_COLUMNS for the schema).
 
     ``report.records`` is a :class:`SessionTable` of the accepted rows in
@@ -732,9 +745,7 @@ def parse_demographics(source, *, delimiter: str = ",", fail_fast: bool = False)
     return report
 
 
-def parse_transactions(
-    source, *, delimiter: str = ",", fail_fast: bool = False
-) -> ParseReport:
+def parse_transactions(source, *, delimiter: str = ",", fail_fast: bool = False) -> ParseReport:
     """Parse campus-card transactions into a :class:`UserTable` with an
     ``amount`` column: each user's total, summed with math.fsum, so it does
     not depend on the rows' order. Timestamps are checked but not kept.
@@ -775,13 +786,8 @@ def _total(values, what: str) -> float:
         raise ParseError(f"{what} is beyond the float64 range") from None
 
 
-def parse_raw_events(
-    source,
-    *,
-    delimiter: str = ",",
-    fail_fast: bool = False,
-    truncate_domains: bool = False,
-) -> ParseReport:
+def parse_raw_events(source, *, delimiter: str = ",", fail_fast: bool = False,
+                     truncate_domains: bool = False) -> ParseReport:
     """Parse a raw-event log (see RAW_EVENT_COLUMNS for the schema).
 
     ``report.records`` is a :class:`SessionTable` of the accepted events in
@@ -793,20 +799,51 @@ def parse_raw_events(
     )
 
 
+def _number_texts(values: np.ndarray) -> list[str]:
+    """Each value as csv.writer writes it, a float by repr and an int by str;
+    each distinct value is formatted once. Floats are told apart by their
+    bits, so -0.0 keeps its sign."""
+    floats = values.dtype == np.float64
+    distinct, inverse = np.unique(values.view(np.int64) if floats else values,
+                                  return_inverse=True)
+    texts = map(repr, distinct.view(np.float64).tolist()) if floats else map(str, distinct.tolist())
+    return np.array(list(texts), dtype=object)[inverse].tolist()
+
+
 def write_sessions_csv(sessions: SessionTable, path, unread=None) -> None:
-    """Write a :class:`SessionTable` column by column, in the format
-    parse_sessions reads back. ``unread`` maps a column parse_sessions
-    drops (location, isp, service_class) to the texts of all its rows; the
-    others are written empty."""
-    columns = {name: sessions._values(name) for name in _SESSION_FIELDS}
-    columns["start_time"] = format_timestamps(sessions.columns["start_time"])
-    columns["duration"] = map(repr, columns["duration"])
-    blank = [""] * len(sessions)
-    texts = [columns[name] if name else (unread or {}).get(column, blank)
-             for column, name in zip(SESSION_COLUMNS, _SESSION_LOG_FIELDS)]
+    """Write a :class:`SessionTable` in the format parse_sessions reads back.
+
+    ``unread`` maps a column parse_sessions drops (location, isp,
+    service_class) to a pair: its texts, and each row's index into them;
+    the others are written empty. Rows go out :data:`WRITE_BLOCK_ROWS` at a
+    time. A name is quoted once, and a number formatted once per distinct
+    value in a block.
+    """
+    n = len(sessions)
+    named = {column: (sessions.vocab[field], sessions.columns[field]) if field
+             else (unread or {}).get(column, ([""], np.broadcast_to(0, n)))
+             for column, field in zip(SESSION_COLUMNS, _SESSION_LOG_FIELDS)
+             if field in (*_STRING_FIELDS, None)}
+    for column, (_, codes) in named.items():
+        if len(codes) != n:
+            raise ValueError(f"{column}: {len(codes)} indices for {n} rows")
+    quoted = {column: np.array(list(map(quote, texts)), dtype=object)
+              for column, (texts, _) in named.items()}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_rows(path, itertools.chain([SESSION_COLUMNS], zip(*texts, strict=True)))
+    with atomic_file(path) as fh:
+        fh.write((",".join(SESSION_COLUMNS) + "\n").encode())
+        for lo in range(0, n, WRITE_BLOCK_ROWS):
+            block = slice(lo, lo + WRITE_BLOCK_ROWS)
+            texts = []
+            for column, field in zip(SESSION_COLUMNS, _SESSION_LOG_FIELDS):
+                if column in named:
+                    texts.append(quoted[column][named[column][1][block]].tolist())
+                elif field == "start_time":
+                    texts.append(format_timestamps(sessions.columns[field][block]))
+                else:
+                    texts.append(_number_texts(sessions.columns[field][block]))
+            fh.write(("\n".join(map(",".join, zip(*texts))) + "\n").encode())
 
 
 # --------------------------------------------------------------------------
@@ -933,12 +970,5 @@ def build_profile_matrix(sessions: SessionTable, metric: str = "bytes") -> Profi
     indptr, indices, data = csr_from_triplets(
         len(users), len(kept), cell_users[positive], cols, totals[positive]
     )
-    return ProfileMatrix(
-        n_users=len(users),
-        n_domains=len(kept),
-        indptr=indptr,
-        indices=indices,
-        data=data,
-        users=users,
-        domains=tuple(domains[c] for c in kept),
-    )
+    return ProfileMatrix(n_users=len(users), n_domains=len(kept), indptr=indptr, indices=indices,
+                         data=data, users=users, domains=tuple(domains[c] for c in kept))

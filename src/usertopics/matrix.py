@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._store import load_array, read_sidecar, save_array, write_json
+from ._store import load_array, read_sidecar, save_array, write_sidecar
 
 FEATURE_PROVENANCES = ("tfidf", "row_normalized")
 
@@ -160,13 +160,8 @@ def domain_stats(m: SparseMatrix) -> DomainStats:
         zeros = m.n_users - vals.size
         if zeros <= mid and vals.size:
             medians[j] = np.sort(vals)[mid - zeros]
-    return DomainStats(
-        domains=m.domains,
-        median=medians,
-        n_visitors=visitors,
-        total=totals,
-        n_users=m.n_users,
-    )
+    return DomainStats(domains=m.domains, median=medians, n_visitors=visitors, total=totals,
+                       n_users=m.n_users)
 
 
 def rank_domains(stats: DomainStats) -> list[str]:
@@ -217,7 +212,7 @@ def write_matrix(m: SparseMatrix, prefix: str | Path) -> list[Path]:
         "users": m.users,
         "domains": m.domains,
     }
-    written.append(write_json(sidecar, meta))
+    written.append(write_sidecar(sidecar, meta))
     return written
 
 

@@ -57,14 +57,8 @@ def cluster_topics(
         entries = [(f.domains[j], float(means[g, j])) for j in ranked[:top_n]]
         top.append(entries)
         names.append(entries[0][0] if entries else None)
-    return ClusterTopicReport(
-        sizes=sizes,
-        mean_weights=means,
-        top=top,
-        labels=names,
-        domains=f.domains,
-        provenance=f.provenance,
-    )
+    return ClusterTopicReport(sizes=sizes, mean_weights=means, top=top, labels=names,
+                              domains=f.domains, provenance=f.provenance)
 
 
 def top_domain_union(report: ClusterTopicReport) -> list[str]:
@@ -99,13 +93,8 @@ def gender_breakdown(
         fractions.append(float(males[g] / known) if known else None)
     total_known = int(males.sum() + females.sum())
     overall = float(males.sum() / total_known) if total_known else None
-    return GenderReport(
-        males=males,
-        females=females,
-        unknown=unknown,
-        fractions=fractions,
-        overall_fraction=overall,
-    )
+    return GenderReport(males=males, females=females, unknown=unknown, fractions=fractions,
+                        overall_fraction=overall)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,12 +201,8 @@ def _json6(x: float | None) -> float | None:
     return None if x is None else float(_fmt(x))
 
 
-def summary_dict(
-    topics: ClusterTopicReport,
-    gender: GenderReport,
-    birth: BirthYearReport,
-    spend: SpendReport,
-) -> dict:
+def summary_dict(topics: ClusterTopicReport, gender: GenderReport, birth: BirthYearReport,
+                 spend: SpendReport) -> dict:
     """Combined machine-readable summary of all reports."""
     return {
         "provenance": topics.provenance,
@@ -232,14 +217,9 @@ def summary_dict(
             "male_fraction_per_cluster": [_json6(f) for f in gender.fractions],
             "overall_male_fraction": _json6(gender.overall_fraction),
         },
-        "birth_years": {
-            "years": list(birth.years),
-            "counts": birth.counts.tolist(),
-        },
-        "spend": {
-            "edges": [_json6(e) for e in spend.edges],
-            "mean_per_cluster": [_json6(m) for m in spend.means],
-        },
+        "birth_years": {"years": list(birth.years), "counts": birth.counts.tolist()},
+        "spend": {"edges": [_json6(e) for e in spend.edges],
+                  "mean_per_cluster": [_json6(m) for m in spend.means]},
     }
 
 

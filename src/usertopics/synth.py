@@ -17,7 +17,6 @@ normalization lets it dominate.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -73,6 +72,13 @@ def _as_given(value):
     return value
 
 
+def _share(value) -> float:
+    """float() of a JSON number or string in [0, 1), refusing a boolean."""
+    if isinstance(value, bool) or not 0.0 <= float(value) < 1.0:
+        raise ValueError(f"not a share in [0, 1): {value!r}")
+    return float(value)
+
+
 def _whole(value) -> int:
     """int() of a JSON number or string, refusing a boolean or a number with a fraction."""
     if isinstance(value, bool) or (int(value) != value and not isinstance(value, str)):
@@ -91,9 +97,10 @@ _SPEC_KEYS = {
     "sessions.hi": ("sessions_hi", _whole),
     "universal_domain": ("universal_domain", _as_given),
     "seed": ("seed", _whole),
+    # these two set no field: from_dict builds the topic-word matrix from them
+    "topics.kind": ("kind", _as_given),
+    "topics.share": ("share", _share),
 }
-# every key a spec may give: those of _SPEC_KEYS and the two that pick the topic-word matrix
-_ACCEPTED_KEYS = frozenset({*_SPEC_KEYS, "topics.kind", "topics.share"})
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,8 +152,9 @@ class SynthSpec:
 
         Each key of ``_SPEC_KEYS`` that ``raw`` gives sets its field; a key
         left out keeps the field's default, except that ``sessions.hi``
-        defaults to ``sessions.lo``. ``topics`` picks the topic-word matrix.
-        A key not in ``_ACCEPTED_KEYS``, top-level or nested, is refused.
+        defaults to ``sessions.lo``. ``topics`` picks the topic-word matrix;
+        a share is refused with ``disjoint`` topics. A key not in
+        ``_SPEC_KEYS``, top-level or nested, is refused.
         """
         if not isinstance(raw, dict):
             raise ValueError("a synth spec is a JSON object")
@@ -155,8 +163,8 @@ class SynthSpec:
             raise ValueError("spec keys topics and sessions must be JSON objects")
         nested = {f"{outer}.{key}": value for outer in ("topics", "sessions")
                   for key, value in raw.get(outer, {}).items()}
-        unknown = set(raw) - {key.partition(".")[0] for key in _ACCEPTED_KEYS}
-        unknown |= set(nested) - _ACCEPTED_KEYS
+        unknown = set(raw) - {key.partition(".")[0] for key in _SPEC_KEYS}
+        unknown |= set(nested) - set(_SPEC_KEYS)
         if unknown:
             raise ValueError(f"unknown spec keys: {sorted(unknown)}")
         given = {**raw, **nested}
@@ -172,14 +180,15 @@ class SynthSpec:
             elif name in ("n_topics", "n_domains", "n_users"):
                 raise ValueError(f"missing spec key: {key}")
         n_topics, n_domains = fields["n_topics"], fields["n_domains"]
-        kind = topics.get("kind", "disjoint")
-        if kind == "disjoint":
-            topic_word = disjoint_topic_word(n_topics, n_domains)
-        elif kind == "overlap":
-            share = float(topics.get("share", 0.2))
-            topic_word = overlapping_topic_word(n_topics, n_domains, share)
-        else:
+        kind, share = fields.pop("kind", "disjoint"), fields.pop("share", None)
+        if kind == "overlap":
+            topic_word = overlapping_topic_word(n_topics, n_domains, 0.2 if share is None else share)
+        elif kind != "disjoint":
             raise ValueError(f"unknown topics kind: {kind!r}")
+        elif share is not None:
+            raise ValueError("topics.share: disjoint topics share no domains")
+        else:
+            topic_word = disjoint_topic_word(n_topics, n_domains)
         return SynthSpec(topic_word=topic_word, **fields)
 
     @staticmethod
@@ -198,11 +207,11 @@ class GroundTruth:
     access_points: np.ndarray  # per session row, in 0..49
 
     def log_text(self) -> dict:
-        """The texts of the session-log columns the model does not read."""
-        names = [f"ap{j:03d}" for j in range(50)]
-        n = self.access_points.size
-        return {"location": map(names.__getitem__, self.access_points.tolist()),
-                "isp": itertools.repeat("campus", n), "service_class": itertools.repeat("web", n)}
+        """The session-log columns the model does not read, as
+        ``write_sessions_csv`` takes them: (texts, each row's index into them)."""
+        same = np.broadcast_to(0, self.access_points.size)
+        return {"location": ([f"ap{j:03d}" for j in range(50)], self.access_points),
+                "isp": (["campus"], same), "service_class": (["web"], same)}
 
 
 def _draw_session_count(spec: SynthSpec, rng: np.random.Generator) -> int:

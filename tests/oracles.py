@@ -562,6 +562,14 @@ def generate_records(spec):
     return sessions, dominant, log_text
 
 
+def _csv_line(fields) -> str:
+    """One CSV record: a field is quoted, its quotes doubled, when it holds a
+    comma, a quote, CR or LF."""
+    return ",".join(
+        '"' + f.replace('"', '""') + '"' if any(c in f for c in ',"\r\n') else f for f in fields
+    ) + "\n"
+
+
 def write_sessions_rows(sessions, path, log_text=None):
     """Row-by-row session-log writer, the reference for ``ingest.write_sessions_csv``.
 
@@ -572,25 +580,22 @@ def write_sessions_rows(sessions, path, log_text=None):
 
     from usertopics.ingest import SESSION_COLUMNS
 
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SESSION_COLUMNS)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(_csv_line(SESSION_COLUMNS))
         for s, (location, isp, service_class) in zip(
             sessions, log_text or itertools.repeat(("", "", ""))
         ):
-            writer.writerow(
-                [
-                    s.user_id,
-                    datetime.fromtimestamp(int(s.start_time), tz=timezone.utc).isoformat(),
-                    repr(float(s.duration)),
-                    location,
-                    s.domain,
-                    isp,
-                    s.http_requests,
-                    service_class,
-                    s.bytes,
-                ]
-            )
+            fh.write(_csv_line([
+                s.user_id,
+                datetime.fromtimestamp(int(s.start_time), tz=timezone.utc).isoformat(),
+                repr(float(s.duration)),
+                location,
+                s.domain,
+                isp,
+                str(s.http_requests),
+                service_class,
+                str(s.bytes),
+            ]))
 
 
 @dataclass

@@ -185,6 +185,19 @@ class TestSynthCommand:
             ({"n_domains": 10**13},
              "usage error: malformed synth spec .*: Unable to allocate"),
             ({"n_users": 10**13}, "usage error: synth spec .*: Unable to allocate"),
+            # the share goes through the spec-key table like every other key
+            *(({"topics": topics}, f"usage error: malformed synth spec .*: topics.share: {reason}")
+              for topics, reason in (
+                  ({"kind": "overlap", "share": "x"}, "could not convert string to float: 'x'"),
+                  ({"kind": "overlap", "share": False}, r"not a share in \[0, 1\): False"),
+                  ({"kind": "overlap", "share": 1}, r"not a share in \[0, 1\): 1"),
+                  ({"kind": "overlap", "share": None}, "float.. argument must be"),
+                  ({"share": 0.5}, "disjoint topics share no domains"),
+                  ({"kind": "disjoint", "share": 0.2}, "disjoint topics share no domains"))),
+            pytest.param('{"n_topics": 4, "n_domains": 40, "n_users": 80, '
+                         '"topics": {"kind": "overlap", "share": 1e400}}',
+                         r"usage error: malformed synth spec .*: topics.share: not a share in "
+                         r"\[0, 1\): inf", id="share-1e400"),
         ],
     )
     def test_bad_spec_exits_1_before_writing(self, tmp_path, capsys, extra, message):

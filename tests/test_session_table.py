@@ -4,6 +4,7 @@ import csv
 import io
 import tempfile
 import tracemalloc
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
 
@@ -501,6 +502,23 @@ class TestTimestampCodec:
         assert rejected.tolist() == [False] * 2047 + [True]
         assert epochs.tolist() == [1409565600 + i % 60 for i in range(2047)] + [0]
 
+    def test_format_matches_isoformat(self):
+        """200,000 random epochs over the datetime range, its bounds, -1 and 0,
+        and the first and last second of every Feb 28, Feb 29 and Mar 1 of
+        five century years, leap and not."""
+        rng = np.random.default_rng(30)
+        days = [datetime(year, 2, 28, tzinfo=timezone.utc) + timedelta(days=d)
+                for year in (1600, 1700, 1900, 2000, 2100) for d in range(3)]
+        edges = [int(day.timestamp()) + second for day in days for second in (0, 86399)]
+        epochs = np.concatenate([rng.integers(TestWriter.FIRST, TestWriter.LAST, 200_000,
+                                              endpoint=True),
+                                 [TestWriter.FIRST, TestWriter.LAST, -1, 0], edges])
+        with mock.patch.object(ingest, "format_timestamp", side_effect=AssertionError):
+            texts = ingest.format_timestamps(epochs)
+        assert texts == [datetime.fromtimestamp(e, tz=timezone.utc).isoformat()
+                         for e in epochs.tolist()]
+        assert ingest.format_timestamps(np.array([], dtype=np.int64)) == []
+
 
 def test_quote_free_log_is_split_without_csv_reader(tmp_path):
     """A written log takes the str.split path, and its timestamps the codec."""
@@ -602,6 +620,13 @@ class TestSessionTable:
         assert matrix.data.tolist() == [float(99999999999999999999999)]
 
 
+# hostile texts for names and unread columns: quotes, delimiters, line ends, nothing, non-ASCII
+HOSTILE_TEXT = st.one_of(
+    st.sampled_from(["", " ", '"', ",", "\r", "\n", "\r\n", 'say "hi", twice', "Zürich 東京"]),
+    st.text(alphabet=st.sampled_from('ab ",\r\n\x00é東'), max_size=6),
+)
+
+
 class TestWriter:
     # epochs of 0001-01-01T00:00:00 and 9999-12-31T23:59:59 UTC
     FIRST, LAST = -62135596800, 253402300799
@@ -644,7 +669,8 @@ class TestWriter:
     def test_unread_texts_written_in_their_columns(self, tmp_path):
         sessions = [make_session(t=0), make_session(user="u2", t=60)]
         texts = [("ap007", "campus", "web"), ('a "b"', "", "x,y\r\nz")]
-        unread = dict(zip(("location", "isp", "service_class"), zip(*texts)))
+        unread = {column: (values, np.arange(len(values)))
+                  for column, values in zip(("location", "isp", "service_class"), zip(*texts))}
         ours, oracle = tmp_path / "columns.csv", tmp_path / "rows.csv"
         write_sessions_csv(session_table(sessions), ours, unread)
         write_sessions_rows(sessions, oracle, texts)
@@ -652,8 +678,8 @@ class TestWriter:
         assert ours.read_text().splitlines()[1] == "u1,1970-01-01T00:00:00+00:00,60.0,ap007," \
             "example.com,campus,1,web,100"
         assert to_records(parse_sessions(ours).records) == sessions
-        with pytest.raises(ValueError):  # fewer texts than rows
-            write_sessions_csv(session_table(sessions), ours, {"isp": ["campus"]})
+        with pytest.raises(ValueError, match="^isp: 1 indices for 2 rows$"):
+            write_sessions_csv(session_table(sessions), ours, {"isp": (["campus"], [0])})
         assert ours.read_bytes() == oracle.read_bytes()
 
     def test_quoted_user_round_trip(self, tmp_path):
@@ -667,6 +693,77 @@ class TestWriter:
             make_session(user="b", domain="x.com", t=1409560000, duration=12.0),
             make_session(user='a "quoted", user', domain="y.com", duration=0.1),
         ]
+
+
+    def test_lone_cr_round_trip(self, tmp_path):
+        """A CR is quoted like a LF: csv.reader ends a record at an unquoted CR."""
+        sessions = [make_session(user="a\rb"), make_session(user="c\r\rd", domain="x.com", t=60)]
+        unread = {"location": (["lab\rwing"], [0, 0]), "isp": (["a\r\nb", "\r"], [1, 0])}
+        path = tmp_path / "s.csv"
+        write_sessions_csv(session_table(sessions), path, unread)
+        assert path.read_bytes().partition(b"\n")[2] == (
+            b'"a\rb",1970-01-01T00:00:00+00:00,60.0,"lab\rwing",example.com,"\r",1,,100\n'
+            b'"c\r\rd",1970-01-01T00:01:00+00:00,60.0,"lab\rwing",x.com,"a\r\nb",1,,100\n')
+        report = parse_sessions(path)
+        assert report.errors == [] and to_records(report.records) == sessions
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[3] for row in rows[1:]] == ["lab\rwing"] * 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_row_oracle(self, tmp_path_factory, data):
+        """Hostile names and unread texts, floats that repr differently from
+        str or tell -0.0 from 0.0, and integers beyond int64, in blocks of
+        a few rows."""
+        sessions = data.draw(st.lists(st.builds(
+            make_session,
+            user=HOSTILE_TEXT.filter(str.strip),
+            domain=st.sampled_from(["example.com", 'a"b.com', "c,d.org", "bücher.de", "東京.jp"]),
+            bytes=st.one_of(st.integers(0, 2**62), st.integers(2**63 - 2, 2**80)),
+            t=st.integers(TestWriter.FIRST, TestWriter.LAST),
+            duration=st.sampled_from([0.0, -0.0, 0.1, 1e16, 5e-324, 120.5, 1.7976931348623157e308]),
+            requests=st.one_of(st.integers(0, 5), st.just(2**70)),
+        ), max_size=12))
+        texts = data.draw(st.lists(st.tuples(HOSTILE_TEXT, HOSTILE_TEXT, HOSTILE_TEXT),
+                                   min_size=len(sessions), max_size=len(sessions)))
+        unread = {}
+        for column, values in zip(("location", "isp", "service_class"), zip(*texts)):
+            names = list(dict.fromkeys(values))
+            unread[column] = (names, np.array([names.index(v) for v in values], dtype=np.int64))
+        tmp = tmp_path_factory.mktemp("writer")
+        ours, oracle = tmp / "columns.csv", tmp / "rows.csv"
+        with mock.patch.object(ingest, "WRITE_BLOCK_ROWS", data.draw(st.sampled_from([1, 3, 8]))):
+            write_sessions_csv(session_table(sessions), ours, unread if sessions else None)
+        write_sessions_rows(sessions, oracle, texts)
+        assert ours.read_bytes() == oracle.read_bytes()
+        report = parse_sessions(ours)
+        assert report.errors == [] and sorted(map(repr, to_records(report.records))) == sorted(
+            repr(make_session(user=s.user_id.strip(), domain=s.domain, bytes=s.bytes,
+                              t=s.start_time, duration=s.duration, requests=s.http_requests))
+            for s in sessions)
+
+
+def test_write_sessions_csv_memory_per_row():
+    """The writer stays within a per-row byte budget: it holds the text of one
+    block of rows, near 37 bytes per row of this 100,000-row log (8,192-row
+    blocks, tracemalloc on Python 3.11). Whole columns as lists of Python
+    objects and strings need 370 and more."""
+    spec = synth.SynthSpec(
+        n_topics=4, n_domains=200, n_users=500,
+        topic_word=synth.disjoint_topic_word(4, 200),
+        sessions_lo=200, sessions_hi=200, sessions_dist="fixed", seed=3,
+    )
+    sessions, truth = synth.generate(spec)
+    with tempfile.TemporaryDirectory() as tmp:
+        tracemalloc.start()
+        try:
+            write_sessions_csv(sessions, Path(tmp) / "sessions.csv", truth.log_text())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert len(sessions) == 100_000
+    assert peak / len(sessions) < 100, f"{peak / len(sessions):.0f} bytes per row"
 
 
 def test_parse_and_aggregate_memory_per_row():

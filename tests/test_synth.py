@@ -77,6 +77,11 @@ class TestSpecValidation:
         raw["topics"] = {"kind": "overlap", "share": 0.2}
         spec = SynthSpec.from_dict(raw)
         assert np.allclose(spec.topic_word.sum(axis=1), 1.0)
+        for share, expected in ((0.5, 0.5), ("0", 0.0), (None, 0.2)):
+            raw["topics"] = {"kind": "overlap"} if share is None else {"kind": "overlap",
+                                                                       "share": share}
+            topic_word = SynthSpec.from_dict(raw).topic_word
+            assert np.array_equal(topic_word, overlapping_topic_word(2, 10, expected))
 
     def test_from_dict_left_out_keys_keep_defaults(self):
         spec = SynthSpec.from_dict(MINIMAL_SPEC)
@@ -106,7 +111,8 @@ class TestSpecValidation:
                 spec_with(**{key: 1})
 
     def test_every_spec_key_has_a_case(self):
-        assert set(SPEC_KEY_CASES) == set(_SPEC_KEYS)
+        # the topics keys pick the topic-word matrix: test_from_dict_topics_kinds
+        assert set(SPEC_KEY_CASES) | {"topics.kind", "topics.share"} == set(_SPEC_KEYS)
 
     def test_domain_names_is_not_a_field(self):
         with pytest.raises(TypeError):
@@ -269,35 +275,35 @@ SMOKE_SPECS = {
 }
 
 
-# sha256 of the ingest outputs for the smoke corpora above
+# sha256 of the ingest outputs for the smoke corpora above (matrix sidecars as compact JSON)
 INGEST_SHA = {
     ("campus-logs", 7): {
         "domain_stats.txt": "da2d27ba4c7b7139b55633c096263c9163b1cb9ef06e053377fe078a114493fc",
         "profile.data.npy": "da2e66966aa884ed16bc043c00f8704cd3160f7a84595e00972f78a10f1afee1",
         "profile.indices.npy": "3418d7747fbb868909df46c67e952b2fa3426badcd529146a8427e4592547ac4",
         "profile.indptr.npy": "c60725f39bd242b677c2af021ea23507b09d5ed431d75424301ac9b3e92793b6",
-        "profile.meta.json": "51e8f68cfc9e995f045a072ee330ac8050069707e65e05f3e6ab2068c028263d",
+        "profile.meta.json": "713f4813476939515cd5c68f890feef1574c82899c178e6581ea4bb674f05c56",
     },
     ("campus-logs", 905): {
         "domain_stats.txt": "92db63505fac5ccfaf05933b530b223bf4f405f903b5a72826e42dbbde7ded02",
         "profile.data.npy": "be0e8c33db31a690b35952c448c705d3a6d889396fd0264e798dc4630bc42051",
         "profile.indices.npy": "2f227293660e9ff65f3285197db5ab4031bc250c0572b643061c8cfdd3a0e5d8",
         "profile.indptr.npy": "b4b84d774e64255769fdeb4024ee949efa5550a8e5fc1126fe05d951320bd845",
-        "profile.meta.json": "bcb33186866887a0941234dbc08b1cd9bafc16f90cf1f810d5db48cc28c7aac8",
+        "profile.meta.json": "e2087950bc45daa2f8002a5e0a026e79b9af0072aa99e411827af06e99b2f954",
     },
     ("wide-rank", 7): {
         "domain_stats.txt": "ad2eb58d2cf7bf91389c6f0183fedc9bf5834b252f617bd340b2b22890fe4357",
         "profile.data.npy": "97788080c2c6239ecef2a011ebdf4a978864ec158479a277ee94e83b7b4530a8",
         "profile.indices.npy": "a3caa0e506add18c4d503809919557b0ab84191cff7a966fcc818ded49b0a7d4",
         "profile.indptr.npy": "90ff1e6701181beb5ff15c21c6cc52c3b6c9777f70df2b05cdbf5306bbbf0110",
-        "profile.meta.json": "b80b66d19ad57aaa4b36ae61b1c7d94026c4962399ce65ce69204d07fad51bc4",
+        "profile.meta.json": "8e59ba063563d62fdffdfeeff1f306360ed0ff0d365c3128713a112b24450b62",
     },
     ("wide-rank", 905): {
         "domain_stats.txt": "a08cbccd854996014bcce8926689d93d44a1ea2a57e6cc2f8c861ff5f0960199",
         "profile.data.npy": "480666e09a8d4d8bca90b318c656dfd9b11c921a0db488a827be2cd1424f1564",
         "profile.indices.npy": "d4ef0194b6277c15aae13bdc0c5c5d3096281b047ccdec13bbc0be34c01b42cd",
         "profile.indptr.npy": "0d4f6a82fcb5f4eae69adb784a505b48b2eb0f602ff9284f9c84c8ef26c9a155",
-        "profile.meta.json": "bfd26a8811de6a25081c48fb0737a636c79bf9140998a865e76fa5474ce139d8",
+        "profile.meta.json": "fd9d89086dfcd7a0601874d42661d53a8ab7d03f63917d44c727bb69a0fe8db0",
     },
 }
 
