@@ -1,12 +1,13 @@
 """Hot numeric kernels of the weighting, factorization and clustering stages.
 
-Each kernel has one implementation. The sparse-times-dense products call
-scipy's compiled ``csr_matvecs``/``csc_matvecs``, the routines behind
-``csr_array @ dense``; the others are vectorized numpy. The products load
-scipy's ``_sparsetools`` extension file directly, once per process, and never
-import ``scipy.sparse``: that import costs a few tenths of a second, loading
-the one extension under a millisecond. The weighting kernels give each
-stored entry its row share or its natural-log TF weight ``1 + ln(share)``.
+Each kernel has one implementation. The sparse-times-dense products (of
+the randomized SVD and the k-means update) call scipy's compiled
+``csr_matvecs``/``csc_matvecs``, the routines behind ``csr_array @ dense``;
+the others are vectorized numpy. The products load scipy's ``_sparsetools``
+extension file directly, once per process, and never import
+``scipy.sparse``: that import costs a few tenths of a second, loading the
+one extension under a millisecond. The weighting kernels give each stored
+entry its row share or its natural-log TF weight ``1 + ln(share)``.
 
 Determinism: results do not depend on the BLAS thread count, so seeded
 runs reproduce bit for bit. The sparse products accumulate each output row
@@ -254,20 +255,16 @@ def _exact_nearest(points, centroids):
 def kmeans_update(points, labels, k):
     """Per-cluster coordinate sums and member counts.
 
-    Each sum adds the cluster's points in index order, as the loop
-    ``sums[labels[i]] += points[i]`` does: a stable sort on the label makes
-    every cluster one block of rows, and ``sum(axis=0)`` adds a block row
-    after row. A single column would be summed pairwise instead, so it
-    takes a running sum.
+    The sums are one CSR product: the k x n membership matrix, whose row j
+    holds a 1 for each member of cluster j in index order, times the
+    points. The compiled product adds each row's entries in CSR order, so
+    every sum adds the cluster's points in index order, as the loop
+    ``sums[labels[i]] += points[i]`` does.
     """
     counts = np.bincount(labels, minlength=k).astype(np.int64)
-    sums = np.zeros((k, points.shape[1]))
-    grouped = points[np.argsort(labels, kind="stable")]
-    ends = np.cumsum(counts)
-    for j in np.flatnonzero(counts):
-        block = grouped[ends[j] - counts[j] : ends[j]]
-        sums[j] = np.cumsum(block)[-1] if points.shape[1] == 1 else block.sum(axis=0)
-    return sums, counts
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    members = np.argsort(labels, kind="stable")
+    return csr_matmat(indptr, members, np.ones(members.size), points), counts
 
 
 def dsq_update(points, centroid, dsq):

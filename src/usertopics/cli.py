@@ -300,23 +300,26 @@ def _run(args, profile, watch: _Stopwatch, m: int, k: int):
     return feature, model, features, kmeans_kw
 
 
-def _parse_reports(args):
+def _parse_reports(args, watch: _Stopwatch):
     """The demographics and transactions tables, empty where not given, and
-    each given file's parse counts."""
+    each given file's parse counts; timed as the ``side_inputs`` stage when
+    a file is given."""
     tables = {"demographics": UserTable((), {}), "transactions": UserTable((), {})}
     counts = {}
-    for name in (name for name in tables if getattr(args, name)):
-        from . import ingest
+    given = [name for name in tables if getattr(args, name)]
+    with watch.stage("side_inputs") if given else contextlib.nullcontext():
+        for name in given:
+            from . import ingest
 
-        parse = {"demographics": ingest.parse_demographics,
-                 "transactions": ingest.parse_transactions}[name]
-        path = _require_file(getattr(args, name), name)
-        try:
-            report = parse(path, delimiter=args.delimiter, fail_fast=args.fail_fast)
-        except ingest.ParseError as exc:
-            raise DataError(str(exc)) from exc
-        tables[name] = report.records
-        counts[name] = {"parse_errors": report.n_errors, "parse_warnings": len(report.warnings)}
+            parse = getattr(ingest, f"parse_{name}")
+            path = _require_file(getattr(args, name), name)
+            try:
+                report = parse(path, delimiter=args.delimiter, fail_fast=args.fail_fast)
+            except ingest.ParseError as exc:
+                raise DataError(str(exc)) from exc
+            tables[name] = report.records
+            counts[name] = {"parse_errors": report.n_errors, "parse_warnings": len(report.warnings),
+                            "parse_errors_by_kind": dict(report.errors_by_code)}
     return tables["demographics"], tables["transactions"], counts
 
 
@@ -341,7 +344,7 @@ def cmd_cluster(args) -> int:
     from . import lsa, weighting
 
     with _open_workspace(args) as (out_dir, profile, checksum, watch):
-        demo, tx, side_counts = _parse_reports(args)
+        demo, tx, side_counts = _parse_reports(args, watch)
         feature, model, features, kmeans_kw = _run(args, profile, watch, args.m, args.k)
         with watch.stage("cluster"):
             result = clus.kmeans(features, args.k, **kmeans_kw)

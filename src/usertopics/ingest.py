@@ -11,27 +11,25 @@ Every input file goes through one chunk reader, which reads
 :data:`CHUNK_ROWS` lines at a time. A chunk without the quote character,
 and with no line longer than the csv field limit, holds one csv record
 per line and is split with ``str.split``; any other chunk is read by
-``csv.reader``, with the same fields as a result. The demographics and
-transactions parsers, the small side inputs, convert a chunk's records
-one by one and keep one row per user in a :class:`UserTable`.
-
-Session logs and raw-event logs, the large inputs, are parsed column by
-column into a :class:`SessionTable`; a raw event is a session of duration
-0, and a session log's location, isp and service_class columns are read
-but dropped. Each chunk's columns are converted in bulk: timestamps
-through :func:`parse_timestamps`, the other numbers through one ``map``
-over the column. Each string column is encoded to int64 codes by a
-vocabulary that cleans and checks every distinct raw string once; a domain
-or user id that fails its check gets code -1.
-The chunk is encoded before the next one is read, so memory grows with
-the vocabularies and the numeric columns, not with the raw text. At the
-end, each vocabulary is reduced to the values the accepted rows use, in
-sorted order: every :class:`SessionTable` keeps its vocabularies sorted,
-so :func:`sessionize` and :func:`build_profile_matrix` order users and
-domains by their codes. A bad row's error is the first check it fails in
-one ordered table of exact tests over the converted columns,
-``_ROW_CHECKS``: it gets that check's code, and the message that parsing
-the row on its own gives, so errors match a row-by-row parse line for line.
+``csv.reader``, with the same fields as a result. One chunk parser then
+converts every file column by column: session and raw-event logs into a
+:class:`SessionTable` (a raw event is a session of duration 0, and a
+session log's location, isp and service_class columns are dropped), and
+the demographics and transactions side inputs into a :class:`UserTable`
+of one row per user. Timestamps go through :func:`parse_timestamps`, the
+other numbers through one ``map`` over the column, and each string column
+is encoded to int64 codes by a vocabulary that cleans and checks every
+distinct raw string once; a domain or user id that fails its check gets
+code -1. The chunk is encoded before the next one is read, so memory
+grows with the vocabularies and the numeric columns, not with the raw
+text. At the end, each vocabulary is reduced to the values the accepted
+rows use, in sorted order: every :class:`SessionTable` keeps its
+vocabularies sorted, so :func:`sessionize` and
+:func:`build_profile_matrix` order users and domains by their codes. A
+bad row's error is the first check it fails in its file's ordered table
+of exact tests over the converted columns (see ``_ROW_CHECKS``): it gets
+that check's code, and the message that parsing the row on its own
+gives, so errors match a row-by-row parse line for line.
 
 :func:`sessionize` merges a table of raw events into sessions with array
 operations: a sort by (user, domain, time) and one sum per run of events.
@@ -82,7 +80,7 @@ RAW_EVENT_COLUMNS = ("user_id", "timestamp", "domain", "bytes", "http_requests")
 
 BIRTH_YEAR_RANGE = (1900, 2100)
 
-# session-log lines read, validated and encoded per chunk
+# lines read, validated and encoded per chunk
 CHUNK_ROWS = 2048
 # session-log rows formatted and written per block
 WRITE_BLOCK_ROWS = 8192
@@ -102,8 +100,8 @@ class ParseReport:
 
     ``records`` is a :class:`SessionTable` from :func:`parse_sessions` and
     :func:`parse_raw_events`, or a :class:`UserTable` from
-    :func:`parse_demographics` and :func:`parse_transactions`. The session
-    parsers count errors by check code (see ``_ROW_CHECKS``) in ``errors_by_code``.
+    :func:`parse_demographics` and :func:`parse_transactions`. Every parser
+    counts errors by check code (see ``_ROW_CHECKS``) in ``errors_by_code``.
     """
 
     records: SessionTable | UserTable | None = None
@@ -268,38 +266,19 @@ def _is_blank(row) -> bool:
     return not row or (len(row) == 1 and not row[0].strip())
 
 
-def _run_parser(source, delimiter, columns, convert, fail_fast, report: ParseReport):
-    """Yield ``convert`` of each good row; a bad row's error goes to ``report``."""
-    for chunk, first_line in _chunks(source, delimiter, columns):
-        for pos, row in chunk.rows():
-            try:
-                if len(row) != len(columns):
-                    raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
-                value = convert(row)
-            except (ValueError, OverflowError) as exc:
-                if fail_fast:
-                    raise ParseError(f"line {first_line + pos}: {exc}") from exc
-                report.errors.append((first_line + pos, str(exc)))
-                continue
-            yield value
-
-
 # --------------------------------------------------------------------------
-# columnar session table
+# fields and row checks
 # --------------------------------------------------------------------------
 
 _SESSION_FIELDS = ("user_id", "start_time", "duration", "domain", "http_requests", "bytes")
 # dict-encoded fields; the others are numeric
 _STRING_FIELDS = ("user_id", "domain")
-# the session field each column of a log fills (None: dropped unread), and
-# the text of a field no column fills
+# the field each column of a file fills (None: dropped unread)
 _SESSION_LOG_FIELDS = ("user_id", "start_time", "duration", None, "domain", None,
                        "http_requests", None, "bytes")
 _RAW_EVENT_FIELDS = ("user_id", "start_time", "domain", "bytes", "http_requests")
-_CONSTANT_FIELDS = {"duration": "0"}
-# converters of the numeric fields' texts
-_FIELD_PARSERS = {"start_time": parse_timestamp, "duration": float, "http_requests": int,
-                  "bytes": int}
+_DEMOGRAPHIC_FIELDS = ("user_id", "gender", "birth_year", "enrol_year", None)
+_TRANSACTION_FIELDS = ("user_id", "start_time", "amount")
 
 
 def _int_array(values) -> np.ndarray:
@@ -310,8 +289,39 @@ def _int_array(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
+def _optional_int(text: str) -> int | None:
+    return int(text) if text.strip() else None
+
+
+def _gender_index(text: str) -> int:
+    """Index into GENDERS of a gender in any case; an empty one reads unknown."""
+    gender = text.strip().lower() or "unknown"
+    if gender not in GENDERS:
+        raise ValueError(f"unknown gender value: {gender!r}")
+    return GENDERS.index(gender)
+
+
+# per numeric field: the converter of one text, and the array of a column's
+# values (timestamp columns go through parse_timestamps instead)
+_FIELD_PARSERS = {
+    "start_time": (parse_timestamp, None),
+    "duration": (float, partial(np.array, dtype=np.float64)),
+    "http_requests": (int, _int_array),
+    "bytes": (int, _int_array),
+    "amount": (float, partial(np.array, dtype=np.float64)),
+    "gender": (_gender_index, _int_array),
+    # None, a year not given, keeps these object arrays
+    "birth_year": (_optional_int, partial(np.array, dtype=object)),
+    "enrol_year": (_optional_int, partial(np.array, dtype=object)),
+}
+
+
 def _negative(col: np.ndarray) -> np.ndarray:
     return col < 0
+
+
+def _non_finite(col: np.ndarray) -> np.ndarray:
+    return ~np.isfinite(col)
 
 
 def _beyond_float64(col: np.ndarray) -> np.ndarray:
@@ -323,21 +333,28 @@ def _float_range_error(name: str, value: int) -> str:
     return f"{name} beyond the float64 range: {len(str(value))} digits"
 
 
-# The session-row checks as (code, field, test, message), in the order that
-# names a bad row's error: a row's error is the first check it fails, and a
-# row of the wrong width fails field_count before them all. ``test`` maps a
-# converted column to its failing rows, and ``message`` a failing value to
-# the error. A test of None is the field's conversion from text; conversions
-# run in the order their fields stand in the file (a raw event's bytes before
-# its http_requests). A message of None is the one the text was rejected
-# with, by its conversion or by its vocabulary (which codes it -1).
+def _outside_birth_years(years: np.ndarray) -> np.ndarray:
+    """Given birth years outside BIRTH_YEAR_RANGE; None, a year not given, is not."""
+    outside = years != None  # elementwise over the object array
+    given = years[outside]
+    outside[outside] = (given < BIRTH_YEAR_RANGE[0]) | (given > BIRTH_YEAR_RANGE[1])
+    return outside
+
+
+# The row checks of a session log as (code, field, test, message), in the
+# order that names a bad row's error: a row's error is the first check it
+# fails, and a row of the wrong width fails field_count before them all.
+# ``test`` maps a converted column to its failing rows, and ``message`` a
+# failing value to the error. A test of None is the field's conversion from
+# text, and a message of None the one the text was rejected with, by its
+# conversion or its vocabulary (which codes it -1). Each file's table runs
+# its conversions in the order their columns stand in the file.
 _ROW_CHECKS = (
     ("bad_timestamp", "start_time", None, None),
     ("bad_duration", "duration", None, None),
     ("bad_http_requests", "http_requests", None, None),
     ("bad_bytes", "bytes", None, None),
-    ("non_finite_duration", "duration", lambda col: ~np.isfinite(col),
-     "non-finite duration: {}".format),
+    ("non_finite_duration", "duration", _non_finite, "non-finite duration: {}".format),
     ("negative_duration", "duration", _negative, "negative duration: {}".format),
     ("negative_bytes", "bytes", _negative, "negative bytes: {}".format),
     ("negative_http_requests", "http_requests", _negative, "negative http_requests: {}".format),
@@ -346,6 +363,23 @@ _ROW_CHECKS = (
      partial(_float_range_error, "http_requests")),
     ("bad_domain", "domain", _negative, None),
     ("empty_user_id", "user_id", _negative, None),
+)
+# a raw event has no duration, and converts its bytes before its http_requests
+_RAW_EVENT_CHECKS = (_ROW_CHECKS[0], _ROW_CHECKS[3], _ROW_CHECKS[2], *_ROW_CHECKS[6:])
+_DEMOGRAPHIC_CHECKS = (
+    ("bad_birth_year", "birth_year", None, None),
+    ("birth_year_out_of_range", "birth_year", _outside_birth_years,
+     "birth_year {} outside plausible range".format),
+    ("bad_enrol_year", "enrol_year", None, None),
+    ("unknown_gender", "gender", None, None),
+    _ROW_CHECKS[-1],
+)
+_TRANSACTION_CHECKS = (
+    _ROW_CHECKS[0],
+    ("bad_amount", "amount", None, None),
+    ("non_finite_amount", "amount", _non_finite, "non-finite amount: {}".format),
+    ("negative_amount", "amount", _negative, "negative amount: {}".format),
+    _ROW_CHECKS[-1],
 )
 
 
@@ -378,6 +412,20 @@ class _Vocabulary:
                     raw[text] = -1
                     self.rejected[text] = str(exc)
         return np.fromiter(map(raw.__getitem__, texts), np.int64, len(texts))
+
+
+def _used_names(codes: np.ndarray, values) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Indices ``codes`` into ``values`` as codes into the names they use, in
+    sorted order; equal names share one code."""
+    first: dict[str, int] = {}
+    canonical = np.array([first.setdefault(value, i) for i, value in enumerate(values)],
+                         dtype=np.int64)
+    codes = canonical[codes]
+    used = np.flatnonzero(np.bincount(codes, minlength=len(values))).tolist()
+    order = sorted(used, key=values.__getitem__)
+    recode = np.empty(len(values), dtype=np.int64)
+    recode[order] = np.arange(len(order))
+    return recode[codes], tuple(values[i] for i in order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,18 +465,7 @@ class SessionTable:
         """
         vocab = {}
         for name in _STRING_FIELDS:
-            values = names[name]
-            first: dict[str, int] = {}
-            canonical = np.array(
-                [first.setdefault(value, i) for i, value in enumerate(values)], dtype=np.int64
-            )
-            codes = canonical[columns[name]]
-            used = np.flatnonzero(np.bincount(codes, minlength=len(values))).tolist()
-            order = sorted(used, key=values.__getitem__)
-            recode = np.empty(len(values), dtype=np.int64)
-            recode[order] = np.arange(len(order))
-            columns[name] = recode[codes]
-            vocab[name] = tuple(values[i] for i in order)
+            columns[name], vocab[name] = _used_names(columns[name], names[name])
         return cls(columns=columns, vocab=vocab)
 
     @property
@@ -493,10 +530,6 @@ class _Chunk(NamedTuple):
     positions: range | list[int]
     odd: dict[int, list[str]]
     n_records: int
-
-    def rows(self):
-        """(record index, fields) of each non-blank record, in order."""
-        return sorted([*zip(self.positions, zip(*self.columns)), *self.odd.items()])
 
 
 def _chunk(flat: list[str], width: int, positions, odd, n_records: int) -> _Chunk:
@@ -612,48 +645,56 @@ def _chunks(source, delimiter: str, columns: tuple[str, ...]):
         first_line += n_records
 
 
-class _SessionChunkParser:
-    """Validates and encodes chunks of a session or raw-event log, and joins
-    the accepted rows into a SessionTable.
+class _ChunkParser:
+    """Validates and converts the chunks of one input file, column by column.
 
-    ``fields`` names the session field each file column fills, or None for
-    a column that is dropped unread; every other field reads its
-    ``_CONSTANT_FIELDS`` text on each row.
+    ``fields`` names the field each file column fills, or None for a column
+    that is dropped unread. The user ids, and each field of ``vocab``, are
+    encoded by a vocabulary; every other field is converted by
+    ``_FIELD_PARSERS``. A bad row gets the first of ``checks`` it fails.
     """
 
-    def __init__(self, report: ParseReport, fail_fast: bool, truncate_domains: bool,
-                 fields: tuple[str, ...]):
-        self.report = report
-        self.fail_fast = fail_fast
+    def __init__(self, fields: tuple[str | None, ...], checks: tuple, fail_fast: bool, vocab: dict):
+        self.report = ParseReport()
         self.fields = fields
-        self.constants = {k: v for k, v in _CONSTANT_FIELDS.items() if k not in fields}
-        normalize = partial(normalize_domain, truncate=truncate_domains)
-        self.vocab = {"user_id": _Vocabulary(lambda raw: _check_user_id(raw.strip())),
-                      "domain": _Vocabulary(lambda raw: _check_domain(normalize(raw)))}
-        # the conversions in file order, a constant field's last, then the other checks
-        rank = {name: k for k, name in enumerate((*fields, *self.constants))}
-        self.checks = sorted(_ROW_CHECKS, key=lambda c: math.inf if c[2] else rank[c[1]])
-        # an empty part per field gives a log without rows its column types
-        self._parts = {name: [np.empty(0, np.float64 if name == "duration" else np.int64)]
-                       for name in _SESSION_FIELDS}
+        self.checks = checks
+        self.fail_fast = fail_fast
+        self.vocab = {"user_id": _Vocabulary(lambda raw: _check_user_id(raw.strip())), **vocab}
+        # an empty part per field gives a file without rows its column types
+        empty = self._convert(dict.fromkeys(filter(None, fields), []))[0]
+        self._parts = {name: [col] for name, col in empty.items()}
 
-    def add(self, chunk: _Chunk, first_line: int) -> None:
-        """Parse one chunk whose first record is csv record ``first_line``."""
-        texts = {name: col for name, col in zip(self.fields, chunk.columns) if name}
-        texts.update((k, [v] * len(chunk.columns[0])) for k, v in self.constants.items())
-        cols = {name: vocab.encode(texts[name]) for name, vocab in self.vocab.items()}
-        failed = {}
-        cols["start_time"], failed["start_time"] = parse_timestamps(texts["start_time"])
-        for name, array in (("duration", partial(np.array, dtype=np.float64)),
-                            ("http_requests", _int_array), ("bytes", _int_array)):
-            cols[name], failed[name] = _convert_column(texts[name], _FIELD_PARSERS[name], array)
-        masks = [test(cols[name]) if test else failed[name] for _, name, test, _ in self.checks]
-        bad = np.logical_or.reduce(masks)
-        if chunk.odd or bad.any():
-            self._reject(chunk, first_line, texts, cols, np.argmax(masks, axis=0), bad)
-        keep = ~bad
-        for name, values in cols.items():
-            self._parts[name].append(values[keep])
+    def _convert(self, texts: dict) -> tuple[dict, dict]:
+        """The fields' columns, and per converted field the mask of the texts it rejects."""
+        cols, failed = {}, {}
+        for name, values in texts.items():
+            if name in self.vocab:
+                cols[name] = self.vocab[name].encode(values)
+            elif name == "start_time":
+                cols[name], failed[name] = parse_timestamps(values)
+            else:
+                cols[name], failed[name] = _convert_column(values, *_FIELD_PARSERS[name])
+        return cols, failed
+
+    def parse(self, source, delimiter: str, columns: tuple[str, ...]) -> dict[str, np.ndarray]:
+        """The accepted rows' columns, in file order, of a file whose header
+        names ``columns``; a string field holds codes into its vocabulary."""
+        for chunk, first_line in _chunks(source, delimiter, columns):
+            texts = {name: col for name, col in zip(self.fields, chunk.columns) if name}
+            cols, failed = self._convert(texts)
+            masks = [test(cols[name]) if test else failed[name] for _, name, test, _ in self.checks]
+            bad = np.logical_or.reduce(masks)
+            if chunk.odd or bad.any():
+                self._reject(chunk, first_line, texts, cols, np.argmax(masks, axis=0), bad)
+            keep = ~bad
+            for name, values in cols.items():
+                self._parts[name].append(values[keep])
+            del chunk, texts  # hold one chunk's text at a time, not two
+        accepted = {}
+        for name, parts in self._parts.items():
+            accepted[name] = np.concatenate(parts)
+            parts.clear()  # hold one column twice at most, not the whole table
+        return accepted
 
     def _reject(self, chunk: _Chunk, first_line, texts, cols, first, bad) -> None:
         """Report a chunk's bad rows in file order: each odd row fails
@@ -667,7 +708,7 @@ class _SessionChunkParser:
             elif name in self.vocab:
                 message = self.vocab[name].rejected[texts[name][j]]
             else:
-                message = _conversion_error(_FIELD_PARSERS[name], texts[name][j])
+                message = _conversion_error(_FIELD_PARSERS[name][0], texts[name][j])
             rejected.append((chunk.positions[j], code, message))
         for pos, code, message in sorted(rejected):
             if self.fail_fast:
@@ -675,24 +716,17 @@ class _SessionChunkParser:
             self.report.errors.append((first_line + pos, message))
             self.report.errors_by_code[code] += 1
 
-    def build(self) -> SessionTable:
-        columns = {}
-        for name, parts in self._parts.items():
-            columns[name] = np.concatenate(parts)
-            parts.clear()  # hold one column twice at most, not the whole table
-        names = {name: tuple(vocab.codes) for name, vocab in self.vocab.items()}
-        return SessionTable.encoded(columns, names)
 
-
-def _parse_table(source, delimiter, columns, fields, fail_fast, truncate_domains):
+def _parse_table(source, delimiter, columns, fields, checks, fail_fast, truncate_domains):
     """Parse a log whose ``columns`` fill the session ``fields`` into a SessionTable."""
-    report = ParseReport()
-    parser = _SessionChunkParser(report, fail_fast, truncate_domains, fields)
-    for chunk, first_line in _chunks(source, delimiter, columns):
-        parser.add(chunk, first_line)
-        del chunk  # hold one chunk's text at a time, not two
-    report.records = parser.build()
-    return report
+    normalize = partial(normalize_domain, truncate=truncate_domains)
+    domains = _Vocabulary(lambda raw: _check_domain(normalize(raw)))
+    parser = _ChunkParser(fields, checks, fail_fast, {"domain": domains})
+    cols = parser.parse(source, delimiter, columns)
+    cols.setdefault("duration", np.zeros(cols["user_id"].size))  # raw events last 0 s
+    names = {name: tuple(vocab.codes) for name, vocab in parser.vocab.items()}
+    parser.report.records = SessionTable.encoded(cols, names)
+    return parser.report
 
 
 def parse_sessions(source, *, delimiter: str = ",", fail_fast: bool = False,
@@ -703,45 +737,28 @@ def parse_sessions(source, *, delimiter: str = ",", fail_fast: bool = False,
     file order. Error line numbers count csv records (the header is 1,
     blank rows count).
     """
-    return _parse_table(
-        source, delimiter, SESSION_COLUMNS, _SESSION_LOG_FIELDS, fail_fast, truncate_domains
-    )
+    return _parse_table(source, delimiter, SESSION_COLUMNS, _SESSION_LOG_FIELDS, _ROW_CHECKS,
+                        fail_fast, truncate_domains)
 
 
 def parse_demographics(source, *, delimiter: str = ",", fail_fast: bool = False) -> ParseReport:
     """Parse user profiles into a :class:`UserTable` with a ``gender``
     column of indices into GENDERS and a ``birth_year`` column, 0 where none
     is given. ``enrol_year`` and ``degree_type`` are checked but not kept.
-    A duplicate user_id resolves last-wins with a warning."""
-
-    def convert(row):
-        user_id = row[0].strip()
-        gender = row[1].strip().lower() or "unknown"
-        birth_year = int(row[2]) if row[2].strip() else None
-        if birth_year is not None and not (
-            BIRTH_YEAR_RANGE[0] <= birth_year <= BIRTH_YEAR_RANGE[1]
-        ):
-            raise ValueError(f"birth_year {birth_year} outside plausible range")
-        if row[3].strip():
-            int(row[3])  # enrol_year
-        if gender not in GENDERS:
-            raise ValueError(f"unknown gender value: {gender!r}")
-        _check_user_id(user_id)
-        return user_id, (GENDERS.index(gender), birth_year or 0)
-
-    report = ParseReport()
-    rows: dict[str, tuple[int, int]] = {}
-    for user_id, values in _run_parser(
-        source, delimiter, DEMOGRAPHIC_COLUMNS, convert, fail_fast, report
-    ):
-        if user_id in rows:
-            msg = f"duplicate user_id {user_id!r}: keeping the last row"
-            report.warnings.append(msg)
-            log.warning(msg)
-        rows[user_id] = values
-    users = tuple(sorted(rows))
-    columns = np.array([rows[user] for user in users], dtype=np.int64).reshape(len(users), 2)
-    report.records = UserTable(users, {"gender": columns[:, 0], "birth_year": columns[:, 1]})
+    A duplicate user_id resolves last-wins, with a warning per repeated row
+    in file order."""
+    parser = _ChunkParser(_DEMOGRAPHIC_FIELDS, _DEMOGRAPHIC_CHECKS, fail_fast, {})
+    cols = parser.parse(source, delimiter, DEMOGRAPHIC_COLUMNS)
+    codes, users = _used_names(cols["user_id"], tuple(parser.vocab["user_id"].codes))
+    report = parser.report
+    for code in np.delete(codes, np.unique(codes, return_index=True)[1]).tolist():
+        msg = f"duplicate user_id {users[code]!r}: keeping the last row"
+        report.warnings.append(msg)
+        log.warning(msg)
+    last = codes.size - 1 - np.unique(codes[::-1], return_index=True)[1]
+    years = cols["birth_year"][last]
+    birth_years = np.where(years != None, years, 0).astype(np.int64)
+    report.records = UserTable(users, {"gender": cols["gender"][last], "birth_year": birth_years})
     return report
 
 
@@ -754,29 +771,16 @@ def parse_transactions(source, *, delimiter: str = ",", fail_fast: bool = False)
     range raises ParseError (naming the user, the first in user_id order),
     so no report sums to inf.
     """
-
-    def convert(row):
-        user_id = row[0].strip()
-        parse_timestamp(row[1])
-        amount = float(row[2])
-        if not math.isfinite(amount):
-            raise ValueError(f"non-finite amount: {amount}")
-        if amount < 0:
-            raise ValueError(f"negative amount: {amount}")
-        _check_user_id(user_id)
-        return user_id, amount
-
-    report = ParseReport()
-    amounts: dict[str, list[float]] = {}
-    for user_id, amount in _run_parser(
-        source, delimiter, TRANSACTION_COLUMNS, convert, fail_fast, report
-    ):
-        amounts.setdefault(user_id, []).append(amount)
-    users = tuple(sorted(amounts))
-    totals = [_total(amounts[user], f"amount total of user {user!r}") for user in users]
-    _total(itertools.chain.from_iterable(amounts.values()), "amount total over all users")
-    report.records = UserTable(users, {"amount": np.array(totals, dtype=np.float64)})
-    return report
+    parser = _ChunkParser(_TRANSACTION_FIELDS, _TRANSACTION_CHECKS, fail_fast, {})
+    cols = parser.parse(source, delimiter, TRANSACTION_COLUMNS)
+    codes, users = _used_names(cols["user_id"], tuple(parser.vocab["user_id"].codes))
+    by_user = cols["amount"][np.argsort(codes, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(codes, minlength=len(users))).tolist()
+    totals = [_total(by_user[lo:hi], f"amount total of user {user!r}")
+              for user, lo, hi in zip(users, [0, *ends], ends)]
+    _total(cols["amount"].tolist(), "amount total over all users")
+    parser.report.records = UserTable(users, {"amount": np.array(totals, dtype=np.float64)})
+    return parser.report
 
 
 def _total(values, what: str) -> float:
@@ -794,9 +798,8 @@ def parse_raw_events(source, *, delimiter: str = ",", fail_fast: bool = False,
     file order, each a session of duration 0; errors are numbered as in
     :func:`parse_sessions`.
     """
-    return _parse_table(
-        source, delimiter, RAW_EVENT_COLUMNS, _RAW_EVENT_FIELDS, fail_fast, truncate_domains
-    )
+    return _parse_table(source, delimiter, RAW_EVENT_COLUMNS, _RAW_EVENT_FIELDS,
+                        _RAW_EVENT_CHECKS, fail_fast, truncate_domains)
 
 
 def _number_texts(values: np.ndarray) -> list[str]:

@@ -289,6 +289,29 @@ class TestIngestCommand:
             results = json.loads((ws / "ingest_manifest.json").read_text())["results"]
             assert results["parse_errors_by_kind"] == kinds
             assert results["parse_errors"] == sum(kinds.values())
+        demo = tmp_path / "demo.csv"
+        demo.write_text("user_id,gender,birth_year,enrol_year,degree_type\n"
+                        "u00000,male,1995,,\nu00001,male,x,,\nu00002,male,0,,\n"
+                        "u00003,male,,x,\nu00004,other,,,\n ,male,1995,,\nu00005,male\n")
+        tx = tmp_path / "tx.csv"
+        tx.write_text("user_id,timestamp,amount\nu00000,2014-09-01T00:00:00Z,12.5\n"
+                      "u00001,bad,1\nu00002,2014-09-01T00:00:00Z,x\n"
+                      "u00003,2014-09-01T00:00:00Z,inf\nu00004,2014-09-01T00:00:00Z,-1\n"
+                      " ,2014-09-01T00:00:00Z,1\n")
+        want = {
+            "demographics": {"bad_birth_year": 1, "birth_year_out_of_range": 1,
+                             "bad_enrol_year": 1, "unknown_gender": 1, "empty_user_id": 1,
+                             "field_count": 1},
+            "transactions": {"bad_timestamp": 1, "bad_amount": 1, "non_finite_amount": 1,
+                             "negative_amount": 1, "empty_user_id": 1},
+        }
+        ws = tmp_path / "sessions"
+        assert run(["cluster", "--workspace", ws, "-M", 4, "-K", 4,
+                    "--demographics", demo, "--transactions", tx]) == 0
+        results = json.loads((ws / "manifest.json").read_text())["results"]
+        for name, kinds in want.items():
+            assert results[name]["parse_errors_by_kind"] == kinds
+            assert results[name]["parse_errors"] == sum(kinds.values())
 
     def test_bytes_beyond_float64_counted(self, tmp_path, synth_ws, capsys):
         log = tmp_path / "huge.csv"
@@ -551,14 +574,20 @@ class TestClusterCommand:
                       "u00000,2014-09-01T00:00:00Z,12.5\nu00001,2014-09-01T00:00:00Z,-1\n")
         argv = ["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4]
         assert run([*argv, "--demographics", demo, "--transactions", tx]) == 0
-        results = json.loads((ingested_ws / "manifest.json").read_text())["results"]
-        assert results["demographics"] == {"parse_errors": 1, "parse_warnings": 1}
-        assert results["transactions"] == {"parse_errors": 1, "parse_warnings": 0}
+        manifest = json.loads((ingested_ws / "manifest.json").read_text())
+        results = manifest["results"]
+        assert results["demographics"] == {"parse_errors": 1, "parse_warnings": 1,
+                                           "parse_errors_by_kind": {"unknown_gender": 1}}
+        assert results["transactions"] == {"parse_errors": 1, "parse_warnings": 0,
+                                           "parse_errors_by_kind": {"negative_amount": 1}}
+        assert "side_inputs" in manifest["timings"]["stages_s"]
         gender = json.loads((ingested_ws / "summary.json").read_text())["gender"]
         assert gender["overall_male_fraction"] == 0.0  # u00000's last row: female
         assert run(argv) == 0
-        results = json.loads((ingested_ws / "manifest.json").read_text())["results"]
+        manifest = json.loads((ingested_ws / "manifest.json").read_text())
+        results = manifest["results"]
         assert "demographics" not in results and "transactions" not in results
+        assert "side_inputs" not in manifest["timings"]["stages_s"]
 
     def test_manifest_stop_reason_max_iter(self, ingested_ws):
         argv = ["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4,

@@ -5,6 +5,7 @@ from usertopics import _kernels
 from usertopics.clustering import (
     Clustering,
     _lloyd,
+    _means,
     inertia,
     kmeans,
     kmeanspp_init,
@@ -107,6 +108,24 @@ class TestKmeans:
         # each run is the first ``max_iter`` steps of the longest one
         history = [_lloyd(pts, c0, max_iter, 0.0)[2] for max_iter in range(40)]
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300], ids=["unit", "1e-300", "1e300"])
+    def test_lloyd_returns_exact_means_of_its_labels(self, rng, scale):
+        # at 1e-300 every squared distance underflows to 0, so _repair_empty
+        # finds no farthest point and leaves clusters empty; at 1e300 the
+        # distances overflow
+        cases = [
+            rng.integers(0, 3, size=(60, 2)).astype(float),  # grid: ties and duplicates
+            np.repeat(rng.standard_normal((5, 3)), 8, axis=0),  # 5 distinct points, 8 times each
+            rng.standard_normal((50, 1)) * 10.0 ** rng.integers(-8, 8, size=(50, 1)),
+        ]
+        for pts in cases:
+            pts = pts * scale
+            for k in (1, 3, 7):
+                c0 = kmeanspp_init(pts, k, np.random.default_rng(k))
+                for max_iter in (0, 1, 100):
+                    labels, cents, _, _, _ = _lloyd(pts, c0, max_iter, 0.0)
+                    assert cents.tobytes() == _means(pts, labels, k).tobytes(), (k, max_iter)
 
     def test_empty_cluster_repair(self):
         # both duplicated centroids start on the same point; one must move

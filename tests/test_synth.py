@@ -1,4 +1,6 @@
 import collections
+import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from usertopics import cli
+from usertopics import _kernels, cli
 from usertopics.ingest import write_sessions_csv
 from usertopics.synth import (
     _SPEC_KEYS,
@@ -21,6 +23,7 @@ from usertopics.synth import (
     write_truth,
 )
 
+from helpers import CLUSTER_OUTPUTS
 from oracles import (
     ari_pair_counting,
     generate_records,
@@ -308,6 +311,152 @@ INGEST_SHA = {
 }
 
 
+def _openblas_core() -> str | None:
+    """The core name numpy's OpenBLAS runs its kernels for (as `_kernels` finds
+    that library), or None where it is not found."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        except OSError:
+            continue
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+# LAPACK, BLAS and numpy's SIMD loops may round differently on another CPU or
+# numpy, so the pinned cluster and sweep-k outputs are keyed by both
+HOST_KEY = (_openblas_core(), np.__version__)
+
+# demographics and transactions for the pinned campus-logs seed-7 cluster run:
+# every fourth user has no birth year, and some users no transactions
+SIDE_TEXTS = {
+    "demographics": "user_id,gender,birth_year,enrol_year,degree_type\n" + "".join(
+        f"u{i:05d},{('male', 'female', 'unknown')[i % 3]},{1985 + i % 13 if i % 4 else ''},,\n"
+        for i in range(120)),
+    "transactions": "user_id,timestamp,amount\n" + "".join(
+        f"u{i * 7 % 110:05d},2014-09-{1 + i % 28:02d}T12:00:00Z,{i * 37 % 1000 / 8}\n"
+        for i in range(300)),
+}
+
+# sha256 of what `cluster -M 8 -K 4` and `sweep-k -M 8 --k-max 6` write on the
+# smoke corpora, manifests aside, and of the JSON of [results.inertia,
+# results.kmeans_runs] of each manifest
+PIPELINE_SHA = {
+    ("SkylakeX", "2.4.6"): {
+        ("campus-logs", 7): {
+            "assignments.csv": "de68049067fff99950beb8285cbc23ae25a6129b32717240bda2476dc56d3a34",
+            "centroids.txt": "d13c0d308b20accf02ec705a358603ec32c6e25654e89d50acbc708d079dba37",
+            "cluster results": "59758bec87115a2ae151d1ec2858e823318d2c7e9a972d1e045db872c7be66be",
+            "feature.data.npy": "f335f94c6c9eea08db755584877d1c7d1d2e54d1beaa6cbcf2fb4fedb82fcfdb",
+            "feature.indices.npy": "33c6e0d3ff471fc4a7caf98e1526c02ef247db6139a8c7231f72f16dbb091207",
+            "feature.indptr.npy": "392273097b77a9ee0473c575f014eeb7ed0efea24790b4098db17b7ac40ece36",
+            "feature.meta.json": "915b345dfef7320c27be1c22c6a8e85bfbb7b404e1bbdf885c0109e749c373c3",
+            "lsa.U.npy": "7dbaa71a88d63b56af701b75ad85235702ca0883c3d28cd9251e0c27935968c2",
+            "lsa.V.npy": "a124e8ba55b36fa587d85721d099b0095dcb92698aa35d3d013ac1ed3ee28369",
+            "lsa.sigma.npy": "f2f83ec6da324e3959f073f2176c111aa62a3e8c28106f820707a8f4078df112",
+            "report_birth_years.txt": "d69f75494059e689034c49a3839cb6f3dd757a800255da84e9815506b97206e9",
+            "report_gender.txt": "cd4da39c10f0577812e73074a567cb8d4e456d12e2a7eb5aa44d6fd21fc309cb",
+            "report_spend.txt": "2fffc807a0b99e41b1e64087ed625b13681217bb7ea90a628c026deb4b9319da",
+            "report_topics.txt": "19b95867063332802bdd53112ee3de538ee708aea6a970ce7db445c77b5dd206",
+            "summary.json": "e7d4e3a7afd6d5061ab8215953f53655283870bd5d126a4c42f8eef393055325",
+            "sweep-k results": "ab1acb38e2faffccc88c35cb349c09ff8835c264155e33f9546c4192d7470a08",
+            "sweep_k.txt": "b87f1db361c6aab6db6ea99a2a728029b5e47fa6c92aed9ea5e8bc120f7e33c4",
+        },
+        ("campus-logs", 905): {
+            "assignments.csv": "6308ab621c412ae9b11f6b4ae15a448bdbc5b07c2debcebde88421a3f646b635",
+            "centroids.txt": "3fb3562fa5d4e83eba874e09216da4392358c3b6c97542efd45ebc5e830edb45",
+            "cluster results": "33e0056efb0236bb0023abdad32774886686927d001cd655f5ff5435f3d387cb",
+            "feature.data.npy": "571f5d8eb0b0d9522b9371eeb2ea959524b542cd2590d1115b5dfc3b1667353b",
+            "feature.indices.npy": "dea333ed329c219960a0dd4061f59e6c7ee4bef246c22701acbaa5edac1af5b9",
+            "feature.indptr.npy": "6e7e39820165203251c5ab7600c5a072a4a36aadb5a5189efed158f039861426",
+            "feature.meta.json": "4f64b4ac73d35f665dec849c496889bae79bd3cc3567490e89f5161f00f1210b",
+            "lsa.U.npy": "0982a555a111e7417bd4d97afa39be82499c4e3123a6ca8f13c5b604ca09bff6",
+            "lsa.V.npy": "4bab42836ff82e129a09da1a76ce1762fb41c7e5fe4b1a2f1f1cb816973a6d07",
+            "lsa.sigma.npy": "1f09b7e4f918307f4a80576e4a7c5c9f6424569bc1fe53fdd2266529ee50be0c",
+            "report_birth_years.txt": "fc316c9a6d8516ce8da936905ef5653796497f120370ab4cc8fb8ae7246b7372",
+            "report_gender.txt": "bc297adc0bb643b4045d06267f2982c896d4d8df8a1ab927f2e93504e59446fe",
+            "report_spend.txt": "09649288dfaaea0dd1f37abf3f6c1009d2215bed78247ae66e5a0eac620d9ca5",
+            "report_topics.txt": "87d095756b868d6e6d1a8f108fc1f7399c20184aba078a8c35b7f8494eeb7544",
+            "summary.json": "24656b43e61b9b99cd9ea68bd61b5e4bd159756670cba8c3387c8f31515a3859",
+            "sweep-k results": "7f4451791b3bbc0c158bd7dba95aaae18fa5fa3a1c822aa221c055407c5d2c26",
+            "sweep_k.txt": "57baebb9a574e95ed30e015980b058870191b9324c170cd1286c7b7e27317019",
+        },
+        ("wide-rank", 7): {
+            "assignments.csv": "efc80d9da08d678fc59cbfa4d51ae10a81a7c1859369f078e4b34405d2704042",
+            "centroids.txt": "2f9cc621f91981b28e41615b4c53f591e29340811065f99baa9617b365eb0c77",
+            "cluster results": "b22534dcc0a59dc8626cab1f94fe853bcde8b223532829d4e5068d90713e3f9d",
+            "feature.data.npy": "b9c989cc6ef7fd30a9082550bd8d53545f31d973818317f7b7b0789e8da9c912",
+            "feature.indices.npy": "a3caa0e506add18c4d503809919557b0ab84191cff7a966fcc818ded49b0a7d4",
+            "feature.indptr.npy": "90ff1e6701181beb5ff15c21c6cc52c3b6c9777f70df2b05cdbf5306bbbf0110",
+            "feature.meta.json": "d0d362a33dd2a1f7604f94845579aa06e4e4b67ee21df3fe6cc43fe273a82181",
+            "lsa.U.npy": "bc78b4fdbbbe7335d8c9b12008f7fa6a926078f3453670ee2fbc99aca1264a40",
+            "lsa.V.npy": "c2d0b665705bbf599f6948686f33525e8a8756c1cb63405c405e8f5d50365006",
+            "lsa.sigma.npy": "6ae5aec78745506ba098e5de1e42779c2e436a3a61d5b5153b9100cf10b98f00",
+            "report_birth_years.txt": "fc316c9a6d8516ce8da936905ef5653796497f120370ab4cc8fb8ae7246b7372",
+            "report_gender.txt": "82c7c983906c1fd47103597b35dc0d3f249658621e228b7cae7be7694f1e8666",
+            "report_spend.txt": "af29bb95ac094da7eb77bc1ecd290c05f9bf48ba3462004bb5adf4776b115949",
+            "report_topics.txt": "813f6ff86c57afb07edae25464ec5d7765fb38647999d69872d1b8ec44dfadfe",
+            "summary.json": "854aba8ea0b5a35b71467536fcf59682bf8d807818d4b1ece0528e2d99817475",
+            "sweep-k results": "f6724c5bb5b64921831ae319e497d07812a3f593d8c21ba015c17e0a3d2e7b19",
+            "sweep_k.txt": "9d786ec9c76c6d5979792187ef79fcfd334e16a00ccb8ac72cbc3f70a0299992",
+        },
+        ("wide-rank", 905): {
+            "assignments.csv": "b4da8c85ee6f2f1454d0b2530939662dbba672061187937deb052e368efd6a77",
+            "centroids.txt": "ed91a79ce9a23df1fd6001ac1b5f02eabd04e0378962154cc05b02efe3f004e8",
+            "cluster results": "bafd5f8583dd2ab3a17731c8cb114f8814d0d52134c25c9f161b10394f7c62f9",
+            "feature.data.npy": "dda69f4a4943d41053701d7a42952973e9a5aee96f390388b5d3d1a9e47e7580",
+            "feature.indices.npy": "d4ef0194b6277c15aae13bdc0c5c5d3096281b047ccdec13bbc0be34c01b42cd",
+            "feature.indptr.npy": "0d4f6a82fcb5f4eae69adb784a505b48b2eb0f602ff9284f9c84c8ef26c9a155",
+            "feature.meta.json": "4ff8a9b17dae6e08df33b4a8dd06bb63c3d79a1a354e2b7095ed8abf2d6025b0",
+            "lsa.U.npy": "c16b1079429fbf1b58b1aa05449a7d2d174de563a27e6b716eea57ac4064976a",
+            "lsa.V.npy": "d973a664850038999ff0bb867df98471f6c8ea707a72730b697209efb6b799b6",
+            "lsa.sigma.npy": "faaf2a5cb1eccb6b67091ceca8e85dabec52812e2d4edef2ab2e469a99ea8f9a",
+            "report_birth_years.txt": "fc316c9a6d8516ce8da936905ef5653796497f120370ab4cc8fb8ae7246b7372",
+            "report_gender.txt": "3c6bda918c816a19255a3046eb3cd48c47c5dc287025d77efd39de9f891e4972",
+            "report_spend.txt": "7081973907526ee87a658be0c2576fe8f6b4748a318ee7aea4a1c47833c9e30f",
+            "report_topics.txt": "0b33a365465c29be21bad41bd4fc4ce3691e24c043aea092a97b49b743d09267",
+            "summary.json": "bc0704d1613f28b623bbdadcfa95b5f68fd23a7020d07fb262b167059debeee3",
+            "sweep-k results": "97d17d3ec9f5377912ec5a0e8a35936a95d9bfd1f37474b109e815c50f0e2392",
+            "sweep_k.txt": "b0a3f07996166428477b242176f1f1d63789ab631bdbc68abb3db4bec3203d9d",
+        },
+    },
+}
+
+
+@contextlib.contextmanager
+def _blas_threads(n: int):
+    """Run the body with numpy's OpenBLAS on ``n`` threads, where it is found."""
+    functions = _kernels._openblas_threads()
+    if functions is None:
+        yield
+        return
+    get, set_ = functions
+    previous = get()
+    set_(n)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
+def _pipeline_digests(ws: Path, out: Path, side_args: list[str]) -> dict[str, str]:
+    cluster_dir, sweep_dir = out / "cluster", out / "sweep-k"
+    assert cli.main(["cluster", "--workspace", str(ws), "--out-dir", str(cluster_dir),
+                     "-M", "8", "-K", "4", *side_args]) == 0
+    assert cli.main(["sweep-k", "--workspace", str(ws), "--out-dir", str(sweep_dir),
+                     "-M", "8", "--k-max", "6"]) == 0
+    paths = [cluster_dir / name for name in CLUSTER_OUTPUTS] + [sweep_dir / "sweep_k.txt"]
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+    for path in (cluster_dir, sweep_dir):
+        results = json.loads((path / "manifest.json").read_text())["results"]
+        runs = json.dumps([results["inertia"], results["kmeans_runs"]]).encode()
+        digests[f"{path.name} results"] = hashlib.sha256(runs).hexdigest()
+    return digests
+
+
 @pytest.mark.parametrize(
     "workload, seed, sessions_sha, truth_sha",
     [
@@ -321,7 +470,7 @@ INGEST_SHA = {
          "3b744e39054a7d740e7d59712aa7e7f9f7f26100429785b60abf6e5136879e77"),
     ],
 )
-def test_smoke_spec_outputs_pinned(tmp_path, workload, seed, sessions_sha, truth_sha):
+def test_smoke_spec_outputs_pinned(tmp_path, capsys, workload, seed, sessions_sha, truth_sha):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({**SMOKE_SPECS[workload], "seed": seed}))
     out = tmp_path / "synth"
@@ -334,6 +483,22 @@ def test_smoke_spec_outputs_pinned(tmp_path, workload, seed, sessions_sha, truth
     digests = {name: hashlib.sha256((ws / name).read_bytes()).hexdigest()
                for name in INGEST_SHA[workload, seed]}
     assert digests == INGEST_SHA[workload, seed]
+    side_args = []
+    if (workload, seed) == ("campus-logs", 7):
+        for name, text in SIDE_TEXTS.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+            side_args += [f"--{name}", str(tmp_path / f"{name}.csv")]
+    with _blas_threads(1):
+        digests = _pipeline_digests(ws, tmp_path / "threads_1", side_args)
+    if HOST_KEY in PIPELINE_SHA:
+        assert digests == PIPELINE_SHA[HOST_KEY][workload, seed]
+        return
+    with _blas_threads(2):
+        assert _pipeline_digests(ws, tmp_path / "threads_2", side_args) == digests
+    with capsys.disabled():
+        print(f"\n{workload} seed {seed}: no pinned cluster and sweep-k digests for OpenBLAS "
+              f"core {HOST_KEY[0]} and numpy {HOST_KEY[1]}; the pin was not checked, only "
+              "1 against 2 BLAS threads")
 
 
 class TestAdjustedRandIndex:
