@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -270,18 +272,18 @@ class TestKmeansKernels:
         _kernels.kmeans_assign(np.array([[0.2], [3.0]]), np.array([[0.0], [4.0]]))
         assert rechecked == []
 
-    @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300], ids=["unit", "1e300", "1e-300"])
-    def test_kmeans_update_bit_identical_to_loop(self, rng, scale):
+    def test_kmeans_update_bit_identical_to_loop(self, rng):
         # magnitudes spread over 16 decades, so any change of summation order
         # shows; near 1e300 the sums come close to overflow, near 1e-300 the
         # small coordinates are subnormal
-        for n, d, k in [(800, 80, 8), (300, 1, 3), (500, 2, 4), (40, 7, 13), (3, 5, 8), (0, 4, 2)]:
+        cases = [(800, 80, 8), (300, 1, 3), (500, 2, 4), (40, 7, 13), (3, 5, 8), (0, 4, 2)]
+        for (n, d, k), scale in itertools.product(cases, [1.0, 1e300, 1e-300]):
             points = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 8, size=(n, d)) * scale
             labels = rng.integers(0, max(1, k // 2), size=n)  # clusters k//2.. stay empty
             sums, counts = _kernels.kmeans_update(points, labels, k)
             want_sums, want_counts = loop_update(points, labels, k)
             assert sums.shape == (k, d) and counts.dtype == np.int64
-            assert np.array_equal(sums, want_sums), (n, d, k)
+            assert np.array_equal(sums, want_sums), (n, d, k, scale)
             assert np.array_equal(counts, want_counts)
 
 
