@@ -12,9 +12,9 @@ Two methods are provided behind one interface:
   Review 2011, section 4). The sparse matrix is never densified on this
   path; only matrix-block products against it are used. They run in
   scipy's compiled CSR routines, which :mod:`usertopics._kernels` loads
-  from their extension file (its k-means update uses them too);
-  ``scipy.sparse`` is never imported. Deterministic given (matrix, m, seed); the seed feeds a PCG64
-  generator whose stream is stable across platforms.
+  from their extension file (for its k-means update too); ``scipy.sparse``
+  is never imported. Deterministic given (matrix, m, seed); the seed
+  feeds a PCG64 generator whose stream is stable across platforms.
 
 Both methods run their LAPACK and BLAS calls on one OpenBLAS thread
 (:func:`usertopics._kernels.one_blas_thread`): a dense factorization split
