@@ -6,7 +6,9 @@ wall-clock timings and peak memory, and is deterministic given its
 configuration and seed (timing fields aside). The manifest is removed when
 the command starts and written last, so it marks a complete run. A lock
 file keeps concurrent writers out of a workspace. Each command imports only
-the stage modules it runs, so it pays no start-up time for the others.
+the stage modules it runs, so it pays no start-up time for the others. Run
+as a program, it freezes the heap when ``main`` returns: the exit then skips
+collecting the objects that the OS reclaims anyway.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error (bad
 input data, or a file or directory that cannot be read or written).
@@ -19,12 +21,12 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import gc
 import json
 import logging
 import math
 import os
 import resource
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -77,38 +79,48 @@ def _env_out() -> str | None:
 def _require_file(path: str | None, what: str) -> Path:
     if not path:
         raise UsageError(f"missing required {what} path")
-    p = Path(path)
-    if not p.is_file():
+    p = Path(path)  # read once, in order: a pipe or /dev/null serves as well as a file
+    if p.is_dir():
+        raise DataError(f"{what} path is a directory: {p}")
+    if not p.exists():
         raise DataError(f"{what} file not found: {p}")
     return p
+
+
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
 
 
 def _write_manifest(path: Path, args, results: dict, watch: _Stopwatch, **parsed):
     """Write a run's manifest: ``params`` holds every parsed argument, updated
     by ``parsed`` (values the command derived, such as bench-m's M list)."""
     params = {key: val for key, val in vars(args).items() if key not in ("func", "command")}
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
     manifest = {
         "command": args.command,
         "version": __version__,
         "kernel_backend": _kernels.BACKEND,
         "params": {**params, **parsed},
         "results": results,
-        "timings": {"stages_s": watch.stages, "total_s": watch.total(), "peak_rss_mb": rss_mb},
+        "timings": {"stages_s": watch.stages, "stages_cpu_s": watch.cpu, "total_s": watch.total(),
+                    "stages_peak_rss_mb": watch.peak_rss_mb, "peak_rss_mb": _peak_rss_mb()},
     }
     write_json(path, manifest)
 
 
 class _Stopwatch:
     def __init__(self):
-        self.stages: dict[str, float] = {}
+        self.stages: dict[str, float] = {}  # wall seconds
+        self.cpu: dict[str, float] = {}  # process CPU seconds, all threads
+        self.peak_rss_mb: dict[str, float] = {}  # at the stage's end: the first jump set the peak
         self._t0 = time.perf_counter()
 
     @contextlib.contextmanager
     def stage(self, name: str):
-        start = time.perf_counter()
+        start, cpu = time.perf_counter(), time.process_time()
         yield
         self.stages[name] = time.perf_counter() - start
+        self.cpu[name] = time.process_time() - cpu
+        self.peak_rss_mb[name] = _peak_rss_mb()
 
     def total(self) -> float:
         return time.perf_counter() - self._t0
@@ -156,19 +168,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _parse_session_input(args, path: Path):
-    from . import ingest
-
-    options = dict(
-        delimiter=args.delimiter, fail_fast=args.fail_fast, truncate_domains=args.truncate_domains
-    )
-    if args.raw_events:
-        report = ingest.parse_raw_events(path, **options)
-        return ingest.sessionize(report.records, gap_threshold=args.gap), report
-    report = ingest.parse_sessions(path, **options)
-    return report.records, report
-
-
 def cmd_ingest(args) -> int:
     from . import ingest
 
@@ -182,7 +181,12 @@ def cmd_ingest(args) -> int:
         watch = _Stopwatch()
         try:
             with watch.stage("parse"):
-                sessions, report = _parse_session_input(args, path)
+                parse = ingest.parse_raw_events if args.raw_events else ingest.parse_sessions
+                report = parse(path, delimiter=args.delimiter, fail_fast=args.fail_fast,
+                               truncate_domains=args.truncate_domains)
+                sessions = report.records
+                if args.raw_events:
+                    sessions = ingest.sessionize(sessions, gap_threshold=args.gap)
             with watch.stage("aggregate"):
                 matrix = ingest.build_profile_matrix(sessions, metric=args.metric)
         except (ingest.ParseError, ValueError) as exc:
@@ -323,25 +327,9 @@ def _parse_reports(args, watch: _Stopwatch):
     return tables["demographics"], tables["transactions"], counts
 
 
-def _write_reports(out_dir: Path, feature, labels, k: int, demo, tx, top_n: int):
-    from . import reporting
-
-    topics = reporting.cluster_topics(feature, labels, k, top_n=top_n)
-    gender = reporting.gender_breakdown(labels, k, feature.users, demo)
-    birth = reporting.birth_year_distribution(labels, k, feature.users, demo)
-    spend = reporting.spend_distribution(labels, k, feature.users, tx)
-    reporting.write_topic_report(out_dir / "report_topics.txt", topics)
-    reporting.write_gender_report(out_dir / "report_gender.txt", gender)
-    reporting.write_birth_year_report(out_dir / "report_birth_years.txt", birth)
-    reporting.write_spend_report(out_dir / "report_spend.txt", spend)
-    summary = reporting.summary_dict(topics, gender, birth, spend)
-    reporting.write_summary(out_dir / "summary.json", summary)
-    return topics
-
-
 def cmd_cluster(args) -> int:
     from . import clustering as clus
-    from . import lsa, weighting
+    from . import lsa, reporting, weighting
 
     with _open_workspace(args) as (out_dir, profile, checksum, watch):
         demo, tx, side_counts = _parse_reports(args, watch)
@@ -349,9 +337,17 @@ def cmd_cluster(args) -> int:
         with watch.stage("cluster"):
             result = clus.kmeans(features, args.k, **kmeans_kw)
         with watch.stage("report"):
-            topics = _write_reports(
-                out_dir, feature, result.assignments, result.k, demo, tx, args.top_n
-            )
+            labels, k = result.assignments, result.k
+            topics = reporting.cluster_topics(feature, labels, k, top_n=args.top_n)
+            gender = reporting.gender_breakdown(labels, k, feature.users, demo)
+            birth = reporting.birth_year_distribution(labels, k, feature.users, demo)
+            spend = reporting.spend_distribution(labels, k, feature.users, tx)
+            reporting.write_topic_report(out_dir / "report_topics.txt", topics)
+            reporting.write_gender_report(out_dir / "report_gender.txt", gender)
+            reporting.write_birth_year_report(out_dir / "report_birth_years.txt", birth)
+            reporting.write_spend_report(out_dir / "report_spend.txt", spend)
+            summary = reporting.summary_dict(topics, gender, birth, spend)
+            reporting.write_summary(out_dir / "summary.json", summary)
         with watch.stage("write"):
             write_matrix(feature, out_dir / FEATURE_PREFIX)
             lsa.save_model(model, out_dir / LSA_PREFIX)
@@ -402,9 +398,6 @@ def cmd_sweep_k(args) -> int:
     return 0
 
 
-BENCH_STAGES = ("weighting", "lsa", "cluster", "total")
-
-
 def cmd_bench_m(args) -> int:
     from . import clustering as clus
 
@@ -417,7 +410,7 @@ def cmd_bench_m(args) -> int:
     rows = []
     with _open_workspace(args) as (out_dir, profile, checksum, watch):
         for m in m_list:
-            times = {stage: [] for stage in BENCH_STAGES}
+            times = {stage: [] for stage in ("weighting", "lsa", "cluster", "total")}
             cpu = []  # process CPU seconds, all threads: steadier than wall time under load
             for _ in range(args.repeats):
                 rep, cpu0 = _Stopwatch(), time.process_time()
@@ -430,7 +423,7 @@ def cmd_bench_m(args) -> int:
                 cpu.append(time.process_time() - cpu0)
             row = {"m": m}
             for stage, samples in times.items():
-                row[f"{stage}_median_s"] = statistics.median(samples)
+                row[f"{stage}_median_s"] = float(np.median(samples))
             row.update(total_min_s=min(times["total"]), total_max_s=max(times["total"]),
                        total_cpu_min_s=min(cpu), total_cpu_max_s=max(cpu))
             rows.append(row)
@@ -565,4 +558,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    status = main()
+    gc.freeze()  # the exit's collection and module teardown then skip the frozen objects
+    sys.exit(status)

@@ -1,11 +1,15 @@
 import csv
 import errno
+import gc
 import json
 import os
 import re
 import shutil
+import statistics
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +31,16 @@ from oracles import parse_side_rows, read_truth, sessionize, write_sessions_rows
 SESSION_HEADER = (
     "user_id,start_time,duration_s,location,domain,isp,http_requests,service_class,bytes\n"
 )
+
+RAW_EVENTS = (
+    "user_id,timestamp,domain,bytes,http_requests\n"
+    "u1,2014-09-01T00:00:00Z,a.com,10,1\n"
+    "u1,2014-09-01T00:04:00Z,a.com,20,1\n"
+    "u1,2014-09-01T00:20:00Z,a.com,5,1\n"
+)
+DEMOGRAPHICS = ("user_id,gender,birth_year,enrol_year,degree_type\n"
+                "u00000,male,1995,,\nu00001,female,1996,,\n")
+TRANSACTIONS = "user_id,timestamp,amount\nu00000,2014-09-01T00:00:00Z,12.5\n"
 
 SPEC = {
     "n_topics": 4,
@@ -432,12 +446,7 @@ class TestIngestCommand:
 
     def test_raw_events_input(self, tmp_path):
         events = tmp_path / "ev.csv"
-        events.write_text(
-            "user_id,timestamp,domain,bytes,http_requests\n"
-            "u1,2014-09-01T00:00:00Z,a.com,10,1\n"
-            "u1,2014-09-01T00:04:00Z,a.com,20,1\n"
-            "u1,2014-09-01T00:20:00Z,a.com,5,1\n"
-        )
+        events.write_text(RAW_EVENTS)
         ws = tmp_path / "w"
         assert run(["ingest", "--workspace", ws, "--raw-events", events]) == 0
         meta = json.loads((ws / "profile.meta.json").read_text())
@@ -959,6 +968,177 @@ class TestUnusableOutputPath:
         assert not (out / ".lock").exists() and path.is_dir() == (case == "directory in place")
 
 
+INPUT_FLAGS = ("--spec", "--sessions", "--raw-events", "--demographics", "--transactions")
+
+
+def input_run(flag, synth_ws, ingested_ws):
+    """(content, argv of a run that reads it at ``path`` and writes ``out``,
+    the outputs that depend on it) for an input flag."""
+    if flag == "--spec":
+        return (json.dumps(SPEC).encode(), lambda path, out: ["synth", flag, path, "--out-dir", out],
+                ("sessions.csv", "truth.csv"))
+    if flag in ("--sessions", "--raw-events"):
+        data = (synth_ws / "sessions.csv").read_bytes() if flag == "--sessions" else RAW_EVENTS.encode()
+        return data, lambda path, out: ["ingest", "--workspace", out, flag, path], PROFILE_FILES
+    data = (DEMOGRAPHICS if flag == "--demographics" else TRANSACTIONS).encode()
+    return data, lambda path, out: ["cluster", "--workspace", ingested_ws, "--out-dir", out,
+                                    "-M", 4, "-K", 4, flag, path], ("summary.json",)
+
+
+class TestInputPaths:
+    """Every input file is read once, in order, so a pipe serves as well as
+    a file; only a path that does not exist is "not found"."""
+
+    @pytest.mark.parametrize("flag", INPUT_FLAGS)
+    def test_fifo_reads_as_its_file(self, tmp_path, synth_ws, ingested_ws, flag):
+        data, argv, outputs = input_run(flag, synth_ws, ingested_ws)
+        (tmp_path / "input").write_bytes(data)
+        assert run(argv(tmp_path / "input", tmp_path / "from_file")) == 0
+        fifo = tmp_path / "input.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            assert run(argv(fifo, tmp_path / "from_fifo")) == 0
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        for name in outputs:
+            expected = (tmp_path / "from_file" / name).read_bytes()
+            assert (tmp_path / "from_fifo" / name).read_bytes() == expected, name
+
+    @pytest.mark.parametrize("flag", INPUT_FLAGS)
+    def test_directory_exits_2_naming_it(self, tmp_path, synth_ws, ingested_ws, capsys, flag):
+        _, argv, _ = input_run(flag, synth_ws, ingested_ws)
+        capsys.readouterr()
+        assert run(argv(tmp_path, tmp_path / "out")) == 2
+        what = flag.removeprefix("--").replace("-", " ")
+        assert capsys.readouterr().err == f"data error: {what} path is a directory: {tmp_path}\n"
+
+    def test_dev_null_reads_as_a_header_only_log(self, tmp_path):
+        header = tmp_path / "header.csv"
+        header.write_text(SESSION_HEADER)
+        for source, ws in ((header, tmp_path / "header"), (os.devnull, tmp_path / "null")):
+            assert run(["ingest", "--workspace", ws, "--sessions", source]) == 0
+        for name in [*PROFILE_FILES, "domain_stats.txt"]:
+            assert (tmp_path / "null" / name).read_bytes() == (tmp_path / "header" / name).read_bytes()
+
+    def test_missing_side_file_is_not_found(self, tmp_path, ingested_ws, capsys):
+        gone = tmp_path / "gone.csv"
+        assert run(["cluster", "--workspace", ingested_ws, "--demographics", gone]) == 2
+        assert capsys.readouterr().err == f"data error: demographics file not found: {gone}\n"
+
+
+class TestStageTimings:
+    def test_every_stage_has_cpu_time_and_peak_memory(self, tmp_path, synth_ws, ingested_ws):
+        demo, tx = tmp_path / "demo.csv", tmp_path / "tx.csv"
+        demo.write_text(DEMOGRAPHICS)
+        tx.write_text(TRANSACTIONS)
+        runs = {
+            "cluster": ["-M", 4, "-K", 4, "--demographics", demo, "--transactions", tx],
+            "sweep-k": ["-M", 4, "--k-max", 3, "--restarts", 2],
+            "bench-m": ["--m-list", "3,4", "--repeats", 2, "-K", 3, "--restarts", 2],
+        }
+        manifests = [synth_ws / "synth_manifest.json", ingested_ws / "ingest_manifest.json"]
+        for command, flags in runs.items():
+            out = tmp_path / command
+            assert run([command, "--workspace", ingested_ws, "--out-dir", out, *flags]) == 0
+            manifests.append(out / "manifest.json")
+        for path in manifests:
+            timings = json.loads(path.read_text())["timings"]
+            stages = set(timings["stages_s"])
+            assert stages and set(timings["stages_cpu_s"]) == stages, path
+            assert set(timings["stages_peak_rss_mb"]) == stages, path
+            assert min(timings["stages_cpu_s"].values()) >= 0
+            peaks = timings["stages_peak_rss_mb"].values()
+            assert 0 < min(peaks) and max(peaks) <= timings["peak_rss_mb"]
+
+    @pytest.mark.parametrize("repeats", [3, 4])
+    def test_bench_medians_are_the_middle_samples(self, ingested_ws, monkeypatch, repeats):
+        watches = []
+
+        class Recorded(cli._Stopwatch):
+            def __init__(self):
+                super().__init__()
+                self.totals = []
+                watches.append(self)
+
+            def total(self):
+                self.totals.append(super().total())
+                return self.totals[-1]
+
+        monkeypatch.setattr(cli, "_Stopwatch", Recorded)
+        argv = ["bench-m", "--workspace", ingested_ws, "--m-list", "3,4", "--repeats", repeats,
+                "-K", 3, "--restarts", 1]
+        assert run(argv) == 0
+        rows = json.loads((ingested_ws / "manifest.json").read_text())["results"]["rows"]
+        reps = watches[1:]  # the first times the whole command
+        assert len(reps) == len(rows) * repeats
+        for row, start in zip(rows, range(0, len(reps), repeats)):
+            group = reps[start:start + repeats]
+            for stage in ("weighting", "lsa", "cluster"):
+                expected = statistics.median(w.stages[stage] for w in group)
+                assert row[f"{stage}_median_s"] == expected, stage
+            assert row["total_median_s"] == statistics.median(w.totals[0] for w in group)
+
+
+def run_program(argv):
+    """Run ``python -m usertopics.cli`` on ``argv`` in a fresh interpreter."""
+    env = dict(os.environ)
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "usertopics.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True)
+
+
+class TestFrozenExit:
+    """Run as a program, a command freezes its heap before it exits, and the
+    exit then skips collecting it: nothing may wait for that collection."""
+
+    def test_programs_print_log_and_write_everything(self, tmp_path):
+        synth, ws = tmp_path / "synth", tmp_path / "ws"
+        proc = run_program(["synth", "--spec", write_spec(tmp_path), "--out-dir", synth])
+        assert proc.returncode == 0 and proc.stdout.splitlines()[-1].startswith("generated ")
+        log = tmp_path / "log.csv"
+        zero_row = "u00000,2014-09-01T00:00:00Z,60,lab,zero.example,isp,1,web,0\n"
+        log.write_bytes((synth / "sessions.csv").read_bytes() + zero_row.encode())
+        proc = run_program(["ingest", "--workspace", ws, "--sessions", log])
+        assert proc.returncode == 0 and proc.stdout.splitlines()[-1].startswith("ingested ")
+        warning = "WARNING usertopics.ingest: dropping 1 domain(s) with zero total bytes"
+        assert warning in proc.stderr.splitlines()
+        proc = run_program(["cluster", "--workspace", ws, "-M", 4, "-K", 4])
+        assert proc.returncode == 0 and proc.stdout.splitlines()[-1].startswith("clustered ")
+        for path in (synth / "synth_manifest.json", ws / "ingest_manifest.json",
+                     ws / "manifest.json"):
+            assert isinstance(json.loads(path.read_text()), dict), path
+        proc = run_program(["ingest", "--workspace", ws, "--sessions", tmp_path / "gone.csv"])
+        assert proc.returncode == 2
+        assert proc.stderr == f"data error: sessions file not found: {tmp_path / 'gone.csv'}\n"
+        proc = run_program(["cluster", "-K", 4])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1
+
+    def test_no_output_waits_for_a_finalizer(self, tmp_path):
+        demo, tx = tmp_path / "demo.csv", tmp_path / "tx.csv"
+        demo.write_text(DEMOGRAPHICS)
+        tx.write_text(TRANSACTIONS)
+        synth, ws = tmp_path / "synth", tmp_path / "ws"
+        pipeline = ["--workspace", ws, "-M", 4]
+        runs = (
+            ["synth", "--spec", write_spec(tmp_path), "--out-dir", synth],
+            ["ingest", "--workspace", ws, "--sessions", synth / "sessions.csv"],
+            ["cluster", *pipeline, "-K", 4, "--demographics", demo, "--transactions", tx],
+            ["sweep-k", *pipeline, "--k-max", 3, "--restarts", 2],
+            ["bench-m", "--workspace", ws, "--m-list", "4", "--repeats", 2, "--restarts", 2],
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for argv in runs:
+                assert run(argv) == 0, argv
+            gc.collect()
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
 def test_non_ascii_names_under_an_ascii_locale(tmp_path):
     """Workspace text files are UTF-8 whatever the locale's encoding."""
     rows = [
@@ -993,15 +1173,33 @@ def test_non_ascii_names_under_an_ascii_locale(tmp_path):
         assert text in (ws / name).read_bytes().decode("utf-8"), name
 
 
+# what statistics.median once brought into every command
+STATISTICS_IMPORTS = {"statistics", "fractions", "decimal"}
+
+
 class TestImportFootprint:
-    """A command loads only the stage modules it runs, and never scipy."""
+    """A command loads only the stage modules it runs, and never scipy or
+    the statistics module's decimal arithmetic."""
 
     def test_ingest_loads_no_other_stage(self, tmp_path, synth_ws):
         argv = ["ingest", "--workspace", tmp_path / "ws", "--sessions", synth_ws / "sessions.csv"]
         loaded = modules_after_main(argv)
         others = {f"usertopics.{name}" for name in STAGE_MODULES if name != "ingest"}
         assert "usertopics.ingest" in loaded
-        assert not ({"scipy", *others} & loaded)
+        assert not ({"scipy", *others, *STATISTICS_IMPORTS} & loaded)
+
+    @pytest.mark.parametrize("command", ["synth", "cluster", "sweep-k"])
+    def test_no_statistics_import(self, tmp_path, ingested_ws, command):
+        demo, tx = tmp_path / "demo.csv", tmp_path / "tx.csv"
+        demo.write_text(DEMOGRAPHICS)
+        tx.write_text(TRANSACTIONS)
+        argv = {
+            "synth": ["synth", "--spec", write_spec(tmp_path), "--out-dir", tmp_path / "out"],
+            "cluster": ["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4,
+                        "--demographics", demo, "--transactions", tx],
+            "sweep-k": ["sweep-k", "--workspace", ingested_ws, "-M", 4, "--k-max", 3],
+        }[command]
+        assert not STATISTICS_IMPORTS & modules_after_main(argv)
 
     def test_randomized_cluster_leaves_scipy_unloaded(self, ingested_ws):
         argv = ["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 4]
