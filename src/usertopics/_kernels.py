@@ -133,8 +133,9 @@ def share_values(indptr, data):
 
 
 def _check_csr(indptr, indices, data, n_rows, n_cols):
-    """Refuse arrays that are not an n_rows x n_cols CSR matrix: the compiled
-    routines check dtypes but not sizes, and would index out of bounds."""
+    """Refuse arrays that are not an n_rows x n_cols CSR matrix: every
+    SparseMatrix is checked here, and the compiled routines check dtypes but
+    not sizes, so they would index out of bounds."""
     if not (
         indptr.shape == (n_rows + 1,)
         and indptr[0] == 0

@@ -7,8 +7,8 @@ configuration and seed (timing fields aside). The manifest is removed when
 the command starts and written last, so it marks a complete run. A lock
 file keeps concurrent writers out of a workspace. Each command imports only
 the stage modules it runs, so it pays no start-up time for the others. Run
-as a program, it freezes the heap when ``main`` returns: the exit then skips
-collecting the objects that the OS reclaims anyway.
+as a program (:func:`run`), it freezes the heap when ``main`` returns: the
+exit then skips collecting the objects that the OS reclaims anyway.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error (bad
 input data, or a file or directory that cannot be read or written).
@@ -304,19 +304,17 @@ def _run(args, profile, watch: _Stopwatch, m: int, k: int):
     return feature, model, features, kmeans_kw
 
 
-def _parse_reports(args, watch: _Stopwatch):
-    """The demographics and transactions tables, empty where not given, and
-    each given file's parse counts; timed as the ``side_inputs`` stage when
-    a file is given."""
+def _parse_reports(args, paths: dict[str, Path], watch: _Stopwatch):
+    """The demographics and transactions tables, empty where ``paths`` names
+    no file, and each given file's parse counts; timed as the ``side_inputs``
+    stage when a file is given."""
     tables = {"demographics": UserTable((), {}), "transactions": UserTable((), {})}
     counts = {}
-    given = [name for name in tables if getattr(args, name)]
-    with watch.stage("side_inputs") if given else contextlib.nullcontext():
-        for name in given:
+    with watch.stage("side_inputs") if paths else contextlib.nullcontext():
+        for name, path in paths.items():
             from . import ingest
 
             parse = getattr(ingest, f"parse_{name}")
-            path = _require_file(getattr(args, name), name)
             try:
                 report = parse(path, delimiter=args.delimiter, fail_fast=args.fail_fast)
             except ingest.ParseError as exc:
@@ -331,8 +329,11 @@ def cmd_cluster(args) -> int:
     from . import clustering as clus
     from . import lsa, reporting, weighting
 
+    # checked before the workspace lock, which removes the last run's manifest
+    side_paths = {name: _require_file(getattr(args, name), name)
+                  for name in ("demographics", "transactions") if getattr(args, name)}
     with _open_workspace(args) as (out_dir, profile, checksum, watch):
-        demo, tx, side_counts = _parse_reports(args, watch)
+        demo, tx, side_counts = _parse_reports(args, side_paths, watch)
         feature, model, features, kmeans_kw = _run(args, profile, watch, args.m, args.k)
         with watch.stage("cluster"):
             result = clus.kmeans(features, args.k, **kmeans_kw)
@@ -557,7 +558,13 @@ def main(argv=None) -> int:
         return 2
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The program's entry point, installed and under ``python -m``: :func:`main`,
+    then an exit whose collection and module teardown skip the frozen heap."""
     status = main()
-    gc.freeze()  # the exit's collection and module teardown then skip the frozen objects
+    gc.freeze()
     sys.exit(status)
+
+
+if __name__ == "__main__":
+    run()

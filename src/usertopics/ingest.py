@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._store import atomic_file, quote
-from .matrix import ProfileMatrix, csr_from_triplets
+from .matrix import ProfileMatrix
 from .records import (
     DEFAULT_GAP_SECONDS,
     GENDERS,
@@ -969,9 +969,10 @@ def build_profile_matrix(sessions: SessionTable, metric: str = "bytes") -> Profi
     dropped = len(domains) - len(kept)
     if dropped:
         log.warning("dropping %d domain(s) with zero total %s", dropped, metric)
-    cols = (np.cumsum(active) - 1)[cell_domains[positive]]
-    indptr, indices, data = csr_from_triplets(
-        len(users), len(kept), cell_users[positive], cols, totals[positive]
-    )
-    return ProfileMatrix(n_users=len(users), n_domains=len(kept), indptr=indptr, indices=indices,
-                         data=data, users=users, domains=tuple(domains[c] for c in kept))
+    # the cells are unique and in (user, domain) order; dropping domains keeps that order
+    row_counts = np.bincount(cell_users[positive], minlength=len(users))
+    return ProfileMatrix(n_users=len(users), n_domains=len(kept),
+                         indptr=np.append(0, np.cumsum(row_counts)),
+                         indices=(np.cumsum(active) - 1)[cell_domains[positive]],
+                         data=totals[positive], users=users,
+                         domains=tuple(domains[c] for c in kept))

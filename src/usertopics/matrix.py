@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._kernels import _check_csr
 from ._store import load_array, read_sidecar, save_array, write_sidecar
 
 FEATURE_PROVENANCES = ("tfidf", "row_normalized")
@@ -46,16 +47,7 @@ class SparseMatrix:
             raise ValueError("duplicate user ids")
         if len(set(self.domains)) != self.n_domains:
             raise ValueError("duplicate domains")
-        if self.indptr.shape != (self.n_users + 1,):
-            raise ValueError("indptr length must be n_users + 1")
-        if self.indptr[0] != 0 or self.indptr[-1] != self.indices.size:
-            raise ValueError("indptr endpoints inconsistent with nnz")
-        if np.any(np.diff(self.indptr) < 0):
-            raise ValueError("indptr must be non-decreasing")
-        if self.indices.size and (
-            self.indices.min() < 0 or self.indices.max() >= self.n_domains
-        ):
-            raise ValueError("column index out of range")
+        _check_csr(self.indptr, self.indices, self.data, self.n_users, self.n_domains)
 
     @property
     def nnz(self) -> int:
@@ -103,20 +95,6 @@ class FeatureMatrix(SparseMatrix):
         super().__post_init__()
         if self.provenance not in FEATURE_PROVENANCES:
             raise ValueError(f"unknown provenance: {self.provenance!r}")
-
-
-def csr_from_triplets(n_rows, n_cols, rows, cols, values):
-    """Assemble CSR arrays from triplets, sorted by (row, column)."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    order = np.lexsort((cols, rows))
-    rows, cols, values = rows[order], cols[order], values[order]
-    if rows.size and np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
-        raise ValueError("duplicate (row, column) triplet")
-    counts = np.bincount(rows, minlength=n_rows) if rows.size else np.zeros(n_rows, dtype=np.int64)
-    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    return indptr, cols, values
 
 
 # --------------------------------------------------------------------------

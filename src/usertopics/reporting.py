@@ -46,8 +46,8 @@ def cluster_topics(
     if f.n_users != labels.shape[0]:
         raise ValueError(f"matrix has {f.n_users} rows but {labels.shape[0]} labels")
     sizes = np.bincount(labels, minlength=k)
-    sums = np.zeros((k, f.n_domains))
-    np.add.at(sums, (labels[f.entry_rows], f.indices), f.data)
+    cells = labels[f.entry_rows] * f.n_domains + f.indices
+    sums = np.bincount(cells, weights=f.data, minlength=k * f.n_domains).reshape(k, f.n_domains)
     means = sums / np.maximum(sizes, 1)[:, None]
     top: list[list[tuple[str, float]]] = []
     names: list[str | None] = []
@@ -140,12 +140,9 @@ def spend_distribution(
     n_bins = edges.size - 1
     pos = np.searchsorted(edges, totals, side="right") - 1
     pos = np.clip(pos, 0, n_bins - 1)  # closed outer bins: everything tallies
-    counts = np.zeros((k, n_bins), dtype=np.int64)
-    np.add.at(counts, (labels, pos), 1)
-    sums = np.zeros(k)
-    np.add.at(sums, labels, totals)
-    sizes = np.bincount(labels, minlength=k)
-    means = sums / np.maximum(sizes, 1)
+    counts = np.bincount(labels * n_bins + pos, minlength=k * n_bins).reshape(k, n_bins)
+    sums = np.bincount(labels, weights=totals, minlength=k)
+    means = sums / np.maximum(np.bincount(labels, minlength=k), 1)
     return SpendReport(edges=edges, counts=counts, means=means, totals=totals)
 
 

@@ -187,14 +187,30 @@ def spearman_rho(xs, ys):
     return 1.0 - 6.0 * d2 / (n * (n * n - 1))
 
 
+def csr_from_triplets(n_rows, rows, cols, values):
+    """CSR arrays of (row, column, value) triplets given in any order, sorted
+    by (row, column); a repeated cell raises ValueError."""
+    cells = sorted(zip(map(int, rows), map(int, cols), map(float, values)))
+    if len({(r, c) for r, c, _ in cells}) != len(cells):
+        raise ValueError("duplicate (row, column) triplet")
+    counts = [0] * n_rows
+    for r, _, _ in cells:
+        counts[r] += 1
+    return (
+        np.array(list(itertools.accumulate(counts, initial=0)), dtype=np.int64),
+        np.array([c for _, c, _ in cells], dtype=np.int64),
+        np.array([v for _, _, v in cells], dtype=np.float64),
+    )
+
+
 def dense_to_feature(dense, provenance="tfidf"):
     """Wrap a dense array in a FeatureMatrix (test plumbing)."""
-    from usertopics.matrix import FeatureMatrix, csr_from_triplets
+    from usertopics.matrix import FeatureMatrix
 
     dense = np.asarray(dense, dtype=np.float64)
     n, d = dense.shape
     rows, cols = np.nonzero(dense)
-    indptr, indices, data = csr_from_triplets(n, d, rows, cols, dense[rows, cols])
+    indptr, indices, data = csr_from_triplets(n, rows, cols, dense[rows, cols])
     return FeatureMatrix(
         n_users=n,
         n_domains=d,
@@ -466,7 +482,7 @@ def spend_distribution_join(labels, k, user_ids, transactions):
 
 def profile_oracle(sessions, metric="bytes"):
     """Dict-of-lists aggregation with math.fsum per (user, domain) cell."""
-    from usertopics.matrix import ProfileMatrix, csr_from_triplets
+    from usertopics.matrix import ProfileMatrix
 
     def value(s):
         if metric == "bytes":
@@ -492,7 +508,7 @@ def profile_oracle(sessions, metric="bytes"):
     rows = [t[0] for t in triplets]
     cols = [t[1] for t in triplets]
     vals = [t[2] for t in triplets]
-    indptr, indices, data = csr_from_triplets(len(users), len(kept), rows, cols, vals)
+    indptr, indices, data = csr_from_triplets(len(users), rows, cols, vals)
     return ProfileMatrix(
         n_users=len(users),
         n_domains=len(kept),

@@ -19,7 +19,6 @@ from usertopics import _kernels, _store, cli, lsa, reporting
 from usertopics.ingest import DEFAULT_GAP_SECONDS, RAW_EVENT_COLUMNS
 from usertopics.matrix import (
     SparseMatrix,
-    csr_from_triplets,
     matrix_checksum,
     read_matrix,
     write_matrix,
@@ -83,14 +82,13 @@ def write_profile(ws, dense):
     """Write ``dense`` as the workspace's profile, bypassing the ProfileMatrix
     checks, with the ingest manifest that vouches for it."""
     dense = np.asarray(dense, dtype=np.float64)
-    rows, cols = np.nonzero(dense)
-    indptr, indices, data = csr_from_triplets(*dense.shape, rows, cols, dense[rows, cols])
+    rows, cols = np.nonzero(dense)  # row-major: the CSR order
     matrix = SparseMatrix(
         n_users=dense.shape[0],
         n_domains=dense.shape[1],
-        indptr=indptr,
-        indices=indices,
-        data=data,
+        indptr=np.append(0, np.cumsum(np.count_nonzero(dense, axis=1))),
+        indices=cols,
+        data=dense[rows, cols],
         users=tuple(f"u{i}" for i in range(dense.shape[0])),
         domains=tuple(f"d{j}.com" for j in range(dense.shape[1])),
     )
@@ -1028,6 +1026,16 @@ class TestInputPaths:
         assert run(["cluster", "--workspace", ingested_ws, "--demographics", gone]) == 2
         assert capsys.readouterr().err == f"data error: demographics file not found: {gone}\n"
 
+    @pytest.mark.parametrize("bad", ["missing", "directory"])
+    @pytest.mark.parametrize("flag", ["--demographics", "--transactions"])
+    def test_bad_side_path_keeps_the_last_manifest(self, tmp_path, ingested_ws, flag, bad):
+        argv = ["cluster", "--workspace", ingested_ws, "-M", 4, "-K", 3]
+        assert run(argv) == 0
+        manifest = (ingested_ws / "manifest.json").read_bytes()
+        path = tmp_path / "missing.csv" if bad == "missing" else tmp_path
+        assert run([*argv, flag, path]) == 2
+        assert (ingested_ws / "manifest.json").read_bytes() == manifest
+
 
 class TestStageTimings:
     def test_every_stage_has_cpu_time_and_peak_memory(self, tmp_path, synth_ws, ingested_ws):
@@ -1082,12 +1090,13 @@ class TestStageTimings:
             assert row["total_median_s"] == statistics.median(w.totals[0] for w in group)
 
 
-def run_program(argv):
-    """Run ``python -m usertopics.cli`` on ``argv`` in a fresh interpreter."""
+def run_program(argv, entry=("-m", "usertopics.cli")):
+    """Run ``python -m usertopics.cli``, or ``python *entry``, on ``argv`` in a
+    fresh interpreter."""
     env = dict(os.environ)
     package_root = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "usertopics.cli", *map(str, argv)],
+    return subprocess.run([sys.executable, *entry, *map(str, argv)],
                           env=env, capture_output=True, text=True)
 
 
@@ -1117,6 +1126,16 @@ class TestFrozenExit:
         proc = run_program(["cluster", "-K", 4])
         assert proc.returncode == 1
         assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1
+
+    def test_the_entry_point_freezes_before_the_exit(self, tmp_path):
+        code = ("import atexit, gc\n"
+                "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+                "from usertopics import cli\ncli.run()\n")
+        argv = ["synth", "--spec", write_spec(tmp_path), "--out-dir", tmp_path / "synth"]
+        proc = run_program(argv, entry=("-c", code))
+        assert proc.returncode == 0, proc.stderr
+        *_, generated, frozen = proc.stdout.splitlines()
+        assert generated.startswith("generated ") and frozen == "True"
 
     def test_no_output_waits_for_a_finalizer(self, tmp_path):
         demo, tx = tmp_path / "demo.csv", tmp_path / "tx.csv"

@@ -5,6 +5,7 @@ import pytest
 
 from usertopics.matrix import (
     FeatureMatrix,
+    ProfileMatrix,
     domain_stats,
     matrix_checksum,
     rank_domains,
@@ -56,6 +57,28 @@ class TestDomainStats:
         assert stats.median.tolist() == [0.0]
         assert stats.total.tolist() == [0.0]
         assert stats.n_visitors.tolist() == [0]
+
+
+# a 3 x 2 CSR matrix with an empty middle row, and arrays that mangle it
+CSR_BASE = dict(indptr=[0, 1, 1, 2], indices=[0, 1], data=[1.0, 2.0])
+MANGLED_CSR = {
+    "indptr_too_short": dict(indptr=[0, 1, 2]),
+    "indptr_not_from_0": dict(indptr=[1, 1, 1, 2]),
+    "indptr_decreasing": dict(indptr=[0, 2, 1, 2]),
+    "column_out_of_range": dict(indices=[0, 2]),
+    "data_one_short": dict(data=[1.0]),
+    "data_one_long": dict(data=[1.0, 2.0, 3.0]),
+}
+
+
+@pytest.mark.parametrize("mangled", MANGLED_CSR, ids=str)
+@pytest.mark.parametrize("cls", [ProfileMatrix, FeatureMatrix], ids=lambda c: c.__name__)
+def test_arrays_that_are_not_csr_raise(cls, mangled):
+    names = dict(n_users=3, n_domains=2, users=("u0", "u1", "u2"), domains=("a.com", "b.com"))
+    assert cls(**names, **{key: np.array(value) for key, value in CSR_BASE.items()}).nnz == 2
+    arrays = {**CSR_BASE, **MANGLED_CSR[mangled]}
+    with pytest.raises(ValueError):
+        cls(**names, **{key: np.array(value) for key, value in arrays.items()})
 
 
 class TestEntryRows:
